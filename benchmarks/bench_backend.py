@@ -1,22 +1,17 @@
-"""Ablation gate for the pluggable SAT backend boundary.
+"""Ablation gate for deletion-based unsat-core minimization.
 
 Runs the finite model finder over the quick problem set once per
-backend configuration and asserts the boundary is *behavior-preserving*:
+configuration and asserts minimization is *behavior-preserving*:
 
-* ``python`` — the in-repo CDCL solver with the hot-path upgrades this
-  boundary shipped with (deletion-based core minimization, dynamic LBD
-  re-computation) at their defaults;
-* ``python-nomin`` — the same solver with ``core_minimization=False``,
-  the pre-upgrade pure-Python baseline the regression gate compares
-  against;
-* ``pysat`` — the optional `python-sat`/Glucose adapter, included only
-  when the dependency is importable (the default CI leg proves the
-  pure-Python fallback, a dedicated job installs python-sat and runs
-  the cross-backend comparison).
+* ``python`` — the in-repo CDCL solver at its defaults (deletion-based
+  core minimization, dynamic LBD re-computation);
+* ``python-nomin`` — the same solver with
+  ``FinderOptions(core_minimization=False)``, the baseline the
+  regression gate compares against.
 
-Statuses (model found / model size) must be identical across every
-configuration — backends may differ in *which* model they return and
-how fast, never in the verdict.  The wall-clock gate protects the
+Statuses (model found / model size) must be identical across both
+configurations — they may differ in *which* model they return and how
+fast, never in the verdict.  The wall-clock gate protects the
 pure-Python default path: with minimization on it must stay within 10%
 of the no-minimization baseline over the suite (the probes are
 budget-capped precisely so their cost stays in the noise while the
@@ -39,7 +34,7 @@ import sys
 import time
 
 from repro.chc.transform import preprocess
-from repro.mace.finder import find_model
+from repro.mace.finder import FinderOptions, ModelFinder
 from repro.problems import (
     diag_system,
     diseq_zz_system,
@@ -50,7 +45,6 @@ from repro.problems import (
     odd_unsat_system,
     z_neq_sz_system,
 )
-from repro.sat.backend import backend_available
 from repro.stlc import stlc_problems
 
 ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / (
@@ -61,14 +55,10 @@ ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / (
 #: no-minimization baseline over the whole suite
 REGRESSION_THRESHOLD = 1.10
 
-#: (name, find_model overrides) per configuration; ``pysat`` joins at
-#: collection time when the dependency is importable
+#: (name, FinderOptions overrides) per configuration
 CONFIGS = [
-    ("python", {"sat_backend": "python", "core_minimization": True}),
-    (
-        "python-nomin",
-        {"sat_backend": "python", "core_minimization": False},
-    ),
+    ("python", {}),
+    ("python-nomin", {"core_minimization": False}),
 ]
 
 
@@ -83,10 +73,11 @@ def _stlc_systems(count: int):
 
 
 def quick_problems():
-    """(name, system factory, find_model kwargs) rows for the quick scale.
+    """(name, system factory, FinderOptions overrides) rows for the quick
+    scale.
 
-    Same spread as ``bench_core.py``: SAT problems prove no backend
-    invents a refutation, exhaustive/UNSAT sweeps are where cores (and
+    Same spread as ``bench_core.py``: SAT problems prove minimization
+    invents no refutation, exhaustive/UNSAT sweeps are where cores (and
     their minimization) actually run.
     """
     rows = [
@@ -114,15 +105,6 @@ def bench_scale() -> str:
     return os.environ.get("REPRO_BENCH_SCALE", "quick")
 
 
-def configs():
-    rows = list(CONFIGS)
-    if backend_available("pysat"):
-        rows.append(
-            ("pysat", {"sat_backend": "pysat", "core_minimization": True})
-        )
-    return rows
-
-
 def _measure(prepared, active, kwargs: dict) -> dict:
     """Best-of-5 wall clock per configuration, repetitions interleaved
     across configurations so load drift on shared CI hardware hits
@@ -133,7 +115,8 @@ def _measure(prepared, active, kwargs: dict) -> dict:
     for _ in range(5):
         for cfg_name, overrides in active:
             start = time.monotonic()
-            result = find_model(prepared, **overrides, **kwargs)
+            options = FinderOptions(**overrides, **kwargs)
+            result = ModelFinder(prepared, options).search()
             elapsed = time.monotonic() - start
             slot = best.get(cfg_name)
             if slot is None or elapsed < slot[1]:
@@ -153,18 +136,17 @@ def run_ablation() -> dict:
     problems = quick_problems()
     if scale == "full":
         problems += full_extra()
-    active = configs()
     rows = []
     for name, factory, kwargs in problems:
         prepared = preprocess(factory())
-        runs = _measure(prepared, active, kwargs)
+        runs = _measure(prepared, CONFIGS, kwargs)
         reference = runs["python"]
         rows.append(
             {
                 "problem": name,
                 "runs": runs,
                 # the gate is on statuses: found / model size must be
-                # identical whichever engine (or core pipeline) ran
+                # identical whichever core pipeline ran
                 "agree": all(
                     r["found"] == reference["found"]
                     and r["model_size"] == reference["model_size"]
@@ -173,7 +155,7 @@ def run_ablation() -> dict:
             }
         )
     totals: dict = {
-        "configs": [cfg_name for cfg_name, _ in active],
+        "configs": [cfg_name for cfg_name, _ in CONFIGS],
         "all_agree": all(r["agree"] for r in rows),
         "cores_minimized": sum(
             r["runs"]["python"]["cores_minimized"] for r in rows
@@ -182,7 +164,7 @@ def run_ablation() -> dict:
             r["runs"]["python"]["core_lits_dropped"] for r in rows
         ),
     }
-    for cfg_name, _ in active:
+    for cfg_name, _ in CONFIGS:
         totals[f"{cfg_name}_time"] = sum(
             r["runs"][cfg_name]["time"] for r in rows
         )
@@ -196,7 +178,8 @@ def run_ablation() -> dict:
 
 
 def test_backend_ablation():
-    """Statuses identical across backends; minimization within budget."""
+    """Statuses identical with and without minimization; minimization
+    within budget."""
     report = run_ablation()
     totals = report["totals"]
     assert totals["all_agree"], report
@@ -215,7 +198,7 @@ def main() -> int:
     print(f"artifact: {ARTIFACT}")
     failed = False
     if not totals["all_agree"]:
-        print("FAIL: backend configurations disagree on a status")
+        print("FAIL: minimization on/off disagree on a status")
         failed = True
     ratio = totals.get("python_vs_baseline")
     if ratio is not None and ratio > REGRESSION_THRESHOLD:

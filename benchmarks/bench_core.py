@@ -34,7 +34,7 @@ import sys
 import time
 
 from repro.chc.transform import preprocess
-from repro.mace.finder import find_model
+from repro.mace.finder import FinderOptions, ModelFinder
 from repro.problems import (
     diag_system,
     diseq_zz_system,
@@ -63,7 +63,8 @@ def _stlc_systems(count: int):
 
 
 def quick_problems():
-    """(name, system factory, find_model kwargs) rows for the quick scale.
+    """(name, system factory, FinderOptions overrides) rows for the quick
+    scale.
 
     SAT problems check the guidance never skips a satisfiable vector;
     UNSAT/exhaustive sweeps are where cores accumulate and prune.
@@ -95,9 +96,8 @@ def bench_scale() -> str:
 
 def _measure(prepared, core_guided: bool, kwargs: dict) -> dict:
     start = time.monotonic()
-    result = find_model(
-        prepared, core_guided_sweep=core_guided, **kwargs
-    )
+    options = FinderOptions(core_guided_sweep=core_guided, **kwargs)
+    result = ModelFinder(prepared, options).search()
     elapsed = time.monotonic() - start
     stats = result.stats.as_dict()
     stats["time"] = elapsed

@@ -35,7 +35,7 @@ import sys
 import time
 
 from repro.chc.transform import preprocess
-from repro.mace.finder import ModelFinder
+from repro.mace.finder import FinderOptions, ModelFinder
 from repro.mace.parallel import ParallelModelFinder
 from repro.stlc.problems import stlc_problems
 
@@ -80,11 +80,11 @@ def _verdict(result) -> dict:
 def _measure(prepared, shards: int, max_total: int) -> dict:
     start = time.monotonic()
     if shards == 0:  # the sequential baseline
-        result = ModelFinder(prepared, max_total_size=max_total).search()
+        options = FinderOptions(max_total_size=max_total)
+        result = ModelFinder(prepared, options).search()
     else:
-        result = ParallelModelFinder(
-            prepared, sweep_shards=shards, max_total_size=max_total
-        ).search()
+        options = FinderOptions(max_total_size=max_total, sweep_shards=shards)
+        result = ParallelModelFinder(prepared, options).search()
     elapsed = time.monotonic() - start
     row = _verdict(result)
     row["time"] = elapsed

@@ -34,7 +34,7 @@ from repro.chc.transform import preprocess
 from repro.exec import ExecPolicy, ReproFaultPlan
 from repro.harness.runner import run_campaign, task_id_for
 from repro.mace import EnginePool, find_model
-from repro.mace.finder import ModelFinder, _IncrementalEngine
+from repro.mace.finder import FinderOptions, ModelFinder, _IncrementalEngine
 from repro.problems import even_system, incdec_system, odd_unsat_system
 
 ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / (
@@ -99,7 +99,7 @@ def leg_roundtrip(scale: str) -> dict:
         pool.release(finder)
     engine = next(iter(pool._engines.values())).engine
     snap = engine.snapshot()
-    restored = _IncrementalEngine.restore(snap)
+    restored = _IncrementalEngine.restore(snap, FinderOptions())
     agreed = 0
     for m, r, c in cases:
         prepared = preprocess(nat_mod_system(m, r, c))

@@ -27,11 +27,10 @@
 #     to produce its three structured error verdicts, or the flaky
 #     task does not recover via retry.
 #
-# Gate 5 (PR 7): SAT backend boundary ablation; emits
-# BENCH_backend.json and fails if
-#   * any backend configuration (pure-Python default, pure-Python
-#     without core minimization, PySAT when installed) disagrees on a
-#     status or model size,
+# Gate 5 (PR 7): core-minimization ablation; emits BENCH_backend.json
+# and fails if
+#   * the pure-Python default and its no-minimization leg disagree on
+#     a status or model size,
 #   * core minimization never fires on the quick suite, or
 #   * the pure-Python default is more than 10% slower than its
 #     no-minimization baseline.
@@ -189,21 +188,18 @@ with open("BENCH_backend.json") as handle:
 totals = report["totals"]
 
 if not totals["all_agree"]:
-    sys.exit("FAIL: SAT backend configurations disagree on a status")
+    sys.exit("FAIL: minimization on/off disagree on a status")
 if totals["cores_minimized"] <= 0:
     sys.exit("FAIL: core minimization never fired on the quick suite")
 
 on, off = totals["python_time"], totals["python-nomin_time"]
-print(f"backends: {', '.join(totals['configs'])}")
 print(f"python: {on:.3f}s  python w/o minimization: {off:.3f}s  "
       f"({totals['cores_minimized']} cores minimized, "
       f"{totals['core_lits_dropped']} literals dropped)")
-if "pysat_time" in totals:
-    print(f"pysat: {totals['pysat_time']:.3f}s")
 if on > 1.10 * off:
     sys.exit(f"FAIL: pure-Python default {on:.3f}s is >10% slower than "
              f"its no-minimization baseline {off:.3f}s")
-print("OK: backend boundary status parity + pure-Python within budget")
+print("OK: minimization status parity + pure-Python within budget")
 EOF
 
 python benchmarks/bench_snapshot.py

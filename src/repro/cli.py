@@ -12,12 +12,9 @@ Prints ``sat`` / ``unsat`` / ``unknown`` on the first line; with
 follows, and with ``--cex`` the refutation derivation is printed for
 UNSAT answers.  Unknown answers distinguish a completed sweep ("no
 finite model of total size <= N") from budget exhaustion on the reason
-line.  ``--no-cores`` / ``--no-lbd`` switch off the unsat-core-guided
-sweep and the LBD-tier learned-clause retention (ablation baselines).
-``--backend pysat`` swaps the SAT engine under the model finder for
-the optional `python-sat` Glucose adapter (see
-:mod:`repro.sat.backend`); when the dependency is missing the command
-fails up front with an actionable message and exit code 2.
+line.  ``--no-cores`` switches off the unsat-core-guided sweep (the
+ablation baseline), and ``--sweep-shards N`` runs the size sweep as a
+speculative portfolio of N engine shards with the same verdicts.
 
 Campaign batch mode solves many files through one shared
 :class:`~repro.mace.pool.EnginePool`, so signature-compatible problems
@@ -79,11 +76,6 @@ from typing import Optional, Sequence
 from repro.chc.parser import ParseError, parse_chc
 from repro.core.ringen import RInGen, RInGenConfig
 from repro.mace.pool import EnginePool
-from repro.sat.backend import (
-    BACKEND_NAMES,
-    BackendUnavailableError,
-    make_backend,
-)
 from repro.solvers.elem import ElemConfig, ElemSolver
 from repro.solvers.induct import InductConfig, InductSolver
 from repro.solvers.sizeelem import SizeElemConfig, SizeElemSolver
@@ -138,20 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cores",
         action="store_true",
         help="disable the unsat-core-guided size sweep (ringen only)",
-    )
-    parser.add_argument(
-        "--no-lbd",
-        action="store_true",
-        help="legacy length-based learned-clause GC instead of LBD "
-        "tiers (ringen only)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="python",
-        help="SAT engine under the model finder: the in-repo "
-        "pure-Python CDCL solver or the optional python-sat/Glucose "
-        "adapter (ringen only; default: python)",
     )
     parser.add_argument(
         "--sweep-shards",
@@ -230,18 +208,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         "--no-cores",
         action="store_true",
         help="disable the unsat-core-guided size sweep",
-    )
-    parser.add_argument(
-        "--no-lbd",
-        action="store_true",
-        help="legacy length-based learned-clause GC instead of LBD tiers",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="python",
-        help="SAT engine under every model finder in the campaign "
-        "(default: python)",
     )
     parser.add_argument(
         "--sweep-shards",
@@ -345,26 +311,9 @@ def _live_progress(args):
         monitor.stop()
 
 
-def _backend_error(name: str) -> Optional[str]:
-    """Probe-construct the chosen SAT backend; the error text if it
-    cannot start (missing optional dependency), else ``None``."""
-    try:
-        probe = make_backend(name)
-    except BackendUnavailableError as error:
-        return str(error)
-    delete = getattr(probe, "delete", None)
-    if delete is not None:
-        delete()
-    return None
-
-
 def campaign_main(argv: Sequence[str]) -> int:
     """The ``campaign`` entry point: batch solving over a shared pool."""
     args = build_campaign_parser().parse_args(argv)
-    backend_problem = _backend_error(args.backend)
-    if backend_problem is not None:
-        print(f"error: {backend_problem}", file=sys.stderr)
-        return 2
     if args.resume and args.journal and args.resume != args.journal:
         print(
             "error: --resume and --journal must name the same file",
@@ -391,15 +340,7 @@ def _campaign_plain(args) -> int:
     from repro.obs import runtime as obs_runtime
     from repro.obs.profiler import maybe_profile, profile_path
 
-    pool = (
-        None
-        if args.no_share
-        else EnginePool(
-            lbd_retention=not args.no_lbd,
-            sat_backend=args.backend,
-            cache_dir=args.warm_cache,
-        )
-    )
+    pool = None if args.no_share else EnginePool(cache_dir=args.warm_cache)
     failures = 0
     tracer = obs_runtime.TRACER
     campaign_cm = (
@@ -422,8 +363,6 @@ def _campaign_plain(args) -> int:
                     timeout=args.timeout,
                     engine_pool=pool,
                     core_guided_sweep=not args.no_cores,
-                    lbd_retention=not args.no_lbd,
-                    sat_backend=args.backend,
                     sweep_shards=args.sweep_shards,
                 )
             )
@@ -488,8 +427,6 @@ def _campaign_supervised(args) -> int:
 
     solver_opts = {
         "core_guided_sweep": not args.no_cores,
-        "lbd_retention": not args.no_lbd,
-        "sat_backend": args.backend,
         "sweep_shards": args.sweep_shards,
     }
     if args.warm_cache:
@@ -541,11 +478,7 @@ def _campaign_supervised(args) -> int:
     journal = args.resume or args.journal
     pool = None
     if policy.share_engines and not policy.isolate:
-        pool = EnginePool(
-            lbd_retention=not args.no_lbd,
-            sat_backend=args.backend,
-            cache_dir=args.warm_cache,
-        )
+        pool = EnginePool(cache_dir=args.warm_cache)
     from repro.obs import runtime as obs_runtime
 
     tracer = obs_runtime.TRACER
@@ -628,10 +561,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # explicit verb form: 'repro solve problem.smt2' — same parser
         argv = list(argv[1:])
     args = build_parser().parse_args(argv)
-    backend_problem = _backend_error(args.backend)
-    if backend_problem is not None:
-        print(f"error: {backend_problem}", file=sys.stderr)
-        return 2
     if args.file == "-":
         text = sys.stdin.read()
     else:
@@ -650,8 +579,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     solver = SOLVERS[args.solver](
         args.timeout,
         core_guided_sweep=not args.no_cores,
-        lbd_retention=not args.no_lbd,
-        sat_backend=args.backend,
         engine_cache_dir=args.warm_cache,
         sweep_shards=args.sweep_shards,
     )

@@ -28,7 +28,7 @@ from repro.chc.transform import is_diseq_symbol, preprocess
 from repro.core.cex import search_counterexample
 from repro.core.regular_model import RegularModel
 from repro.core.result import SolveResult, Status, sat, unknown, unsat
-from repro.mace.finder import FinderStats, ModelFinder
+from repro.mace.finder import FinderOptions, FinderStats, ModelFinder
 from repro.mace.pool import EnginePool
 from repro.obs import runtime as obs_runtime
 
@@ -37,26 +37,12 @@ from repro.obs import runtime as obs_runtime
 class RInGenConfig:
     """Tuning knobs of the pipeline (all have benchmark-friendly defaults).
 
-    ``incremental`` selects the shared-state model-finding engine (one
-    CDCL solver spanning the whole size sweep, clauses guarded by
-    existence selectors); switching it off re-encodes every size vector
-    from scratch — kept for the ablation benchmark.
-    ``max_learned_clauses`` bounds the learned-clause database the
-    incremental engine carries across size vectors.
-    ``core_guided_sweep`` prunes the size sweep with the unsat cores of
-    refuted vectors (skipping candidates a core already covers and
-    stopping early on size-independent refutations); ``lbd_retention``
-    makes the solver's learned-clause GC retain by LBD tier (glue ≤ 2
-    kept unconditionally) instead of by length.  Both default on; the
-    ``benchmarks/bench_core.py`` ablation gates that verdicts are
-    identical without them.
-    ``sat_backend`` names the SAT engine under the model finder
-    (``"python"`` — the in-repo CDCL solver, always available — or
-    ``"pysat"`` — the optional Glucose adapter; see
-    :mod:`repro.sat.backend`), and ``core_minimization`` runs
-    deletion-based minimization on every refuted vector's unsat core
-    before the core prunes the size sweep; the
-    ``benchmarks/bench_backend.py`` ablation gates both.
+    The model-finder fields — ``max_model_size`` (the finder's
+    ``max_total_size``), ``max_conflicts_per_size``,
+    ``max_learned_clauses``, ``symmetry_breaking``, ``incremental``,
+    ``core_guided_sweep``, ``core_minimization`` and ``sweep_shards`` —
+    are documented on :class:`~repro.mace.finder.FinderOptions`;
+    :meth:`finder_options` converts them once per solve.
     ``automata_verification`` lets the exact Herbrand check decide
     variable-only clauses on the automata view (sparse products plus the
     memoized emptiness cache) instead of enumerating the finite model.
@@ -74,15 +60,12 @@ class RInGenConfig:
     solve builds a private pool over that cache, so repeated runs on
     the same signature start from the previous run's encodings, learned
     clauses and refutation bounds (the CLI's ``--warm-cache``).
-    ``sweep_shards`` > 1 runs the finite-model size sweep as a
-    speculative parallel portfolio (:mod:`repro.mace.parallel`):
-    candidate size vectors are dispatched to that many engine shards,
-    refutation cores are broadcast between them, and the lowest
-    satisfiable vector in sweep order wins — statuses, winning vector
-    and model size match the sequential sweep by construction.
-    Requires ``incremental``; with a pool attached, shards warm-start
-    from the pool's snapshot for the signature, but shard-side learning
-    does not flow back into the pool.
+    ``sweep_shards`` > 1 runs the size sweep as a speculative parallel
+    portfolio whose statuses, winning vector and model size match the
+    sequential sweep by construction.  It requires ``incremental``;
+    with a pool attached, shards warm-start from the pool's snapshot
+    for the signature, but shard-side learning does not flow back into
+    the pool.
     """
 
     max_model_size: int = 12
@@ -97,14 +80,25 @@ class RInGenConfig:
     incremental: bool = True
     max_learned_clauses: Optional[int] = 20_000
     core_guided_sweep: bool = True
-    lbd_retention: bool = True
-    sat_backend: str = "python"
     core_minimization: bool = True
     automata_verification: bool = True
     engine_pool: Optional[EnginePool] = None
     release_engines: bool = True
     engine_cache_dir: Optional[str] = None
     sweep_shards: int = 1
+
+    def finder_options(self) -> FinderOptions:
+        """The model-finder part of this configuration, as one value."""
+        return FinderOptions(
+            max_total_size=self.max_model_size,
+            max_conflicts_per_size=self.max_conflicts_per_size,
+            max_learned_clauses=self.max_learned_clauses,
+            symmetry_breaking=self.symmetry_breaking,
+            incremental=self.incremental,
+            core_guided_sweep=self.core_guided_sweep,
+            core_minimization=self.core_minimization,
+            sweep_shards=self.sweep_shards,
+        )
 
 
 class RInGen:
@@ -175,73 +169,35 @@ class RInGen:
         # learned clauses intact instead of starting over.  In campaign
         # mode the finder additionally rides the pool's shared engine for
         # this signature, inheriting other problems' state.
-        pool = cfg.engine_pool
+        options = cfg.finder_options()
+        pool = cfg.engine_pool if options.incremental else None
         ephemeral: Optional[EnginePool] = None
-        if pool is None and cfg.engine_cache_dir and cfg.incremental:
+        if pool is None and cfg.engine_cache_dir and options.incremental:
             # no shared pool, but a warm cache: a private pool scoped to
             # this solve loads the signature's engine from disk (if any)
             # and persists it back when done
-            ephemeral = EnginePool(
-                symmetry_breaking=cfg.symmetry_breaking,
-                lbd_retention=cfg.lbd_retention,
-                sat_backend=cfg.sat_backend,
-                cache_dir=cfg.engine_cache_dir,
-            )
-            pool = ephemeral
-        pool_compatible = (
-            pool is not None
-            and cfg.incremental
-            and cfg.symmetry_breaking == pool.symmetry_breaking
-            and cfg.lbd_retention == pool.lbd_retention
-            and cfg.sat_backend == pool.sat_backend
-        )
-        use_parallel = cfg.sweep_shards > 1 and cfg.incremental
-        pooled = pool_compatible and not use_parallel
-        if use_parallel:
+            pool = ephemeral = EnginePool(cache_dir=cfg.engine_cache_dir)
+        parallel = options.sweep_shards > 1 and options.incremental
+        pooled = pool is not None and not parallel
+        if parallel:
             # speculative parallel portfolio: shards host private engine
             # copies, so the sweep does not attach to a pooled engine —
-            # but a compatible pool (or warm cache) seeds every shard
-            # with its latest snapshot for this signature.  Shard-side
-            # learning is discarded at the end of the solve rather than
-            # folded back into the pool.
+            # but a pool (or warm cache) seeds every shard with its
+            # latest snapshot for this signature and engine key.
+            # Shard-side learning is discarded at the end of the solve
+            # rather than folded back into the pool.
             from repro.mace.parallel import ParallelModelFinder
 
-            seed = pool.snapshot_for(prepared) if pool_compatible else None
-            finder = ParallelModelFinder(
-                prepared,
-                sweep_shards=cfg.sweep_shards,
-                max_total_size=cfg.max_model_size,
-                symmetry_breaking=cfg.symmetry_breaking,
-                max_conflicts_per_size=cfg.max_conflicts_per_size,
-                max_learned_clauses=cfg.max_learned_clauses,
-                core_guided_sweep=cfg.core_guided_sweep,
-                lbd_retention=cfg.lbd_retention,
-                sat_backend=cfg.sat_backend,
-                core_minimization=cfg.core_minimization,
-                snapshot=seed,
+            seed = (
+                pool.snapshot_for(prepared, options)
+                if pool is not None
+                else None
             )
+            finder = ParallelModelFinder(prepared, options, snapshot=seed)
         elif pooled:
-            finder = pool.finder(
-                prepared,
-                max_total_size=cfg.max_model_size,
-                max_conflicts_per_size=cfg.max_conflicts_per_size,
-                max_learned_clauses=cfg.max_learned_clauses,
-                core_guided_sweep=cfg.core_guided_sweep,
-                core_minimization=cfg.core_minimization,
-            )
+            finder = pool.finder(prepared, options)
         else:
-            finder = ModelFinder(
-                prepared,
-                max_total_size=cfg.max_model_size,
-                symmetry_breaking=cfg.symmetry_breaking,
-                max_conflicts_per_size=cfg.max_conflicts_per_size,
-                incremental=cfg.incremental,
-                max_learned_clauses=cfg.max_learned_clauses,
-                core_guided_sweep=cfg.core_guided_sweep,
-                lbd_retention=cfg.lbd_retention,
-                sat_backend=cfg.sat_backend,
-                core_minimization=cfg.core_minimization,
-            )
+            finder = ModelFinder(prepared, options)
         try:
             result = self._model_search(
                 system, prepared, finder, predicates, deadline, start
@@ -376,9 +332,4 @@ def solve(
     >>> result.status
     <Status.SAT: 'sat'>
     """
-    config = RInGenConfig(timeout=timeout)
-    for key, value in overrides.items():
-        if not hasattr(config, key):
-            raise TypeError(f"unknown RInGen option {key!r}")
-        setattr(config, key, value)
-    return RInGen(config).solve(system)
+    return RInGen(RInGenConfig(timeout=timeout, **overrides)).solve(system)

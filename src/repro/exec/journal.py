@@ -16,6 +16,7 @@ any other malformed line rather than silently dropping verdicts.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -33,22 +34,32 @@ class JournalError(ValueError):
     """Raised when a journal cannot be used for resume."""
 
 
+#: RInGenConfig fields the fingerprint ignores: the warm cache and the
+#: engine pool change where solver state comes from, never what
+#: verdicts mean (a resume may point at a different or no cache), and
+#: timeouts are checked on their own (see check_meta)
+FINGERPRINT_EXEMPT = frozenset({"engine_cache_dir", "engine_pool", "timeout"})
+
+
 def config_fingerprint(solver_opts: Optional[dict]) -> str:
     """Short stable hash of the solver configuration a journal ran under.
 
     Splicing verdicts produced under one solver configuration into a
     campaign running another silently mixes incomparable results, so
     the fingerprint is recorded in the journal meta and enforced on
-    resume.  ``engine_cache_dir`` is excluded: the warm cache changes
-    where solver state comes from, never what verdicts mean, and a
-    resume must be allowed to point at a different (or no) cache.
+    resume.  It hashes the *resolved* configuration — ``solver_opts``
+    applied to :class:`~repro.core.ringen.RInGenConfig` with every
+    default filled in — so spelling a default out changes nothing.
     """
-    opts = {
-        k: v
-        for k, v in (solver_opts or {}).items()
-        if k != "engine_cache_dir"
+    from repro.core.ringen import RInGenConfig
+
+    config = RInGenConfig(**(solver_opts or {}))
+    resolved = {
+        f.name: getattr(config, f.name)
+        for f in dataclasses.fields(config)
+        if f.name not in FINGERPRINT_EXEMPT
     }
-    blob = json.dumps(opts, sort_keys=True, default=str)
+    blob = json.dumps(resolved, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -154,34 +165,20 @@ def check_meta(
     *,
     timeout: float,
     solvers: list[str],
-    sat_backend: Optional[str] = None,
     fingerprint: Optional[str] = None,
 ) -> None:
     """Validate a resumed journal against the current configuration.
 
     Mixing *timeouts* or *solver sets* across the splice only skews
     comparability, so those mismatches warn and proceed — the journaled
-    verdicts are real verdicts.  Mixing *SAT backends* or *solver
-    configurations* (``config_fingerprint``) changes what the verdicts
-    mean, so when the journal recorded those fields and they disagree,
-    resume is refused with a :class:`JournalError` naming both sides.
-    Journals written before these fields existed lack them and resume
-    with a warning only.
+    verdicts are real verdicts.  Mixing *solver configurations*
+    (``config_fingerprint``) changes what the verdicts mean, so when
+    the journal recorded a fingerprint and it disagrees, resume is
+    refused with a :class:`JournalError` naming both sides.  Journals
+    written before the fingerprint existed lack it and resume.
     """
     if not meta:
         return
-    j_backend = meta.get("sat_backend")
-    if (
-        sat_backend is not None
-        and j_backend is not None
-        and j_backend != sat_backend
-    ):
-        raise JournalError(
-            f"journal was recorded with SAT backend {j_backend!r} but "
-            f"this campaign uses {sat_backend!r}; resuming would mix "
-            f"incomparable verdicts — use a fresh journal or the "
-            f"recorded backend"
-        )
     j_fingerprint = meta.get("config_fingerprint")
     if (
         fingerprint is not None

@@ -268,11 +268,9 @@ def execute_tasks(
             )
     results: dict[str, dict] = {}
     pending = list(tasks)
-    solver_opts = policy.solver_opts or {}
     meta = {
         "timeout": tasks[0].timeout if tasks else None,
         "solvers": sorted({t.solver for t in tasks}),
-        "sat_backend": solver_opts.get("sat_backend", "python"),
         "config_fingerprint": config_fingerprint(policy.solver_opts),
     }
     journal: Optional[ResultsJournal] = None
@@ -283,7 +281,6 @@ def execute_tasks(
                 old_meta,
                 timeout=meta["timeout"] or 0.0,
                 solvers=meta["solvers"],
-                sat_backend=meta["sat_backend"],
                 fingerprint=meta["config_fingerprint"],
             )
             for task in tasks:

@@ -253,18 +253,16 @@ def worker_entry(conn, payload: dict) -> None:
     snap_seq = int(payload.get("engine_snapshot_seq") or 0)
     pool = None
     if payload.get("share_engines"):
+        from repro.core.ringen import RInGenConfig
         from repro.mace.pool import EnginePool
 
-        pool = EnginePool(
-            lbd_retention=(solver_opts or {}).get("lbd_retention", True),
-            sat_backend=(solver_opts or {}).get("sat_backend", "python"),
-            cache_dir=(solver_opts or {}).get("engine_cache_dir"),
-        )
+        config = RInGenConfig(**(solver_opts or {}))
+        pool = EnginePool(cache_dir=config.engine_cache_dir)
         warm = payload.get("engine_snapshot")
         if warm is not None:
             # warm start: a predecessor's engine state for this batch's
             # signature (adoption failure silently falls back cold)
-            pool.adopt_snapshot(warm)
+            pool.adopt_snapshot(warm, config.finder_options())
     from repro.chc.parser import parse_chc
 
     try:

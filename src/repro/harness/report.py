@@ -140,6 +140,12 @@ def campaign_report(
         cores = sum(
             f.get("cores_extracted", 0) for _, f in finder_rows
         )
+        minimized = sum(
+            f.get("cores_minimized", 0) for _, f in finder_rows
+        )
+        lits_dropped = sum(
+            f.get("core_lits_dropped", 0) for _, f in finder_rows
+        )
         incremental_runs = sum(
             1 for _, f in finder_rows if f["incremental"]
         )
@@ -156,6 +162,8 @@ def campaign_report(
                     ["vectors exhausted (budget, unknown)", exhausted],
                     ["vectors skipped by unsat cores", skipped],
                     ["unsat cores extracted", cores],
+                    ["unsat cores minimized", minimized],
+                    ["core literals dropped", lits_dropped],
                     ["clauses encoded", encoded],
                     ["clauses reused across vectors", reused],
                     ["reuse ratio", f"{reuse_pct:.1f}%"],
@@ -164,44 +172,6 @@ def campaign_report(
                     ["learned clauses kept at end", learned_kept],
                     ["engine resets", resets],
                 ],
-            )
-        )
-        sections.append("")
-
-        # SAT backend breakdown: which engine ran under each finder and
-        # what the core pipeline did there — one row per backend so a
-        # mixed python/pysat campaign stays legible
-        by_backend: dict[str, list[dict]] = {}
-        for _, f in finder_rows:
-            by_backend.setdefault(
-                f.get("sat_backend", "python"), []
-            ).append(f)
-        sections.append("## Model finder — SAT backends")
-        sections.append("")
-        rows = []
-        for backend in sorted(by_backend):
-            group = by_backend[backend]
-            rows.append(
-                [
-                    backend,
-                    len(group),
-                    sum(g.get("vectors_refuted", 0) for g in group),
-                    sum(g.get("cores_extracted", 0) for g in group),
-                    sum(g.get("cores_minimized", 0) for g in group),
-                    sum(g.get("core_lits_dropped", 0) for g in group),
-                ]
-            )
-        sections.append(
-            markdown_table(
-                [
-                    "backend",
-                    "runs",
-                    "vectors refuted",
-                    "cores extracted",
-                    "cores minimized",
-                    "core literals dropped",
-                ],
-                rows,
             )
         )
         sections.append("")

@@ -46,28 +46,14 @@ def make_solver(
     timeout: float,
     *,
     engine_pool: Optional[EnginePool] = None,
-    sat_backend: str = "python",
-    engine_cache_dir: Optional[str] = None,
-    sweep_shards: int = 1,
 ):
     """Instantiate a solver under its Table 1 alias.
 
-    ``engine_pool`` (campaign batch mode), ``sat_backend`` (the SAT
-    engine under the model finder), ``engine_cache_dir`` (the disk
-    warm cache of serialized engines) and ``sweep_shards`` (speculative
-    parallel size sweeps) only concern RInGen — the baselines have no
-    incremental engine to share and ignore them.
+    ``engine_pool`` (campaign batch mode) only concerns RInGen — the
+    baselines have no incremental engine to share and ignore it.
     """
     if name == "ringen":
-        return RInGen(
-            RInGenConfig(
-                timeout=timeout,
-                engine_pool=engine_pool,
-                sat_backend=sat_backend,
-                engine_cache_dir=engine_cache_dir,
-                sweep_shards=sweep_shards,
-            )
-        )
+        return RInGen(RInGenConfig(timeout=timeout, engine_pool=engine_pool))
     if name == "eldarica":
         return SizeElemSolver(SizeElemConfig(timeout=timeout))
     if name == "spacer":

@@ -4,6 +4,7 @@ from repro.mace.finder import (
     ENGINE_SNAPSHOT_VERSION,
     EngineSnapshotError,
     FinderError,
+    FinderOptions,
     FinderResult,
     FinderStats,
     FlatAtom,
@@ -26,6 +27,7 @@ __all__ = [
     "engine_fingerprint",
     "signature_fingerprint",
     "FinderError",
+    "FinderOptions",
     "FinderResult",
     "FinderStats",
     "FiniteModel",

@@ -20,12 +20,10 @@ Incremental engine (the selector-literal encoding)
 --------------------------------------------------
 
 Consecutive size vectors share almost all of their ground encoding, so by
-default one persistent SAT engine — any
-:class:`~repro.sat.backend.SatBackend`, the in-repo
-:class:`~repro.sat.solver.CDCLSolver` unless ``sat_backend`` selects an
-external one — spans the whole sweep instead of being rebuilt per
-vector.  Size-dependence is
-expressed through *existence selectors*: for every sort ``s`` and index
+default one persistent SAT engine — the in-repo
+:class:`~repro.sat.solver.CDCLSolver` — spans the whole sweep instead of
+being rebuilt per vector.  Size-dependence is expressed through
+*existence selectors*: for every sort ``s`` and index
 ``v`` a literal ``ex[s, v]`` reads "element ``v`` of sort ``s`` exists".
 The selectors form a prefix chain (``ex[s, v] -> ex[s, v-1]``; ``ex[s, 0]``
 is a unit fact), so a candidate vector ``k`` is selected purely through
@@ -83,13 +81,12 @@ cuts — carries no guard at all and is shared by every problem, as are
 VSIDS activity and saved phases.
 
 Lifecycle: a released problem decrements its groups' refcounts; a group
-nothing references survives ``gc_window`` further registrations (so
+nothing references survives ``GC_WINDOW`` further registrations (so
 back-to-back problems from one family keep their rules warm) and is
 then retired — its selector pinned false via
 :meth:`~repro.sat.cnf.SelectorPool.retire`, which permanently satisfies
 its clauses, and a level-0 ``simplify`` physically drops them from the
-watch lists (backends managing their own database treat the hint as a
-no-op).  If unit propagation ever
+watch lists.  If unit propagation ever
 fixes a group selector false at level 0, the database alone entails
 that clause is unsatisfiable under every assumption set, i.e. at every
 size vector: every problem containing it is ``hopeless`` and its sweep
@@ -101,7 +98,7 @@ Unsat-core–guided sweep and verdict completeness
 ------------------------------------------------
 
 Every vector is solved purely under assumptions, so a refuted vector
-yields an **unsat core** (the backend's ``core()``, optionally
+yields an **unsat core** (the solver's ``core()``, optionally
 shrunk further by its deletion-based ``minimize_core()``)
 over exactly three kinds of literal: the problem's clause-group
 selectors, positive existence frontiers ``ex[s, k-1]`` ("sort ``s`` has
@@ -123,9 +120,20 @@ solver ``None`` (conflict budget or deadline ran out) is not a
 refutation, so ``FinderResult.complete`` is ``True`` — licensing the
 claim "no model of total size ≤ N" — only when every candidate vector
 was refuted (directly or via a covering core) and the sweep was not cut
-short.  ``core_guided_sweep=False`` disables the pruning (ablation;
-``benchmarks/bench_core.py`` gates that verdicts are identical either
-way).
+short.  ``FinderOptions(core_guided_sweep=False)`` disables the pruning
+(ablation; ``benchmarks/bench_core.py`` gates that verdicts are
+identical either way).
+
+Configuration
+-------------
+
+Every knob of the search lives in one frozen :class:`FinderOptions`
+value: :class:`ModelFinder`, the parallel portfolio, the engine and the
+engine pool are all configured by it, and its
+:meth:`FinderOptions.engine_key` — the part a clause database depends
+on — keys pooled engines, cache files and snapshots.  Whether given
+engine state may serve a finder is decided in exactly one place,
+:func:`check_engine`.
 """
 
 from __future__ import annotations
@@ -142,8 +150,8 @@ from repro.logic.sorts import FuncSymbol, PredSymbol, Sort
 from repro.logic.terms import App, Term, Var
 from repro.mace.model import FiniteModel, validate_model
 from repro.obs import runtime as obs_runtime
-from repro.sat.backend import SatBackend, make_backend, restore_backend
 from repro.sat.cnf import SelectorPool
+from repro.sat.solver import CDCLSolver
 
 
 class FinderError(ValueError):
@@ -161,7 +169,41 @@ class EngineSnapshotError(FinderError):
 #: schema version of :meth:`_IncrementalEngine.snapshot`; bumped
 #: whenever the serialized layout changes incompatibly.  ``restore``
 #: rejects any other version instead of guessing.
-ENGINE_SNAPSHOT_VERSION = 1
+ENGINE_SNAPSHOT_VERSION = 2
+
+
+@dataclass(frozen=True)
+class FinderOptions:
+    """The model finder's configuration, as one immutable value.
+
+    ``max_total_size`` bounds the sweep (total domain size over all
+    sorts); ``max_conflicts_per_size`` is the per-vector conflict budget
+    (``None``: unbounded) and ``max_learned_clauses`` bounds the
+    learned-clause database the engine carries across vectors.
+    ``symmetry_breaking`` adds the least-constant cuts.  ``incremental``
+    keeps one engine across the sweep; off, the engine is reset before
+    every vector (the from-scratch reference path).
+    ``core_guided_sweep`` prunes the sweep with the unsat cores of
+    refuted vectors, and ``core_minimization`` shrinks each core by
+    bounded deletion probes first.  ``sweep_shards`` > 1 runs the sweep
+    as a speculative parallel portfolio (:mod:`repro.mace.parallel`).
+    """
+
+    max_total_size: int = 12
+    max_conflicts_per_size: Optional[int] = 200_000
+    max_learned_clauses: Optional[int] = 20_000
+    symmetry_breaking: bool = True
+    incremental: bool = True
+    core_guided_sweep: bool = True
+    core_minimization: bool = True
+    sweep_shards: int = 1
+
+    def engine_key(self) -> tuple:
+        """The part of the configuration an engine's clause database
+        depends on.  Engines, snapshots and pool slots built under
+        different keys never serve each other's finders; every other
+        field only steers how a search drives the engine."""
+        return (self.symmetry_breaking,)
 
 
 def engine_fingerprint(sorts, functions, predicates) -> tuple:
@@ -193,6 +235,42 @@ def engine_fingerprint(sorts, functions, predicates) -> tuple:
             )
         ),
     )
+
+
+def check_engine(
+    state: dict,
+    options: FinderOptions,
+    fingerprint: Optional[tuple] = None,
+) -> None:
+    """The one rule deciding whether engine state may serve a finder.
+
+    ``state`` is an engine snapshot or a live engine's
+    :meth:`_IncrementalEngine.header`.  It serves a finder configured by
+    ``options`` iff it has this build's schema and version and was built
+    under the same :meth:`FinderOptions.engine_key` — and, when
+    ``fingerprint`` is given, over that signature.  Raises
+    :class:`EngineSnapshotError` otherwise.  Engine injection into a
+    :class:`ModelFinder` and every restore path (the pool's disk cache,
+    adopted snapshots, parallel shards) go through here.
+    """
+    if not isinstance(state, dict) or state.get("schema") != "engine":
+        raise EngineSnapshotError("not an engine snapshot")
+    if state.get("version") != ENGINE_SNAPSHOT_VERSION:
+        raise EngineSnapshotError(
+            f"engine snapshot version {state.get('version')!r} "
+            f"(this build reads {ENGINE_SNAPSHOT_VERSION})"
+        )
+    if state.get("engine_key") != options.engine_key():
+        raise EngineSnapshotError(
+            "engine was built under another engine policy "
+            f"({state.get('engine_key')!r}, wanted "
+            f"{options.engine_key()!r})"
+        )
+    if fingerprint is not None and state.get("fingerprint") != fingerprint:
+        raise EngineSnapshotError(
+            "engine was built for another signature "
+            "(pool fingerprints must agree)"
+        )
 
 
 @dataclass
@@ -328,9 +406,6 @@ class FinderStats:
     cores_minimized: int = 0
     core_lits_dropped: int = 0
     hopeless: bool = False
-    # which SAT backend (repro.sat.backend) ran this search — reports
-    # aggregate finder statistics per backend
-    sat_backend: str = "python"
     # True when the sweep was cut short by the *wall-clock* deadline
     # (mid-encoding or mid-solve) as opposed to the per-size conflict
     # budget — the two exhaustion modes have different remedies (more
@@ -369,9 +444,8 @@ class FinderStats:
         per-shard statistics: additive counters add, high-water marks
         (``sat_vars``, ``sat_clauses``, ``learned_kept``,
         ``cross_problem_clauses``, ``sweep_shards``) take the max,
-        sticky flags or together, ``model_size`` keeps the most recent
-        part that actually found a model, and latest-state fields
-        (``sat_backend``) follow ``part``.  ``incremental`` is a
+        sticky flags or together, and ``model_size`` keeps the most
+        recent part that actually found a model.  ``incremental`` is a
         configuration echo and is left untouched.
         """
         self.attempts += part.attempts
@@ -393,7 +467,6 @@ class FinderStats:
         self.cores_minimized += part.cores_minimized
         self.core_lits_dropped += part.core_lits_dropped
         self.hopeless = self.hopeless or part.hopeless
-        self.sat_backend = part.sat_backend
         self.deadline_hit = self.deadline_hit or part.deadline_hit
         self.engine_shared = self.engine_shared or part.engine_shared
         self.cross_problem_clauses = max(
@@ -557,7 +630,7 @@ class _ClauseGroup:
     — and any learned clauses derived from them, which mention the same
     selector — encode once and serve the whole campaign.  ``refs``
     counts the live contexts referencing the group; an unreferenced
-    group survives ``gc_window`` further problem registrations before
+    group survives ``GC_WINDOW`` further problem registrations before
     its selector is retired (see :meth:`_IncrementalEngine._gc_groups`),
     so back-to-back problems from one family keep their shared rules
     hot while one-off query clauses age out.
@@ -636,33 +709,32 @@ class _IncrementalEngine:
     variable maps and the signature-level growth bookkeeping; each
     registered :class:`_ProblemContext` carries the per-problem state.
     :class:`ModelFinder` drives one context at a time through
-    :meth:`try_vector`.
+    :meth:`try_vector`.  Of its :class:`FinderOptions` the engine keeps
+    only the :meth:`~FinderOptions.engine_key` part; the search knobs
+    arrive with every :meth:`try_vector` call.
     """
+
+    #: how many problem registrations an unreferenced clause group
+    #: survives before its selector is retired and its clauses dropped
+    #: (campaign hygiene; see _gc_groups)
+    GC_WINDOW = 8
 
     def __init__(
         self,
         sorts: Sequence[Sort],
         functions: Sequence[FuncSymbol],
         predicates: Sequence[PredSymbol],
-        *,
-        symmetry_breaking: bool = True,
-        gc_window: int = 8,
-        lbd_retention: bool = True,
-        sat_backend: str = "python",
+        options: FinderOptions = FinderOptions(),
     ):
         self.sorts = list(sorts)
         self.functions = list(functions)
         self.predicates = list(predicates)
-        self.symmetry_breaking = symmetry_breaking
-        self.lbd_retention = lbd_retention
-        # name resolved through repro.sat.backend.make_backend; part of
-        # the engine's compatibility fingerprint (pooled engines never
-        # mix backends — solver state is not transferable between them)
-        self.sat_backend = sat_backend
-        # how many problem registrations an unreferenced clause group
-        # survives before its selector is retired and its clauses
-        # dropped (campaign hygiene; see _gc_groups)
-        self.gc_window = gc_window
+        self.symmetry_breaking = options.symmetry_breaking
+        # what check_engine compares (see header)
+        self.engine_key = options.engine_key()
+        self.fingerprint = engine_fingerprint(
+            self.sorts, self.functions, self.predicates
+        )
         self._folded_added = 0
         self._folded_learned = 0
         self._folded_glue = 0
@@ -697,9 +769,7 @@ class _IncrementalEngine:
 
     # -- lifecycle ---------------------------------------------------------
     def _fresh(self) -> None:
-        self.solver: SatBackend = make_backend(
-            self.sat_backend, lbd_retention=self.lbd_retention
-        )
+        self.solver = CDCLSolver()
         self.selectors = SelectorPool(self.solver)
         self.cur: dict[Sort, int] = {s: 0 for s in self.sorts}
         # nested variable tables: one symbol hash to reach a table keyed
@@ -799,7 +869,7 @@ class _IncrementalEngine:
         """Detach a finished problem and garbage-collect stale groups.
 
         The problem's groups lose one reference; groups nothing alive
-        references any more stay warm for ``gc_window`` further problem
+        references any more stay warm for ``GC_WINDOW`` further problem
         registrations (back-to-back problems from one family re-hit
         their shared rules for free) and are then retired — their
         selector is pinned false, which permanently satisfies their
@@ -837,7 +907,7 @@ class _IncrementalEngine:
                 continue
             if (
                 self.problems_registered - group.last_touch
-                < self.gc_window
+                < self.GC_WINDOW
             ):
                 continue
             del self._groups[key]
@@ -871,10 +941,21 @@ class _IncrementalEngine:
         return self._folded_glue + self.solver.stats.glue_learned
 
     # -- snapshot / restore ------------------------------------------------
+    def header(self) -> dict:
+        """What :func:`check_engine` reads: schema, version, engine key
+        and signature fingerprint — also the head of every
+        :meth:`snapshot`."""
+        return {
+            "schema": "engine",
+            "version": ENGINE_SNAPSHOT_VERSION,
+            "engine_key": self.engine_key,
+            "fingerprint": self.fingerprint,
+        }
+
     def snapshot(self) -> dict:
         """Serializable state of the whole engine (picklable dict).
 
-        Captures the solver (via the backend's own ``snapshot``), the
+        Captures the solver (via its own ``snapshot``), the
         selector table, the signature-level growth envelopes, every live
         clause group with its blocks, and the problem-facts memo.
         Problem *contexts* are deliberately absent: a restored engine
@@ -889,10 +970,6 @@ class _IncrementalEngine:
         the dict stays valid even if the donor engine keeps solving
         (every mutable container is copied here).
         """
-        if not self.solver.supports_snapshot():
-            raise EngineSnapshotError(
-                "SAT backend does not support snapshots"
-            )
         groups = []
         for group in self._groups.values():
             groups.append(
@@ -917,15 +994,7 @@ class _IncrementalEngine:
                 }
             )
         return {
-            "schema": "engine",
-            "version": ENGINE_SNAPSHOT_VERSION,
-            "fingerprint": engine_fingerprint(
-                self.sorts, self.functions, self.predicates
-            ),
-            "sat_backend": self.sat_backend,
-            "symmetry_breaking": self.symmetry_breaking,
-            "lbd_retention": self.lbd_retention,
-            "gc_window": self.gc_window,
+            **self.header(),
             "sorts": list(self.sorts),
             "functions": list(self.functions),
             "predicates": list(self.predicates),
@@ -973,50 +1042,37 @@ class _IncrementalEngine:
         }
 
     @classmethod
-    def restore(cls, snap: dict) -> "_IncrementalEngine":
-        """Rebuild an engine from a :meth:`snapshot` dict.
+    def restore(
+        cls,
+        snap: dict,
+        options: FinderOptions,
+        fingerprint: Optional[tuple] = None,
+    ) -> "_IncrementalEngine":
+        """Rebuild an engine from a :meth:`snapshot` dict for finders
+        configured by ``options`` (and, when given, the signature
+        ``fingerprint``).
 
-        The engine is constructed from the snapshot's own signature
-        lists (sorted at snapshot time), so the
-        :class:`ModelFinder`/:class:`~repro.mace.pool.EnginePool`
-        compatibility checks hold by construction for any system whose
-        fingerprint matches.  Raises :class:`EngineSnapshotError` on a
-        wrong schema/version or an internally inconsistent snapshot.
+        :func:`check_engine` vets the snapshot first.  The engine is
+        then constructed from the snapshot's own signature lists (sorted
+        at snapshot time), so a finder whose fingerprint matches passes
+        the same check on injection.  Raises
+        :class:`EngineSnapshotError` on any mismatch or an internally
+        inconsistent snapshot.
         """
-        if not isinstance(snap, dict) or snap.get("schema") != "engine":
-            raise EngineSnapshotError("not an engine snapshot")
-        if snap.get("version") != ENGINE_SNAPSHOT_VERSION:
-            raise EngineSnapshotError(
-                f"engine snapshot version {snap.get('version')!r} "
-                f"(this build reads {ENGINE_SNAPSHOT_VERSION})"
-            )
+        check_engine(snap, options, fingerprint)
         engine = cls(
-            snap["sorts"],
-            snap["functions"],
-            snap["predicates"],
-            symmetry_breaking=bool(snap["symmetry_breaking"]),
-            gc_window=int(snap["gc_window"]),
-            lbd_retention=bool(snap["lbd_retention"]),
-            sat_backend=str(snap["sat_backend"]),
+            snap["sorts"], snap["functions"], snap["predicates"], options
         )
         engine._restore_from(snap)
         return engine
 
     def _restore_from(self, snap: dict) -> None:
-        own = engine_fingerprint(
-            self.sorts, self.functions, self.predicates
-        )
-        if snap.get("fingerprint") != own:
+        if snap["fingerprint"] != self.fingerprint:
             raise EngineSnapshotError(
                 "snapshot fingerprint disagrees with its signature lists"
             )
-        if snap["solver"].get("backend") != self.sat_backend:
-            raise EngineSnapshotError(
-                "snapshot's solver backend disagrees with the engine's"
-            )
-        solver = restore_backend(snap["solver"])
-        self.solver = solver
-        self.selectors = SelectorPool(solver)
+        self.solver = CDCLSolver.restore(snap["solver"])
+        self.selectors = SelectorPool(self.solver)
         self.selectors.import_state(snap["selectors"])
         # symbol-keyed tables: the snapshot's keys are value-equal to
         # this engine's own (frozen dataclasses hash by value), so the
@@ -1517,12 +1573,9 @@ class _IncrementalEngine:
         ctx: _ProblemContext,
         sizes: dict[Sort, int],
         stats: FinderStats,
+        options: FinderOptions,
         *,
         deadline: Optional[float] = None,
-        max_conflicts: Optional[int] = None,
-        max_learned_clauses: Optional[int] = None,
-        collect_cores: bool = True,
-        minimize_cores: bool = True,
     ) -> _VectorOutcome:
         """Attempt one size vector; says *how* it failed, not just that.
 
@@ -1530,7 +1583,8 @@ class _IncrementalEngine:
         has no model) from budget/deadline exhaustion (indeterminate) is
         what lets :meth:`ModelFinder.search` report an honest
         ``complete`` verdict; refutations additionally carry their unsat
-        core into ``ctx.refuted_cores`` when ``collect_cores`` is on.
+        core into ``ctx.refuted_cores`` when
+        ``options.core_guided_sweep`` is on.
 
         With observability on (:mod:`repro.obs.runtime`) each attempt
         runs inside a ``vector`` span with the solver's phase timers
@@ -1541,21 +1595,8 @@ class _IncrementalEngine:
         """
         tracer, metrics = obs_runtime.TRACER, obs_runtime.METRICS
         if tracer is None and metrics is None:
-            return self._try_vector(
-                ctx,
-                sizes,
-                stats,
-                deadline=deadline,
-                max_conflicts=max_conflicts,
-                max_learned_clauses=max_learned_clauses,
-                collect_cores=collect_cores,
-                minimize_cores=minimize_cores,
-            )
-        # phase timing is a CDCLSolver extra; external backends simply
-        # skip it (the vector span itself still records)
-        set_pt = getattr(self.solver, "set_phase_timing", None)
-        if set_pt is not None:
-            set_pt(True)
+            return self._try_vector(ctx, sizes, stats, options, deadline)
+        self.solver.set_phase_timing(True)
         obs_runtime.watch_solver_stats(self.solver.stats)
         span = None
         if tracer is not None:
@@ -1570,35 +1611,19 @@ class _IncrementalEngine:
             )
         outcome: Optional[_VectorOutcome] = None
         try:
-            outcome = self._try_vector(
-                ctx,
-                sizes,
-                stats,
-                deadline=deadline,
-                max_conflicts=max_conflicts,
-                max_learned_clauses=max_learned_clauses,
-                collect_cores=collect_cores,
-                minimize_cores=minimize_cores,
-            )
+            outcome = self._try_vector(ctx, sizes, stats, options, deadline)
             return outcome
         finally:
             # a reset inside the attempt swaps the solver out; the new
             # instance starts with timing off and an empty table, so the
             # read below degrades to {} rather than misattributing
-            phases = (
-                self.solver.phase_times()
-                if getattr(self.solver, "phase_times", None) is not None
-                else {}
-            )
-            for name, (secs, calls) in phases.items():
+            for name, (secs, calls) in self.solver.phase_times().items():
                 if tracer is not None:
                     tracer.aggregate(name, secs, calls)
                 if metrics is not None:
                     metrics.inc(f"phase.{name}_s", secs)
                     metrics.inc(f"phase.{name}_n", calls)
-            set_pt = getattr(self.solver, "set_phase_timing", None)
-            if set_pt is not None:
-                set_pt(False)
+            self.solver.set_phase_timing(False)
             if span is not None:
                 if outcome is not None:
                     span.args["outcome"] = (
@@ -1613,12 +1638,8 @@ class _IncrementalEngine:
         ctx: _ProblemContext,
         sizes: dict[Sort, int],
         stats: FinderStats,
-        *,
-        deadline: Optional[float] = None,
-        max_conflicts: Optional[int] = None,
-        max_learned_clauses: Optional[int] = None,
-        collect_cores: bool = True,
-        minimize_cores: bool = True,
+        options: FinderOptions,
+        deadline: Optional[float],
     ) -> _VectorOutcome:
         if ctx.released:
             raise FinderError(
@@ -1651,7 +1672,7 @@ class _IncrementalEngine:
                 stats.vectors_refuted += 1
                 return _VectorOutcome(refuted=True)
         stats.clauses_reused += pre_added
-        limit = max_learned_clauses
+        limit = options.max_learned_clauses
         if limit is not None and self.solver.learned_count() > limit:
             self.solver.reduce_learned(limit // 2)
         # a problem is activated as the set of its groups' selectors;
@@ -1675,7 +1696,7 @@ class _IncrementalEngine:
         pre_conflicts = self.solver.stats.conflicts
         outcome = self.solver.solve(
             assumptions,
-            max_conflicts=max_conflicts,
+            max_conflicts=options.max_conflicts_per_size,
             deadline=deadline,
         )
         stats.sat_vars = max(stats.sat_vars, self.solver.num_vars)
@@ -1704,7 +1725,7 @@ class _IncrementalEngine:
             # under every assumption set, i.e. at every size vector
             # — stop the sweep early
             ctx.hopeless = True
-        if collect_cores:
+        if options.core_guided_sweep:
             # minimization probes only pay for themselves when the
             # refutation they amortize against cost real search; a
             # propagation-only refutation already has a cheap, re-derivable
@@ -1713,7 +1734,7 @@ class _IncrementalEngine:
             self._record_core(
                 ctx, meaning, stats,
                 minimize=(
-                    minimize_cores
+                    options.core_minimization
                     and effort >= self.CORE_MIN_TRIGGER_CONFLICTS
                 ),
                 effort=effort,
@@ -1748,7 +1769,7 @@ class _IncrementalEngine:
     ) -> None:
         """Translate the refutation's unsat core into reusable bounds.
 
-        With ``minimize`` the core first goes through the backend's
+        With ``minimize`` the core first goes through the solver's
         deletion-based :meth:`minimize_core` (bounded re-solves, budget
         capped per probe by the *refutation's own conflict count*
         ``effort`` up to :data:`CORE_MIN_CONFLICTS`, and by the sweep
@@ -1860,58 +1881,39 @@ _UNSET = object()
 class ModelFinder:
     """Iterative-deepening finite model search for one CHC system.
 
-    With ``incremental=True`` (the default) the finder keeps one
+    ``options`` (a :class:`FinderOptions`) is the whole configuration;
+    ``deadline`` and ``min_total_size`` belong to the search, not the
+    finder, and :meth:`search` may replace them per call.
+
+    With ``options.incremental`` (the default) the finder keeps one
     :class:`_IncrementalEngine` alive across every :meth:`search` call,
     so repeated searches (e.g. resuming at a larger minimum size after a
     failed Herbrand check) also reuse the encoding and learned clauses.
-    ``incremental=False`` resets the engine before every size vector —
-    the from-scratch behaviour, kept for the ablation benchmark.
+    Off, the engine is reset before every size vector — the
+    from-scratch behaviour, kept for the ablation benchmark.
 
     ``engine`` injects a shared engine (campaign mode): the finder
     registers its problem as one context on that engine instead of
     building its own, inheriting every clause, learned clause and
     heuristic score other signature-compatible problems left behind.
-    The engine's signature lists must match the system's exactly — the
-    :class:`~repro.mace.pool.EnginePool` guarantees this by keying
-    engines on a canonical signature fingerprint.
-
-    ``core_guided_sweep`` (default on) prunes the sweep with the unsat
-    cores of refuted vectors and enables the size-independent
-    ``hopeless`` shortcut; ``lbd_retention`` selects the solver's
-    LBD-tier learned-clause GC.  Both exist for the
-    ``benchmarks/bench_core.py`` ablation, which checks verdicts are
-    identical with the guidance on and off.
+    :func:`check_engine` must accept it for this system's signature and
+    ``options`` — the :class:`~repro.mace.pool.EnginePool` guarantees
+    this by keying engines on exactly those two.
     """
 
     def __init__(
         self,
         system: CHCSystem,
+        options: FinderOptions = FinderOptions(),
         *,
-        max_total_size: int = 12,
-        max_conflicts_per_size: Optional[int] = 200_000,
-        symmetry_breaking: bool = True,
         deadline: Optional[float] = None,
         min_total_size: int = 0,
-        incremental: bool = True,
-        max_learned_clauses: Optional[int] = 20_000,
         engine: Optional[_IncrementalEngine] = None,
-        core_guided_sweep: bool = True,
-        lbd_retention: bool = True,
-        sat_backend: str = "python",
-        core_minimization: bool = True,
     ):
         self.system = system
-        self.max_total_size = max_total_size
-        self.min_total_size = min_total_size
-        self.max_conflicts = max_conflicts_per_size
-        self.symmetry_breaking = symmetry_breaking
+        self.options = options
         self.deadline = deadline
-        self.incremental = incremental
-        self.max_learned_clauses = max_learned_clauses
-        self.core_guided_sweep = core_guided_sweep
-        self.lbd_retention = lbd_retention
-        self.sat_backend = sat_backend
-        self.core_minimization = core_minimization
+        self.min_total_size = min_total_size
         counter = itertools.count()
         self.flat_clauses = [
             flatten_clause(cl, counter) for cl in system.clauses
@@ -1924,22 +1926,17 @@ class ModelFinder:
         )
         self.sorts = sorted(system.adts.sorts, key=lambda s: s.name)
         if engine is not None:
-            if not incremental:
+            if not options.incremental:
                 raise FinderError(
                     "a shared engine requires incremental mode"
                 )
-            if (
-                engine.sorts != self.sorts
-                or engine.functions != self.functions
-                or engine.predicates != self.predicates
-                or engine.symmetry_breaking != symmetry_breaking
-                or engine.lbd_retention != lbd_retention
-                or engine.sat_backend != sat_backend
-            ):
-                raise FinderError(
-                    "shared engine signature does not match the system "
-                    "(pool fingerprints must agree)"
-                )
+            check_engine(
+                engine.header(),
+                options,
+                engine_fingerprint(
+                    self.sorts, self.functions, self.predicates
+                ),
+            )
         self._engine: Optional[_IncrementalEngine] = engine
         self._shared_engine = engine is not None
         self._ctx: Optional[_ProblemContext] = None
@@ -1965,10 +1962,11 @@ class ModelFinder:
         hopeless proof.  A vector that merely ran out of conflict or
         wall-clock budget leaves the sweep incomplete.
         """
-        if self._shared_engine and not self.incremental:
-            # defensive re-check of the constructor invariant (the flag
-            # is a plain attribute): resetting a pooled engine would
-            # wipe every other problem's state in it
+        options = self.options
+        if self._shared_engine and not options.incremental:
+            # defensive re-check of the constructor invariant (the
+            # options attribute can be rebound): resetting a pooled
+            # engine would wipe every other problem's state in it
             raise FinderError(
                 "a shared engine requires incremental mode"
             )
@@ -1979,24 +1977,18 @@ class ModelFinder:
         )
         if self._engine is None:
             self._engine = _IncrementalEngine(
-                self.sorts,
-                self.functions,
-                self.predicates,
-                symmetry_breaking=self.symmetry_breaking,
-                lbd_retention=self.lbd_retention,
-                sat_backend=self.sat_backend,
+                self.sorts, self.functions, self.predicates, options
             )
         engine = self._engine
         if self._ctx is None:
             self._ctx = engine.register(self.flat_clauses)
         ctx = self._ctx
         stats = FinderStats(
-            incremental=self.incremental,
+            incremental=options.incremental,
             engine_shared=self._shared_engine,
             cross_problem_clauses=(
                 ctx.joined_at_clauses if self._shared_engine else 0
             ),
-            sat_backend=engine.sat_backend,
         )
         base_added = engine.total_added
         base_learned = engine.total_learned
@@ -2006,13 +1998,10 @@ class ModelFinder:
         # live-progress registration is one weakref assignment, cheap
         # enough to do even with all collectors off
         obs_runtime.watch_finder_stats(stats)
-        solver_stats = getattr(engine.solver, "stats", None)
-        if solver_stats is not None:
-            obs_runtime.watch_solver_stats(solver_stats)
+        obs_runtime.watch_solver_stats(engine.solver.stats)
         sat_before = (
-            dataclasses.asdict(solver_stats)
+            dataclasses.asdict(engine.solver.stats)
             if obs_runtime.METRICS is not None
-            and dataclasses.is_dataclass(solver_stats)
             else None
         )
 
@@ -2027,20 +2016,18 @@ class ModelFinder:
                 stats.model_size = model.size()
             metrics = obs_runtime.METRICS
             if metrics is not None and sat_before is not None:
-                after_stats = getattr(engine.solver, "stats", None)
-                if dataclasses.is_dataclass(after_stats):
-                    after = dataclasses.asdict(after_stats)
-                    # deltas, clamped: an engine reset mid-sweep swaps
-                    # in a fresh counter object and must not go negative
-                    metrics.publish(
-                        "sat",
-                        {
-                            key: max(value - sat_before.get(key, 0), 0)
-                            for key, value in after.items()
-                            if isinstance(value, (int, float))
-                            and not isinstance(value, bool)
-                        },
-                    )
+                after = dataclasses.asdict(engine.solver.stats)
+                # deltas, clamped: an engine reset mid-sweep swaps in a
+                # fresh counter object and must not go negative
+                metrics.publish(
+                    "sat",
+                    {
+                        key: max(value - sat_before.get(key, 0), 0)
+                        for key, value in after.items()
+                        if isinstance(value, (int, float))
+                        and not isinstance(value, bool)
+                    },
+                )
             return FinderResult(
                 model, stats, complete=model is not None or complete
             )
@@ -2048,29 +2035,24 @@ class ModelFinder:
         if ctx.hopeless:
             return finish(None)
         for sizes in size_vectors(
-            self.sorts, self.max_total_size, min_total
+            self.sorts, options.max_total_size, min_total
         ):
             if self.deadline is not None and time.monotonic() > self.deadline:
                 complete = False  # sweep cut short: verdict not definitive
                 stats.deadline_hit = True
                 break
-            if self.core_guided_sweep and engine.vector_covered(ctx, sizes):
+            if options.core_guided_sweep and engine.vector_covered(
+                ctx, sizes
+            ):
                 # a previous refutation's core transfers to this vector:
                 # it is proven unsat without touching the solver
                 stats.vectors_skipped += 1
                 continue
             stats.attempts += 1
-            if not self.incremental:
+            if not options.incremental:
                 engine.reset(stats)
             outcome = engine.try_vector(
-                ctx,
-                sizes,
-                stats,
-                deadline=self.deadline,
-                max_conflicts=self.max_conflicts,
-                max_learned_clauses=self.max_learned_clauses,
-                collect_cores=self.core_guided_sweep,
-                minimize_cores=self.core_minimization,
+                ctx, sizes, stats, options, deadline=self.deadline
             )
             if outcome.model is not None:
                 return finish(outcome.model)
@@ -2089,32 +2071,20 @@ class ModelFinder:
 def find_model(
     system: CHCSystem,
     *,
-    max_total_size: int = 12,
     timeout: Optional[float] = None,
-    symmetry_breaking: bool = True,
-    max_conflicts_per_size: Optional[int] = 200_000,
     min_total_size: int = 0,
-    incremental: bool = True,
-    max_learned_clauses: Optional[int] = 20_000,
-    core_guided_sweep: bool = True,
-    lbd_retention: bool = True,
-    sat_backend: str = "python",
-    core_minimization: bool = True,
+    **overrides,
 ) -> FinderResult:
-    """Search for a finite model of a constraint-free CHC system."""
+    """Search for a finite model of a constraint-free CHC system.
+
+    The one-call convenience: ``overrides`` are :class:`FinderOptions`
+    fields.
+    """
     deadline = None if timeout is None else time.monotonic() + timeout
     finder = ModelFinder(
         system,
-        max_total_size=max_total_size,
-        max_conflicts_per_size=max_conflicts_per_size,
-        symmetry_breaking=symmetry_breaking,
+        FinderOptions(**overrides),
         deadline=deadline,
         min_total_size=min_total_size,
-        incremental=incremental,
-        max_learned_clauses=max_learned_clauses,
-        core_guided_sweep=core_guided_sweep,
-        lbd_retention=lbd_retention,
-        sat_backend=sat_backend,
-        core_minimization=core_minimization,
     )
     return finder.search()

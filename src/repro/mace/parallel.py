@@ -75,9 +75,11 @@ from repro.chc.clauses import CHCSystem
 from repro.exec.faults import ReproFaultPlan
 from repro.mace.finder import (
     FinderError,
+    FinderOptions,
     FinderResult,
     FinderStats,
     _IncrementalEngine,
+    engine_fingerprint,
     flatten_clause,
     size_vectors,
 )
@@ -118,17 +120,16 @@ class _ShardRunner:
     (:func:`repro.exec.worker.shard_entry`); the in-process fallback
     drives the same object directly.  Either way it owns a private
     incremental engine — warm-restored from the payload snapshot when
-    possible, cold otherwise — plus the sibling bounds broadcast to it,
-    and renders every answer as the scheduler's wire dict.
+    :func:`~repro.mace.finder.check_engine` accepts it for the payload's
+    options and signature, cold otherwise — plus the sibling bounds
+    broadcast to it, and renders every answer as the scheduler's wire
+    dict.
     """
 
     def __init__(self, payload: dict):
         self.uid = payload["shard"]
         self.isolated = bool(payload.get("isolated"))
-        self.max_conflicts = payload.get("max_conflicts")
-        self.max_learned = payload.get("max_learned_clauses")
-        self.collect_cores = bool(payload.get("core_guided_sweep", True))
-        self.minimize_cores = bool(payload.get("core_minimization", True))
+        self.options: FinderOptions = payload["options"]
         self.fault_plan = ReproFaultPlan.parse(payload.get("fault_plan"))
         system: CHCSystem = payload["system"]
         sorts = sorted(system.adts.sorts, key=lambda s: s.name)
@@ -138,28 +139,22 @@ class _ShardRunner:
         predicates = sorted(
             system.predicates.values(), key=lambda p: p.name
         )
-        self.stats = FinderStats(
-            incremental=True,
-            sat_backend=payload.get("sat_backend", "python"),
-        )
+        self.stats = FinderStats(incremental=True)
         engine = None
         snap = payload.get("snapshot")
         if snap is not None:
             try:
-                engine = _IncrementalEngine.restore(snap)
+                engine = _IncrementalEngine.restore(
+                    snap,
+                    self.options,
+                    engine_fingerprint(sorts, functions, predicates),
+                )
                 self.stats.engine_shared = True
             except Exception:
                 engine = None  # stale or foreign snapshot: start cold
         if engine is None:
             engine = _IncrementalEngine(
-                sorts,
-                functions,
-                predicates,
-                symmetry_breaking=bool(
-                    payload.get("symmetry_breaking", True)
-                ),
-                lbd_retention=bool(payload.get("lbd_retention", True)),
-                sat_backend=payload.get("sat_backend", "python"),
+                sorts, functions, predicates, self.options
             )
         self.engine = engine
         # a restored engine's signature objects are value-equal copies
@@ -223,15 +218,15 @@ class _ShardRunner:
             )
         result: dict = {"kind": "result", "seq": seq, "shard": self.uid}
         sizes = dict(zip(self.sorts, sizes_t))
-        if self.collect_cores and self.engine.vector_covered(
+        if self.options.core_guided_sweep and self.engine.vector_covered(
             self.ctx, sizes
         ):
-            # own core: the scheduler's frontier filter just had not
-            # caught up with this shard's latest refutation
+            # own core (or one inherited with a restored engine): the
+            # scheduler's frontier filter just had not caught up with it
             self.stats.vectors_skipped += 1
             result["outcome"] = "skipped"
             result["foreign"] = False
-        elif self.collect_cores and _covered(self.foreign_bounds, sizes_t):
+        elif _covered(self.foreign_bounds, sizes_t):
             self.stats.vectors_skipped += 1
             result["outcome"] = "skipped"
             result["foreign"] = True
@@ -239,14 +234,7 @@ class _ShardRunner:
             self.stats.attempts += 1
             pre_cores = len(self.ctx.refuted_cores)
             outcome = self.engine.try_vector(
-                self.ctx,
-                sizes,
-                self.stats,
-                deadline=deadline,
-                max_conflicts=self.max_conflicts,
-                max_learned_clauses=self.max_learned,
-                collect_cores=self.collect_cores,
-                minimize_cores=self.minimize_cores,
+                self.ctx, sizes, self.stats, self.options, deadline=deadline
             )
             if outcome.model is not None:
                 result["outcome"] = "sat"
@@ -364,20 +352,20 @@ class _SweepState:
     Owns the frontier iterator, the master (index-keyed) bound list,
     per-sequence outcomes, and the strictly-in-order commit pointer
     that makes the parallel sweep's verdict match the sequential one.
+    Bounds only ever come from cores the shards recorded, so with core
+    guidance off the list stays empty and nothing is pruned.
     """
 
     def __init__(
         self,
         sorts: list,
-        max_total: int,
+        options: FinderOptions,
         min_total: int,
         stats: FinderStats,
-        core_guided: bool,
     ):
-        self._iter = size_vectors(sorts, max_total, min_total)
+        self._iter = size_vectors(sorts, options.max_total_size, min_total)
         self._sorts = sorts
         self.stats = stats
-        self.core_guided = core_guided
         self.bounds: list[tuple[dict, dict]] = []
         self.next_seq = 0
         self.next_commit = 0
@@ -403,7 +391,7 @@ class _SweepState:
                 self.exhausted_frontier = True
                 return None
             sizes_t = tuple(sizes[s] for s in self._sorts)
-            if self.core_guided and _covered(self.bounds, sizes_t):
+            if _covered(self.bounds, sizes_t):
                 # a broadcast core already refutes this vector: pruned
                 # before dispatch, exactly the sequential skip
                 self.stats.vectors_skipped += 1
@@ -459,11 +447,8 @@ class SweepScheduler:
     def __init__(self, finder: "ParallelModelFinder", mode: str):
         self.finder = finder
         self.mode = mode
-        self.stats = FinderStats(
-            incremental=True,
-            sat_backend=finder.sat_backend,
-            sweep_shards=finder.sweep_shards,
-        )
+        self.shards = finder.options.sweep_shards
+        self.stats = FinderStats(incremental=True, sweep_shards=self.shards)
         #: newest cumulative FinderStats dict per shard uid — survives
         #: the shard's death, folded additively at the end
         self.shard_stats: dict[int, dict] = {}
@@ -525,7 +510,7 @@ class SweepScheduler:
                 pass  # foreign/stale stats dict: drop, never crash
         # shard elapsed times overlap; wall clock is the honest figure
         stats.elapsed = time.monotonic() - start
-        stats.sweep_shards = self.finder.sweep_shards
+        stats.sweep_shards = self.shards
         if self.state is not None and self.state.hopeless:
             stats.hopeless = True
         if model is not None:
@@ -555,11 +540,7 @@ class SweepScheduler:
 
         start = time.monotonic()
         state = _SweepState(
-            finder.sorts,
-            finder.max_total_size,
-            min_total,
-            self.stats,
-            finder.core_guided_sweep,
+            finder.sorts, finder.options, min_total, self.stats
         )
         self.state = state
         ctx = _mp_context()
@@ -576,10 +557,10 @@ class SweepScheduler:
             return _ProcessShard(ctx, payload)
 
         shards: list[Optional[_ProcessShard]] = []
-        restarts = [0] * finder.sweep_shards
+        restarts = [0] * self.shards
         decided = False  # winner or hopeless: kill + discard speculation
         try:
-            shards = [spawn() for _ in range(finder.sweep_shards)]
+            shards = [spawn() for _ in range(self.shards)]
 
             def live() -> list[_ProcessShard]:
                 return [s for s in shards if s is not None and not s.dead]
@@ -712,16 +693,12 @@ class SweepScheduler:
         finder = self.finder
         start = time.monotonic()
         state = _SweepState(
-            finder.sorts,
-            finder.max_total_size,
-            min_total,
-            self.stats,
-            finder.core_guided_sweep,
+            finder.sorts, finder.options, min_total, self.stats
         )
         self.state = state
         runners = [
             _ShardRunner(finder._payload(uid, isolated=False))
-            for uid in range(finder.sweep_shards)
+            for uid in range(self.shards)
         ]
         queues: list[list[tuple[int, tuple[int, ...]]]] = [
             [] for _ in runners
@@ -780,11 +757,13 @@ class ParallelModelFinder:
     """Drop-in :class:`~repro.mace.finder.ModelFinder` running the size
     sweep as a speculative shard portfolio (see the module docstring).
 
-    ``mode`` is ``"process"`` (subprocess shards, fork-preferred),
-    ``"inprocess"`` (the interleaved fallback portfolio) or ``"auto"``
-    (process shards unless this process is daemonic — e.g. inside an
-    isolated supervised worker — which may not have children).
-    ``snapshot`` seeds every shard with one serialized engine state
+    ``options`` configures it exactly like the sequential finder, with
+    ``options.sweep_shards`` as the portfolio width.  ``mode`` is
+    ``"process"`` (subprocess shards, fork-preferred), ``"inprocess"``
+    (the interleaved fallback portfolio) or ``"auto"`` (process shards
+    unless this process is daemonic — e.g. inside an isolated
+    supervised worker — which may not have children).  ``snapshot``
+    seeds every shard with one serialized engine state
     (:meth:`~repro.mace.pool.EnginePool.snapshot_for`).  The search
     contract — signature, :class:`FinderResult`, ``complete``
     semantics — matches :meth:`ModelFinder.search`, so
@@ -794,38 +773,22 @@ class ParallelModelFinder:
     def __init__(
         self,
         system: CHCSystem,
+        options: FinderOptions = FinderOptions(),
         *,
-        sweep_shards: int = 2,
-        max_total_size: int = 12,
-        max_conflicts_per_size: Optional[int] = 200_000,
-        symmetry_breaking: bool = True,
         deadline: Optional[float] = None,
         min_total_size: int = 0,
-        max_learned_clauses: Optional[int] = 20_000,
-        core_guided_sweep: bool = True,
-        lbd_retention: bool = True,
-        sat_backend: str = "python",
-        core_minimization: bool = True,
         snapshot: Optional[dict] = None,
         mode: str = "auto",
         fault_plan: Optional[ReproFaultPlan] = None,
     ):
-        if sweep_shards < 1:
+        if options.sweep_shards < 1:
             raise FinderError("sweep_shards must be >= 1")
         if mode not in ("auto", "process", "inprocess"):
             raise FinderError(f"unknown sweep mode {mode!r}")
         self.system = system
-        self.sweep_shards = sweep_shards
-        self.max_total_size = max_total_size
-        self.max_conflicts = max_conflicts_per_size
-        self.symmetry_breaking = symmetry_breaking
+        self.options = options
         self.deadline = deadline
         self.min_total_size = min_total_size
-        self.max_learned_clauses = max_learned_clauses
-        self.core_guided_sweep = core_guided_sweep
-        self.lbd_retention = lbd_retention
-        self.sat_backend = sat_backend
-        self.core_minimization = core_minimization
         self.snapshot = snapshot
         self.mode = mode
         self.fault_plan = fault_plan
@@ -839,13 +802,7 @@ class ParallelModelFinder:
             "shard": uid,
             "system": self.system,
             "snapshot": self.snapshot,
-            "symmetry_breaking": self.symmetry_breaking,
-            "lbd_retention": self.lbd_retention,
-            "sat_backend": self.sat_backend,
-            "max_conflicts": self.max_conflicts,
-            "max_learned_clauses": self.max_learned_clauses,
-            "core_guided_sweep": self.core_guided_sweep,
-            "core_minimization": self.core_minimization,
+            "options": self.options,
             "isolated": isolated,
             "fault_plan": plan.encode() if plan else None,
             "obs": {

@@ -5,8 +5,10 @@ hundreds of CHC systems that overwhelmingly share their ADT signatures.
 Building a fresh incremental engine per problem discards learned
 clauses, VSIDS activity and the signature-level cell encoding between
 runs; the :class:`EnginePool` keeps one :class:`_IncrementalEngine`
-alive per *canonical signature fingerprint* instead, so every
-signature-compatible problem rides the same persistent CDCL state.
+alive per *engine key* — a finder configuration's
+:meth:`~repro.mace.finder.FinderOptions.engine_key` plus the canonical
+signature fingerprint — instead, so every compatible problem rides the
+same persistent CDCL state.
 Cross-problem isolation is by selector-guarded clause groups (see the
 campaign section of the :mod:`repro.mace.finder` docstring): each
 clause's ground instances are guarded by a selector keyed on canonical
@@ -25,7 +27,7 @@ Reset conditions (bounding a long campaign's memory):
   recently used engine is evicted outright;
 * finished problems should be :meth:`released <EnginePool.release>`:
   their clause groups lose a reference, and groups nothing references
-  for ``gc_window`` further registrations are retired (selector pinned
+  for ``GC_WINDOW`` further registrations are retired (selector pinned
   false, clauses dropped by a level-0 simplify).
 
 Warm persistence (the snapshot layer)
@@ -36,7 +38,7 @@ pool exploits that in two ways:
 
 * ``cache_dir`` turns on a **disk-backed warm cache**: recycled and
   evicted engines are persisted (pickled, written atomically) keyed by
-  their fingerprint, a :meth:`_slot_for` miss tries the cache before
+  their engine key, a :meth:`_slot_for` miss tries the cache before
   building cold, and :meth:`flush_cache` persists every live engine —
   so a second campaign over the same benchmark family starts from the
   first one's encodings, learned clauses and refutation bounds;
@@ -45,10 +47,11 @@ pool exploits that in two ways:
   returned) and :meth:`last_snapshot` serializes the most recently used
   engine for handing back.
 
-Every load/adopt path validates the wrapper schema, snapshot version,
-fingerprint and pool configuration; *any* failure — corrupt file, stale
-version, foreign fingerprint, missing optional backend — counts as
-``snapshot_rejected`` and falls back to a cold engine, never an error.
+Every load/adopt path — and :meth:`snapshot_for`, which hands cached
+state to parallel shards — validates through
+:func:`~repro.mace.finder.check_engine`; *any* failure — corrupt file,
+stale version, foreign engine key — counts as ``snapshot_rejected``
+and falls back to a cold engine, never an error.
 """
 
 from __future__ import annotations
@@ -66,10 +69,10 @@ from typing import Optional, Union
 from repro.chc.clauses import CHCSystem
 from repro.obs import runtime as obs_runtime
 from repro.mace.finder import (
-    ENGINE_SNAPSHOT_VERSION,
-    EngineSnapshotError,
+    FinderOptions,
     ModelFinder,
     _IncrementalEngine,
+    check_engine,
     engine_fingerprint,
 )
 
@@ -96,6 +99,12 @@ def signature_fingerprint(system: CHCSystem) -> tuple:
     )
 
 
+def _slot_key(system: CHCSystem, options: FinderOptions) -> tuple:
+    """The pool's slot and cache-file key of ``system`` under
+    ``options``: ``(options.engine_key(), signature fingerprint)``."""
+    return (options.engine_key(), signature_fingerprint(system))
+
+
 @dataclass
 class PoolStats:
     """All counters of one campaign pool, serialized uniformly.
@@ -110,8 +119,8 @@ class PoolStats:
     ``snapshot_hits`` engines started warm (from disk or an adopted
     in-memory snapshot), ``snapshot_misses`` cache lookups that found
     no usable file, ``snapshot_rejected`` snapshots refused for any
-    reason (corrupt, wrong version, foreign fingerprint or
-    configuration) — rejections always fall back cold.
+    reason (corrupt, wrong version, foreign engine key) — rejections
+    always fall back cold.
 
     ``engines_live`` is a gauge, refreshed by :meth:`EnginePool.as_dict`;
     everything else is a monotone counter.  :meth:`as_dict` is the one
@@ -145,43 +154,28 @@ class _PooledEngine:
         self.problems_hosted = 0
 
 
-#: wrapper schema written around engine snapshots in cache files
-_CACHE_SCHEMA = "engine-cache"
-
-
 class EnginePool:
-    """Persistent :class:`ModelFinder` engines keyed by signature.
+    """Persistent :class:`ModelFinder` engines keyed by engine key.
 
-    ``finder(system, ...)`` hands out a ModelFinder whose engine is
-    shared with every previous signature-compatible problem; problems
-    with incompatible signatures get (and warm up) separate engines.
-    The pool is a process-lifetime object: one per campaign, threaded
-    through :class:`repro.core.ringen.RInGenConfig` and the harness.
-    With ``cache_dir`` set, engine state additionally persists *across*
+    ``finder(system, options)`` hands out a ModelFinder whose engine is
+    shared with every previous problem of the same signature and
+    :meth:`~repro.mace.finder.FinderOptions.engine_key`; other keys get
+    (and warm up) separate engines.  The pool is a process-lifetime
+    object: one per campaign, threaded through
+    :class:`repro.core.ringen.RInGenConfig` and the harness.  With
+    ``cache_dir`` set, engine state additionally persists *across*
     processes and campaigns (see the module docstring).
     """
 
     def __init__(
         self,
         *,
-        symmetry_breaking: bool = True,
         max_engines: Optional[int] = 8,
         max_problems_per_engine: Optional[int] = 64,
-        lbd_retention: bool = True,
-        sat_backend: str = "python",
         cache_dir: Optional[Union[str, Path]] = None,
     ):
-        self.symmetry_breaking = symmetry_breaking
         self.max_engines = max_engines
         self.max_problems_per_engine = max_problems_per_engine
-        # learned-clause GC policy of every engine this pool builds;
-        # finders riding a pooled engine must agree with it (the
-        # ModelFinder constructor enforces the match)
-        self.lbd_retention = lbd_retention
-        # SAT backend of every engine this pool builds; part of the
-        # engine key so a mixed-backend campaign never hands a finder
-        # an engine built over the wrong solver
-        self.sat_backend = sat_backend
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.stats = PoolStats()
         self._engines: "OrderedDict[tuple, _PooledEngine]" = OrderedDict()
@@ -206,13 +200,7 @@ class EnginePool:
             return False
         try:
             payload = pickle.dumps(
-                {
-                    "schema": _CACHE_SCHEMA,
-                    "version": ENGINE_SNAPSHOT_VERSION,
-                    "key": key,
-                    "engine": engine.snapshot(),
-                },
-                protocol=pickle.HIGHEST_PROTOCOL,
+                engine.snapshot(), protocol=pickle.HIGHEST_PROTOCOL
             )
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
@@ -235,8 +223,12 @@ class EnginePool:
         self.stats.snapshot_saves += 1
         return True
 
-    def _load(self, key: tuple) -> Optional[_IncrementalEngine]:
-        """Try to restore ``key``'s engine from the warm cache."""
+    def _read_cache(
+        self, key: tuple, options: FinderOptions
+    ) -> Optional[dict]:
+        """``key``'s cached snapshot, vetted by
+        :func:`~repro.mace.finder.check_engine`; ``None`` on a miss or a
+        rejected file."""
         path = self._cache_path(key)
         if path is None:
             return None
@@ -246,41 +238,28 @@ class EnginePool:
             self.stats.snapshot_misses += 1
             return None
         try:
-            wrapper = pickle.loads(data)
-            if (
-                not isinstance(wrapper, dict)
-                or wrapper.get("schema") != _CACHE_SCHEMA
-                or wrapper.get("version") != ENGINE_SNAPSHOT_VERSION
-            ):
-                raise EngineSnapshotError("bad cache wrapper")
-            if wrapper.get("key") != key:
-                raise EngineSnapshotError(
-                    "cache file fingerprint disagrees with its name"
-                )
-            engine = self._restore_engine(wrapper["engine"])
+            snap = pickle.loads(data)
+            check_engine(snap, options, key[1])
         except Exception:
-            # corrupt, stale-version, foreign or unusable (e.g. a pysat
-            # snapshot without python-sat installed): fall back cold
+            # corrupt, stale-version or foreign: fall back cold
+            self.stats.snapshot_rejected += 1
+            return None
+        return snap
+
+    def _load(
+        self, key: tuple, options: FinderOptions
+    ) -> Optional[_IncrementalEngine]:
+        """Try to restore ``key``'s engine from the warm cache."""
+        snap = self._read_cache(key, options)
+        if snap is None:
+            return None
+        try:
+            engine = _IncrementalEngine.restore(snap, options, key[1])
+        except Exception:
             self.stats.snapshot_rejected += 1
             return None
         self.stats.snapshot_hits += 1
         return engine
-
-    def _restore_engine(self, snap: dict) -> _IncrementalEngine:
-        """Restore + validate a snapshot against this pool's config."""
-        if not isinstance(snap, dict):
-            raise EngineSnapshotError("not an engine snapshot")
-        if snap.get("sat_backend") != self.sat_backend:
-            raise EngineSnapshotError(
-                "snapshot backend disagrees with the pool's"
-            )
-        if bool(snap.get("lbd_retention")) != self.lbd_retention or bool(
-            snap.get("symmetry_breaking")
-        ) != self.symmetry_breaking:
-            raise EngineSnapshotError(
-                "snapshot solver policy disagrees with the pool's"
-            )
-        return _IncrementalEngine.restore(snap)
 
     def flush_cache(self) -> int:
         """Persist every live engine to the warm cache; returns count."""
@@ -292,24 +271,24 @@ class EnginePool:
                 written += 1
         return written
 
-    def adopt_snapshot(self, snap: dict) -> bool:
+    def adopt_snapshot(self, snap: dict, options: FinderOptions) -> bool:
         """Install an in-memory engine snapshot as a live pool slot.
 
         The warm-start path of supervised workers: the supervisor ships
         the latest snapshot for a task batch's fingerprint in the task
         payload, and the worker's pool adopts it before solving, so a
         rescheduled batch resumes from its predecessor's state instead
-        of cold.  Validates like the disk cache (any failure counts as
-        ``snapshot_rejected`` and returns False — callers proceed cold).
+        of cold.  The snapshot must suit finders configured by
+        ``options``; any failure counts as ``snapshot_rejected`` and
+        returns False — callers proceed cold.
         """
         try:
-            engine = self._restore_engine(snap)
-            key = (self.sat_backend, snap["fingerprint"])
+            engine = _IncrementalEngine.restore(snap, options)
         except Exception:
             self.stats.snapshot_rejected += 1
             return False
-        slot = _PooledEngine(engine)
-        self._engines[key] = slot
+        key = (engine.engine_key, engine.fingerprint)
+        self._engines[key] = _PooledEngine(engine)
         self._engines.move_to_end(key)
         self._evict_over_limit()
         self.stats.snapshot_hits += 1
@@ -332,41 +311,27 @@ class EnginePool:
             self.stats.snapshot_rejected += 1
             return None
 
-    def snapshot_for(self, system: CHCSystem) -> Optional[dict]:
-        """Serialized engine state for ``system``'s signature, if any.
+    def snapshot_for(
+        self, system: CHCSystem, options: FinderOptions
+    ) -> Optional[dict]:
+        """Serialized engine state for ``system`` under ``options``, if
+        any.
 
         The per-shard fan-out path of the parallel sweep
         (:mod:`repro.mace.parallel`): every shard of a speculative
-        portfolio warm-starts from one snapshot of the signature's
-        pooled engine.  A live slot is snapshotted fresh; otherwise the
-        disk warm cache is consulted and its raw (already validated by
-        the shard on restore) snapshot returned.  Never raises —
-        ``None`` means the shards start cold.
+        portfolio warm-starts from one snapshot of the pooled engine.  A
+        live slot is snapshotted fresh; otherwise the disk warm cache is
+        consulted.  Never raises — ``None`` means the shards start cold.
         """
-        key = (self.sat_backend, signature_fingerprint(system))
+        key = _slot_key(system, options)
         slot = self._engines.get(key)
-        if slot is not None:
-            try:
-                return slot.engine.snapshot()
-            except Exception:
-                self.stats.snapshot_rejected += 1
-                return None
-        path = self._cache_path(key)
-        if path is None:
-            return None
+        if slot is None:
+            return self._read_cache(key, options)
         try:
-            wrapper = pickle.loads(path.read_bytes())
-            if (
-                not isinstance(wrapper, dict)
-                or wrapper.get("schema") != _CACHE_SCHEMA
-                or wrapper.get("version") != ENGINE_SNAPSHOT_VERSION
-                or wrapper.get("key") != key
-            ):
-                raise EngineSnapshotError("bad cache wrapper")
-            snap = wrapper["engine"]
+            return slot.engine.snapshot()
         except Exception:
+            self.stats.snapshot_rejected += 1
             return None
-        return snap if isinstance(snap, dict) else None
 
     # -- engine lookup -----------------------------------------------------
     def _evict_over_limit(self) -> None:
@@ -378,8 +343,10 @@ class EnginePool:
             self._persist(key, slot.engine)
             self.stats.engines_evicted += 1
 
-    def _slot_for(self, system: CHCSystem) -> _PooledEngine:
-        key = (self.sat_backend, signature_fingerprint(system))
+    def _slot_for(
+        self, system: CHCSystem, options: FinderOptions
+    ) -> _PooledEngine:
+        key = _slot_key(system, options)
         from_cache_ok = True
         slot = self._engines.get(key)
         if slot is not None and (
@@ -398,7 +365,7 @@ class EnginePool:
             self.stats.engine_recycles += 1
             from_cache_ok = False
         if slot is None and from_cache_ok:
-            cached = self._load(key)
+            cached = self._load(key, options)
             if cached is not None:
                 slot = _PooledEngine(cached)
                 self._engines[key] = slot
@@ -413,9 +380,7 @@ class EnginePool:
                     sorted(
                         system.predicates.values(), key=lambda p: p.name
                     ),
-                    symmetry_breaking=self.symmetry_breaking,
-                    lbd_retention=self.lbd_retention,
-                    sat_backend=self.sat_backend,
+                    options,
                 )
             )
             self._engines[key] = slot
@@ -424,40 +389,31 @@ class EnginePool:
         self._evict_over_limit()
         return slot
 
-    def engine_for(self, system: CHCSystem) -> _IncrementalEngine:
-        """The shared engine for ``system``'s signature (creating it)."""
-        return self._slot_for(system).engine
+    def engine_for(
+        self, system: CHCSystem, options: FinderOptions = FinderOptions()
+    ) -> _IncrementalEngine:
+        """The shared engine for ``system`` under ``options`` (creating
+        it)."""
+        return self._slot_for(system, options).engine
 
     def finder(
         self,
         system: CHCSystem,
+        options: FinderOptions = FinderOptions(),
         *,
-        max_total_size: int = 12,
-        max_conflicts_per_size: Optional[int] = 200_000,
         deadline: Optional[float] = None,
         min_total_size: int = 0,
-        max_learned_clauses: Optional[int] = 20_000,
-        core_guided_sweep: bool = True,
-        core_minimization: bool = True,
     ) -> ModelFinder:
         """A ModelFinder for ``system`` riding the pooled engine."""
-        slot = self._slot_for(system)
+        slot = self._slot_for(system, options)
         engine = slot.engine
         hit = engine.problems_registered > 0
         finder = ModelFinder(
             system,
-            max_total_size=max_total_size,
-            max_conflicts_per_size=max_conflicts_per_size,
-            symmetry_breaking=self.symmetry_breaking,
+            options,
             deadline=deadline,
             min_total_size=min_total_size,
-            incremental=True,
-            max_learned_clauses=max_learned_clauses,
             engine=engine,
-            core_guided_sweep=core_guided_sweep,
-            lbd_retention=self.lbd_retention,
-            sat_backend=self.sat_backend,
-            core_minimization=core_minimization,
         )
         self.stats.problems += 1
         slot.problems_hosted += 1

@@ -1,22 +1,12 @@
-"""SAT layer: the backend protocol, the from-scratch CDCL solver,
-optional external backends, and CNF utilities.
+"""SAT layer: the backend protocol, the from-scratch CDCL solver, and
+CNF utilities.
 
 Everything above this package (the model finder, the engine pool)
-depends on the :class:`~repro.sat.backend.SatBackend` protocol and the
-:func:`~repro.sat.backend.make_backend` factory, never on a concrete
-solver class — ``CDCLSolver`` is exported for direct/low-level use and
-the test suite only.
+drives the solver through the :class:`~repro.sat.backend.SatBackend`
+protocol's incremental contract.
 """
 
-from repro.sat.backend import (
-    BACKEND_NAMES,
-    BackendUnavailableError,
-    SatBackend,
-    available_backends,
-    backend_available,
-    make_backend,
-    restore_backend,
-)
+from repro.sat.backend import SatBackend
 from repro.sat.cnf import (
     at_most_one,
     exactly_one,
@@ -34,21 +24,14 @@ from repro.sat.solver import (
 )
 
 __all__ = [
-    "BACKEND_NAMES",
-    "BackendUnavailableError",
     "CDCLSolver",
     "SatBackend",
     "SatError",
     "SatStats",
     "at_most_one",
-    "available_backends",
-    "backend_available",
-    "brute_force_sat",
     "exactly_one",
     "from_dimacs",
     "implies",
-    "make_backend",
-    "restore_backend",
     "SNAPSHOT_VERSION",
     "solve_cnf",
     "to_dimacs",

@@ -21,9 +21,7 @@ class SelectorPool:
     for every future context.
 
     The pool drives any :class:`~repro.sat.backend.SatBackend` — it
-    only needs ``new_var`` and ``add_clause`` from the protocol, so
-    selector-guarded incrementality works unchanged over the external
-    backends.
+    only needs ``new_var`` and ``add_clause`` from the protocol.
 
     Selectors are allocated lazily per hashable key, so callers address
     them by meaning (e.g. ``("ex", sort, k)`` — "element ``k`` of

@@ -43,7 +43,7 @@ FALSE_VAL = -1
 #: schema version of :meth:`CDCLSolver.snapshot`; bumped whenever the
 #: serialized layout changes incompatibly.  :meth:`CDCLSolver.restore`
 #: rejects any other version instead of guessing.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SatError(ValueError):
@@ -97,19 +97,16 @@ def _luby(i: int) -> int:
 class CDCLSolver:
     """Conflict-driven clause learning SAT solver.
 
-    ``lbd_retention`` selects the learned-clause GC policy of
-    :meth:`reduce_learned`: LBD tiers with unconditional glue retention
-    (the default, Glucose-style) or the legacy shortest-first policy
-    (kept for the ablation benchmark).
+    Learned clauses are garbage-collected by LBD tier with unconditional
+    glue retention (Glucose-style; see :meth:`reduce_learned`).
     """
 
     #: learned clauses at or below this LBD are "glue" — they connect
     #: decision levels so tightly that dropping them is never worth it
     GLUE_LBD = 2
 
-    def __init__(self, num_vars: int = 0, *, lbd_retention: bool = True):
+    def __init__(self, num_vars: int = 0):
         self.num_vars = 0
-        self.lbd_retention = lbd_retention
         self.clauses: list[list[int]] = []
         self.learned_clauses: list[list[int]] = []
         self.stats = SatStats()
@@ -408,13 +405,11 @@ class CDCLSolver:
         retention tiers.  Learned clauses consulted as reasons during
         the resolution walk get their activity bumped (bump/decay in the
         Glucose style), so retention can break LBD ties by usefulness,
-        and — with ``lbd_retention`` on — their LBD *re-computed* from
-        the live decision levels (Glucose's dynamic glue: a clause that
-        propagates inside fewer levels than at birth is more valuable
-        than its birth glue suggests, so :meth:`reduce_learned` should
-        rank it by its current glue).  The stored LBD only ever
-        improves; with ``lbd_retention`` off the birth LBD is kept
-        untouched (the legacy behaviour, for the ablation benchmark).
+        and their LBD *re-computed* from the live decision levels
+        (Glucose's dynamic glue: a clause that propagates inside fewer
+        levels than at birth is more valuable than its birth glue
+        suggests, so :meth:`reduce_learned` should rank it by its
+        current glue).  The stored LBD only ever improves.
         """
         learned: list[int] = [0]  # slot 0 holds the asserting literal
         seen = [False] * (self.num_vars + 1)
@@ -425,7 +420,6 @@ class CDCLSolver:
         current_level = len(self._trail_lim)
         cla_act = self._cla_act
         lbd_tbl = self._lbd
-        dynamic_lbd = self.lbd_retention
         level = self._level
         while True:
             assert reason is not None
@@ -436,22 +430,18 @@ class CDCLSolver:
                     for cid in cla_act:
                         cla_act[cid] *= 1e-20
                     self._cla_inc *= 1e-20
-                if dynamic_lbd:
-                    # reuse-time glue: recompute from the current levels
-                    # and keep the minimum seen (levels are live here —
-                    # this is the only point where reused reasons pass
-                    # through with their levels assigned)
-                    old_lbd = lbd_tbl.get(rid)
-                    if old_lbd is not None and old_lbd > self.GLUE_LBD:
-                        new_lbd = len(
-                            {
-                                level[q] if q > 0 else level[-q]
-                                for q in reason
-                            }
-                        )
-                        if new_lbd < old_lbd:
-                            lbd_tbl[rid] = new_lbd
-                            self.stats.lbd_updates += 1
+                # reuse-time glue: recompute from the current levels and
+                # keep the minimum seen (levels are live here — this is
+                # the only point where reused reasons pass through with
+                # their levels assigned)
+                old_lbd = lbd_tbl.get(rid)
+                if old_lbd is not None and old_lbd > self.GLUE_LBD:
+                    new_lbd = len(
+                        {level[q] if q > 0 else level[-q] for q in reason}
+                    )
+                    if new_lbd < old_lbd:
+                        lbd_tbl[rid] = new_lbd
+                        self.stats.lbd_updates += 1
             for q in reason:
                 if trail_lit is not None and q == trail_lit:
                     continue  # skip the literal this reason clause asserted
@@ -892,13 +882,12 @@ class CDCLSolver:
     def reduce_learned(self, keep: int) -> int:
         """Garbage-collect the learned-clause database down to ``keep``.
 
-        With ``lbd_retention`` (the default) clauses are retained by LBD
-        tier: glue clauses (LBD ≤ :data:`GLUE_LBD`) are kept
-        *unconditionally* — even when that leaves more than ``keep``
-        clauses alive — and the remainder is ranked by (LBD, activity,
-        length), dropping the worst.  Without it, the legacy policy
-        keeps the ``keep`` shortest clauses.  Either way the survivors'
-        watch hooks stay intact and the dropped clauses are unhooked.
+        Clauses are retained by LBD tier: glue clauses (LBD ≤
+        :data:`GLUE_LBD`) are kept *unconditionally* — even when that
+        leaves more than ``keep`` clauses alive — and the remainder is
+        ranked by (LBD, activity, length), dropping the worst.  The
+        survivors' watch hooks stay intact and the dropped clauses are
+        unhooked.
         Backtracks to level 0 first, where no learned clause is ever
         consulted as a reason again, so removal cannot invalidate an
         in-flight analysis.  Returns the number of clauses dropped.
@@ -908,37 +897,30 @@ class CDCLSolver:
         if len(self.learned_clauses) <= keep:
             return 0
         self._backtrack(0)
-        if self.lbd_retention:
-            lbd, act = self._lbd, self._cla_act
-            glue_cap = self.GLUE_LBD
-            glue: list[list[int]] = []
-            rest: list[list[int]] = []
-            for clause in self.learned_clauses:
-                if lbd.get(id(clause), glue_cap + 1) <= glue_cap:
-                    glue.append(clause)
-                else:
-                    rest.append(clause)
-            quota = max(keep - len(glue), 0)
-            if len(rest) <= quota:
-                # glue alone exceeds the cap: nothing is droppable, so
-                # skip the ranking sort a caller's size trigger would
-                # otherwise re-pay on every call
-                return 0
-            rest.sort(
-                key=lambda c: (
-                    lbd.get(id(c), 1 << 30),
-                    -act.get(id(c), 0.0),
-                    len(c),
-                )
-            )
-            kept = glue + rest[:quota]
-            drop = rest[quota:]
-        else:
-            self.learned_clauses.sort(key=len)
-            kept = self.learned_clauses[:keep]
-            drop = self.learned_clauses[keep:]
-        if not drop:
+        lbd, act = self._lbd, self._cla_act
+        glue_cap = self.GLUE_LBD
+        glue: list[list[int]] = []
+        rest: list[list[int]] = []
+        for clause in self.learned_clauses:
+            if lbd.get(id(clause), glue_cap + 1) <= glue_cap:
+                glue.append(clause)
+            else:
+                rest.append(clause)
+        quota = max(keep - len(glue), 0)
+        if len(rest) <= quota:
+            # glue alone exceeds the cap: nothing is droppable, so skip
+            # the ranking sort a caller's size trigger would otherwise
+            # re-pay on every call
             return 0
+        rest.sort(
+            key=lambda c: (
+                lbd.get(id(c), 1 << 30),
+                -act.get(id(c), 0.0),
+                len(c),
+            )
+        )
+        kept = glue + rest[:quota]
+        drop = rest[quota:]
         dropped = set(map(id, drop))
         self.learned_clauses = kept
         self._forget_metadata(dropped)
@@ -1064,10 +1046,6 @@ class CDCLSolver:
         }
 
     # -- snapshot / restore -------------------------------------------------
-    def supports_snapshot(self) -> bool:
-        """This backend can round-trip its full warm state."""
-        return True
-
     def snapshot(self) -> dict:
         """The solver's complete warm state as a plain-data dict.
 
@@ -1086,10 +1064,8 @@ class CDCLSolver:
         return {
             "schema": "cdcl",
             "version": SNAPSHOT_VERSION,
-            "backend": "python",
             "num_vars": self.num_vars,
             "ok": self._ok,
-            "lbd_retention": self.lbd_retention,
             "clauses": [list(c) for c in self.clauses],
             "learned": [
                 [
@@ -1130,7 +1106,7 @@ class CDCLSolver:
                 f"unsupported solver snapshot version "
                 f"{snap.get('version')!r} (expected {SNAPSHOT_VERSION})"
             )
-        solver = cls(lbd_retention=bool(snap["lbd_retention"]))
+        solver = cls()
         solver.new_vars(int(snap["num_vars"]))
         if len(snap["activity"]) != solver.num_vars:
             raise SatError("snapshot activity table length mismatch")

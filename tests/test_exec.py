@@ -520,15 +520,29 @@ class TestWarmWorkers:
 class TestJournalConfigGuard:
     """Resume must refuse journals from an incompatible configuration."""
 
-    def test_meta_records_backend_and_fingerprint(self, tmp_path):
+    def test_meta_records_fingerprint(self, tmp_path):
         journal = str(tmp_path / "meta.jsonl")
         run_campaign(
             [tiny_suite()], solvers=["ringen"], timeout=5.0,
             journal_path=journal, policy=ExecPolicy(),
         )
         meta, _ = load_journal(journal)
-        assert meta["sat_backend"] == "python"
         assert meta["config_fingerprint"]
+
+    def test_equivalent_config_spelling_resumes(self, tmp_path):
+        journal = str(tmp_path / "spelled.jsonl")
+        first = run_campaign(
+            [tiny_suite()], solvers=["ringen"], timeout=5.0,
+            journal_path=journal, policy=ExecPolicy(),
+        )
+        # spelling out a default is the same configuration
+        resumed = run_campaign(
+            [tiny_suite()], solvers=["ringen"], timeout=5.0,
+            journal_path=journal, resume=True,
+            policy=ExecPolicy(solver_opts={"core_guided_sweep": True}),
+        )
+        assert resumed.exec_stats["tasks_resumed"] == 3
+        assert verdicts(resumed) == verdicts(first)
 
     def test_mismatched_config_refused(self, tmp_path):
         journal = str(tmp_path / "guard.jsonl")
@@ -571,10 +585,9 @@ class TestJournalConfigGuard:
             [tiny_suite()], solvers=["ringen"], timeout=5.0,
             journal_path=str(journal), policy=ExecPolicy(),
         )
-        # strip the new meta fields, as a journal from an older build
+        # strip the fingerprint, as a journal from an older build
         lines = journal.read_text().splitlines()
         meta = json.loads(lines[0])
-        meta.pop("sat_backend", None)
         meta.pop("config_fingerprint", None)
         journal.write_text(
             "\n".join([json.dumps(meta)] + lines[1:]) + "\n"

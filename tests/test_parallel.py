@@ -1,7 +1,7 @@
 """Differential tests for the speculative parallel size sweep.
 
 The parity contract (see ``repro/mace/parallel.py``): for any shard
-count, backend, and mode, the parallel sweep commits candidate size
+count and mode, the parallel sweep commits candidate size
 vectors in exactly the sequential order, so the *verdict* (found /
 complete), the winning total size (``model_size``), and model validity
 are identical to :class:`repro.mace.finder.ModelFinder`.  Model
@@ -19,7 +19,7 @@ import pytest
 
 from repro.chc.transform import preprocess
 from repro.exec import ReproFaultPlan
-from repro.mace.finder import FinderError, ModelFinder
+from repro.mace.finder import FinderError, FinderOptions, ModelFinder
 from repro.mace.model import validate_model
 from repro.mace.parallel import ParallelModelFinder, SweepScheduler
 from repro.problems import (
@@ -29,7 +29,6 @@ from repro.problems import (
     incdec_system,
     odd_unsat_system,
 )
-from repro.sat.backend import available_backends
 
 # (name, factory, search kwargs) — SAT problems check the winning
 # vector, UNSAT ones check that speculative refutations commit in the
@@ -42,17 +41,16 @@ PROBLEMS = [
     ("diag", diag_system, {"max_total_size": 5}),
 ]
 
-BACKENDS = available_backends()
-
 
 def sequential(prepared, **kwargs):
-    return ModelFinder(prepared, **kwargs).search()
+    return ModelFinder(prepared, FinderOptions(**kwargs)).search()
 
 
-def parallel(prepared, shards, mode="process", **kwargs):
-    finder = ParallelModelFinder(prepared, sweep_shards=shards, **kwargs)
-    finder.mode = mode
-    return finder.search()
+def parallel(prepared, shards, mode="process", fault_plan=None, **kwargs):
+    options = FinderOptions(sweep_shards=shards, **kwargs)
+    return ParallelModelFinder(
+        prepared, options, mode=mode, fault_plan=fault_plan
+    ).search()
 
 
 def assert_parity(seq_result, par_result, label=""):
@@ -82,12 +80,14 @@ class TestDifferential:
         par = parallel(prepared, 2, mode="inprocess", **kwargs)
         assert_parity(seq, par, name)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_agree(self, backend):
+    def test_one_options_value_configures_both_finders(self):
         prepared = preprocess(incdec_system())
-        seq = sequential(prepared, sat_backend=backend)
-        par = parallel(prepared, 2, sat_backend=backend)
-        assert_parity(seq, par, backend)
+        options = FinderOptions(max_total_size=6, sweep_shards=2)
+        seq = ModelFinder(prepared, options).search()
+        par = ParallelModelFinder(prepared, options).search()
+        assert_parity(seq, par)
+        assert seq.stats.sweep_shards == 1
+        assert par.stats.sweep_shards == 2
 
     def test_core_guidance_off_still_agrees(self):
         prepared = preprocess(even_system())
@@ -127,7 +127,7 @@ class TestDifferential:
     def test_bad_config_rejected(self):
         prepared = preprocess(even_system())
         with pytest.raises(FinderError):
-            ParallelModelFinder(prepared, sweep_shards=0)
+            ParallelModelFinder(prepared, FinderOptions(sweep_shards=0))
         with pytest.raises(FinderError):
             ParallelModelFinder(prepared, mode="threads")
 
@@ -200,21 +200,62 @@ class TestFaultInjection:
         assert not result.complete
 
 
+def _daemon_sweep(conn, name):
+    """Daemonic-process body: an ``auto``-mode 2-shard sweep, which can
+    only succeed here through the in-process portfolio (a daemon may
+    not spawn shard subprocesses)."""
+    _, factory, kwargs = next(p for p in PROBLEMS if p[0] == name)
+    options = FinderOptions(sweep_shards=2, **kwargs)
+    result = ParallelModelFinder(preprocess(factory()), options).search()
+    conn.send(
+        (
+            multiprocessing.current_process().daemon,
+            result.found,
+            result.complete,
+            result.stats.model_size,
+        )
+    )
+    conn.close()
+
+
 class TestModeSelection:
     def test_auto_mode_in_daemon_falls_back(self):
         # Daemonic processes may not have children; `auto` must pick
-        # the in-process portfolio there.  Simulated by asking the
-        # scheduler directly rather than forking a daemon.
+        # the in-process portfolio there.  Outside a daemon it runs
+        # process shards.
         prepared = preprocess(even_system())
-        finder = ParallelModelFinder(prepared, sweep_shards=2)
+        finder = ParallelModelFinder(prepared, FinderOptions(sweep_shards=2))
         assert finder.mode == "auto"
         if multiprocessing.current_process().daemon:
             pytest.skip("test runner itself is daemonic")
         result = finder.search()
         assert result.found
 
+    @pytest.mark.parametrize("name", ["even", "diag"])
+    def test_auto_mode_inside_a_daemon_matches_sequential(self, name):
+        _, factory, kwargs = next(p for p in PROBLEMS if p[0] == name)
+        seq = sequential(preprocess(factory()), **kwargs)
+        parent, child = multiprocessing.Pipe(duplex=False)
+        proc = multiprocessing.Process(
+            target=_daemon_sweep, args=(child, name), daemon=True
+        )
+        proc.start()
+        child.close()
+        try:
+            assert parent.poll(120), "daemonic sweep produced no verdict"
+            daemonic, found, complete, model_size = parent.recv()
+        finally:
+            proc.join(10)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        assert daemonic
+        assert found == seq.found
+        assert complete == seq.complete
+        assert model_size == seq.stats.model_size
+
     def test_scheduler_stats_carry_shard_count(self):
         prepared = preprocess(even_system())
-        finder = ParallelModelFinder(prepared, sweep_shards=3)
+        finder = ParallelModelFinder(prepared, FinderOptions(sweep_shards=3))
         scheduler = SweepScheduler(finder, "inprocess")
         assert scheduler.stats.sweep_shards == 3

@@ -9,7 +9,13 @@ from repro.core.ringen import RInGenConfig
 from repro.harness import batch_order, run_campaign
 from repro.benchgen.suite import Suite
 from repro.mace import EnginePool, find_model, signature_fingerprint
-from repro.mace.finder import FinderError, ModelFinder, clause_key
+from repro.mace.finder import (
+    FinderError,
+    FinderOptions,
+    ModelFinder,
+    _IncrementalEngine,
+    clause_key,
+)
 from repro.problems import even_system, odd_unsat_system
 from repro.stlc import stlc_problems
 
@@ -106,7 +112,7 @@ class TestEnginePool:
         pool = EnginePool()
         prepared = preprocess(odd_unsat_system())
         fresh = find_model(prepared, max_total_size=5)
-        finder = pool.finder(prepared, max_total_size=5)
+        finder = pool.finder(prepared, FinderOptions(max_total_size=5))
         pooled = finder.search()
         assert not fresh.found and not pooled.found
 
@@ -151,11 +157,13 @@ class TestEnginePool:
         prepared = preprocess(nat_mod_system(2, 0, 1))
         engine = pool.engine_for(prepared)
         with pytest.raises(FinderError):
-            ModelFinder(prepared, incremental=False, engine=engine)
+            ModelFinder(
+                prepared, FinderOptions(incremental=False), engine=engine
+            )
 
     def test_shared_engine_incremental_flag_mutation_rejected(self):
-        # the constructor check can be bypassed by mutating the plain
-        # attribute afterwards; search() must re-check before it ever
+        # the constructor check can be bypassed by rebinding the
+        # options attribute afterwards; search() must re-check before it ever
         # reaches an engine.reset() — and the shared engine must come
         # through unscathed for the problem already riding it
         pool = EnginePool()
@@ -165,28 +173,31 @@ class TestEnginePool:
         assert second._engine is first._engine
         clauses_before = second._engine.total_added
         resets_before = 0
-        second.incremental = False
+        second.options = FinderOptions(incremental=False)
         with pytest.raises(FinderError):
             second.search()
         # no reset happened: the shared clause database is intact
         assert second._engine.total_added == clauses_before
-        second.incremental = True
+        second.options = FinderOptions()
         result = second.search()
         assert result.found
         assert result.stats.solver_resets == resets_before
 
-    def test_pool_lbd_retention_threads_to_engines(self):
-        pool = EnginePool(lbd_retention=False)
+    def test_engine_key_separates_pool_slots(self):
+        pool = EnginePool()
         prepared = preprocess(nat_mod_system(2, 0, 1))
-        engine = pool.engine_for(prepared)
-        assert engine.lbd_retention is False
-        assert engine.solver.lbd_retention is False
-        # pool.finder agrees with its engines on the retention policy
-        finder = pool.finder(prepared)
+        off = FinderOptions(symmetry_breaking=False)
+        engine = pool.engine_for(prepared, off)
+        assert engine.symmetry_breaking is False
+        assert pool.engine_for(prepared) is not engine
+        assert pool.engine_for(prepared, off) is engine
+        # pool.finder hands out the engine built under the same key
+        finder = pool.finder(prepared, off)
+        assert finder._engine is engine
         assert finder.search().found
-        # a finder with a mismatched policy is rejected
+        # a finder with another engine key is rejected
         with pytest.raises(FinderError):
-            ModelFinder(prepared, engine=engine, lbd_retention=True)
+            ModelFinder(prepared, engine=engine)
 
     def test_mismatched_engine_rejected(self):
         pool = EnginePool()
@@ -285,12 +296,10 @@ class TestEngineSnapshot:
         return pool
 
     def test_engine_round_trip_preserves_verdicts(self):
-        from repro.mace.finder import _IncrementalEngine
-
         pool = self._warm_pool()
         engine = next(iter(pool._engines.values())).engine
         snap = engine.snapshot()
-        restored = _IncrementalEngine.restore(snap)
+        restored = _IncrementalEngine.restore(snap, FinderOptions())
         prepared = preprocess(nat_mod_system(4, 1, 2))
         cold = find_model(prepared)
         warm = ModelFinder(prepared, engine=restored).search()
@@ -299,20 +308,20 @@ class TestEngineSnapshot:
 
     def test_snapshot_rejects_foreign_schema(self):
         from repro.mace import EngineSnapshotError
-        from repro.mace.finder import _IncrementalEngine
 
         with pytest.raises(EngineSnapshotError):
-            _IncrementalEngine.restore({"schema": "cdcl", "version": 1})
+            _IncrementalEngine.restore(
+                {"schema": "cdcl", "version": 1}, FinderOptions()
+            )
 
     def test_snapshot_rejects_wrong_version(self):
         from repro.mace import ENGINE_SNAPSHOT_VERSION, EngineSnapshotError
-        from repro.mace.finder import _IncrementalEngine
 
         pool = self._warm_pool()
         snap = next(iter(pool._engines.values())).engine.snapshot()
         snap["version"] = ENGINE_SNAPSHOT_VERSION + 1
         with pytest.raises(EngineSnapshotError):
-            _IncrementalEngine.restore(snap)
+            _IncrementalEngine.restore(snap, FinderOptions())
 
     def test_disk_cache_round_trip(self, tmp_path):
         cache = tmp_path / "engines"
@@ -364,9 +373,9 @@ class TestEngineSnapshot:
         cache = tmp_path / "engines"
         self._warm_pool(cache_dir=cache).flush_cache()
         for entry in cache.iterdir():
-            wrapper = pickle.loads(entry.read_bytes())
-            wrapper["version"] += 1
-            entry.write_bytes(pickle.dumps(wrapper))
+            snap = pickle.loads(entry.read_bytes())
+            snap["version"] += 1
+            entry.write_bytes(pickle.dumps(snap))
         pool = self._warm_pool(cache_dir=cache)
         assert pool.stats.snapshot_rejected >= 1
         assert pool.stats.engines_created == 1
@@ -377,7 +386,7 @@ class TestEngineSnapshot:
         cache = tmp_path / "engines"
         self._warm_pool(cache_dir=cache).flush_cache()
         # a cache entry for signature A renamed to signature B's slot:
-        # the key check inside the wrapper must reject it
+        # the snapshot's own fingerprint must reject it
         other = EnginePool(cache_dir=cache)
         prepared = preprocess(even_system())
         other.engine_for(prepared)
@@ -397,7 +406,7 @@ class TestEngineSnapshot:
         snap = pool.last_snapshot()
         assert snap is not None and snap["schema"] == "engine"
         receiver = EnginePool()
-        assert receiver.adopt_snapshot(snap)
+        assert receiver.adopt_snapshot(snap, FinderOptions())
         assert receiver.stats.snapshot_hits == 1
         finder = receiver.finder(preprocess(nat_mod_system(4, 1, 2)))
         assert finder.search().found
@@ -406,6 +415,22 @@ class TestEngineSnapshot:
     def test_adopt_rejects_incompatible_config(self):
         pool = self._warm_pool()
         snap = pool.last_snapshot()
-        receiver = EnginePool(lbd_retention=False)
-        assert not receiver.adopt_snapshot(snap)
+        receiver = EnginePool()
+        off = FinderOptions(symmetry_breaking=False)
+        assert not receiver.adopt_snapshot(snap, off)
         assert receiver.stats.snapshot_rejected == 1
+
+    def test_warm_cache_seeds_shards_only_under_the_same_policy(
+        self, tmp_path
+    ):
+        # a cache entry written with symmetry breaking off must not
+        # seed the shards of a default-policy parallel sweep
+        cache = str(tmp_path / "engines")
+        solve(even_system(), symmetry_breaking=False, engine_cache_dir=cache)
+        result = solve(even_system(), sweep_shards=2, engine_cache_dir=cache)
+        assert result.is_sat
+        assert result.details["finder"]["engine_shared"] is False
+        # the same policy does seed them
+        solve(even_system(), engine_cache_dir=cache)
+        result = solve(even_system(), sweep_shards=2, engine_cache_dir=cache)
+        assert result.details["finder"]["engine_shared"] is True

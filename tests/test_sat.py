@@ -537,13 +537,6 @@ class TestLbdRetention:
         if dropped_lbds and non_glue_kept:
             assert min(dropped_lbds) >= max(non_glue_kept)
 
-    def test_legacy_length_policy_still_available(self):
-        clauses, num_vars = pigeonhole_clauses(4)
-        solver = CDCLSolver(num_vars, lbd_retention=False)
-        for clause in clauses:
-            solver.add_clause(clause)
-        assert solver.solve() is False
-
 
 class TestSolveCnfIndeterminate:
     """solve_cnf must never collapse a timeout into 'unsat'."""
@@ -767,6 +760,11 @@ class TestSnapshotRestore:
         if ok:
             original.solve()  # accumulate learned clauses / phases
         restored = CDCLSolver.restore(original.snapshot())
+        # every level-0 fact survives the round trip
+        if original._ok:
+            for var in range(1, num_vars + 1):
+                if original.fixed(var) is not None:
+                    assert restored.fixed(var) == original.fixed(var)
 
         # identical continuations must produce identical verdicts
         for solver in (original, restored):
@@ -782,11 +780,20 @@ class TestSnapshotRestore:
             )
             is not None
         )
-        # level-0 facts agree in both directions (meaningless once the
-        # clause database is contradictory, so only compared while ok)
+        # after the continuation the two may hold different level-0
+        # facts (restored heap ties can steer the search to learn
+        # another unit), but each one must be entailed by the clauses
+        # (meaningless once the database is contradictory)
         if original._ok and restored._ok:
-            for var in range(1, num_vars + 1):
-                assert original.fixed(var) == restored.fixed(var)
+            for solver in (original, restored):
+                for var in range(1, num_vars + 1):
+                    value = solver.fixed(var)
+                    if value is not None:
+                        negated = [-var] if value else [var]
+                        assert (
+                            brute_force_sat(clauses + [negated], num_vars)
+                            is None
+                        )
 
     @given(random_cnf())
     @settings(max_examples=60, deadline=None)
