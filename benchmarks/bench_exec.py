@@ -1,20 +1,18 @@
-"""Supervised execution vs. plain in-process: verdict parity + overhead.
+"""Isolated vs. in-process execution: verdict parity + overhead.
 
 Runs one quick campaign (the ``nat_mod`` family plus the three tiny
-paper systems) three ways:
+paper systems) two ways:
 
-* **inprocess**: the legacy fast path, no supervisor;
-* **supervised**: the supervisor's in-process mode (journal, retry and
-  interrupt machinery armed, but no subprocesses);
+* **inprocess**: the default, tasks run in the campaign process;
 * **isolated**: one worker subprocess per task under the hard watchdog
   and a 1 GiB address-space cap.
 
-All three must produce identical (status, correctness) verdicts —
-:func:`repro.exec.worker.solve_task` drives both execution modes, so
-any divergence is a supervisor bug, not solver noise.  A fourth pass
-re-runs the isolated campaign under a fault plan injecting a crash, a
-hang, an OOM and a flaky task, and checks the three structured error
-verdicts land while every unfaulted task keeps its honest answer.
+Both must produce identical (status, correctness) verdicts —
+:func:`repro.exec.worker.run_task` is the task body of both execution
+modes, so any divergence is a supervisor bug, not solver noise.  A
+third pass re-runs the isolated campaign under a fault plan injecting a
+crash, a hang, an OOM and a flaky task, and checks the three structured
+error verdicts land while every unfaulted task keeps its honest answer.
 
 The measurements land in ``BENCH_exec.json`` at the repo root;
 ``benchmarks/smoke.sh`` fails on any verdict divergence or missing
@@ -90,7 +88,6 @@ def _measure(policy) -> tuple[dict, float, object]:
 
 def run_exec_ablation() -> dict:
     inproc_verdicts, inproc_time, _ = _measure(None)
-    sup_verdicts, sup_time, _ = _measure(ExecPolicy())
     iso_verdicts, iso_time, iso_campaign = _measure(
         ExecPolicy(isolate=True, mem_limit_mb=MEM_LIMIT_MB)
     )
@@ -123,10 +120,8 @@ def run_exec_ablation() -> dict:
     totals = {
         "problems": len(inproc_verdicts),
         "inprocess_time": inproc_time,
-        "supervised_time": sup_time,
         "isolated_time": iso_time,
         "fault_time": fault_time,
-        "supervised_agrees": sup_verdicts == inproc_verdicts,
         "isolated_agrees": iso_verdicts == inproc_verdicts,
         "workers_spawned": iso_campaign.exec_stats["workers_spawned"],
         "fault_kinds": fault_kinds,
@@ -148,10 +143,9 @@ def run_exec_ablation() -> dict:
 
 
 def test_exec_ablation():
-    """Isolated == supervised == in-process verdicts; faults structured."""
+    """Isolated == in-process verdicts; faults structured."""
     report = run_exec_ablation()
     totals = report["totals"]
-    assert totals["supervised_agrees"], report
     assert totals["isolated_agrees"], report
     assert totals["fault_kinds"] == ["crash", "oom", "timeout_hard"], totals
     assert totals["flaky_recovered"], totals
@@ -163,8 +157,8 @@ def main() -> int:
     totals = report["totals"]
     print(json.dumps(totals, indent=2))
     print(f"artifact: {ARTIFACT}")
-    if not (totals["supervised_agrees"] and totals["isolated_agrees"]):
-        print("FAIL: supervised/isolated verdicts diverge from in-process")
+    if not totals["isolated_agrees"]:
+        print("FAIL: isolated verdicts diverge from in-process")
         return 1
     return 0
 

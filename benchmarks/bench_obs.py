@@ -3,7 +3,7 @@
 Runs one quick campaign (the three tiny paper systems plus the
 ``nat_mod`` family) three ways:
 
-* **baseline**: observability off — the plain fast path;
+* **baseline**: observability off — the default in-process campaign;
 * **disabled**: observability off again — every instrumentation site is
   compiled in and guarded (one attribute load + branch per call site),
   so this leg re-measures the exact same path and the gate holds the

@@ -21,8 +21,8 @@
 #
 # Gate 4 (PR 6): supervised execution parity; emits BENCH_exec.json
 # and fails if
-#   * isolated-mode or supervised-in-process verdicts diverge from the
-#     plain in-process fast path on the quick suite, or
+#   * isolated-mode verdicts diverge from the default in-process
+#     execution on the quick suite, or
 #   * the fault-injected campaign (crash + hang + OOM + flaky) fails
 #     to produce its three structured error verdicts, or the flaky
 #     task does not recover via retry.
@@ -157,8 +157,6 @@ with open("BENCH_exec.json") as handle:
     report = json.load(handle)
 totals = report["totals"]
 
-if not totals["supervised_agrees"]:
-    sys.exit("FAIL: supervised in-process verdicts diverge from legacy")
 if not totals["isolated_agrees"]:
     sys.exit("FAIL: isolated-mode verdicts diverge from in-process")
 if sorted(totals["fault_kinds"]) != ["crash", "oom", "timeout_hard"]:
@@ -174,7 +172,7 @@ print(f"in-process: {inproc:.3f}s  isolated: {iso:.3f}s  "
       f"({totals['workers_spawned']} workers)  "
       f"fault campaign: {totals['fault_time']:.3f}s "
       f"({totals['fault_retries']} retries)")
-print("OK: supervised execution verdict parity + structured faults")
+print("OK: isolated execution verdict parity + structured faults")
 EOF
 
 python benchmarks/bench_backend.py

@@ -24,16 +24,19 @@ heuristic state) instead of rebuilding it per file:
     python -m repro.cli campaign a.smt2 b.smt2 c.smt2
     python -m repro.cli campaign --timeout 10 --no-share *.smt2  # ablation
 
-One ``<file>: <status> (<seconds>s)`` line is printed per problem,
-followed by a summary of the pool's cross-problem reuse counters
-(engines created, warm-engine hits, clauses inherited).  The exit code
-is the number of files that did not produce a sat/unsat answer.
+One ``<file>: <status> (<seconds>s)`` line is printed per problem
+(suffixed ``[<error>]`` for a crashed, killed or OOM task), followed by
+a summary of the pool's cross-problem reuse counters (engines created,
+warm-engine hits, clauses inherited) and an ``; exec:`` line (tasks
+executed and resumed, retries, workers, errors).  The exit code is the
+number of files that did not produce a sat/unsat answer.
 
-Fault-tolerant campaigns (the :mod:`repro.exec` supervisor) run each
-problem in a watchdogged worker subprocess and journal every verdict,
-so hangs, crashes and OOMs become per-problem ``error:*`` verdicts
-instead of lost runs, and an interrupted campaign resumes where it
-stopped:
+Every campaign runs through the :mod:`repro.exec` supervisor, so a
+solver exception on one file becomes that file's ``error:crash``
+verdict and the remaining files are still solved.  ``--isolate`` runs
+each problem in a watchdogged worker subprocess, so hangs and OOMs
+become per-problem ``error:*`` verdicts too, and ``--journal`` records
+every verdict so an interrupted campaign resumes where it stopped:
 
     python -m repro.cli campaign --isolate --journal run.jsonl *.smt2
     python -m repro.cli campaign --resume run.jsonl *.smt2   # finish it
@@ -70,7 +73,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-import time
 from typing import Optional, Sequence
 
 from repro.chc.parser import ParseError, parse_chc
@@ -285,9 +287,9 @@ def _finalize_obs(args) -> None:
 
 @contextlib.contextmanager
 def _live_progress(args):
-    """Heartbeat progress lines on stderr for the in-process paths
-    (no-op without ``--progress``); supervised campaigns get theirs
-    from the worker pipes instead."""
+    """Heartbeat progress lines on stderr for the single-file ``solve``
+    (no-op without ``--progress``); campaigns get theirs from
+    :func:`repro.exec.execute_tasks`."""
     from repro.obs.events import (
         EventBus,
         HeartbeatRenderer,
@@ -322,82 +324,9 @@ def campaign_main(argv: Sequence[str]) -> int:
         return 2
     _configure_obs(args)
     try:
-        if (
-            args.isolate
-            or args.journal
-            or args.resume
-            or args.max_retries is not None
-            or args.mem_limit is not None
-        ):
-            return _campaign_supervised(args)
-        return _campaign_plain(args)
+        return _run_campaign(args)
     finally:
         _finalize_obs(args)
-
-
-def _campaign_plain(args) -> int:
-    """The in-process campaign loop (no supervisor)."""
-    from repro.obs import runtime as obs_runtime
-    from repro.obs.profiler import maybe_profile, profile_path
-
-    pool = None if args.no_share else EnginePool(cache_dir=args.warm_cache)
-    failures = 0
-    tracer = obs_runtime.TRACER
-    campaign_cm = (
-        tracer.span("campaign", {"files": len(args.files)})
-        if tracer is not None
-        else contextlib.nullcontext()
-    )
-    with campaign_cm, _live_progress(args):
-        for path in args.files:
-            try:
-                with open(path) as handle:
-                    text = handle.read()
-                system = parse_chc(text, name=path)
-            except (OSError, ParseError) as error:
-                print(f"{path}: error: {error}", file=sys.stderr)
-                failures += 1
-                continue
-            solver = RInGen(
-                RInGenConfig(
-                    timeout=args.timeout,
-                    engine_pool=pool,
-                    core_guided_sweep=not args.no_cores,
-                    sweep_shards=args.sweep_shards,
-                )
-            )
-            obs_runtime.task_started(path)
-            task_cm = (
-                tracer.span("task", {"task": path})
-                if tracer is not None
-                else contextlib.nullcontext()
-            )
-            prof = (
-                profile_path(args.profile, path) if args.profile else None
-            )
-            start = time.monotonic()
-            try:
-                with task_cm, maybe_profile(prof):
-                    result = solver.solve(system)
-            finally:
-                obs_runtime.task_finished()
-            elapsed = time.monotonic() - start
-            print(f"{path}: {result.status.value} ({elapsed:.2f}s)")
-            if result.is_unknown:
-                failures += 1
-    if pool is not None:
-        pool.flush_cache()
-        pool.publish_metrics()
-        if not args.quiet:
-            stats = pool.as_dict()
-            print(
-                f"; pool: {stats['problems']} problems, "
-                f"{stats['engines_created']} engines, "
-                f"{stats['engine_hits']} warm-engine hits, "
-                f"{stats['cross_problem_clauses']} clauses inherited"
-                + _snapshot_note(stats)
-            )
-    return failures
 
 
 def _snapshot_note(stats: dict) -> str:
@@ -418,12 +347,18 @@ def _snapshot_note(stats: dict) -> str:
     )
 
 
-def _campaign_supervised(args) -> int:
-    """Supervised campaign over files: workers, journal, resume."""
+def _run_campaign(args) -> int:
+    """Solve the files through :func:`repro.exec.execute_tasks`."""
     from repro.chc.transform import preprocess
     from repro.exec.journal import JournalError
     from repro.exec.supervisor import ExecPolicy, TaskSpec, execute_tasks
     from repro.mace.pool import signature_fingerprint
+    from repro.obs import runtime as obs_runtime
+    from repro.obs.events import (
+        EventBus,
+        HeartbeatRenderer,
+        legacy_line_subscriber,
+    )
 
     solver_opts = {
         "core_guided_sweep": not args.no_cores,
@@ -437,13 +372,12 @@ def _campaign_supervised(args) -> int:
         mem_limit_mb=args.mem_limit,
         solver_opts=solver_opts,
         profile_dir=args.profile,
+        # heartbeats come from the workers or, in-process, from a
+        # sampling thread; at most one line per second is rendered
+        heartbeat_interval=1.0 if args.progress else 0.0,
     )
     if args.max_retries is not None:
         policy.max_retries = args.max_retries
-    if args.progress:
-        # workers stream heartbeats over the verdict pipe; the
-        # supervisor renders at most one line per second
-        policy.heartbeat_interval = 1.0
     failures = 0
     tasks: list[TaskSpec] = []
     for index, path in enumerate(args.files):
@@ -475,12 +409,19 @@ def _campaign_supervised(args) -> int:
                 group_key=group_key,
             )
         )
-    journal = args.resume or args.journal
     pool = None
     if policy.share_engines and not policy.isolate:
         pool = EnginePool(cache_dir=args.warm_cache)
-    from repro.obs import runtime as obs_runtime
-
+    # verdict lines on stdout and heartbeats on stderr, so verdict
+    # stdout is byte-identical with --progress on or off
+    bus = EventBus()
+    bus.subscribe(legacy_line_subscriber(print))
+    bus.subscribe(
+        HeartbeatRenderer(
+            lambda line: print(line, file=sys.stderr),
+            min_interval=policy.progress_throttle,
+        )
+    )
     tracer = obs_runtime.TRACER
     campaign_cm = (
         tracer.span(
@@ -494,10 +435,10 @@ def _campaign_supervised(args) -> int:
             records, stats = execute_tasks(
                 tasks,
                 policy,
-                journal_path=journal,
+                journal_path=args.resume or args.journal,
                 resume=bool(args.resume),
-                progress=print,
                 engine_pool=pool,
+                bus=bus,
             )
     except JournalError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -522,10 +463,8 @@ def _campaign_supervised(args) -> int:
         pool.publish_metrics()
     for task in tasks:
         record = records.get(task.task_id)
-        if record is None:
-            failures += 1  # interrupted before this task ran
-        elif record["status"] not in ("sat", "unsat"):
-            failures += 1
+        if record is None or record["status"] not in ("sat", "unsat"):
+            failures += 1  # undecided, or interrupted before it ran
     if not args.quiet:
         pool_stats = pool.as_dict() if pool is not None else stats.pool_stats
         if pool_stats:

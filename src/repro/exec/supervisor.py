@@ -3,9 +3,15 @@
 The paper's finite-model search is an unbounded sweep: a pathological
 CHC problem can hang propagation, exhaust memory, or blow the recursion
 limit, and before this layer existed any one of those took the whole
-campaign down with it.  The supervisor turns individual-task failure
-into structured per-task verdicts:
+campaign down with it.  :func:`execute_tasks` is the only way a
+campaign runs (the harness's ``run_campaign`` and the CLI's
+``campaign`` command both call it), and it turns individual-task
+failure into structured per-task verdicts:
 
+* by default tasks run **in-process**, one after another, each through
+  :func:`repro.exec.worker.run_task`: exceptions become ``error:crash``
+  / ``error:oom`` verdicts and the solver's cooperative deadline is the
+  only timeout;
 * ``isolate=True`` runs each task in a **worker subprocess** with a
   hard out-of-process **wall-clock watchdog** (``timeout * factor +
   grace``) and an optional address-space cap, so hangs become
@@ -43,7 +49,7 @@ import threading
 import time
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from repro.exec import worker as worker_mod
@@ -65,15 +71,18 @@ from repro.obs.events import (
     ProgressMonitor,
     legacy_line_subscriber,
 )
-from repro.obs.profiler import maybe_profile, profile_path
 
 logger = logging.getLogger(__name__)
 
 Progress = Callable[[str], None]
 
 
-class CampaignInterrupted(Exception):
-    """SIGINT/SIGTERM (or an injected interrupt) stopped the campaign."""
+class CampaignInterrupted(BaseException):
+    """SIGINT/SIGTERM (or an injected interrupt) stopped the campaign.
+
+    A BaseException, like KeyboardInterrupt, so a SIGTERM arriving
+    mid-solve is not scored as that task's ``error:crash``.
+    """
 
 
 @dataclass
@@ -242,7 +251,7 @@ def execute_tasks(
     """Run every task under the policy; never lose finished verdicts.
 
     Returns ``(records, stats)``: ``records`` maps task ids to plain
-    verdict dicts (see :func:`repro.exec.worker.solve_task`), including
+    verdict dicts (see :func:`repro.exec.worker.run_task`), including
     verdicts replayed from the journal on resume.  On SIGINT/SIGTERM
     the partial records collected so far are returned with
     ``stats.interrupted`` set — the journal already holds all of them.
@@ -268,13 +277,13 @@ def execute_tasks(
             )
     results: dict[str, dict] = {}
     pending = list(tasks)
-    meta = {
-        "timeout": tasks[0].timeout if tasks else None,
-        "solvers": sorted({t.solver for t in tasks}),
-        "config_fingerprint": config_fingerprint(policy.solver_opts),
-    }
     journal: Optional[ResultsJournal] = None
     if journal_path:
+        meta = {
+            "timeout": tasks[0].timeout if tasks else None,
+            "solvers": sorted({t.solver for t in tasks}),
+            "config_fingerprint": config_fingerprint(policy.solver_opts),
+        }
         if resume:
             old_meta, entries = load_journal(journal_path)
             check_meta(
@@ -368,7 +377,7 @@ def _finish(
         )
 
 
-def _cooperative_timeout_record(error: BaseException, elapsed: float) -> dict:
+def _cooperative_timeout_record(elapsed: float) -> dict:
     """The in-process analogue of a hang: the cooperative budget ran out."""
     return {
         "status": "unknown",
@@ -377,7 +386,6 @@ def _cooperative_timeout_record(error: BaseException, elapsed: float) -> dict:
         "model_size": None,
         "reason": "unknown: wall-clock timeout (cooperative)",
         "error_kind": None,
-        "exception_type": type(error).__name__,
         "traceback": "",
         "transient": False,
         "details": {"verdict_kind": "budget", "timeout_hit": True},
@@ -407,7 +415,7 @@ def _graceful_signals():
 
 
 # ---------------------------------------------------------------------------
-# in-process execution (the default fast path)
+# in-process execution (the default)
 
 
 def _execute_inprocess(
@@ -436,72 +444,33 @@ def _execute_inprocess(
         for task in pending:
             _check_injected_interrupt(task, plan, 1)
             attempt = 1
-            obs_runtime.task_started(task.task_id)
-            tracer = obs_runtime.TRACER
-            span = (
-                tracer.begin("task", {"task": task.task_id})
-                if tracer is not None
-                else None
-            )
-            prof = (
-                profile_path(policy.profile_dir, task.task_id)
-                if policy.profile_dir
-                else None
-            )
-            record: Optional[dict] = None
-            try:
-                while True:
-                    start = time.monotonic()
-                    try:
-                        with maybe_profile(prof):
-                            plan.fire(
-                                task.task_id,
-                                task.index,
-                                attempt,
-                                isolated=False,
-                                timeout=task.timeout,
-                                mem_limit_mb=policy.mem_limit_mb,
-                            )
-                            system = task.build_system()
-                            record = worker_mod.solve_task(
-                                system,
-                                task.solver,
-                                task.timeout,
-                                task.expected_status,
-                                engine_pool=engine_pool,
-                                solver_opts=policy.solver_opts,
-                            )
-                    except TransientWorkerFault as error:
-                        if attempt <= policy.max_retries:
-                            stats.retries += 1
-                            attempt += 1
-                            time.sleep(
-                                policy.backoff(task.task_id, attempt)
-                            )
-                            continue
-                        record = worker_mod.crash_record(
-                            error, time.monotonic() - start, transient=True
-                        )
-                    except CooperativeHang as error:
-                        record = _cooperative_timeout_record(
-                            error, time.monotonic() - start
-                        )
-                    except MemoryError as error:
-                        record = worker_mod.crash_record(
-                            error, time.monotonic() - start
-                        )
-                    except Exception as error:
-                        record = worker_mod.crash_record(
-                            error, time.monotonic() - start
-                        )
-                    break
-            finally:
-                if span is not None:
-                    span.args["status"] = (
-                        record.get("status") if record is not None else None
+            while True:
+                start = time.monotonic()
+                try:
+                    record = worker_mod.run_task(
+                        task,
+                        attempt,
+                        plan,
+                        isolated=False,
+                        engine_pool=engine_pool,
+                        solver_opts=policy.solver_opts,
+                        mem_limit_mb=policy.mem_limit_mb,
+                        profile_dir=policy.profile_dir,
                     )
-                    tracer.end(span)
-                obs_runtime.task_finished()
+                except TransientWorkerFault as error:
+                    if attempt <= policy.max_retries:
+                        stats.retries += 1
+                        attempt += 1
+                        time.sleep(policy.backoff(task.task_id, attempt))
+                        continue
+                    record = worker_mod.crash_record(
+                        error, time.monotonic() - start, transient=True
+                    )
+                except CooperativeHang:
+                    record = _cooperative_timeout_record(
+                        time.monotonic() - start
+                    )
+                break
             _finish(task, record, attempt, stats, results, journal, bus)
     finally:
         if monitor is not None:
@@ -631,7 +600,6 @@ def _timeout_hard_record(task: TaskSpec, hard: float) -> dict:
             f"wall clock (cooperative timeout {task.timeout:g}s)"
         ),
         "error_kind": "timeout_hard",
-        "exception_type": None,
         "traceback": "",
         "transient": False,
         "details": {},
@@ -660,7 +628,6 @@ def _worker_death_record(
             f"after {attempts} attempts"
         ),
         "error_kind": "crash",
-        "exception_type": None,
         "traceback": "",
         "transient": True,
         "details": {"exitcode": exitcode},
@@ -723,16 +690,13 @@ def _run_worker_batch(
     ):
         warm = snapshots.get(group_key)
     payload = {
+        # workers parse the SMT-LIB text; a live problem (whose factory
+        # may be a lambda) never crosses the process boundary
         "tasks": [
-            {
-                "task_id": t.task_id,
-                "smt_text": t.payload_text(),
-                "solver": t.solver,
-                "timeout": t.timeout,
-                "expected_status": t.expected_status,
-                "index": t.index,
-                "attempt": attempts[t.task_id],
-            }
+            (
+                replace(t, problem=None, smt_text=t.payload_text()),
+                attempts[t.task_id],
+            )
             for t in batch
         ],
         # a lone rescheduled survivor still builds a pool when it has a

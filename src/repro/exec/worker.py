@@ -1,19 +1,22 @@
-"""Worker-subprocess side of the supervised execution layer.
+"""The task body of the execution layer, and its worker subprocesses.
 
-A worker receives one batch of tasks (usually a single task; with
-campaign engine-sharing on, a whole signature-compatible group) over a
-pipe, solves them one at a time and streams one structured result
-message back per task, so the supervisor can apply its hard wall-clock
-watchdog *per task* and keep every already-finished verdict when the
-worker later dies.  All failure handling that can be done in-process is
-done here — a solver exception becomes ``error:crash`` with its
-traceback, a MemoryError under the RSS/address-space cap becomes
-``error:oom`` — while hangs and hard kills are the supervisor's
-business (a hung worker never writes, so the watchdog classifies it).
+:func:`run_task` is the one sequence every campaign task runs, in the
+campaign process (the default) and in a worker alike: register the
+task for live progress and open its ``task`` span, profile it if asked,
+fire the fault plan, build the system, build the solver and solve.  A
+solver exception becomes ``error:crash`` with its type and traceback,
+and a MemoryError (e.g. under the worker's address-space cap) becomes
+``error:oom``; isolated and in-process campaigns therefore produce
+identical verdicts by construction.
 
-The same :func:`solve_task` drives the in-process execution path, so
-isolated and in-process campaigns produce identical verdicts by
-construction (``benchmarks/bench_exec.py`` gates this).
+A worker (:func:`worker_entry`) receives one batch of tasks (usually a
+single task; with campaign engine-sharing on, a whole
+signature-compatible group) over a pipe, runs them one at a time and
+streams one structured result message back per task, so the supervisor
+can apply its hard wall-clock watchdog *per task* and keep every
+already-finished verdict when the worker later dies.  Hangs and hard
+kills are the supervisor's business (a hung worker never writes, so the
+watchdog classifies it).
 """
 
 from __future__ import annotations
@@ -26,7 +29,11 @@ import traceback
 from collections import deque
 from typing import Any, Optional
 
-from repro.exec.faults import ReproFaultPlan
+from repro.exec.faults import (
+    CooperativeHang,
+    ReproFaultPlan,
+    TransientWorkerFault,
+)
 from repro.obs import runtime as obs_runtime
 from repro.obs.events import heartbeat_event
 from repro.obs.profiler import maybe_profile, profile_path
@@ -58,27 +65,6 @@ def jsonable(value: Any, depth: int = 6) -> Any:
     return str(value)
 
 
-def make_task_solver(
-    solver_name: str,
-    timeout: float,
-    *,
-    engine_pool=None,
-    solver_opts: Optional[dict] = None,
-):
-    """Instantiate a solver; ``solver_opts`` are RInGen-only knobs."""
-    from repro.harness.runner import make_solver
-
-    if solver_name == "ringen" and solver_opts:
-        from repro.core.ringen import RInGen, RInGenConfig
-
-        return RInGen(
-            RInGenConfig(
-                timeout=timeout, engine_pool=engine_pool, **solver_opts
-            )
-        )
-    return make_solver(solver_name, timeout, engine_pool=engine_pool)
-
-
 def crash_record(
     error: BaseException, elapsed: float, *, transient: bool = False
 ) -> dict:
@@ -91,66 +77,98 @@ def crash_record(
         "model_size": None,
         "reason": f"error:{kind}: {type(error).__name__}: {error}",
         "error_kind": kind,
-        "exception_type": type(error).__name__,
         "traceback": traceback.format_exc(limit=20),
         "transient": transient,
-        "details": {},
+        "details": {"exception_type": type(error).__name__},
     }
 
 
-def solve_task(
-    system,
-    solver_name: str,
-    timeout: float,
-    expected_status: Optional[str],
+def run_task(
+    task,
+    attempt: int,
+    plan: ReproFaultPlan,
     *,
+    isolated: bool,
     engine_pool=None,
     solver_opts: Optional[dict] = None,
+    mem_limit_mb: Optional[int] = None,
+    profile_dir: Optional[str] = None,
 ) -> dict:
-    """Solve one task and return a plain-dict verdict record.
+    """Run one :class:`~repro.exec.supervisor.TaskSpec` and return its
+    plain-dict verdict record.
 
-    Exceptions never escape: a solver crash (or recursion blowout)
-    yields ``error:crash`` with the exception type and traceback, and a
-    MemoryError yields ``error:oom`` — the structured verdicts the
-    supervisor journals instead of losing the campaign.
+    ``elapsed`` covers building the system, constructing the solver and
+    solving.  ``solver_opts`` are RInGen options (the baselines have
+    none).  A solver crash yields ``error:crash`` and a MemoryError
+    ``error:oom``, each with the exception type and traceback.  Only the
+    in-process fault surrogates (:class:`TransientWorkerFault`,
+    :class:`CooperativeHang`) and interrupts escape; the in-process
+    loop handles them.
     """
+    # deferred: the harness imports the execution layer
+    from repro.harness.runner import make_solver
+
+    obs_runtime.task_started(task.task_id)
+    tracer = obs_runtime.TRACER
+    span = (
+        tracer.begin("task", {"task": task.task_id})
+        if tracer is not None
+        else None
+    )
+    prof = profile_path(profile_dir, task.task_id) if profile_dir else None
+    record: dict = {}
     start = time.monotonic()
     try:
-        solver = make_task_solver(
-            solver_name,
-            timeout,
-            engine_pool=engine_pool,
-            solver_opts=solver_opts,
-        )
-        result = solver.solve(system)
+        with maybe_profile(prof):
+            # fired after task_started so an injected hang still shows
+            # up in heartbeats (that is what live progress is for)
+            plan.fire(
+                task.task_id,
+                task.index,
+                attempt,
+                isolated=isolated,
+                timeout=task.timeout,
+                mem_limit_mb=mem_limit_mb,
+            )
+            system = task.build_system()
+            solver = make_solver(
+                task.solver,
+                task.timeout,
+                engine_pool=engine_pool,
+                **(solver_opts or {}),
+            )
+            result = solver.solve(system)
+        elapsed = time.monotonic() - start
+        status = result.status.value
+        record = {
+            "status": status,
+            "elapsed": elapsed,
+            "correct": status == "unknown"
+            or task.expected_status is None
+            or status == task.expected_status,
+            "model_size": (
+                result.details.get("model_size") if status == "sat" else None
+            ),
+            "reason": result.reason,
+            "error_kind": None,
+            "traceback": "",
+            "transient": False,
+            "details": jsonable(dict(result.details)),
+        }
+    except (TransientWorkerFault, CooperativeHang):
+        raise
     except MemoryError as error:
         # free the hoard before building the response under a tight cap
         gc.collect()
-        return crash_record(error, time.monotonic() - start)
+        record = crash_record(error, time.monotonic() - start)
     except Exception as error:
-        return crash_record(error, time.monotonic() - start)
-    elapsed = time.monotonic() - start
-    status = result.status.value
-    correct = (
-        status == "unknown"
-        or expected_status is None
-        or status == expected_status
-    )
-    model_size = None
-    if status == "sat":
-        model_size = result.details.get("model_size")
-    return {
-        "status": status,
-        "elapsed": elapsed,
-        "correct": correct,
-        "model_size": model_size,
-        "reason": result.reason,
-        "error_kind": None,
-        "exception_type": None,
-        "traceback": "",
-        "transient": False,
-        "details": jsonable(dict(result.details)),
-    }
+        record = crash_record(error, time.monotonic() - start)
+    finally:
+        if span is not None:
+            span.args["status"] = record.get("status")
+            tracer.end(span)
+        obs_runtime.task_finished()
+    return record
 
 
 def _apply_mem_limit(mem_limit_mb: Optional[int]) -> None:
@@ -179,8 +197,7 @@ def worker_entry(conn, payload: dict) -> None:
 
     ``payload``::
 
-        {"tasks": [{"task_id", "smt_text", "solver", "timeout",
-                    "expected_status", "index", "attempt"}, ...],
+        {"tasks": [(TaskSpec carrying smt_text, attempt), ...],
          "share_engines": bool, "mem_limit_mb": int | None,
          "fault_plan": str | None, "solver_opts": dict | None,
          "engine_snapshot": dict | None,
@@ -245,6 +262,7 @@ def worker_entry(conn, payload: dict) -> None:
         beater.start()
     plan = ReproFaultPlan.parse(payload.get("fault_plan"))
     solver_opts = payload.get("solver_opts") or None
+    tracer = obs_runtime.TRACER
     # per-worker monotonic snapshot sequence, seeded from the stamp of
     # the snapshot this worker warm-started from: every snapshot this
     # worker ships outranks its seed, so the supervisor's newest-wins
@@ -263,55 +281,19 @@ def worker_entry(conn, payload: dict) -> None:
             # warm start: a predecessor's engine state for this batch's
             # signature (adoption failure silently falls back cold)
             pool.adopt_snapshot(warm, config.finder_options())
-    from repro.chc.parser import parse_chc
-
     try:
-        for task in payload["tasks"]:
-            task_id = task["task_id"]
-            start = time.monotonic()
-            # registered before plan.fire so an injected hang still
-            # shows up in heartbeats (that is what live progress is for)
-            obs_runtime.task_started(task_id)
-            tracer = obs_runtime.TRACER
-            span = (
-                tracer.begin("task", {"task": task_id})
-                if tracer is not None
-                else None
+        for task, attempt in payload["tasks"]:
+            record = run_task(
+                task,
+                attempt,
+                plan,
+                isolated=True,
+                engine_pool=pool,
+                solver_opts=solver_opts,
+                mem_limit_mb=payload.get("mem_limit_mb"),
+                profile_dir=profile_dir,
             )
-            prof = (
-                profile_path(profile_dir, task_id) if profile_dir else None
-            )
-            record: dict = {}
-            try:
-                with maybe_profile(prof):
-                    plan.fire(
-                        task_id,
-                        task.get("index", 0),
-                        task.get("attempt", 1),
-                        isolated=True,
-                        timeout=task.get("timeout"),
-                        mem_limit_mb=payload.get("mem_limit_mb"),
-                    )
-                    system = parse_chc(task["smt_text"], name=task_id)
-                    record = solve_task(
-                        system,
-                        task["solver"],
-                        task["timeout"],
-                        task.get("expected_status"),
-                        engine_pool=pool,
-                        solver_opts=solver_opts,
-                    )
-            except MemoryError as error:
-                gc.collect()
-                record = crash_record(error, time.monotonic() - start)
-            except Exception as error:
-                record = crash_record(error, time.monotonic() - start)
-            finally:
-                if span is not None:
-                    span.args["status"] = record.get("status")
-                    tracer.end(span)
-                obs_runtime.task_finished()
-            record["task"] = task_id
+            record["task"] = task.task_id
             if tracer is not None:
                 # finished spans ride each verdict so the supervisor's
                 # file-backed tracer absorbs them as they happen, not

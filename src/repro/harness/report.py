@@ -247,10 +247,10 @@ def campaign_report(
         )
         sections.append("")
 
-    # supervised execution: worker / retry / resume accounting
+    # execution layer: mode, worker / retry / resume accounting
     if campaign.exec_stats is not None:
         stats = campaign.exec_stats
-        sections.append("## Execution — supervised campaign")
+        sections.append("## Execution")
         sections.append("")
         error_counts = stats.get("error_counts") or {}
         rows = [

@@ -4,22 +4,29 @@ Runs every solver on every problem of a suite with per-run timeouts,
 records verdicts + wall times, checks each verdict against the problem's
 ground truth (a wrong SAT/UNSAT is counted as *incorrect* and excluded
 from the solved tallies, mirroring how solver competitions score), and
-aggregates into the paper's tables and figures.
+aggregates into the paper's tables and figures.  Every campaign runs
+through the execution layer (:func:`repro.exec.execute_tasks`), in the
+campaign process by default, so a crashing solver, an injected fault or
+an interrupt is handled the same way in every mode.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
-import time
-import traceback as traceback_mod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from repro.benchgen.suite import Problem, Suite
 from repro.chc.transform import preprocess
-from repro.core.result import SolveResult, Status
+from repro.core.result import Status
 from repro.core.ringen import RInGen, RInGenConfig
+from repro.exec.supervisor import (
+    CampaignInterrupted,
+    ExecPolicy,
+    TaskSpec,
+    execute_tasks,
+)
 from repro.mace.pool import EnginePool, signature_fingerprint
 from repro.obs import runtime as obs_runtime
 from repro.solvers.elem import ElemConfig, ElemSolver
@@ -41,19 +48,16 @@ REPRESENTATION_ROW = {
 }
 
 
-def make_solver(
-    name: str,
-    timeout: float,
-    *,
-    engine_pool: Optional[EnginePool] = None,
-):
+def make_solver(name: str, timeout: float, **ringen_opts):
     """Instantiate a solver under its Table 1 alias.
 
-    ``engine_pool`` (campaign batch mode) only concerns RInGen — the
-    baselines have no incremental engine to share and ignore it.
+    ``ringen_opts`` are :class:`~repro.core.ringen.RInGenConfig` fields
+    (e.g. ``engine_pool`` for campaign batch mode, ``engine_cache_dir``
+    for the warm cache); the baselines have no such options and ignore
+    them.
     """
     if name == "ringen":
-        return RInGen(RInGenConfig(timeout=timeout, engine_pool=engine_pool))
+        return RInGen(RInGenConfig(timeout=timeout, **ringen_opts))
     if name == "eldarica":
         return SizeElemSolver(SizeElemConfig(timeout=timeout))
     if name == "spacer":
@@ -107,10 +111,9 @@ class Campaign:
     # campaign batch mode: cross-problem engine reuse counters from the
     # shared EnginePool (None when every problem got a fresh engine)
     pool_stats: Optional[dict] = None
-    # supervised execution: retry/resume/worker accounting from
-    # repro.exec (None for the plain in-process fast path), plus
-    # whether the campaign was stopped by SIGINT/SIGTERM — in which
-    # case the records are the partial, journaled prefix
+    # execution-layer accounting from repro.exec (mode, retries,
+    # resumed tasks, workers), plus whether the campaign was stopped by
+    # SIGINT/SIGTERM — in which case the records are the partial prefix
     exec_stats: Optional[dict] = None
     interrupted: bool = False
     # observability: the merged metrics snapshot of the run (see
@@ -224,8 +227,16 @@ def batch_order(problems: Sequence[Problem]) -> list[Problem]:
     stable: groups appear in first-occurrence order and problems keep
     their relative order within a group.
     """
-    groups: dict[tuple, list[Problem]] = {}
-    order: list[tuple] = []
+    groups = _signature_groups(problems)
+    return [p for group in groups.values() for p in group]
+
+
+def _signature_groups(
+    problems: Sequence[Problem],
+) -> dict[object, list[Problem]]:
+    """:func:`batch_order`'s groups, keyed by signature fingerprint in
+    first-occurrence order."""
+    groups: dict[object, list[Problem]] = {}
     for problem in problems:
         try:
             key = signature_fingerprint(preprocess(problem.build()))
@@ -243,11 +254,8 @@ def batch_order(problems: Sequence[Problem]) -> list[Problem]:
                 error,
             )
             key = ("unfingerprintable", problem.suite, problem.name)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(problem)
-    return [p for key in order for p in groups[key]]
+        groups.setdefault(key, []).append(problem)
+    return groups
 
 
 def run_problem(
@@ -257,77 +265,20 @@ def run_problem(
     *,
     engine_pool: Optional[EnginePool] = None,
 ) -> RunRecord:
-    """Run one solver on one problem and score the verdict."""
-    task_id = task_id_for(problem, solver_name)
-    obs_runtime.task_started(task_id)
-    tracer = obs_runtime.TRACER
-    span_cm = (
-        tracer.span("task", {"task": task_id})
-        if tracer is not None
-        else contextlib.nullcontext()
-    )
-    try:
-        with span_cm:
-            return _run_problem_impl(
-                problem, solver_name, timeout, engine_pool=engine_pool
-            )
-    finally:
-        obs_runtime.task_finished()
-
-
-def _run_problem_impl(
-    problem: Problem,
-    solver_name: str,
-    timeout: float,
-    *,
-    engine_pool: Optional[EnginePool] = None,
-) -> RunRecord:
-    start = time.monotonic()
-    try:
-        solver = make_solver(solver_name, timeout, engine_pool=engine_pool)
-        system = problem.build()
-        result = solver.solve(system)
-    except Exception as error:
-        # A crash is a structured error verdict, not an honest
-        # "unknown": the record keeps the exception type and traceback
-        # and the report lists it in a dedicated errors section.
-        logger.warning(
-            "%s/%s %s crashed: %s: %s",
-            problem.suite,
-            problem.name,
-            solver_name,
-            type(error).__name__,
-            error,
+    """Run one solver on one problem and score the verdict — the
+    one-problem form of :func:`run_campaign`."""
+    records = run_campaign(
+        [Suite(problem.suite, [problem])],
+        solvers=[solver_name],
+        timeout=timeout,
+        engine_pool=engine_pool,
+    ).records
+    if not records:
+        raise CampaignInterrupted(
+            f"interrupted before {task_id_for(problem, solver_name)} "
+            f"had a verdict"
         )
-        return RunRecord(
-            problem,
-            solver_name,
-            Status.UNKNOWN,
-            time.monotonic() - start,
-            True,
-            reason=f"error:crash: {type(error).__name__}: {error}",
-            details={"exception_type": type(error).__name__},
-            error_kind="crash",
-            traceback=traceback_mod.format_exc(limit=20),
-        )
-    elapsed = time.monotonic() - start
-    correct = (
-        result.status is Status.UNKNOWN
-        or result.status.value == problem.expected_status
-    )
-    model_size = None
-    if result.is_sat:
-        model_size = result.details.get("model_size")
-    return RunRecord(
-        problem,
-        solver_name,
-        result.status,
-        elapsed,
-        correct,
-        model_size,
-        result.reason,
-        dict(result.details),
-    )
+    return records[0]
 
 
 def run_campaign(
@@ -339,89 +290,116 @@ def run_campaign(
     problem_filter: Optional[Callable[[Problem], bool]] = None,
     share_engines: bool = False,
     engine_pool: Optional[EnginePool] = None,
-    isolate: bool = False,
     journal_path: Optional[str] = None,
     resume: bool = False,
-    policy: Optional[object] = None,
+    policy: Optional[ExecPolicy] = None,
     engine_cache_dir: Optional[str] = None,
 ) -> Campaign:
-    """Run the full (suite x solver) product.
+    """Run the full (suite x solver) product through
+    :func:`repro.exec.execute_tasks`.
 
-    ``share_engines`` switches on campaign batch mode: one
-    :class:`~repro.mace.pool.EnginePool` spans the whole run (pass
-    ``engine_pool`` to supply your own), problems are scheduled in
-    :func:`batch_order` so signature-compatible systems run
-    back-to-back, and the pool's cross-problem reuse counters land in
-    ``Campaign.pool_stats``.  Verdicts are unaffected — the pool only
-    changes which solver state the model finder starts from.
-    ``engine_cache_dir`` additionally persists engines to a disk warm
-    cache, so a later campaign over the same benchmark families starts
-    from this one's solver state (flushed when the run completes).
+    ``share_engines`` (or passing an ``engine_pool``) switches on
+    campaign batch mode: one :class:`~repro.mace.pool.EnginePool` spans
+    the whole run, problems are scheduled in :func:`batch_order` so
+    signature-compatible systems run back-to-back, and the pool's
+    cross-problem reuse counters land in ``Campaign.pool_stats``.
+    Verdicts are unaffected — the pool only changes which solver state
+    the model finder starts from.  ``engine_cache_dir`` persists engines
+    to a disk warm cache, so a later campaign over the same benchmark
+    families starts from this one's solver state (flushed when the run
+    completes); without engine sharing each solve uses the cache alone.
 
-    Supervised execution (``isolate``, ``journal_path``, ``resume``, or
-    an explicit :class:`repro.exec.ExecPolicy` in ``policy``) routes
-    every task through :mod:`repro.exec`: worker subprocesses with a
-    hard watchdog and memory cap, retry with backoff for transient
-    failures, a flushed JSONL journal with checkpoint/resume, and
-    graceful SIGINT/SIGTERM shutdown that returns the partial campaign
-    (``Campaign.interrupted``).  In isolated + ``share_engines`` mode
-    each signature-compatible batch rides one worker with a private
-    engine pool — the in-process sharing, preserved per worker.  The
-    plain in-process path below stays the default and is byte-for-byte
-    the pre-supervisor behaviour.
+    Tasks run in-process by default.  ``policy``
+    (:class:`repro.exec.ExecPolicy`) selects worker subprocesses with a
+    hard watchdog and memory cap (``isolate``), retry with backoff, and
+    observability; ``journal_path``/``resume`` add a flushed JSONL
+    journal with checkpoint/resume.  Exceptions become structured
+    ``error:*`` verdicts, ``REPRO_FAULT_PLAN`` injects faults, and
+    SIGINT/SIGTERM return the partial campaign
+    (``Campaign.interrupted``).  In isolated + shared mode each
+    signature-compatible batch rides one worker with a private engine
+    pool.  The caller's ``policy`` is never modified.
     """
     solvers = list(solvers or SOLVER_ORDER)
-    if isolate or journal_path or resume or policy is not None:
-        return _run_campaign_supervised(
-            suites,
-            solvers=solvers,
-            timeout=timeout,
-            progress=progress,
-            problem_filter=problem_filter,
-            share_engines=share_engines,
-            engine_pool=engine_pool,
-            isolate=isolate,
-            journal_path=journal_path,
-            resume=resume,
-            policy=policy,
-            engine_cache_dir=engine_cache_dir,
+    policy = policy or ExecPolicy()
+    shared = (
+        share_engines or engine_pool is not None or policy.share_engines
+    )
+    solver_opts = dict(policy.solver_opts or {})
+    if engine_cache_dir:
+        # ship the warm-cache location to workers and per-solve pools
+        # through the solver options (RInGenConfig.engine_cache_dir); the
+        # journal's config fingerprint deliberately ignores this key
+        solver_opts.setdefault("engine_cache_dir", engine_cache_dir)
+    policy = replace(
+        policy, share_engines=shared, solver_opts=solver_opts or None
+    )
+    tasks: list[TaskSpec] = []
+    for suite in suites:
+        problems = [
+            p
+            for p in suite
+            if problem_filter is None or problem_filter(p)
+        ]
+        groups = (
+            _signature_groups(problems) if shared else {None: problems}
         )
-    campaign = Campaign(timeout=timeout)
+        for key, group in groups.items():
+            for problem in group:
+                for solver_name in solvers:
+                    # only ringen rides the engine pool; batching the
+                    # baselines by signature would be pointless
+                    ringen = solver_name == "ringen"
+                    tasks.append(
+                        TaskSpec(
+                            task_id=task_id_for(problem, solver_name),
+                            solver=solver_name,
+                            timeout=timeout,
+                            expected_status=problem.expected_status,
+                            problem=problem,
+                            index=len(tasks),
+                            group_key=key if ringen else None,
+                        )
+                    )
     pool = engine_pool
-    if share_engines and pool is None:
+    if shared and not policy.isolate and pool is None:
         pool = EnginePool(cache_dir=engine_cache_dir)
     tracer = obs_runtime.TRACER
     span_cm = (
         tracer.span(
-            "campaign", {"suites": len(suites), "solvers": list(solvers)}
+            "campaign",
+            {
+                "suites": len(suites),
+                "solvers": solvers,
+                "isolate": policy.isolate,
+            },
         )
         if tracer is not None
         else contextlib.nullcontext()
     )
     with span_cm:
-        for suite in suites:
-            problems = [
-                p
-                for p in suite
-                if problem_filter is None or problem_filter(p)
-            ]
-            if pool is not None:
-                problems = batch_order(problems)
-            for problem in problems:
-                for solver_name in solvers:
-                    record = run_problem(
-                        problem, solver_name, timeout, engine_pool=pool
-                    )
-                    campaign.add(record)
-                    if progress is not None:
-                        progress(
-                            f"{problem.suite}/{problem.name} "
-                            f"{solver_name}: {record.status} "
-                            f"({record.elapsed:.2f}s)"
-                        )
+        records, stats = execute_tasks(
+            tasks,
+            policy,
+            journal_path=journal_path,
+            resume=resume,
+            progress=progress,
+            engine_pool=pool,
+        )
+    campaign = Campaign(
+        timeout=timeout,
+        exec_stats=stats.as_dict(),
+        interrupted=stats.interrupted,
+    )
+    for task in tasks:
+        rec = records.get(task.task_id)
+        if rec is not None:  # None: interrupted before this task ran
+            campaign.add(_record_from_exec(task, rec))
     if pool is not None:
         pool.flush_cache()
         campaign.pool_stats = pool.as_dict()
+    else:
+        campaign.pool_stats = stats.pool_stats
     _publish_campaign_obs(campaign)
     return campaign
 
@@ -454,25 +432,25 @@ def _publish_campaign_obs(campaign: Campaign) -> None:
             metrics.publish("finder", finder)
     if campaign.pool_stats:
         metrics.publish("pool", campaign.pool_stats)
-    if campaign.exec_stats:
-        metrics.publish(
-            "exec",
-            {
-                k: v
-                for k, v in campaign.exec_stats.items()
-                # pool counters go in under their own prefix above; the
-                # last heartbeat is a point sample, not a counter
-                if k not in ("pool_stats", "last_heartbeat")
-            },
-        )
+    metrics.publish(
+        "exec",
+        {
+            k: v
+            for k, v in campaign.exec_stats.items()
+            # pool counters go in under their own prefix above; the
+            # last heartbeat is a point sample, not a counter
+            if k not in ("pool_stats", "last_heartbeat")
+        },
+    )
     campaign.obs = metrics.snapshot()
 
 
-def _record_from_exec(problem: Problem, solver_name: str, rec: dict) -> RunRecord:
-    """Rehydrate a supervisor verdict dict into a :class:`RunRecord`."""
+def _record_from_exec(task: TaskSpec, rec: dict) -> RunRecord:
+    """Rehydrate a verdict dict from :mod:`repro.exec` into a
+    :class:`RunRecord`."""
     return RunRecord(
-        problem,
-        solver_name,
+        task.problem,
+        task.solver,
         Status(rec.get("status", "unknown")),
         float(rec.get("elapsed") or 0.0),
         bool(rec.get("correct", True)),
@@ -483,122 +461,3 @@ def _record_from_exec(problem: Problem, solver_name: str, rec: dict) -> RunRecor
         attempts=int(rec.get("attempts") or 1),
         traceback=rec.get("traceback") or "",
     )
-
-
-def _run_campaign_supervised(
-    suites: Sequence[Suite],
-    *,
-    solvers: Sequence[str],
-    timeout: float,
-    progress: Optional[Callable[[str], None]],
-    problem_filter: Optional[Callable[[Problem], bool]],
-    share_engines: bool,
-    engine_pool: Optional[EnginePool],
-    isolate: bool,
-    journal_path: Optional[str],
-    resume: bool,
-    policy: Optional[object],
-    engine_cache_dir: Optional[str] = None,
-) -> Campaign:
-    """The supervised campaign loop (see :func:`run_campaign`)."""
-    # imported here so the default fast path never pays for (or cycles
-    # with) the execution layer
-    from repro.exec.supervisor import ExecPolicy, TaskSpec, execute_tasks
-
-    if policy is None:
-        policy = ExecPolicy()
-    policy.isolate = policy.isolate or isolate
-    policy.share_engines = policy.share_engines or share_engines
-    if engine_cache_dir:
-        # ship the warm-cache location to workers through the solver
-        # options (RInGenConfig.engine_cache_dir); the journal's config
-        # fingerprint deliberately ignores this key
-        opts = dict(policy.solver_opts or {})
-        opts.setdefault("engine_cache_dir", engine_cache_dir)
-        policy.solver_opts = opts
-    tasks: list[TaskSpec] = []
-    task_problems: dict[str, tuple[Problem, str]] = {}
-    index = 0
-    for suite in suites:
-        problems = [
-            p
-            for p in suite
-            if problem_filter is None or problem_filter(p)
-        ]
-        if policy.share_engines:
-            problems = batch_order(problems)
-        for problem in problems:
-            group_key = None
-            if policy.share_engines and policy.isolate:
-                try:
-                    group_key = signature_fingerprint(
-                        preprocess(problem.build())
-                    )
-                except Exception as error:
-                    logger.warning(
-                        "could not fingerprint %s/%s for batching "
-                        "(%s); running it unshared",
-                        problem.suite,
-                        problem.name,
-                        error,
-                    )
-            for solver_name in solvers:
-                tid = task_id_for(problem, solver_name)
-                tasks.append(
-                    TaskSpec(
-                        task_id=tid,
-                        solver=solver_name,
-                        timeout=timeout,
-                        expected_status=problem.expected_status,
-                        problem=problem,
-                        index=index,
-                        # only ringen rides the engine pool; batching
-                        # the baselines by signature would be pointless
-                        group_key=(
-                            group_key if solver_name == "ringen" else None
-                        ),
-                    )
-                )
-                task_problems[tid] = (problem, solver_name)
-                index += 1
-    pool = engine_pool
-    if policy.share_engines and not policy.isolate and pool is None:
-        pool = EnginePool(cache_dir=engine_cache_dir)
-    tracer = obs_runtime.TRACER
-    span_cm = (
-        tracer.span(
-            "campaign",
-            {
-                "suites": len(suites),
-                "solvers": list(solvers),
-                "isolate": policy.isolate,
-            },
-        )
-        if tracer is not None
-        else contextlib.nullcontext()
-    )
-    with span_cm:
-        records, stats = execute_tasks(
-            tasks,
-            policy,
-            journal_path=journal_path,
-            resume=resume,
-            progress=progress,
-            engine_pool=pool,
-        )
-    campaign = Campaign(timeout=timeout)
-    for task in tasks:
-        rec = records.get(task.task_id)
-        if rec is None:
-            continue  # interrupted before this task ran
-        problem, solver_name = task_problems[task.task_id]
-        campaign.add(_record_from_exec(problem, solver_name, rec))
-    campaign.exec_stats = stats.as_dict()
-    campaign.interrupted = stats.interrupted
-    if pool is not None:
-        pool.flush_cache()
-        campaign.pool_stats = pool.as_dict()
-    elif stats.pool_stats is not None:
-        campaign.pool_stats = stats.pool_stats
-    _publish_campaign_obs(campaign)
-    return campaign

@@ -130,9 +130,9 @@ class ProgressMonitor(threading.Thread):
     """In-process heartbeat source: samples the live runtime state on an
     interval and emits heartbeat events onto a bus.
 
-    Used when there is no worker pipe to carry heartbeats (the plain
-    and supervised in-process paths, and the ``solve`` verb).  Daemon
-    thread; :meth:`stop` joins it.
+    Used when there is no worker pipe to carry heartbeats (in-process
+    campaigns and the ``solve`` verb).  Daemon thread; :meth:`stop`
+    joins it.
     """
 
     def __init__(self, bus: EventBus, *, interval: float = 1.0) -> None:

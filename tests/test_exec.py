@@ -8,6 +8,7 @@ job runs against a full campaign.
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -184,15 +185,55 @@ class TestRunProblemErrors:
 
 
 class TestSupervisedInprocess:
-    def test_verdicts_match_legacy(self):
-        legacy = run_campaign([tiny_suite()], solvers=["ringen"], timeout=5.0)
-        supervised = run_campaign(
-            [tiny_suite()], solvers=["ringen"], timeout=5.0,
-            policy=ExecPolicy(),
+    def test_default_campaign_runs_through_the_supervisor(self):
+        campaign = run_campaign(
+            [tiny_suite()], solvers=["ringen"], timeout=5.0
         )
-        assert verdicts(legacy) == verdicts(supervised)
-        assert supervised.exec_stats["isolate"] is False
-        assert supervised.exec_stats["tasks_executed"] == 3
+        assert campaign.exec_stats["isolate"] is False
+        assert campaign.exec_stats["tasks_executed"] == 3
+        assert all(r.solved for r in campaign.records)
+
+    @pytest.mark.parametrize("isolate", [False, True])
+    def test_fault_plan_from_environment(self, monkeypatch, isolate):
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "crash@0,oom@1")
+        campaign = run_campaign(
+            [tiny_suite()], solvers=["ringen"], timeout=5.0,
+            policy=ExecPolicy(isolate=True) if isolate else None,
+        )
+        even = campaign.record("even", "ringen")
+        assert even.error_kind == "crash"
+        assert even.details["exception_type"] == "InjectedCrash"
+        assert campaign.record("incdec", "ringen").reason.startswith(
+            "error:oom:"
+        )
+        assert campaign.record("broken", "ringen").status is Status.UNSAT
+
+    def test_caller_policy_is_not_modified(self, tmp_path):
+        policy = ExecPolicy()
+        shared = run_campaign(
+            [tiny_suite()], solvers=["ringen"], timeout=5.0,
+            share_engines=True, engine_cache_dir=str(tmp_path / "engines"),
+            policy=policy,
+        )
+        assert shared.pool_stats is not None
+        assert policy == ExecPolicy()
+        # a later run with the same policy neither shares engines nor
+        # reads the first run's warm cache
+        again = run_campaign(
+            [tiny_suite()], solvers=["ringen"], timeout=5.0, policy=policy
+        )
+        assert again.pool_stats is None
+        assert all("engine_pool" not in r.details for r in again.records)
+
+    def test_warm_cache_without_engine_sharing(self, tmp_path):
+        cache = tmp_path / "engines"
+        campaign = run_campaign(
+            [tiny_suite()], solvers=["ringen"], timeout=5.0,
+            engine_cache_dir=str(cache),
+        )
+        assert campaign.pool_stats is None
+        # each solve persisted its engine through a private pool
+        assert list(cache.glob("*.engine"))
 
     def test_flaky_retried_with_backoff(self):
         plan = ReproFaultPlan.parse("flaky@0x1")
@@ -375,6 +416,23 @@ class TestResumeAndInterrupt:
                     time.sleep(0.01)
         # the previous handler is restored afterwards
         assert signal.getsignal(signal.SIGTERM) is not None
+
+    def test_sigterm_mid_solve_returns_partial_campaign(self):
+        suite = Suite("Slow")
+        suite.add("diag", "fam", diag_system, "unsat")
+        suite.add("even", "parity", even_system, "sat")
+        # arrives while the slow first solve is running
+        timer = threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGTERM))
+        timer.start()
+        try:
+            campaign = run_campaign(
+                [suite], solvers=["ringen"], timeout=5.0,
+                policy=ExecPolicy(),
+            )
+        finally:
+            timer.cancel()
+        assert campaign.interrupted
+        assert campaign.records == []
 
     def test_interrupt_flushes_partial_journal_then_resume(self, tmp_path):
         journal = str(tmp_path / "campaign.jsonl")

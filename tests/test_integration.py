@@ -108,6 +108,100 @@ class TestCli:
         assert proc.stdout.startswith("sat")
 
 
+class TestCampaignCli:
+    """``repro campaign``: every flag combination runs one supervised
+    path, so verdict lines, summaries and failure handling agree."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = []
+        for name, factory in (
+            ("even", even_system),
+            ("odd", odd_unsat_system),
+        ):
+            path = tmp_path / f"{name}.smt2"
+            path.write_text(print_system(factory()))
+            paths.append(str(path))
+        return paths
+
+    def test_two_files(self, files, capsys):
+        even, odd = files
+        code = cli_main(["campaign", "--timeout", "30", even, odd])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0].startswith(f"{even}: sat (")
+        assert lines[1].startswith(f"{odd}: unsat (")
+        # odd is refuted by the counterexample search before the pool
+        assert lines[2].startswith("; pool: 1 problems, 1 engines")
+        assert lines[3].startswith("; exec: 2 executed, 0 resumed")
+        assert len(lines) == 4
+
+    def test_no_share(self, files, capsys):
+        even, odd = files
+        code = cli_main(["campaign", "--no-share", "--timeout", "30", *files])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0].startswith(f"{even}: sat (")
+        assert lines[1].startswith(f"{odd}: unsat (")
+        assert not any(line.startswith("; pool:") for line in lines)
+
+    def test_journal_then_resume(self, files, tmp_path, capsys):
+        from repro.exec import load_journal
+
+        journal = str(tmp_path / "run.jsonl")
+        assert cli_main(["campaign", "--journal", journal, *files]) == 0
+        first = capsys.readouterr().out
+        _, entries = load_journal(journal)
+        recorded = {task: e["status"] for task, e in entries.items()}
+        assert recorded == {files[0]: "sat", files[1]: "unsat"}
+        assert cli_main(["campaign", "--resume", journal, *files]) == 0
+        resumed = capsys.readouterr().out
+        assert "; exec: 2 executed, 0 resumed" in first
+        assert "; exec: 0 executed, 2 resumed" in resumed
+        _, entries = load_journal(journal)
+        assert {t: e["status"] for t, e in entries.items()} == recorded
+
+    def test_parse_error_counts_as_failure(self, files, tmp_path, capsys):
+        bad = tmp_path / "bad.smt2"
+        bad.write_text("(this is not smtlib")
+        code = cli_main(["campaign", files[0], str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"{bad}: error:" in captured.err
+        assert captured.out.startswith(f"{files[0]}: sat (")
+
+    def test_crashing_solve_does_not_stop_the_campaign(
+        self, files, capsys, monkeypatch
+    ):
+        from repro.core.ringen import RInGen
+
+        even, odd = files
+        real_solve = RInGen.solve
+
+        def solve(self, system):
+            if system.name == even:
+                raise RuntimeError("solver bug")
+            return real_solve(self, system)
+
+        monkeypatch.setattr(RInGen, "solve", solve)
+        code = cli_main(["campaign", "--timeout", "30", even, odd])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[0].startswith(f"{even}: unknown (")
+        assert lines[0].endswith("[crash]")
+        assert lines[1].startswith(f"{odd}: unsat (")
+
+    def test_progress_lines_go_to_stderr(self, files, capsys, monkeypatch):
+        # the first task hangs in-process past one heartbeat interval
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "hang@0")
+        code = cli_main(["campaign", "--progress", "--timeout", "2", *files])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "[progress]" in captured.err
+        assert "[progress]" not in captured.out
+        assert captured.out.startswith(f"{files[0]}: unknown (")
+
+
 class TestSatisfiabilityPreservation:
     """Theorem 5 end to end, property-style: for random mod-family
     programs, the pipeline's SAT/UNSAT verdict matches ground truth."""
