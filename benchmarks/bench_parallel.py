@@ -19,6 +19,12 @@ two-shard portfolio — and checks:
   noise) — enabling the machinery must not slow anyone who doesn't
   ask for it.
 
+Each leg's time is the best of ``REPEATS`` runs, interleaved across the
+three legs so load drift hits every leg alike (the method gate 5 uses).
+The 1-shard portfolio costs a roughly constant amount more than the
+sequential sweep, so the tax bound tightens as the sweep gets faster;
+with single runs a one-sided load blip decided it.
+
 The measurements are written to ``BENCH_parallel.json`` at the repo
 root; ``benchmarks/smoke.sh`` runs the quick scale as gate 8.
 
@@ -51,6 +57,7 @@ MAX_TOTAL_SIZE = 7
 SPEEDUP_FLOOR = 1.10  # 2 shards must beat 1 shard by >= 10%
 TAX_FACTOR = 1.05  # 1 shard must stay within 5% of sequential...
 TAX_SLACK = 0.25  # ...plus absolute seconds of timer-noise slack
+REPEATS = 3  # runs per leg; the fastest one counts
 
 
 def bench_scale() -> str:
@@ -96,23 +103,34 @@ def _measure(prepared, shards: int, max_total: int) -> dict:
     return row
 
 
+def _best_of(prepared, max_total: int) -> tuple[dict, bool]:
+    """The fastest of ``REPEATS`` interleaved runs per leg (0 = the
+    sequential baseline, else the shard count), and whether every run
+    of every leg gave the same verdict."""
+    best: dict = {}
+    verdicts = set()
+    for _ in range(REPEATS):
+        for shards in (0, 1, 2):
+            row = _measure(prepared, shards, max_total)
+            verdicts.add(_verdict_of(row))
+            if shards not in best or row["time"] < best[shards]["time"]:
+                best[shards] = row
+    return best, len(verdicts) == 1
+
+
 def run_gate() -> dict:
     rows = []
     for name, problem, max_total in suite():
         prepared = preprocess(problem.system())
-        seq = _measure(prepared, 0, max_total)
-        one = _measure(prepared, 1, max_total)
-        two = _measure(prepared, 2, max_total)
+        best, parity = _best_of(prepared, max_total)
         rows.append(
             {
                 "problem": name,
                 "max_total_size": max_total,
-                "sequential": seq,
-                "shards1": one,
-                "shards2": two,
-                "parity": (
-                    _verdict_of(seq) == _verdict_of(one) == _verdict_of(two)
-                ),
+                "sequential": best[0],
+                "shards1": best[1],
+                "shards2": best[2],
+                "parity": parity,
             }
         )
     seq_time = sum(r["sequential"]["time"] for r in rows)

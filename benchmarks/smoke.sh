@@ -59,6 +59,7 @@
 #     observed, or
 #   * the 1-shard path is more than 5% slower than the sequential
 #     baseline (the machinery must be free when disabled).
+#   Each leg is timed as the best of 3 interleaved runs.
 #
 # Usage: benchmarks/smoke.sh   (from anywhere; CI runs it as-is)
 set -euo pipefail

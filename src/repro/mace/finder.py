@@ -142,6 +142,7 @@ import dataclasses
 import itertools
 import time
 from dataclasses import dataclass, field
+from operator import getitem, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from repro.chc.clauses import BodyAtom, CHCSystem, Clause
@@ -558,6 +559,22 @@ def _combos(
         yield from itertools.product(*pools)
 
 
+def _picker(positions: Sequence[int]):
+    """``row -> tuple(row[i] for i in positions)`` in one C call.
+
+    ``itemgetter`` returns a bare value for one position and has no
+    empty form, so those arities get lambdas, which do not pickle: keep
+    pickers in per-call locals and ``_ClauseGroup.atom_layouts``, which
+    :meth:`_IncrementalEngine.snapshot` drops.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        i = positions[0]
+        return lambda row: (row[i],)
+    return lambda row: ()
+
+
 @dataclass
 class _BlockState:
     """Persistent encoding state of one universal-block Tseitin literal."""
@@ -962,8 +979,9 @@ class _IncrementalEngine:
         starts with no registered problems, and re-registering one
         recovers its bounds through the memo.  ``atom_layouts`` is also
         dropped — it is keyed by object identity (``id(atom)``), which
-        does not survive pickling, and :meth:`_block_layout` rebuilds it
-        lazily on first use.
+        does not survive pickling, and holds picker lambdas, which do
+        not pickle at all; :meth:`_block_layout` rebuilds it lazily on
+        first use.
 
         The snapshot references the engine's own ``FlatClause``/``Var``
         structures; those are value objects the engine never mutates, so
@@ -1320,35 +1338,37 @@ class _IncrementalEngine:
         if old == var_sizes:
             return self._ok
         sel = self._sel(group)
-        # precomputed layout: positions instead of Var-keyed dicts,
-        # so the grounding loop only touches int tuples
+        # precomputed layout: every table key is read out of the combo
+        # tuple by a positional picker, so the grounding loop builds no
+        # per-combo generator
         index = {v: i for i, v in enumerate(flat.vars)}
-        ex_rows = [self._ex_rows[v.sort] for v in flat.vars]
+        # -ex[s, c] guard of each position, 0 (filtered out) at c = 0
+        neg_ex = [
+            [0] + [-lit for lit in self._ex_rows[v.sort][1:n]]
+            for v, n in zip(flat.vars, var_sizes)
+        ]
         defs = [
             (
                 self.func_vars[func],
-                tuple(index[a] for a in arg_vars),
-                index[result],
+                _picker([index[a] for a in arg_vars]),
+                itemgetter(index[result]),
             )
             for func, arg_vars, result in flat.defs
         ]
-        plain = []
-        block_atoms = []
-        for atom in flat.body:
-            if atom.universal_vars:
-                block_atoms.append(atom)
-            else:
-                plain.append(
-                    (
-                        self.pred_vars[atom.pred],
-                        tuple(index[v] for v in atom.vars),
-                    )
-                )
+        atoms = [
+            (
+                self.pred_vars[atom.pred],
+                _picker([index[v] for v in atom.vars]),
+            )
+            for atom in flat.body
+            if not atom.universal_vars
+        ]
+        block_atoms = [atom for atom in flat.body if atom.universal_vars]
         head = None
         if flat.head is not None:
             head = (
                 self.pred_vars[flat.head.pred],
-                tuple(index[v] for v in flat.head.vars),
+                _picker([index[v] for v in flat.head.vars]),
             )
         new_var = self.solver.new_var
         # blocks created past this point belong to instances whose
@@ -1366,14 +1386,9 @@ class _IncrementalEngine:
             # what lets campaign mode share one instance between every
             # problem containing the clause
             literals: list[int] = [-sel]
-            for i, c in enumerate(combo):
-                if c:
-                    literals.append(-ex_rows[i][c])
-            for table, apos, rpos in defs:
-                key = (
-                    tuple(combo[j] for j in apos),
-                    combo[rpos],
-                )
+            literals.extend(filter(None, map(getitem, neg_ex, combo)))
+            for table, pick_args, pick_result in defs:
+                key = (pick_args(combo), pick_result(combo))
                 var = table.get(key)
                 if var is None:
                     var = new_var()
@@ -1390,16 +1405,16 @@ class _IncrementalEngine:
                     del group.blocks[blocks_committed:]
                     return None
                 literals.append(-block.t)
-            for table, apos in plain:
-                args = tuple(combo[j] for j in apos)
+            for table, pick in atoms:
+                args = pick(combo)
                 var = table.get(args)
                 if var is None:
                     var = new_var()
                     table[args] = var
                 literals.append(-var)
             if head is not None:
-                table, apos = head
-                args = tuple(combo[j] for j in apos)
+                table, pick = head
+                args = pick(combo)
                 var = table.get(args)
                 if var is None:
                     var = new_var()
@@ -1473,34 +1488,36 @@ class _IncrementalEngine:
     def _block_layout(self, group: _ClauseGroup, atom: FlatAtom):
         """Positional layout of a block atom, computed once per atom.
 
-        Variables are resolved to ("l", i) / ("u", i) / ("o", var)
-        slots so the innermost grounding loop only touches int tuples
-        (same optimization as the plain-clause grounding loop).
+        A premise row is ``lcombo + ucombo + outer values`` (local, then
+        universal, then the block's outer variables in ``outer_vars``
+        order), and every table key is read out of it by a positional
+        picker, as in the plain-clause grounding loop.
         """
         layout = group.atom_layouts.get(id(atom))
         if layout is None:
-            uindex = {v: i for i, v in enumerate(atom.universal_vars)}
-            lindex = {v: i for i, v in enumerate(atom.local_vars)}
-
-            def pos(v: Var):
-                if v in lindex:
-                    return ("l", lindex[v])
-                if v in uindex:
-                    return ("u", uindex[v])
-                return ("o", v)
-
+            local, univ = atom.local_vars, atom.universal_vars
+            slots = {v: len(local) + j for j, v in enumerate(univ)}
+            slots.update((v, i) for i, v in enumerate(local))
+            refs = [v for _, args, r in atom.local_defs for v in (*args, r)]
+            outer_vars = tuple(
+                v for v in dict.fromkeys(refs + list(atom.vars))
+                if v not in slots
+            )
+            base = len(local) + len(univ)
+            slots.update((v, base + k) for k, v in enumerate(outer_vars))
             defs = [
                 (
                     self.func_vars[func],
-                    tuple(pos(a) for a in arg_vars),
-                    pos(result),
+                    _picker([slots[a] for a in arg_vars]),
+                    itemgetter(slots[result]),
                 )
                 for func, arg_vars, result in atom.local_defs
             ]
             layout = (
                 defs,
                 self.pred_vars[atom.pred],
-                tuple(pos(v) for v in atom.vars),
+                _picker([slots[v] for v in atom.vars]),
+                outer_vars,
             )
             group.atom_layouts[id(atom)] = layout
         return layout
@@ -1514,40 +1531,31 @@ class _IncrementalEngine:
         l_sizes: tuple[int, ...],
     ) -> Optional[bool]:
         t_inst = block.t_insts[ucombo]
-        defs, ptable, arg_slots = self._block_layout(group, block.atom)
-        outer = block.outer
+        defs, ptable, pick, outer_vars = self._block_layout(
+            group, block.atom
+        )
+        fixed = ucombo + tuple([block.outer[v] for v in outer_vars])
         new_var = self.solver.new_var
-        lcombo: tuple[int, ...] = ()
-
-        def value(slot) -> int:
-            kind, x = slot
-            if kind == "l":
-                return lcombo[x]
-            if kind == "u":
-                return ucombo[x]
-            return outer[x]
-
         for lcombo in _combos(old_l, l_sizes):
             if not self._tick():
                 return None
-            premise: list[int] = []
-            for table, arg_pos, res_pos in defs:
-                key = (
-                    tuple(value(p) for p in arg_pos),
-                    value(res_pos),
-                )
+            row = lcombo + fixed
+            literals: list[int] = []
+            for table, pick_args, pick_result in defs:
+                key = (pick_args(row), pick_result(row))
                 var = table.get(key)
                 if var is None:
                     var = new_var()
                     table[key] = var
-                premise.append(var)
-            args = tuple(value(p) for p in arg_slots)
+                literals.append(-var)
+            args = pick(row)
             var = ptable.get(args)
             if var is None:
                 var = new_var()
                 ptable[args] = var
-            premise.append(var)
-            self._add([-p for p in premise] + [t_inst])
+            literals.append(-var)
+            literals.append(t_inst)
+            self._add(literals)
         return True
 
     # -- solving -----------------------------------------------------------

@@ -235,23 +235,39 @@ class CDCLSolver:
 
         Safe to call between :meth:`solve` calls (incremental use): any
         decision-level assignment left over from a previous answer is
-        undone first, so level-0 simplification and unit propagation only
-        ever see permanent facts.
+        undone first, so unit propagation only ever sees permanent facts.
+
+        One pass over ``literals`` validates them, drops duplicates,
+        detects tautologies and resolves each literal against level-0
+        facts (a true one satisfies the clause, a false one is dropped).
+        A variable is a level-0 fact only when it is assigned *and* its
+        level is 0: a value left at a decision level by the last answer
+        is stale, which is why the pass may run before the backtrack.
+        :class:`SatError` is raised before any state changes.
         """
+        assign, level, num_vars = self._assign, self._level, self.num_vars
         seen: set[int] = set()
         clause: list[int] = []
-        tautology = False
+        tautology = satisfied = False
         for lit in literals:
-            if lit == 0:
+            if lit > 0:
+                var = lit
+            elif lit < 0:
+                var = -lit
+            else:
                 raise SatError("literal 0 is not allowed")
-            var = abs(lit)
-            if var > self.num_vars:
+            if var > num_vars:
                 raise SatError(f"unknown variable {var}")
-            if -lit in seen:
-                tautology = True
             if lit in seen:
                 continue
+            if -lit in seen:
+                tautology = True
             seen.add(lit)
+            val = assign[var]
+            if val and level[var] == 0:
+                if (val > 0) == (lit > 0):
+                    satisfied = True
+                continue  # true: clause satisfied; false: literal dropped
             clause.append(lit)
         if not self._ok:
             return False
@@ -262,22 +278,8 @@ class CDCLSolver:
         # level-0-satisfied clauses included, so the incremental engine's
         # encoded/reused ratios compare like with like
         self.stats.clauses_added += 1
-        if tautology:
+        if tautology or satisfied:
             return True
-        if not clause:
-            self._ok = False
-            return False
-        # remove already-falsified literals at level 0, keep satisfied clauses
-        if any(self._value(l) == TRUE_VAL and self._level[abs(l)] == 0
-               for l in clause):
-            return True
-        clause = [
-            l
-            for l in clause
-            if not (
-                self._value(l) == FALSE_VAL and self._level[abs(l)] == 0
-            )
-        ]
         if not clause:
             self._ok = False
             return False
@@ -300,6 +302,15 @@ class CDCLSolver:
         self._watches[b + b if b > 0 else 1 - b - b].append(clause)
 
     # -- assignment helpers ------------------------------------------------
+    def _var_of(self, lit: int) -> int:
+        """The variable of ``lit``; :class:`SatError` if it names none."""
+        if lit == 0:
+            raise SatError("literal 0 is not allowed")
+        var = abs(lit)
+        if var > self.num_vars:
+            raise SatError(f"unknown variable {var}")
+        return var
+
     def _value(self, lit: int) -> int:
         val = self._assign[abs(lit)]
         if val == UNASSIGNED:
@@ -542,8 +553,12 @@ class CDCLSolver:
 
         A ``False`` answer additionally records the unsat core — the
         subset of ``assumptions`` the refutation used — available from
-        :meth:`core` until the next :meth:`solve` call.
+        :meth:`core` until the next :meth:`solve` call.  An assumption
+        that is 0 or names an unknown variable raises :class:`SatError`
+        before any state changes.
         """
+        for lit in assumptions:
+            self._var_of(lit)
         self.stats.solve_calls += 1
         self._model_ready = False
         self._core = None
@@ -1014,11 +1029,10 @@ class CDCLSolver:
         (never of assumptions), so a ``False`` here means the database
         entails ``-lit`` — e.g. a problem's activation selector being
         fixed false proves that problem unsatisfiable under every
-        assumption set the engine could ever pass.
+        assumption set the engine could ever pass.  Raises
+        :class:`SatError` on literal 0 or an unknown variable.
         """
-        var = abs(lit)
-        if var > self.num_vars:
-            raise SatError(f"unknown variable {var}")
+        var = self._var_of(lit)
         if self._assign[var] == UNASSIGNED or self._level[var] != 0:
             return None
         return self._value(lit) == TRUE_VAL

@@ -1,5 +1,6 @@
 """Tests for the finite model finder and finite structures (Sec. 4.1/4.2)."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -17,6 +18,7 @@ from repro.logic.formulas import TRUE
 from repro.logic.sorts import FuncSymbol, PredSymbol, Sort
 from repro.logic.terms import App, Var
 from repro.mace.finder import (
+    FinderOptions,
     ModelFinder,
     find_model,
     flatten_clause,
@@ -286,6 +288,82 @@ class TestIncrementalEngine:
         assert stats["clauses_encoded"] > 0
         assert stats["vectors_refuted"] >= 0
         assert "vectors_skipped" in stats
+
+
+def _stlc_system(name):
+    from repro.stlc import stlc_problems
+
+    problem = next(p for p in stlc_problems() if p.name == name)
+    assert problem.category == "classical-only"
+    return problem.system()
+
+
+def _tip_system(name):
+    from repro.benchgen import tip_suite
+
+    return next(p for p in tip_suite() if p.name == name).build()
+
+
+#: name -> (system factory, max_total_size, sha256 of the ground clause
+#: stream).  Together the cases ground nullary, unary and n-ary
+#: definitions, plain body atoms, heads, and universal blocks with outer
+#: variables.  A change that alters the encoding on purpose (e.g.
+#: clause splitting) updates these digests and says so.
+PINNED_STREAMS = {
+    "even": (
+        even_system, 12,
+        "687c10fd345aeb1b47c91087c0492a6bf08d1bb439d6da3b0a02a5b3cdb21b20",
+    ),
+    "incdec": (
+        incdec_system, 12,
+        "c8deab032017a1c3dffcf960575d4452814b848a4a9b8626b6faf635b656dd60",
+    ),
+    "peirce": (
+        lambda: _stlc_system("peirce"), 6,
+        "8e29eb2239fa69f482e4776ab410d06fd52ae2fe16ff602d394225c48a11abdf",
+    ),
+    "peirce-swap": (
+        lambda: _stlc_system("peirce-swap"), 6,
+        "6fed1ebbdcfa19c909d52d480df9da7da0bbea3378d91b7dc0644775b01b1cf2",
+    ),
+    "peirce-inst": (
+        lambda: _stlc_system("peirce-inst"), 6,
+        "f359eab4269f25011bb4a16dfe60a901bb282b78e6030caf3302d0a6c74c39d4",
+    ),
+    "tip-mirror-g6": (
+        lambda: _tip_system("tip-mirror-g6"), 2,
+        "4ada63aca5aa78f5f7f73b4a3d8ffec7a9aaace51dcc31e931624a22371c47a4",
+    ),
+    "tip-rev-g6": (
+        lambda: _tip_system("tip-rev-g6"), 2,
+        "ec5e3c145da82a37d084aa14a2a604295f9b69fb3549f57bfe94469137e813e8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+def test_ground_clause_stream_is_pinned(name):
+    """The encoder emits exactly the pinned clauses, in the pinned order
+    and with the pinned literal order: the watched pair, and so the
+    whole CDCL search, depends on it.  The digest covers the engine
+    solver's clause list (in order), its level-0 trail, clauses_added
+    and the learned-clause count after a full search."""
+    factory, max_total, expected = PINNED_STREAMS[name]
+    finder = ModelFinder(
+        preprocess(factory()), FinderOptions(max_total_size=max_total)
+    )
+    finder.search()
+    solver = finder._engine.solver
+    level0 = (
+        solver._trail_lim[0] if solver._trail_lim else len(solver._trail)
+    )
+    state = (
+        solver.clauses,
+        solver._trail[:level0],
+        solver.stats.clauses_added,
+        solver.stats.learned,
+    )
+    assert hashlib.sha256(repr(state).encode()).hexdigest() == expected
 
 
 class TestVerdictCompleteness:

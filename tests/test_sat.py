@@ -75,6 +75,20 @@ class TestBasics:
         with pytest.raises(SatError):
             solver.add_clause([5])
 
+    @pytest.mark.parametrize("bad", [0, 5, -3])
+    def test_bad_assumption_rejected_before_any_state_change(self, bad):
+        solver = CDCLSolver(2)
+        solver.add_clause([1, 2])
+        assert solver.solve() is True
+        trail = list(solver._trail)
+        with pytest.raises(SatError):
+            solver.solve(assumptions=[1, bad])
+        # no call counted; the last answer's model and trail still stand
+        assert solver.stats.solve_calls == 1
+        assert solver._trail == trail
+        assert solver.model()
+        assert solver.solve(assumptions=[-1]) is True
+
     def test_tautological_clause_ignored(self):
         solver = CDCLSolver(2)
         solver.add_clause([1, -1])
@@ -276,6 +290,8 @@ class TestModelStatus:
         assert solver.fixed(2) is None or solver.fixed(3) is None
         with pytest.raises(SatError):
             solver.fixed(99)
+        with pytest.raises(SatError):
+            solver.fixed(0)
 
 
 class TestClausesAddedAccounting:
@@ -673,6 +689,102 @@ def test_incremental_addition_matches_batch(case):
         ok = solver.add_clause(clause) and ok
     outcome = solver.solve() if ok else False
     assert outcome == (brute_force_sat(clauses, num_vars) is not None)
+
+
+# ----------------------------------------------------------------------
+# add_clause's one pass against the two-pass algorithm it replaced
+# ----------------------------------------------------------------------
+def reference_add(solver, literals):
+    """The outcome the two-pass ``add_clause`` would give, read from the
+    solver before the call: dedupe and tautology check first, then the
+    level-0 facts through the public ``fixed()``.  Returns
+    ``(result, counted, ok_after, stored, unit)``: ``stored`` is the
+    clause the database gains (or None), ``unit`` the literal a unit
+    clause enqueues (its result depends on propagation)."""
+    if not solver._ok:
+        return False, 0, False, None, None
+    seen, clause, tautology = set(), [], False
+    for lit in literals:
+        if -lit in seen:
+            tautology = True
+        if lit in seen:
+            continue
+        seen.add(lit)
+        clause.append(lit)
+    if tautology:
+        return True, 1, True, None, None
+    if any(solver.fixed(lit) is True for lit in clause):
+        return True, 1, True, None, None
+    clause = [lit for lit in clause if solver.fixed(lit) is not False]
+    if not clause:
+        return False, 1, False, None, None
+    if len(clause) == 1:
+        return None, 1, None, None, clause[0]
+    return True, 1, True, clause, None
+
+
+@st.composite
+def add_solve_history(draw):
+    """Adds mixed with budgeted solves under random assumptions, so many
+    adds arrive while the last answer's decision levels are still on
+    the trail.  A few adds carry a malformed literal."""
+    num_vars = draw(st.integers(min_value=1, max_value=6))
+    lit = st.integers(min_value=1, max_value=num_vars).flatmap(
+        lambda v: st.sampled_from([v, -v])
+    )
+    add = st.tuples(
+        st.just("add"),
+        st.lists(lit, min_size=0, max_size=5),
+        st.sampled_from([None] * 6 + [0, num_vars + 1, -(num_vars + 2)]),
+    )
+    solve = st.tuples(
+        st.just("solve"),
+        st.lists(lit, max_size=3, unique_by=abs),
+        st.sampled_from([0, 1, 3, None]),
+    )
+    steps = draw(st.lists(st.one_of(add, add, solve), max_size=25))
+    return num_vars, steps
+
+
+@given(add_solve_history())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_add_clause_matches_two_pass_reference(case):
+    num_vars, steps = case
+    solver = CDCLSolver(num_vars)
+    for kind, lits, extra in steps:
+        if kind == "solve":
+            solver.solve(lits, max_conflicts=extra)
+            continue
+        added = solver.stats.clauses_added
+        stored = len(solver.clauses)
+        if extra is not None:
+            # a malformed literal anywhere: rejected, nothing changes
+            bad = lits[: len(lits) // 2] + [extra] + lits[len(lits) // 2 :]
+            state = (
+                list(solver._trail), list(solver._trail_lim),
+                solver._model_ready, solver._ok,
+            )
+            with pytest.raises(SatError):
+                solver.add_clause(bad)
+            assert state == (
+                solver._trail, solver._trail_lim,
+                solver._model_ready, solver._ok,
+            )
+            assert solver.stats.clauses_added == added
+            assert len(solver.clauses) == stored
+            continue
+        result, counted, ok_after, kept, unit = reference_add(solver, lits)
+        got = solver.add_clause(lits)
+        assert solver.stats.clauses_added == added + counted
+        if unit is not None:
+            assert got is solver._ok
+            assert solver.clauses[stored:] == []
+            if got:
+                assert solver.fixed(unit) is True
+            continue
+        assert got is result
+        assert solver._ok is ok_after
+        assert solver.clauses[stored:] == ([kept] if kept else [])
 
 
 # ----------------------------------------------------------------------
