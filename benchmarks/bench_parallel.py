@@ -2,10 +2,10 @@
 
 Runs the STLC classical-only suite (uninhabited goals with no small
 regular invariant: the sweep refutes every candidate vector up to the
-bound, the workload the shard portfolio exists for) three ways —
-sequential :class:`ModelFinder` (the pre-PR baseline and the exact path
-``RInGenConfig(sweep_shards=1)`` takes), a one-shard portfolio, and a
-two-shard portfolio — and checks:
+bound, the workload the shard portfolio exists for) three ways with
+:class:`ModelFinder` — the sequential one-lane sweep (the exact path
+``RInGenConfig(sweep_shards=1)`` takes), a one-shard process portfolio,
+and a two-shard process portfolio — and checks:
 
 * **verdict parity**: found/complete/model_size identical across all
   three (the commit-in-sweep-order construction, measured);
@@ -42,7 +42,6 @@ import time
 
 from repro.chc.transform import preprocess
 from repro.mace.finder import FinderOptions, ModelFinder
-from repro.mace.parallel import ParallelModelFinder
 from repro.stlc.problems import stlc_problems
 
 ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / (
@@ -91,7 +90,7 @@ def _measure(prepared, shards: int, max_total: int) -> dict:
         result = ModelFinder(prepared, options).search()
     else:
         options = FinderOptions(max_total_size=max_total, sweep_shards=shards)
-        result = ParallelModelFinder(prepared, options).search()
+        result = ModelFinder(prepared, options, mode="process").search()
     elapsed = time.monotonic() - start
     row = _verdict(result)
     row["time"] = elapsed

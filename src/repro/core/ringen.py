@@ -62,10 +62,10 @@ class RInGenConfig:
     clauses and refutation bounds (the CLI's ``--warm-cache``).
     ``sweep_shards`` > 1 runs the size sweep as a speculative parallel
     portfolio whose statuses, winning vector and model size match the
-    sequential sweep by construction.  It requires ``incremental``;
-    with a pool attached, shards warm-start from the pool's snapshot
-    for the signature, but shard-side learning does not flow back into
-    the pool.
+    sequential sweep by construction.  The finder runs one lane when
+    ``incremental`` is off; with a pool attached, the lanes warm-start
+    from the pool's snapshot for the signature, but lane-side learning
+    does not flow back into the pool.
     """
 
     max_model_size: int = 12
@@ -177,27 +177,21 @@ class RInGen:
             # this solve loads the signature's engine from disk (if any)
             # and persists it back when done
             pool = ephemeral = EnginePool(cache_dir=cfg.engine_cache_dir)
-        parallel = options.sweep_shards > 1 and options.incremental
-        pooled = pool is not None and not parallel
-        if parallel:
-            # speculative parallel portfolio: shards host private engine
-            # copies, so the sweep does not attach to a pooled engine —
-            # but a pool (or warm cache) seeds every shard with its
-            # latest snapshot for this signature and engine key.
-            # Shard-side learning is discarded at the end of the solve
-            # rather than folded back into the pool.
-            from repro.mace.parallel import ParallelModelFinder
-
+        # a pooled engine serves a one-lane sweep; a wider portfolio
+        # runs its lanes on private engines, which a pool (or warm
+        # cache) seeds with its latest snapshot for this signature and
+        # engine key.  Lane-side learning is discarded at the end of
+        # the solve rather than folded back into the pool.
+        pooled = pool is not None and options.sweep_shards == 1
+        if pooled:
+            finder = pool.finder(prepared, options)
+        else:
             seed = (
                 pool.snapshot_for(prepared, options)
                 if pool is not None
                 else None
             )
-            finder = ParallelModelFinder(prepared, options, snapshot=seed)
-        elif pooled:
-            finder = pool.finder(prepared, options)
-        else:
-            finder = ModelFinder(prepared, options)
+            finder = ModelFinder(prepared, options, snapshot=seed)
         try:
             result = self._model_search(
                 system, prepared, finder, predicates, deadline, start

@@ -737,6 +737,9 @@ def _run_worker_batch(
         spans = record.pop("obs_spans", None)
         if spans and obs_runtime.TRACER is not None:
             obs_runtime.TRACER.absorb(spans)
+        metrics = record.pop("obs_metrics", None)
+        if metrics and obs_runtime.METRICS is not None:
+            obs_runtime.METRICS.merge(metrics)
 
     def heartbeat(msg: dict) -> None:
         stats.heartbeats_received += 1

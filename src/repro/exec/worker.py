@@ -210,9 +210,10 @@ def worker_entry(conn, payload: dict) -> None:
     reschedule the batch remainder warm after a worker death.
 
     ``obs`` turns the worker's own collectors on: an in-memory tracer
-    whose finished spans ship back inside each verdict
-    (``record["obs_spans"]``), a metrics registry whose snapshot rides
-    the done message (``obs_metrics``), a heartbeat thread streaming
+    and a metrics registry whose spans and metrics recorded since the
+    previous message ship back inside each verdict
+    (``record["obs_spans"]``, ``record["obs_metrics"]``; the done
+    message carries the remainder), a heartbeat thread streaming
     live-progress samples over the verdict pipe every ``heartbeat``
     seconds (0 disables it), and per-task cProfile dumps under
     ``profile_dir``.
@@ -294,11 +295,13 @@ def worker_entry(conn, payload: dict) -> None:
                 profile_dir=profile_dir,
             )
             record["task"] = task.task_id
+            # finished spans and metrics ride each verdict so the
+            # supervisor absorbs them as they happen, not only if the
+            # worker survives to the done message
             if tracer is not None:
-                # finished spans ride each verdict so the supervisor's
-                # file-backed tracer absorbs them as they happen, not
-                # only if the worker survives to the done message
                 record["obs_spans"] = tracer.drain()
+            if obs_runtime.METRICS is not None:
+                record["obs_metrics"] = obs_runtime.METRICS.drain()
             if pool is not None:
                 # ship the engine state with every verdict: whatever
                 # the worker last managed to send seeds a warm restart
@@ -318,7 +321,7 @@ def worker_entry(conn, payload: dict) -> None:
             # would double-count after the supervisor's merge
             done["pool_stats"] = pool.as_dict()
         if obs_runtime.METRICS is not None:
-            done["obs_metrics"] = obs_runtime.METRICS.snapshot()
+            done["obs_metrics"] = obs_runtime.METRICS.drain()
         # the heartbeat thread must not race a close()d pipe
         stop_heartbeat.set()
         if beater is not None:
@@ -331,18 +334,19 @@ def worker_entry(conn, payload: dict) -> None:
 
 
 def shard_entry(conn, payload: dict) -> None:
-    """Subprocess main of one parallel-sweep engine shard.
+    """Subprocess main of one size-sweep lane in a shard process.
 
-    The vector-granularity sibling of :func:`worker_entry`, serving the
-    :class:`repro.mace.parallel.SweepScheduler`.  Down the pipe come
+    The vector-granularity sibling of :func:`worker_entry`, serving
+    :func:`repro.mace.parallel.run_process`.  Down the pipe come
     ``{"kind": "vector", "seq", "sizes", "attempt", "deadline"}``
     dispatches, ``{"kind": "core", "bounds"}`` broadcasts from sibling
-    shards, and ``{"kind": "stop"}``; every vector is answered with a
-    result dict (verdict, fresh core bounds, cumulative
-    ``FinderStats``, drained obs spans) and ``stop`` with a done
-    message carrying the shard's metrics snapshot.  An exception dies
-    *without* a done message so the scheduler's EOF path respawns the
-    shard — the vector-level analogue of a result-less worker death.
+    lanes, and ``{"kind": "stop"}``; every vector is answered with the
+    lane's result message (verdict, fresh core bounds, the vector's
+    ``FinderStats`` and ``SatStats`` deltas) plus the spans and metrics
+    recorded since the previous message, and ``stop`` with a done
+    message carrying the remainder.  An exception dies *without* a done
+    message so the sweep's EOF path respawns the shard — the
+    vector-level analogue of a result-less worker death.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -352,8 +356,9 @@ def shard_entry(conn, payload: dict) -> None:
         trace=bool(obs_cfg.get("trace")),
         metrics=bool(obs_cfg.get("metrics")),
     )
-    from repro.mace.parallel import _ShardRunner
+    from repro.mace.finder import _Lane
 
+    plan = ReproFaultPlan.parse(payload.get("fault_plan"))
     tracer = obs_runtime.TRACER
     span = (
         tracer.begin("shard", {"shard": payload.get("shard")})
@@ -362,8 +367,7 @@ def shard_entry(conn, payload: dict) -> None:
     )
     crashed = False
     try:
-        runner = _ShardRunner(payload)
-        obs_runtime.watch_finder_stats(runner.stats)
+        lane = _Lane.from_payload(payload)
         # Vectors buffer locally so core broadcasts arriving *behind*
         # queued dispatches are adopted before those vectors start —
         # processing the pipe strictly in order would let a shard grind
@@ -378,18 +382,25 @@ def shard_entry(conn, payload: dict) -> None:
                 if kind == "vector":
                     pending.append(msg)
                 elif kind == "core":
-                    runner.adopt_bounds(msg.get("bounds") or ())
+                    lane.adopt_bounds(msg.get("bounds") or ())
                 elif kind == "stop":
                     # outstanding speculation is cancelled, not drained
                     pending.clear()
                     stopped = True
             if pending:
                 msg = pending.popleft()
-                result = runner.solve_vector(
+                # deterministic fault injection, keyed like supervised
+                # tasks: the integer key is the vector sequence number
+                plan.fire(
+                    f"shard{lane.uid}",
                     msg["seq"],
-                    tuple(msg["sizes"]),
                     msg.get("attempt", 1),
-                    msg.get("deadline"),
+                    isolated=True,
+                    timeout=None,
+                    mem_limit_mb=None,
+                )
+                result = lane.solve(
+                    msg["seq"], tuple(msg["sizes"]), msg.get("deadline")
                 )
                 if tracer is not None:
                     # close the current shard-span segment so this
@@ -402,6 +413,10 @@ def shard_entry(conn, payload: dict) -> None:
                     span = tracer.begin(
                         "shard", {"shard": payload.get("shard")}
                     )
+                if obs_runtime.METRICS is not None:
+                    # like spans: a SAT commit kills the shard before
+                    # its done message
+                    result["obs_metrics"] = obs_runtime.METRICS.drain()
                 conn.send(result)
     except EOFError:
         pass  # scheduler went away (speculation cancelled): just exit
@@ -414,7 +429,7 @@ def shard_entry(conn, payload: dict) -> None:
                 tracer.end(span)
                 done["obs_spans"] = tracer.drain()
             if obs_runtime.METRICS is not None:
-                done["obs_metrics"] = obs_runtime.METRICS.snapshot()
+                done["obs_metrics"] = obs_runtime.METRICS.drain()
             try:
                 conn.send(done)
             except (OSError, ValueError):

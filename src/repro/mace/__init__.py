@@ -16,7 +16,6 @@ from repro.mace.finder import (
     size_vectors,
 )
 from repro.mace.model import FiniteModel, ModelError, validate_model
-from repro.mace.parallel import ParallelModelFinder, SweepScheduler
 from repro.mace.pool import EnginePool, PoolStats, signature_fingerprint
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "FlatClause",
     "ModelError",
     "ModelFinder",
-    "ParallelModelFinder",
-    "SweepScheduler",
     "find_model",
     "flatten_clause",
     "size_vectors",

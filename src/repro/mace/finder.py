@@ -124,12 +124,31 @@ short.  ``FinderOptions(core_guided_sweep=False)`` disables the pruning
 (ablation; ``benchmarks/bench_core.py`` gates that verdicts are
 identical either way).
 
+The sweep: lanes, one commit path
+---------------------------------
+
+:meth:`ModelFinder.search` is the one size sweep.  It runs
+``options.sweep_shards`` *lanes* through one :class:`_SweepState`: the
+frontier in order of total size, the bound list of every refutation
+core reported so far (covered vectors are skipped before dispatch),
+and a pointer that commits lane answers strictly in sweep order.  A
+lane (:class:`_Lane`) is an engine plus the problem's context and one
+per-vector body, :meth:`_Lane.solve`: prune the vector against known
+core bounds, or solve it and report the outcome, fresh core bounds and
+the vector's own statistics.  Every result, in-process or off a pipe,
+is folded by :meth:`_SweepState.consume` as it arrives, and every
+sweep ends in :meth:`_SweepState.finish`.  The sequential sweep is one
+in-process lane on the finder's own (possibly pooled) engine; several
+lanes are the speculative portfolio of :mod:`repro.mace.parallel`,
+interleaved in this process or run in shard subprocesses, with
+verdicts equal to the one-lane sweep's by construction.
+
 Configuration
 -------------
 
 Every knob of the search lives in one frozen :class:`FinderOptions`
-value: :class:`ModelFinder`, the parallel portfolio, the engine and the
-engine pool are all configured by it, and its
+value: :class:`ModelFinder` and every lane of its sweep, the engine and
+the engine pool are all configured by it, and its
 :meth:`FinderOptions.engine_key` — the part a clause database depends
 on — keys pooled engines, cache files and snapshots.  Whether given
 engine state may serve a finder is decided in exactly one place,
@@ -140,19 +159,22 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import multiprocessing
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from operator import getitem, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from repro.chc.clauses import BodyAtom, CHCSystem, Clause
+from repro.exec.faults import ReproFaultPlan
 from repro.logic.formulas import TRUE
 from repro.logic.sorts import FuncSymbol, PredSymbol, Sort
 from repro.logic.terms import App, Term, Var
 from repro.mace.model import FiniteModel, validate_model
 from repro.obs import runtime as obs_runtime
 from repro.sat.cnf import SelectorPool
-from repro.sat.solver import CDCLSolver
+from repro.sat.solver import CDCLSolver, SatStats
 
 
 class FinderError(ValueError):
@@ -186,8 +208,9 @@ class FinderOptions:
     every vector (the from-scratch reference path).
     ``core_guided_sweep`` prunes the sweep with the unsat cores of
     refuted vectors, and ``core_minimization`` shrinks each core by
-    bounded deletion probes first.  ``sweep_shards`` > 1 runs the sweep
-    as a speculative parallel portfolio (:mod:`repro.mace.parallel`).
+    bounded deletion probes first.  ``sweep_shards`` is the number of
+    lanes the sweep runs (see :class:`ModelFinder`); more than one is a
+    speculative parallel portfolio (:mod:`repro.mace.parallel`).
     """
 
     max_total_size: int = 12
@@ -252,7 +275,7 @@ def check_engine(
     ``fingerprint`` is given, over that signature.  Raises
     :class:`EngineSnapshotError` otherwise.  Engine injection into a
     :class:`ModelFinder` and every restore path (the pool's disk cache,
-    adopted snapshots, parallel shards) go through here.
+    adopted snapshots, sweep lanes) go through here.
     """
     if not isinstance(state, dict) or state.get("schema") != "engine":
         raise EngineSnapshotError("not an engine snapshot")
@@ -418,13 +441,13 @@ class FinderStats:
     engine_shared: bool = False
     cross_problem_clauses: int = 0
     # speculative parallel sweeps (repro.mace.parallel):
-    # ``vectors_speculated`` counts vectors dispatched to a shard while
+    # ``vectors_speculated`` counts vectors dispatched to a lane while
     # another vector was still outstanding, ``cores_broadcast`` the
-    # refutation cores relayed to at least one sibling shard,
+    # refutation cores relayed to at least one sibling lane,
     # ``speculative_pruned`` the already-dispatched vectors a sibling's
-    # broadcast core pruned shard-side without a solver call, and
-    # ``shard_restarts`` the shards respawned after dying
-    # mid-speculation.  ``sweep_shards`` is the portfolio width (1 for
+    # broadcast core pruned lane-side without a solver call, and
+    # ``shard_restarts`` the shard processes respawned after dying
+    # mid-speculation.  ``sweep_shards`` is the number of lanes (1 for
     # the sequential sweep).
     vectors_speculated: int = 0
     cores_broadcast: int = 0
@@ -440,9 +463,9 @@ class FinderStats:
         """Fold another search's statistics into this one.
 
         The single merge rule shared by the per-solve accumulator in
-        :mod:`repro.core.ringen` (sequential searches resumed after a
-        failed Herbrand check) and the parallel sweep scheduler folding
-        per-shard statistics: additive counters add, high-water marks
+        :mod:`repro.core.ringen` (searches resumed after a failed
+        Herbrand check) and the sweep folding each lane result's
+        per-vector statistics: additive counters add, high-water marks
         (``sat_vars``, ``sat_clauses``, ``learned_kept``,
         ``cross_problem_clauses``, ``sweep_shards``) take the max,
         sticky flags or together, and ``model_size`` keeps the most
@@ -1559,23 +1582,6 @@ class _IncrementalEngine:
         return True
 
     # -- solving -----------------------------------------------------------
-    def vector_covered(
-        self, ctx: _ProblemContext, sizes: dict[Sort, int]
-    ) -> bool:
-        """True if a stored refutation core already refutes ``sizes``.
-
-        A core with lower bounds L and upper bounds U transfers to every
-        vector meeting all of them: the existence prefix chains make
-        that vector's assumptions entail the core's, so it is unsat
-        without re-solving (see the module docstring).
-        """
-        for lower, upper in ctx.refuted_cores:
-            if all(sizes[s] >= k for s, k in lower.items()) and all(
-                sizes[s] <= k for s, k in upper.items()
-            ):
-                return True
-        return False
-
     def try_vector(
         self,
         ctx: _ProblemContext,
@@ -1883,7 +1889,434 @@ class _IncrementalEngine:
         return model
 
 
+# ---------------------------------------------------------------------------
+# the size sweep: lanes, sweep state and the finder
+
+
+#: vectors queued per lane beyond the one it is solving, in a portfolio
+#: of more than one lane: the queue keeps a shard busy the moment it
+#: answers while leaving queued vectors exposed to broadcast cores (the
+#: lane-side prune needs a queue deep enough that a sibling's refutation
+#: lands before the covered vector starts; shallower queues prune almost
+#: never, much deeper ones waste speculation past the commit horizon).
+#: A lone in-process lane has no sibling to prune for and takes one
+#: vector at a time.
+SHARD_QUEUE_DEPTH = 4
+
+
+def _covered(
+    bounds: Sequence[tuple[dict, dict]], sizes: tuple[int, ...]
+) -> bool:
+    """True when some core bound pair already refutes ``sizes``.
+
+    Bounds and sizes are keyed by sort position.  A core with lower
+    bounds L and upper bounds U transfers to every vector meeting all of
+    them: the existence prefix chains make that vector's assumptions
+    entail the core's, so it is unsat without re-solving (see the
+    module docstring).
+    """
+    for lower, upper in bounds:
+        if all(sizes[i] >= k for i, k in lower.items()) and all(
+            sizes[i] <= k for i, k in upper.items()
+        ):
+            return True
+    return False
+
+
+def _signature(system: CHCSystem) -> tuple[list, list, list]:
+    """The system's sorts, functions and predicates, each sorted by
+    name: the signature order every engine and lane shares."""
+    return (
+        sorted(system.adts.sorts, key=lambda s: s.name),
+        sorted(
+            system.adts.signature.functions.values(), key=lambda f: f.name
+        ),
+        sorted(system.predicates.values(), key=lambda p: p.name),
+    )
+
+
+def _seeded_engine(
+    sorts, functions, predicates, options: FinderOptions, snapshot
+) -> tuple[_IncrementalEngine, bool]:
+    """An engine restored from ``snapshot`` when :func:`check_engine`
+    accepts it for this signature and ``options``, else a cold one;
+    the flag says whether the restore happened."""
+    if snapshot is not None:
+        try:
+            engine = _IncrementalEngine.restore(
+                snapshot,
+                options,
+                engine_fingerprint(sorts, functions, predicates),
+            )
+            return engine, True
+        except Exception:
+            pass  # stale or foreign snapshot: start cold
+    return _IncrementalEngine(sorts, functions, predicates, options), False
+
+
+class _Lane:
+    """One engine and problem context: the sweep's per-vector body.
+
+    Every size sweep runs its vectors through lanes.  The sequential
+    sweep is one in-process lane on the finder's own (possibly pooled)
+    engine; a portfolio runs several, in-process or each in a shard
+    subprocess (:func:`repro.exec.worker.shard_entry`), on private
+    engines seeded from the finder's snapshot.  A lane answers every
+    vector with a result message — the outcome, the bounds of fresh
+    refutation cores, the vector's own :class:`FinderStats` and, with
+    metrics on, its ``SatStats`` deltas — which
+    :meth:`_SweepState.consume` folds in as it arrives.
+    """
+
+    def __init__(
+        self,
+        uid: int,
+        engine: _IncrementalEngine,
+        ctx: _ProblemContext,
+        options: FinderOptions,
+        *,
+        warm: bool = False,
+    ):
+        self.uid = uid
+        self.engine = engine
+        self.ctx = ctx
+        self.options = options
+        self.warm = warm  # pooled or snapshot-restored engine
+        # a pooled or restored engine's signature objects are value-equal
+        # copies of the finder's; key size dicts by the engine's own
+        self.sorts = list(engine.sorts)
+        self._sort_pos = {s: i for i, s in enumerate(self.sorts)}
+        #: bounds of the context's own refutation cores, including those
+        #: it inherited (an earlier search, the problem-facts memo)
+        self.bounds: list[tuple[dict, dict]] = (
+            [self._index_bounds(b) for b in ctx.refuted_cores]
+            if options.core_guided_sweep
+            else []
+        )
+        #: bounds broadcast from sibling lanes; a hit is a lane-side
+        #: prune, no solver call
+        self.foreign_bounds: list[tuple[dict, dict]] = []
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "_Lane":
+        """A lane on a private engine, as a portfolio builds it: seeded
+        from the payload snapshot, with the bounds accumulated before a
+        respawn replayed."""
+        system: CHCSystem = payload["system"]
+        options: FinderOptions = payload["options"]
+        engine, warm = _seeded_engine(
+            *_signature(system), options, payload.get("snapshot")
+        )
+        counter = itertools.count()
+        ctx = engine.register(
+            [flatten_clause(cl, counter) for cl in system.clauses]
+        )
+        lane = cls(payload["shard"], engine, ctx, options, warm=warm)
+        lane.adopt_bounds(payload.get("bounds") or ())
+        return lane
+
+    def adopt_bounds(self, bounds: Sequence[tuple[dict, dict]]) -> None:
+        """Fold bounds broadcast from sibling lanes."""
+        self.foreign_bounds.extend(
+            (dict(lower), dict(upper)) for lower, upper in bounds
+        )
+
+    def _index_bounds(self, bounds: tuple[dict, dict]) -> tuple[dict, dict]:
+        """Sort-keyed context bounds → sort-position-keyed sweep bounds."""
+        lower, upper = bounds
+        pos = self._sort_pos
+        return (
+            {pos[s]: k for s, k in lower.items()},
+            {pos[s]: k for s, k in upper.items()},
+        )
+
+    def solve(
+        self, seq: int, sizes_t: tuple[int, ...], deadline: Optional[float]
+    ) -> dict:
+        """Prune or solve one vector; returns its result message."""
+        engine, ctx, options = self.engine, self.ctx, self.options
+        stats = FinderStats(
+            incremental=options.incremental, engine_shared=self.warm
+        )
+        result: dict = {
+            "kind": "result",
+            "seq": seq,
+            "shard": self.uid,
+            "stats": stats,
+        }
+        if _covered(self.bounds, sizes_t):
+            # an own core: the sweep's frontier filter had not caught up
+            # with it, or the context brought it into this search
+            stats.vectors_skipped = 1
+            result["outcome"] = "skipped"
+        elif _covered(self.foreign_bounds, sizes_t):
+            stats.vectors_skipped = 1
+            result["outcome"] = "skipped"
+            result["foreign"] = True
+        else:
+            stats.attempts = 1
+            if not options.incremental:
+                engine.reset(stats)
+            base_added = engine.total_added
+            base_learned = engine.total_learned
+            base_glue = engine.total_glue
+            sat_before = (
+                dataclasses.asdict(engine.solver.stats)
+                if obs_runtime.METRICS is not None
+                else None
+            )
+            pre_cores = len(ctx.refuted_cores)
+            outcome = engine.try_vector(
+                ctx,
+                dict(zip(self.sorts, sizes_t)),
+                stats,
+                options,
+                deadline=deadline,
+            )
+            stats.clauses_encoded = engine.total_added - base_added
+            stats.learned_total = engine.total_learned - base_learned
+            stats.learned_glue = engine.total_glue - base_glue
+            if sat_before is not None:
+                # deltas, clamped: an engine reset mid-vector swaps in a
+                # fresh counter object and must not go negative
+                result["sat"] = {
+                    key: max(value - sat_before.get(key, 0), 0)
+                    for key, value in dataclasses.asdict(
+                        engine.solver.stats
+                    ).items()
+                }
+            if outcome.model is not None:
+                result["outcome"] = "sat"
+                result["model"] = outcome.model
+            elif outcome.refuted:
+                result["outcome"] = "refuted"
+            else:
+                result["outcome"] = "exhausted"
+            fresh = [
+                self._index_bounds(b) for b in ctx.refuted_cores[pre_cores:]
+            ]
+            if fresh:
+                self.bounds.extend(fresh)
+                result["cores"] = fresh
+            if ctx.hopeless:
+                result["hopeless"] = True
+        stats.learned_kept = engine.solver.learned_count()
+        return result
+
+
+class _SweepState:
+    """One sweep's frontier, core bounds, in-order commit and result fold.
+
+    Owns the frontier iterator, the master (sort-position-keyed) bound
+    list, per-sequence outcomes, and the strictly-in-order commit
+    pointer that makes a portfolio's verdict match the one-lane sweep's.
+    :meth:`consume` is the one path every lane result takes, in-process
+    or off a pipe, and :meth:`finish` the one way a sweep ends.  Bounds
+    only ever come from cores the lanes recorded, so with core guidance
+    off the list stays empty and nothing is pruned.
+    """
+
+    def __init__(
+        self,
+        sorts: list,
+        options: FinderOptions,
+        min_total: int,
+        stats: FinderStats,
+        deadline: Optional[float],
+        *,
+        portfolio: bool,
+    ):
+        self._iter = size_vectors(sorts, options.max_total_size, min_total)
+        self._sorts = sorts
+        self.stats = stats
+        self.deadline = deadline
+        self.portfolio = portfolio
+        self.start = time.monotonic()
+        self.bounds: list[tuple[dict, dict]] = []
+        self.next_seq = 0
+        self.next_commit = 0
+        self.outcomes: dict[int, dict] = {}
+        self.exhausted_frontier = False
+        self.sat_seq: Optional[int] = None
+        self.winner: Optional[FiniteModel] = None
+        self.hopeless = False
+        self.complete = True
+        #: newest learned-clause count per lane uid
+        self.kept: dict[int, int] = {}
+        #: SatStats deltas summed over every result (metrics on only)
+        self.sat: Optional[dict] = (
+            dict.fromkeys((f.name for f in dataclasses.fields(SatStats)), 0)
+            if obs_runtime.METRICS is not None
+            else None
+        )
+
+    def expired(self) -> bool:
+        """True once the search deadline has passed, which cuts the
+        sweep short: its verdict is no longer definitive."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.stats.deadline_hit = True
+            self.complete = False
+            return True
+        return False
+
+    def next_vector(self) -> Optional[tuple[int, tuple[int, ...]]]:
+        """Next uncovered frontier vector with its sequence number.
+
+        ``None`` once the frontier is exhausted — or while a SAT answer
+        is pending commit: vectors above it can never win, so dispatch
+        stops (in-flight lower vectors still resolve normally).
+        """
+        if self.sat_seq is not None:
+            return None
+        while True:
+            sizes = next(self._iter, None)
+            if sizes is None:
+                self.exhausted_frontier = True
+                return None
+            sizes_t = tuple(sizes[s] for s in self._sorts)
+            if _covered(self.bounds, sizes_t):
+                # a reported core already refutes this vector: it is
+                # proven unsat without touching a solver
+                self.stats.vectors_skipped += 1
+                continue
+            seq = self.next_seq
+            self.next_seq += 1
+            return seq, sizes_t
+
+    def add_bounds(
+        self, bounds: Sequence[tuple[dict, dict]]
+    ) -> list[tuple[dict, dict]]:
+        """Fold lane-reported bounds; returns the genuinely new ones."""
+        fresh = []
+        for bound in bounds:
+            pair = (dict(bound[0]), dict(bound[1]))
+            if pair not in self.bounds:
+                self.bounds.append(pair)
+                fresh.append(pair)
+        return fresh
+
+    def resolve(self, seq: int, outcome: dict) -> None:
+        """Record a lane answer (or write-off) for one sequence."""
+        if seq < self.next_commit or seq in self.outcomes:
+            return  # late duplicate (e.g. answered then redispatched)
+        self.outcomes[seq] = outcome
+        if outcome.get("hopeless"):
+            # size-independent refutation: definitive for the whole
+            # sweep regardless of order
+            self.hopeless = True
+        if outcome["outcome"] == "sat" and (
+            self.sat_seq is None or seq < self.sat_seq
+        ):
+            self.sat_seq = seq
+
+    def commit(self) -> bool:
+        """Advance the in-order pointer; True once a winner committed."""
+        while self.next_commit in self.outcomes:
+            outcome = self.outcomes.pop(self.next_commit)
+            self.next_commit += 1
+            kind = outcome["outcome"]
+            if kind == "sat":
+                self.winner = outcome["model"]
+                return True
+            if kind == "exhausted":
+                # budget/deadline exhaustion is not a refutation
+                self.complete = False
+            # refuted / skipped just advance the pointer
+        return False
+
+    def consume(self, msg: dict, siblings) -> None:
+        """Fold one lane message into the sweep as it arrives.
+
+        The result's statistics land in the sweep's stats at once (the
+        object live progress watches); ``siblings(origin_uid)`` yields
+        the receivers a fresh core is broadcast to.
+        """
+        metrics = obs_runtime.METRICS
+        if metrics is not None and msg.get("obs_metrics"):
+            metrics.merge(msg["obs_metrics"])
+        spans = msg.get("obs_spans")
+        if spans and obs_runtime.TRACER is not None:
+            obs_runtime.TRACER.absorb(spans)
+        if msg.get("kind") != "result":
+            return
+        stats = self.stats
+        part: FinderStats = msg["stats"]
+        stats.merge(part)
+        uid = msg["shard"]
+        self.kept[uid] = part.learned_kept
+        if self.sat is not None:
+            for key, value in (msg.get("sat") or {}).items():
+                self.sat[key] = self.sat.get(key, 0) + value
+        if msg.get("foreign"):
+            # a sibling's broadcast core pruned this lane's queue
+            stats.speculative_pruned += 1
+        fresh = self.add_bounds(msg.get("cores") or ())
+        if fresh:
+            receivers = list(siblings(uid))
+            for receiver in receivers:
+                receiver(fresh)
+            if receivers:
+                stats.cores_broadcast += len(fresh)
+        self.resolve(
+            msg["seq"],
+            {
+                "outcome": msg["outcome"],
+                "model": msg.get("model"),
+                "hopeless": msg.get("hopeless", False),
+            },
+        )
+
+    def finish(self) -> FinderResult:
+        """Settle the sweep's statistics, metrics and verdict.
+
+        ``complete`` is ``True`` only when the verdict is definitive: a
+        model was committed, a size-independent refutation came in, or
+        the whole frontier was refuted (directly or by a covering core)
+        with no vector exhausted and no deadline cut.
+        """
+        stats = self.stats
+        model = self.winner
+        # lane times overlap; wall clock is the honest figure
+        stats.elapsed = time.monotonic() - self.start
+        if self.kept:
+            stats.learned_kept = max(self.kept.values())
+        stats.hopeless = self.hopeless
+        if model is not None:
+            stats.model_size = model.size()
+        metrics = obs_runtime.METRICS
+        if metrics is not None:
+            if self.sat is not None:
+                metrics.publish("sat", self.sat)
+            if self.portfolio:
+                for name, value in (
+                    ("vectors", stats.vectors_speculated),
+                    ("cores_broadcast", stats.cores_broadcast),
+                    ("pruned", stats.speculative_pruned),
+                    ("shard_restarts", stats.shard_restarts),
+                ):
+                    metrics.inc(f"finder.speculative.{name}", value)
+        complete = (
+            model is not None
+            or self.hopeless
+            or (
+                self.complete
+                and self.exhausted_frontier
+                and not stats.deadline_hit
+            )
+        )
+        return FinderResult(model, stats, complete=complete)
+
+
 _UNSET = object()
+
+
+def _check_shared(options: FinderOptions) -> None:
+    """A shared (pooled) engine serves one incremental lane only: a
+    reset or a second lane would disturb every other problem on it."""
+    if not options.incremental:
+        raise FinderError("a shared engine requires incremental mode")
+    if options.sweep_shards > 1:
+        raise FinderError("a shared engine serves a one-lane sweep only")
 
 
 class ModelFinder:
@@ -1893,20 +2326,35 @@ class ModelFinder:
     ``deadline`` and ``min_total_size`` belong to the search, not the
     finder, and :meth:`search` may replace them per call.
 
-    With ``options.incremental`` (the default) the finder keeps one
+    The sweep runs ``options.sweep_shards`` lanes (:class:`_Lane`); the
+    from-scratch ablation (``incremental=False``, which resets its
+    engine before every size vector) always runs one.  One lane is the
+    sequential sweep, in-process on the finder's own engine.  Several
+    lanes are a speculative portfolio whose statuses, winning vector
+    and model size equal the one-lane sweep's by construction (see
+    :mod:`repro.mace.parallel`).  ``mode`` places the lanes:
+    ``"inprocess"`` interleaves them in this process, ``"process"``
+    runs each in a shard subprocess, and ``"auto"`` runs one lane
+    in-process and several in subprocesses — unless this process is
+    daemonic (e.g. an isolated supervised worker), which may not have
+    children.  ``snapshot`` seeds the finder's own engine and every
+    private lane engine with one serialized engine state
+    (:meth:`~repro.mace.pool.EnginePool.snapshot_for`); ``fault_plan``
+    replaces ``REPRO_FAULT_PLAN`` for shard subprocesses.
+
+    With ``options.incremental`` (the default) the finder keeps its own
     :class:`_IncrementalEngine` alive across every :meth:`search` call,
     so repeated searches (e.g. resuming at a larger minimum size after a
     failed Herbrand check) also reuse the encoding and learned clauses.
-    Off, the engine is reset before every size vector — the
-    from-scratch behaviour, kept for the ablation benchmark.
 
     ``engine`` injects a shared engine (campaign mode): the finder
     registers its problem as one context on that engine instead of
     building its own, inheriting every clause, learned clause and
     heuristic score other signature-compatible problems left behind.
-    :func:`check_engine` must accept it for this system's signature and
-    ``options`` — the :class:`~repro.mace.pool.EnginePool` guarantees
-    this by keying engines on exactly those two.
+    It serves a one-lane incremental sweep only, and :func:`check_engine`
+    must accept it for this system's signature and ``options`` — the
+    :class:`~repro.mace.pool.EnginePool` guarantees this by keying
+    engines on exactly those two.
     """
 
     def __init__(
@@ -1917,27 +2365,28 @@ class ModelFinder:
         deadline: Optional[float] = None,
         min_total_size: int = 0,
         engine: Optional[_IncrementalEngine] = None,
+        snapshot: Optional[dict] = None,
+        mode: str = "auto",
+        fault_plan: Optional[ReproFaultPlan] = None,
     ):
+        if options.sweep_shards < 1:
+            raise FinderError("sweep_shards must be >= 1")
+        if mode not in ("auto", "process", "inprocess"):
+            raise FinderError(f"unknown sweep mode {mode!r}")
         self.system = system
         self.options = options
         self.deadline = deadline
         self.min_total_size = min_total_size
+        self.snapshot = snapshot
+        self.mode = mode
+        self.fault_plan = fault_plan
         counter = itertools.count()
         self.flat_clauses = [
             flatten_clause(cl, counter) for cl in system.clauses
         ]
-        self.functions = sorted(
-            system.adts.signature.functions.values(), key=lambda f: f.name
-        )
-        self.predicates = sorted(
-            system.predicates.values(), key=lambda p: p.name
-        )
-        self.sorts = sorted(system.adts.sorts, key=lambda s: s.name)
+        self.sorts, self.functions, self.predicates = _signature(system)
         if engine is not None:
-            if not options.incremental:
-                raise FinderError(
-                    "a shared engine requires incremental mode"
-                )
+            _check_shared(options)
             check_engine(
                 engine.header(),
                 options,
@@ -1947,7 +2396,46 @@ class ModelFinder:
             )
         self._engine: Optional[_IncrementalEngine] = engine
         self._shared_engine = engine is not None
+        self._warm = self._shared_engine
         self._ctx: Optional[_ProblemContext] = None
+
+    def _payload(self, uid: int) -> dict:
+        """What a private lane is built from (:meth:`_Lane.from_payload`),
+        in this process or in a shard subprocess."""
+        plan = self.fault_plan
+        if plan is None:
+            plan = ReproFaultPlan.from_env()
+        return {
+            "shard": uid,
+            "system": self.system,
+            "snapshot": self.snapshot,
+            "options": self.options,
+            "fault_plan": plan.encode() if plan else None,
+            "obs": {
+                "trace": obs_runtime.TRACER is not None,
+                "metrics": obs_runtime.METRICS is not None,
+            },
+        }
+
+    def _lanes(self, width: int) -> list[_Lane]:
+        """The in-process lanes: lane 0 on the finder's own engine —
+        injected, seeded from ``snapshot``, or cold — and the others on
+        private engines built like shard subprocesses build theirs."""
+        if self._engine is None:
+            self._engine, self._warm = _seeded_engine(
+                self.sorts,
+                self.functions,
+                self.predicates,
+                self.options,
+                self.snapshot,
+            )
+        if self._ctx is None:
+            self._ctx = self._engine.register(self.flat_clauses)
+        own = _Lane(0, self._engine, self._ctx, self.options, warm=self._warm)
+        return [own] + [
+            _Lane.from_payload(self._payload(uid))
+            for uid in range(1, width)
+        ]
 
     # ------------------------------------------------------------------
     def search(
@@ -1971,109 +2459,96 @@ class ModelFinder:
         wall-clock budget leaves the sweep incomplete.
         """
         options = self.options
-        if self._shared_engine and not options.incremental:
+        if self._shared_engine:
             # defensive re-check of the constructor invariant (the
-            # options attribute can be rebound): resetting a pooled
-            # engine would wipe every other problem's state in it
-            raise FinderError(
-                "a shared engine requires incremental mode"
-            )
+            # options attribute can be rebound)
+            _check_shared(options)
         if deadline is not _UNSET:
             self.deadline = deadline  # type: ignore[assignment]
         min_total = (
             self.min_total_size if min_total_size is None else min_total_size
         )
-        if self._engine is None:
-            self._engine = _IncrementalEngine(
-                self.sorts, self.functions, self.predicates, options
+        width = options.sweep_shards if options.incremental else 1
+        mode = self.mode
+        if mode == "auto":
+            mode = (
+                "process"
+                if width > 1 and not multiprocessing.current_process().daemon
+                else "inprocess"
             )
-        engine = self._engine
-        if self._ctx is None:
-            self._ctx = engine.register(self.flat_clauses)
-        ctx = self._ctx
+        lanes = self._lanes(width) if mode == "inprocess" else []
         stats = FinderStats(
             incremental=options.incremental,
             engine_shared=self._shared_engine,
             cross_problem_clauses=(
-                ctx.joined_at_clauses if self._shared_engine else 0
+                self._ctx.joined_at_clauses
+                if self._shared_engine and self._ctx is not None
+                else 0
             ),
+            sweep_shards=width,
         )
-        base_added = engine.total_added
-        base_learned = engine.total_learned
-        base_glue = engine.total_glue
-        start = time.monotonic()
-        complete = True
+        state = _SweepState(
+            self.sorts,
+            options,
+            min_total,
+            stats,
+            self.deadline,
+            portfolio=mode == "process" or width > 1,
+        )
         # live-progress registration is one weakref assignment, cheap
         # enough to do even with all collectors off
         obs_runtime.watch_finder_stats(stats)
-        obs_runtime.watch_solver_stats(engine.solver.stats)
-        sat_before = (
-            dataclasses.asdict(engine.solver.stats)
-            if obs_runtime.METRICS is not None
-            else None
-        )
+        if mode == "inprocess":
+            self._sweep_inprocess(state, lanes)
+        else:
+            # the shard transport imports this module
+            from repro.mace.parallel import run_process
 
-        def finish(model: Optional[FiniteModel]) -> FinderResult:
-            stats.elapsed = time.monotonic() - start
-            stats.clauses_encoded = engine.total_added - base_added
-            stats.learned_total = engine.total_learned - base_learned
-            stats.learned_glue = engine.total_glue - base_glue
-            stats.learned_kept = engine.solver.learned_count()
-            stats.hopeless = ctx.hopeless
-            if model is not None:
-                stats.model_size = model.size()
-            metrics = obs_runtime.METRICS
-            if metrics is not None and sat_before is not None:
-                after = dataclasses.asdict(engine.solver.stats)
-                # deltas, clamped: an engine reset mid-sweep swaps in a
-                # fresh counter object and must not go negative
-                metrics.publish(
-                    "sat",
-                    {
-                        key: max(value - sat_before.get(key, 0), 0)
-                        for key, value in after.items()
-                        if isinstance(value, (int, float))
-                        and not isinstance(value, bool)
-                    },
-                )
-            return FinderResult(
-                model, stats, complete=model is not None or complete
-            )
+            run_process(self, state, width)
+        return state.finish()
 
-        if ctx.hopeless:
-            return finish(None)
-        for sizes in size_vectors(
-            self.sorts, options.max_total_size, min_total
-        ):
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                complete = False  # sweep cut short: verdict not definitive
-                stats.deadline_hit = True
+    def _sweep_inprocess(
+        self, state: _SweepState, lanes: list[_Lane]
+    ) -> None:
+        """The in-process sweep loop: lanes take turns, one whole vector
+        each, so a sibling's cores land between a lane's queued vectors
+        exactly as they would across processes."""
+        obs_runtime.watch_solver_stats(lanes[0].engine.solver.stats)
+        state.kept = {
+            lane.uid: lane.engine.solver.learned_count() for lane in lanes
+        }
+        depth = SHARD_QUEUE_DEPTH if len(lanes) > 1 else 1
+        queues: list[deque] = [deque() for _ in lanes]
+
+        def siblings(origin_uid: int):
+            return [
+                lane.adopt_bounds for lane in lanes if lane.uid != origin_uid
+            ]
+
+        # a context already known to be hopeless returns before any
+        # attempt: no model exists at any size
+        state.hopeless = any(lane.ctx.hopeless for lane in lanes)
+        decided = state.hopeless
+        while not decided and not state.expired():
+            for queue in queues:
+                while len(queue) < depth:
+                    nxt = state.next_vector()
+                    if nxt is None:
+                        break
+                    if any(queues):
+                        state.stats.vectors_speculated += 1
+                    queue.append(nxt)
+            if not any(queues):
                 break
-            if options.core_guided_sweep and engine.vector_covered(
-                ctx, sizes
-            ):
-                # a previous refutation's core transfers to this vector:
-                # it is proven unsat without touching the solver
-                stats.vectors_skipped += 1
-                continue
-            stats.attempts += 1
-            if not options.incremental:
-                engine.reset(stats)
-            outcome = engine.try_vector(
-                ctx, sizes, stats, options, deadline=self.deadline
-            )
-            if outcome.model is not None:
-                return finish(outcome.model)
-            if not outcome.refuted:
-                # budget/deadline exhaustion is not a refutation
-                complete = False
-            if ctx.hopeless:
-                # size-independent contradiction: no model exists at
-                # ANY size — definitive even if some earlier vector
-                # had merely exhausted its budget
-                complete = True
-                break
-        return finish(None)
+            for lane, queue in zip(lanes, queues):
+                if not queue:
+                    continue
+                seq, sizes_t = queue.popleft()
+                result = lane.solve(seq, sizes_t, self.deadline)
+                state.consume(result, siblings)
+                if state.commit() or state.hopeless:
+                    decided = True
+                    break
 
 
 def find_model(

@@ -72,6 +72,7 @@ from repro.mace.finder import (
     FinderOptions,
     ModelFinder,
     _IncrementalEngine,
+    _signature,
     check_engine,
     engine_fingerprint,
 )
@@ -371,17 +372,7 @@ class EnginePool:
                 self._engines[key] = slot
         if slot is None:
             slot = _PooledEngine(
-                _IncrementalEngine(
-                    sorted(system.adts.sorts, key=lambda s: s.name),
-                    sorted(
-                        system.adts.signature.functions.values(),
-                        key=lambda f: f.name,
-                    ),
-                    sorted(
-                        system.predicates.values(), key=lambda p: p.name
-                    ),
-                    options,
-                )
+                _IncrementalEngine(*_signature(system), options)
             )
             self._engines[key] = slot
             self.stats.engines_created += 1

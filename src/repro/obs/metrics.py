@@ -16,8 +16,9 @@ Snapshot schema (``METRICS_SCHEMA_VERSION`` = 1)::
                            "buckets": [{"le": bound, "count": n}, ...]}}
 
 Counters are additive by design: worker subprocesses build their own
-registry and ship its snapshot back with the done message, and the
-supervisor :meth:`merge`-s it into the campaign's — sums stay sums.
+registry and ship what they recorded since their previous message with
+every verdict (:meth:`drain`), and the supervisor :meth:`merge`-s it
+into the campaign's — sums stay sums.
 """
 
 from __future__ import annotations
@@ -148,6 +149,16 @@ class MetricsRegistry:
             if hist is None:
                 hist = self._hists[name] = Histogram()
             hist.merge(hist_snap)
+
+    def drain(self) -> dict:
+        """:meth:`snapshot`, then clear: what was recorded since the
+        previous drain.  Workers ship one with every message, so a
+        killed worker loses nothing it had already reported."""
+        snap = self.snapshot()
+        self.counters.clear()
+        self.gauges.clear()
+        self._hists.clear()
+        return snap
 
     def snapshot(self) -> dict:
         return {

@@ -25,12 +25,14 @@ from repro.mace.finder import (
     size_vectors,
 )
 from repro.mace.model import FiniteModel, ModelError, validate_model
+from repro.mace.pool import EnginePool
 from repro.problems import (
     diseq_zz_system,
     even_system,
     evenleft_system,
     incdec_system,
     odd_unsat_system,
+    z_neq_sz_system,
 )
 
 NATS = nat_system()
@@ -341,6 +343,21 @@ PINNED_STREAMS = {
 }
 
 
+def _stream_digest(solver) -> str:
+    """sha256 of the solver's clause list (in order), its level-0 trail,
+    clauses_added and the learned-clause count."""
+    level0 = (
+        solver._trail_lim[0] if solver._trail_lim else len(solver._trail)
+    )
+    state = (
+        solver.clauses,
+        solver._trail[:level0],
+        solver.stats.clauses_added,
+        solver.stats.learned,
+    )
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
 def test_ground_clause_stream_is_pinned(name):
     """The encoder emits exactly the pinned clauses, in the pinned order
@@ -353,17 +370,131 @@ def test_ground_clause_stream_is_pinned(name):
         preprocess(factory()), FinderOptions(max_total_size=max_total)
     )
     finder.search()
-    solver = finder._engine.solver
-    level0 = (
-        solver._trail_lim[0] if solver._trail_lim else len(solver._trail)
-    )
-    state = (
-        solver.clauses,
-        solver._trail[:level0],
-        solver.stats.clauses_added,
-        solver.stats.learned,
-    )
-    assert hashlib.sha256(repr(state).encode()).hexdigest() == expected
+    assert _stream_digest(finder._engine.solver) == expected
+
+
+def _pooled_stlc():
+    """peirce, peirce-swap, then peirce again on one EnginePool, each
+    released before the next: cross-problem clauses, then the
+    problem-facts memo (the revisit inherits every refutation bound)."""
+    pool = EnginePool()
+    options = FinderOptions(max_total_size=6)
+    results = []
+    for name in ("peirce", "peirce-swap", "peirce"):
+        finder = pool.finder(preprocess(_stlc_system(name)), options)
+        results.append(finder.search())
+        pool.release(finder)
+    return results, finder._engine.solver
+
+
+def _resumed_incdec():
+    """A second search on the same finder from the next total size, as
+    the Herbrand retry resumes it."""
+    finder = ModelFinder(preprocess(incdec_system()))
+    first = finder.search()
+    resumed = finder.search(min_total_size=first.model.size() + 1)
+    return [first, resumed], finder._engine.solver
+
+
+def _resumed_hopeless():
+    """A second search on a context already known to be hopeless: it
+    returns before any attempt."""
+    finder = ModelFinder(preprocess(z_neq_sz_system()))
+    results = [finder.search(), finder.search()]
+    assert all(r.stats.hopeless for r in results)
+    return results, finder._engine.solver
+
+
+#: the FinderStats work fields a sweep pin covers, after found,
+#: complete and model_size
+SWEEP_WORK = (
+    "attempts",
+    "vectors_refuted",
+    "vectors_skipped",
+    "vectors_exhausted",
+    "cores_extracted",
+    "cores_minimized",
+    "core_lits_dropped",
+    "clauses_encoded",
+    "clauses_reused",
+    "learned_total",
+    "solver_resets",
+    "cross_problem_clauses",
+)
+
+#: name -> one row per search: (found, complete, model_size, *SWEEP_WORK)
+#: — which vectors the sweep attempted and skipped and what that cost.
+#: The cases crossing a finder's lifetime (pooled, resumed) also pin
+#: the final clause-stream digest.
+PINNED_SWEEPS = {
+    "even": [(True, True, 2, 2, 1, 0, 0, 1, 0, 0, 29, 7, 0, 0, 0)],
+    "incdec": [(True, True, 3, 3, 2, 0, 0, 2, 0, 0, 224, 68, 1, 0, 0)],
+    "peirce": [
+        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 9229, 28090, 239, 0, 0)
+    ],
+    "peirce-inst": [
+        (False, True, None, 10, 10, 5, 0, 10, 4, 6, 13603, 40950, 320, 0, 0)
+    ],
+    "peirce-swap": [
+        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 9229, 28090, 238, 0, 0)
+    ],
+    "tip-mirror-g6": [
+        (False, True, None, 2, 2, 0, 0, 2, 0, 0, 65783, 11, 2, 0, 0)
+    ],
+    "tip-rev-g6": [(False, True, None, 1, 1, 0, 0, 1, 0, 0, 18, 0, 0, 0, 0)],
+    "pooled-stlc": [
+        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 9229, 28090, 239, 0, 0),
+        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 2232, 99065, 240, 0,
+         9229),
+        (False, True, None, 0, 0, 15, 0, 0, 0, 0, 0, 0, 0, 0, 11461),
+    ],
+    "resumed-incdec": [
+        (True, True, 3, 3, 2, 0, 0, 2, 0, 0, 224, 68, 1, 0, 0),
+        (True, True, 4, 1, 0, 0, 0, 0, 0, 0, 403, 224, 0, 0, 0),
+    ],
+    "resumed-hopeless": [
+        (False, True, None, 1, 1, 0, 0, 1, 0, 0, 5, 0, 0, 0, 0),
+        (False, True, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    ],
+}
+SWEEP_DIGESTS = {
+    "pooled-stlc": (
+        _pooled_stlc,
+        "1a89525568799160d00c1bc245cc0ed03ec6b79d520b8de994bbb2204b52f5fd",
+    ),
+    "resumed-incdec": (
+        _resumed_incdec,
+        "ec40e6fd02bd6e9ad210285276385c8e30267fd5ed26a113290401122b4433fa",
+    ),
+    "resumed-hopeless": (
+        _resumed_hopeless,
+        "8fcf6daecfc288dcc89fbfb9ef43c78d787d191e16ba782be94062f916577150",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_sweep_is_pinned(name):
+    """The sweep attempts and skips exactly the pinned size vectors, at
+    the pinned cost, on fresh, pooled and resumed finders alike."""
+    if name in SWEEP_DIGESTS:
+        run, digest = SWEEP_DIGESTS[name]
+        results, solver = run()
+        assert _stream_digest(solver) == digest
+    else:
+        factory, max_total, _ = PINNED_STREAMS[name]
+        finder = ModelFinder(
+            preprocess(factory()), FinderOptions(max_total_size=max_total)
+        )
+        results = [finder.search()]
+    rows = [
+        (r.found, r.complete, r.stats.model_size)
+        + tuple(getattr(r.stats, key) for key in SWEEP_WORK)
+        for r in results
+    ]
+    assert rows == PINNED_SWEEPS[name]
+    # one lane never speculates
+    assert all(r.stats.vectors_speculated == 0 for r in results)
 
 
 class TestVerdictCompleteness:

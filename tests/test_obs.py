@@ -442,6 +442,53 @@ class TestDifferential:
         assert "Timing breakdown" not in campaign_report(campaign, {"Tiny": 3})
 
 
+def _even_campaign_counts(n, *, plan=None, isolate=True):
+    """``sat.*`` and ``phase.*_n`` counters of a metrics-on campaign of
+    ``n`` even_system tasks sharing one engine (one worker, isolated)."""
+    suite = Suite("Evens")
+    for i in range(n):
+        suite.add(f"e{i}", "parity", even_system, "sat")
+    obs_runtime.configure(metrics=True)
+    run_campaign(
+        [suite],
+        solvers=["ringen"],
+        timeout=1.0,
+        share_engines=True,
+        policy=ExecPolicy(
+            isolate=isolate,
+            fault_plan=plan,
+            hard_timeout_factor=1.0,
+            hard_timeout_grace=0.5,
+        ),
+    )
+    counters = obs_runtime.METRICS.snapshot()["counters"]
+    obs_runtime.reset()
+    return {
+        name: value
+        for name, value in counters.items()
+        if name.startswith("sat.")
+        or (name.startswith("phase.") and name.endswith("_n"))
+    }
+
+
+class TestMetricsTransport:
+    """Workers ship metrics per verdict, not at exit."""
+
+    def test_killed_worker_keeps_metrics_of_finished_verdicts(self):
+        # the watchdog kills the worker on the third task, so it never
+        # sends its done message; the first two verdicts' metrics count
+        hurt = _even_campaign_counts(3, plan=ReproFaultPlan.parse("hang@2"))
+        assert hurt == _even_campaign_counts(2)
+        assert hurt["sat.solve_calls"] >= 1
+        assert hurt["phase.encode_n"] >= 1
+
+    def test_isolated_metrics_are_counted_once(self):
+        isolated = _even_campaign_counts(3)
+        assert isolated == _even_campaign_counts(3, isolate=False)
+        assert isolated["sat.solve_calls"] == 4
+        assert isolated["phase.encode_n"] == 4
+
+
 class TestLiveProgress:
     def test_isolated_hang_produces_heartbeat_renders(self):
         """A hung isolated task emits heartbeats over the verdict pipe,

@@ -1,10 +1,10 @@
 """Differential tests for the speculative parallel size sweep.
 
-The parity contract (see ``repro/mace/parallel.py``): for any shard
-count and mode, the parallel sweep commits candidate size
-vectors in exactly the sequential order, so the *verdict* (found /
-complete), the winning total size (``model_size``), and model validity
-are identical to :class:`repro.mace.finder.ModelFinder`.  Model
+The parity contract (see ``repro/mace/parallel.py``): for any lane
+count and mode, :class:`repro.mace.finder.ModelFinder` commits
+candidate size vectors in exactly the one-lane sweep's order, so the
+*verdict* (found / complete), the winning total size (``model_size``),
+and model validity are identical to the sequential sweep's.  Model
 *internals* may differ — CDCL models are history-dependent — which is
 why the contract is stated over verdicts and sizes, not table contents.
 
@@ -19,9 +19,16 @@ import pytest
 
 from repro.chc.transform import preprocess
 from repro.exec import ReproFaultPlan
-from repro.mace.finder import FinderError, FinderOptions, ModelFinder
+from repro.mace.finder import (
+    FinderError,
+    FinderOptions,
+    ModelFinder,
+    _SweepState,
+    find_model,
+)
 from repro.mace.model import validate_model
-from repro.mace.parallel import ParallelModelFinder, SweepScheduler
+from repro.mace.pool import EnginePool
+from repro.obs import runtime as obs_runtime
 from repro.problems import (
     diag_system,
     diseq_zz_system,
@@ -48,7 +55,7 @@ def sequential(prepared, **kwargs):
 
 def parallel(prepared, shards, mode="process", fault_plan=None, **kwargs):
     options = FinderOptions(sweep_shards=shards, **kwargs)
-    return ParallelModelFinder(
+    return ModelFinder(
         prepared, options, mode=mode, fault_plan=fault_plan
     ).search()
 
@@ -81,13 +88,21 @@ class TestDifferential:
         assert_parity(seq, par, name)
 
     def test_one_options_value_configures_both_finders(self):
+        # every way to build a finder honours sweep_shards: the finder
+        # itself and find_model run two lanes, and a pooled engine
+        # refuses a second lane instead of silently running one
         prepared = preprocess(incdec_system())
         options = FinderOptions(max_total_size=6, sweep_shards=2)
-        seq = ModelFinder(prepared, options).search()
-        par = ParallelModelFinder(prepared, options).search()
+        seq = ModelFinder(prepared, FinderOptions(max_total_size=6)).search()
+        par = ModelFinder(prepared, options).search()
+        one_call = find_model(prepared, max_total_size=6, sweep_shards=2)
         assert_parity(seq, par)
+        assert_parity(seq, one_call)
         assert seq.stats.sweep_shards == 1
         assert par.stats.sweep_shards == 2
+        assert one_call.stats.sweep_shards == 2
+        with pytest.raises(FinderError):
+            EnginePool().finder(prepared, options)
 
     def test_core_guidance_off_still_agrees(self):
         prepared = preprocess(even_system())
@@ -97,10 +112,9 @@ class TestDifferential:
         assert par.stats.cores_broadcast == 0
 
     def test_incremental_off_gates_to_sequential(self):
-        # RInGenConfig(incremental=False) never constructs the parallel
-        # finder (repro/core/ringen.py gates on cfg.incremental): the
-        # from-scratch ablation path has no persistent engine to shard.
-        # Covered here as documentation of the gate, not of parallel.py.
+        # the from-scratch ablation resets its one engine before every
+        # vector, so ModelFinder runs it as a single lane whatever
+        # sweep_shards says
         from repro.core.ringen import RInGen, RInGenConfig
 
         solver = RInGen(
@@ -108,6 +122,7 @@ class TestDifferential:
         )
         result = solver.solve(even_system())
         assert result.is_sat
+        assert result.details["finder"]["sweep_shards"] == 1
 
     def test_speculation_and_broadcast_counted(self):
         prepared = preprocess(incdec_system())
@@ -127,9 +142,9 @@ class TestDifferential:
     def test_bad_config_rejected(self):
         prepared = preprocess(even_system())
         with pytest.raises(FinderError):
-            ParallelModelFinder(prepared, FinderOptions(sweep_shards=0))
+            ModelFinder(prepared, FinderOptions(sweep_shards=0))
         with pytest.raises(FinderError):
-            ParallelModelFinder(prepared, mode="threads")
+            ModelFinder(prepared, mode="threads")
 
 
 class TestRInGenIntegration:
@@ -189,6 +204,28 @@ class TestFaultInjection:
         assert_parity(clean, hurt)
         assert hurt.stats.cores_broadcast > 0
 
+    @pytest.mark.parametrize(
+        "factory,kwargs",
+        [
+            (even_system, {}),
+            (incdec_system, {}),
+            (diag_system, {"max_total_size": 5}),
+        ],
+        ids=["even", "incdec", "diag"],
+    )
+    def test_killed_shard_matches_sequential(self, factory, kwargs):
+        # a shard dies mid-vector: the sweep must respawn it with the
+        # refutation bounds replayed, requeue the orphaned vectors, and
+        # commit the sequential sweep's verdict
+        prepared = preprocess(factory())
+        plan = ReproFaultPlan.parse("flaky@1x1")
+        seq = sequential(prepared, **kwargs)
+        hurt = parallel(
+            prepared, 2, mode="process", fault_plan=plan, **kwargs
+        )
+        assert_parity(seq, hurt, factory.__name__)
+        assert hurt.stats.shard_restarts >= 1
+
     def test_all_shards_dead_is_honest_unknown(self):
         # Every vector faults on every attempt: after the per-slot
         # restart budget both shards stay dead; the sweep must report
@@ -200,13 +237,61 @@ class TestFaultInjection:
         assert not result.complete
 
 
+class TestTelemetry:
+    """Every lane's work reaches the metrics and live progress as each
+    result is folded in, whichever transport carried it."""
+
+    @pytest.fixture(autouse=True)
+    def clean_obs_runtime(self):
+        obs_runtime.reset()
+        yield
+        obs_runtime.reset()
+
+    @pytest.mark.parametrize("mode", ["process", "inprocess"])
+    def test_sweep_publishes_sat_counters(self, mode):
+        obs_runtime.configure(metrics=True)
+        result = parallel(
+            preprocess(diag_system()), 2, mode=mode, max_total_size=5
+        )
+        counters = obs_runtime.METRICS.snapshot()["counters"]
+        assert counters.get("sat.solve_calls", 0) >= result.stats.attempts
+        assert counters.get("sat.conflicts", 0) > 0
+
+    @pytest.mark.parametrize("mode", ["process", "inprocess"])
+    def test_live_progress_counts_each_folded_result(
+        self, mode, monkeypatch
+    ):
+        samples = []
+        resolve = _SweepState.resolve
+
+        def sampled(state, seq, outcome):
+            samples.append(obs_runtime.live_sample()["vectors"])
+            return resolve(state, seq, outcome)
+
+        monkeypatch.setattr(_SweepState, "resolve", sampled)
+        parallel(preprocess(diag_system()), 2, mode=mode, max_total_size=5)
+        assert samples
+        for k, vectors in enumerate(samples, 1):
+            assert vectors >= k, (k, samples)
+
+    def test_killed_shards_keep_their_metrics(self):
+        # the SAT commit kills both shards before their done messages:
+        # the metrics must already have arrived with their results
+        obs_runtime.configure(metrics=True)
+        result = parallel(preprocess(incdec_system()), 2, mode="process")
+        assert result.found
+        counters = obs_runtime.METRICS.snapshot()["counters"]
+        assert counters.get("phase.encode_n", 0) >= 1
+        assert counters.get("sat.solve_calls", 0) >= 1
+
+
 def _daemon_sweep(conn, name):
     """Daemonic-process body: an ``auto``-mode 2-shard sweep, which can
     only succeed here through the in-process portfolio (a daemon may
     not spawn shard subprocesses)."""
     _, factory, kwargs = next(p for p in PROBLEMS if p[0] == name)
     options = FinderOptions(sweep_shards=2, **kwargs)
-    result = ParallelModelFinder(preprocess(factory()), options).search()
+    result = ModelFinder(preprocess(factory()), options).search()
     conn.send(
         (
             multiprocessing.current_process().daemon,
@@ -224,7 +309,7 @@ class TestModeSelection:
         # the in-process portfolio there.  Outside a daemon it runs
         # process shards.
         prepared = preprocess(even_system())
-        finder = ParallelModelFinder(prepared, FinderOptions(sweep_shards=2))
+        finder = ModelFinder(prepared, FinderOptions(sweep_shards=2))
         assert finder.mode == "auto"
         if multiprocessing.current_process().daemon:
             pytest.skip("test runner itself is daemonic")
@@ -256,6 +341,7 @@ class TestModeSelection:
 
     def test_scheduler_stats_carry_shard_count(self):
         prepared = preprocess(even_system())
-        finder = ParallelModelFinder(prepared, FinderOptions(sweep_shards=3))
-        scheduler = SweepScheduler(finder, "inprocess")
-        assert scheduler.stats.sweep_shards == 3
+        finder = ModelFinder(
+            prepared, FinderOptions(sweep_shards=3), mode="inprocess"
+        )
+        assert finder.search().stats.sweep_shards == 3
