@@ -42,14 +42,25 @@ guarded so that they are vacuous outside the vectors they describe:
   element values, so an instance emitted once binds for every vector
   that contains those elements;
 * *universal blocks*: per-instance Tseitin literals are forced true for
-  inactive instantiations (``ex[s, u] \\/ t_inst``) and the block
+  inactive instantiations (``ex[s, u] \\/ t_inst``) and each block
   conjunction carries frontier guards, so the same block literal is
   correct at every active size;
 * *symmetry breaking*: the least-constant cuts are unit clauses valid at
   every size and are emitted once per new element.
 
-Growing a sort's domain therefore only adds the new cells', instances'
-and block rows' clauses, while learned clauses, VSIDS activity and saved
+What each clause group and each universal block has ground is a
+*staircase*: the maximal boxes of the size vectors it was grown to.  A
+vector grounds only the part of its own box that no stair covers
+(:func:`_box_minus`), so no instance is emitted that lies in no vector
+tried — on a multi-sort sweep the per-sort hull of the vectors tried is
+much larger than any one of them (total size 14 against 7 on the STLC
+sweep).  Cells, existence chains and symmetry cuts are shared by every
+problem on the engine and grow to that hull.  Since every emitted
+clause is valid at every vector, the order of the vectors tried never
+changes an answer; :class:`_IncrementalEngine` has the argument.
+
+Growing the sweep therefore only adds the new cells', instances' and
+block rows' clauses, while learned clauses, VSIDS activity and saved
 phases carry across the entire sweep (solved with
 ``solver.solve(assumptions=...)``).
 
@@ -163,7 +174,7 @@ import multiprocessing
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from operator import getitem, itemgetter
+from operator import getitem, itemgetter, le, lt
 from typing import Iterator, Optional, Sequence
 
 from repro.chc.clauses import BodyAtom, CHCSystem, Clause
@@ -192,7 +203,7 @@ class EngineSnapshotError(FinderError):
 #: schema version of :meth:`_IncrementalEngine.snapshot`; bumped
 #: whenever the serialized layout changes incompatibly.  ``restore``
 #: rejects any other version instead of guessing.
-ENGINE_SNAPSHOT_VERSION = 2
+ENGINE_SNAPSHOT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -556,30 +567,62 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def _combos(
-    old: Optional[tuple[int, ...]], new: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    """Tuples over ``prod(range(n) for n in new)`` not yet covered.
+def _inside(box: tuple[int, ...], stairs: Sequence[tuple[int, ...]]) -> bool:
+    """Whether ``box`` lies inside one of the ``stairs`` boxes."""
+    return any(all(map(le, box, stair)) for stair in stairs)
 
-    ``old is None`` means nothing was covered (yield the full space);
-    otherwise yield exactly the difference of the two boxes, enumerated
-    by the position of the first component that escapes the old box.
+
+def _add_stair(
+    stairs: list[tuple[int, ...]], box: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """``stairs`` with ``box`` added, keeping only the maximal boxes."""
+    if _inside(box, stairs):
+        return stairs
+    return [s for s in stairs if not all(map(le, s, box))] + [box]
+
+
+def _box_minus(
+    new: tuple[int, ...], stairs: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """The tuples of ``box(new) = prod(range(n) for n in new)`` outside
+    every stair box ``box(stair)``, each exactly once.
+
+    The difference is split into disjoint sub-boxes one stair at a
+    time.  A sub-box the stair covers is dropped and one it misses is
+    kept whole; otherwise it splits by *pivot*, the first position that
+    escapes the stair: earlier positions stay inside the stair, the
+    pivot lies beyond it, later positions range freely.  With one stair
+    inside ``new`` this is the enumeration of ``box(new)`` minus the old
+    box by the first component that escapes it.
     """
-    if old is None:
-        yield from itertools.product(*[range(n) for n in new])
-        return
-    for pivot in range(len(new)):
-        if new[pivot] <= old[pivot]:
-            continue
-        pools: list[range] = []
-        for j in range(len(new)):
-            if j < pivot:
-                pools.append(range(old[j]))
-            elif j == pivot:
-                pools.append(range(old[j], new[j]))
-            else:
-                pools.append(range(new[j]))
-        yield from itertools.product(*pools)
+    if _inside(new, stairs):
+        return iter(())
+    # one [lo, hi) range per position
+    boxes = [[(0, n) for n in new]]
+    for stair in stairs:
+        split = []
+        for box in boxes:
+            if all(hi <= b for (_, hi), b in zip(box, stair)):
+                continue
+            if any(lo >= b for (lo, _), b in zip(box, stair)):
+                split.append(box)
+                continue
+            for pivot, (lo, hi) in enumerate(box):
+                b = stair[pivot]
+                if hi <= b:
+                    continue
+                sub = [
+                    (lo_j, min(hi_j, b_j))
+                    for (lo_j, hi_j), b_j in zip(box[:pivot], stair)
+                ]
+                sub.append((b, hi))
+                sub.extend(box[pivot + 1:])
+                split.append(sub)
+        boxes = split
+    return itertools.chain.from_iterable(
+        itertools.product(*[range(lo, hi) for lo, hi in box])
+        for box in boxes
+    )
 
 
 def _picker(positions: Sequence[int]):
@@ -600,14 +643,21 @@ def _picker(positions: Sequence[int]):
 
 @dataclass
 class _BlockState:
-    """Persistent encoding state of one universal-block Tseitin literal."""
+    """Persistent encoding state of one universal-block Tseitin literal.
+
+    ``outer`` is the ground instance the block belongs to: its values
+    over the group's ``flat.vars`` positions.  ``t_insts`` maps each
+    instantiation of the universal variables to its Tseitin literal, and
+    ``stairs`` are the maximal boxes, over ``universal_vars +
+    local_vars`` positions, whose premises are already emitted (see
+    :meth:`_IncrementalEngine._grow_block`).
+    """
 
     atom: FlatAtom
-    outer: dict[Var, int]
+    outer: tuple[int, ...]
     t: int
     t_insts: dict[tuple[int, ...], int] = field(default_factory=dict)
-    done_u: Optional[tuple[int, ...]] = None
-    done_l: Optional[tuple[int, ...]] = None
+    stairs: list[tuple[int, ...]] = field(default_factory=list)
 
 
 def clause_key(flat: FlatClause) -> tuple:
@@ -674,14 +724,17 @@ class _ClauseGroup:
     its selector is retired (see :meth:`_IncrementalEngine._gc_groups`),
     so back-to-back problems from one family keep their shared rules
     hot while one-off query clauses age out.
+
+    ``stairs`` are the maximal boxes, over ``flat.vars`` positions, whose
+    ground instances are already emitted: the union of the boxes of the
+    size vectors the group was grown to.
     """
 
     __slots__ = (
         "flat",
         "serial",
         "sel",
-        "cur",
-        "done",
+        "stairs",
         "blocks",
         "atom_layouts",
         "refs",
@@ -692,8 +745,7 @@ class _ClauseGroup:
         self.flat = flat
         self.serial = serial
         self.sel: Optional[int] = None
-        self.cur: dict[Sort, int] = {}
-        self.done: Optional[tuple[int, ...]] = None
+        self.stairs: list[tuple[int, ...]] = []
         self.blocks: list[_BlockState] = []
         self.atom_layouts: dict[int, tuple] = {}
         self.refs = 0
@@ -704,17 +756,18 @@ class _ProblemContext:
     """Per-problem state registered on a (possibly shared) engine.
 
     The context is thin: a problem is its set of clause groups (see
-    :class:`_ClauseGroup`) plus a growth envelope.  Activating the
-    problem for one ``solve`` call means assuming exactly its groups'
-    selectors; everything else — cells, existence chains, symmetry cuts,
-    the solver, and any group some other problem also contains — is
-    shared engine state.
+    :class:`_ClauseGroup`) plus what its sweeps learned (refutation
+    cores, ``hopeless``).  What is ground lives on the groups, whose
+    staircases may already cover a vector because another problem
+    sharing them tried it.  Activating the problem for one ``solve``
+    call means assuming exactly its groups' selectors; everything else —
+    cells, existence chains, symmetry cuts, the solver, and any group
+    some other problem also contains — is shared engine state.
     """
 
     __slots__ = (
         "flat_clauses",
         "key",
-        "cur",
         "groups",
         "hopeless",
         "released",
@@ -730,7 +783,6 @@ class _ProblemContext:
         self.joined_at_clauses = joined_at
         self.hopeless = False
         self.released = False
-        self.cur: dict[Sort, int] = {}
         # resolved lazily (and re-resolved after an engine reset)
         self.groups: Optional[list[_ClauseGroup]] = None
         # unsat cores of refuted size vectors as (lower, upper) bound
@@ -752,6 +804,27 @@ class _IncrementalEngine:
     :meth:`try_vector`.  Of its :class:`FinderOptions` the engine keeps
     only the :meth:`~FinderOptions.engine_key` part; the search knobs
     arrive with every :meth:`try_vector` call.
+
+    Why the staircase encoding is sound whatever vectors are tried, in
+    whatever order:
+
+    * every emitted clause holds at every vector, in any model of that
+      vector extended by the canonical Tseitin values (``t_inst`` true
+      iff its instantiation is inactive or satisfies the block, ``t``
+      true iff the block holds over the active elements): a group
+      instance because its ``-ex`` guards on its own element values make
+      it vacuous unless they are all active, premises and block rows by
+      those definitions.  So emitting any set of instances is sound — no
+      model of any vector is lost;
+    * a vector's answer is exact once its own box lies inside the
+      staircase of each of the problem's groups, and of each universal
+      block whose instance lies in the vector; :meth:`ensure` grows
+      exactly those before every solve;
+    * a block row emitted at universal sizes ``K`` applies exactly to
+      the vectors whose universal sizes are at most ``K`` (its frontier
+      literals ``ex[s, K_s]`` are false exactly there), and there the
+      ``ex[s, u] \\/ t_inst`` clauses force the inactive instantiations
+      true, so the row reads "every active instantiation holds -> t".
     """
 
     #: how many problem registrations an unreferenced clause group
@@ -842,7 +915,6 @@ class _IncrementalEngine:
         problem (the database entailed its unsatisfiability at every
         size), not an artifact of the discarded encoding.
         """
-        ctx.cur = {s: 0 for s in self.sorts}
         ctx.groups = None
 
     #: how many distinct problems' cores/hopeless verdicts the engine
@@ -892,7 +964,6 @@ class _IncrementalEngine:
             group = self._groups.get(key)
             if group is None:
                 group = _ClauseGroup(flat, next(self._group_serial))
-                group.cur = {s: 0 for s in self.sorts}
                 self._groups[key] = group
             elif group.serial not in seen:
                 self.groups_shared += 1
@@ -996,8 +1067,9 @@ class _IncrementalEngine:
         """Serializable state of the whole engine (picklable dict).
 
         Captures the solver (via its own ``snapshot``), the
-        selector table, the signature-level growth envelopes, every live
-        clause group with its blocks, and the problem-facts memo.
+        selector table, the signature-level hull, every live clause
+        group with its blocks and their staircases, and the
+        problem-facts memo.
         Problem *contexts* are deliberately absent: a restored engine
         starts with no registered problems, and re-registering one
         recovers its bounds through the memo.  ``atom_layouts`` is also
@@ -1018,17 +1090,15 @@ class _IncrementalEngine:
                     "flat": group.flat,
                     "serial": group.serial,
                     "sel": group.sel,
-                    "cur": dict(group.cur),
-                    "done": group.done,
+                    "stairs": list(group.stairs),
                     "last_touch": group.last_touch,
                     "blocks": [
                         {
                             "atom": b.atom,
-                            "outer": dict(b.outer),
+                            "outer": b.outer,
                             "t": b.t,
                             "t_insts": dict(b.t_insts),
-                            "done_u": b.done_u,
-                            "done_l": b.done_l,
+                            "stairs": list(b.stairs),
                         }
                         for b in group.blocks
                     ],
@@ -1137,17 +1207,15 @@ class _IncrementalEngine:
         for g in snap["groups"]:
             group = _ClauseGroup(g["flat"], int(g["serial"]))
             group.sel = g["sel"]
-            group.cur = dict(g["cur"])
-            group.done = g["done"]
+            group.stairs = list(g["stairs"])
             group.last_touch = int(g["last_touch"])
             for b in g["blocks"]:
                 block = _BlockState(
                     b["atom"],
-                    dict(b["outer"]),
+                    b["outer"],
                     b["t"],
                     dict(b["t_insts"]),
-                    b["done_u"],
-                    b["done_l"],
+                    list(b["stairs"]),
                 )
                 group.blocks.append(block)
             self._groups[clause_key(group.flat)] = group
@@ -1226,16 +1294,18 @@ class _IncrementalEngine:
     def ensure(
         self, ctx: _ProblemContext, sizes: dict[Sort, int]
     ) -> Optional[bool]:
-        """Grow the encoding so ``ctx`` covers ``sizes`` on every sort.
+        """Grow the encoding so ``ctx`` is exact at the vector ``sizes``.
 
         Signature-level state (existence chains, cells, symmetry cuts)
-        grows to the global envelope shared by every context; each of
-        the context's clause groups grows to its own envelope — which a
-        group shared with other problems may already exceed, in which
-        case its ground instances are simply reused.  Returns ``None``
-        when the deadline expired mid-encoding (the encoding stays
-        consistent — already-emitted clauses are valid — but the
-        envelopes are not advanced).
+        grows to the per-sort hull of every vector tried, shared by
+        every context.  Each of the context's clause groups, and each of
+        its universal blocks inside the vector, grounds only the part of
+        the vector's own box its staircase does not cover yet — a group
+        shared with other problems may cover it already, in which case
+        its ground instances are simply reused.  Returns ``None`` when
+        the deadline expired mid-encoding (the encoding stays consistent
+        — already-emitted clauses are valid — but the staircases are not
+        advanced).
         """
         tracer, metrics = obs_runtime.TRACER, obs_runtime.METRICS
         if tracer is None and metrics is None:
@@ -1262,20 +1332,19 @@ class _IncrementalEngine:
                 return None
             self._encode_symmetry(new)
             self.cur = new
-        ctx_new = {s: max(ctx.cur[s], sizes[s]) for s in self.sorts}
         for group in self._resolve_groups(ctx):
-            group_new = {
-                s: max(group.cur[s], ctx_new[s]) for s in self.sorts
-            }
-            if group_new == group.cur:
-                continue
-            for block in list(group.blocks):
-                if self._grow_block(group, block, group_new) is None:
-                    return None
-            if self._encode_group(group, group_new) is None:
+            if group.blocks:
+                # a block whose instance lies outside the vector is
+                # vacuous there (its instance's -ex guards hold)
+                var_sizes = tuple(sizes[v.sort] for v in group.flat.vars)
+                for block in group.blocks:
+                    if (
+                        all(map(lt, block.outer, var_sizes))
+                        and self._grow_block(group, block, sizes) is None
+                    ):
+                        return None
+            if self._encode_group(group, sizes) is None:
                 return None
-            group.cur = group_new
-        ctx.cur = ctx_new
         return self._ok
 
     def _encode_cells(self, new: dict[Sort, int]) -> Optional[bool]:
@@ -1318,7 +1387,7 @@ class _IncrementalEngine:
                 literals.extend(cell)
                 self._add(literals)
 
-            for args in _combos(old_args, arg_sizes):
+            for args in _box_minus(arg_sizes, [old_args] if done else []):
                 if not self._tick():
                     return None
                 emit_rows(args, 0)
@@ -1353,12 +1422,12 @@ class _IncrementalEngine:
             self._sb_done[sort] = size
 
     def _encode_group(
-        self, group: _ClauseGroup, new: dict[Sort, int]
+        self, group: _ClauseGroup, sizes: dict[Sort, int]
     ) -> Optional[bool]:
         flat = group.flat
-        var_sizes = tuple(new[v.sort] for v in flat.vars)
-        old = group.done
-        if old == var_sizes:
+        var_sizes = tuple(sizes[v.sort] for v in flat.vars)
+        stairs = group.stairs
+        if _inside(var_sizes, stairs):
             return self._ok
         sel = self._sel(group)
         # precomputed layout: every table key is read out of the combo
@@ -1395,11 +1464,11 @@ class _IncrementalEngine:
             )
         new_var = self.solver.new_var
         # blocks created past this point belong to instances whose
-        # group has not committed yet (``done``); on a deadline abort
+        # group has not committed yet (``stairs``); on a deadline abort
         # they are dropped so a resumed sweep does not keep growing
         # orphans for combos it will re-emit
         blocks_committed = len(group.blocks)
-        for combo in _combos(old, var_sizes):
+        for combo in _box_minus(var_sizes, stairs):
             if not self._tick():
                 del group.blocks[blocks_committed:]
                 return None
@@ -1418,13 +1487,9 @@ class _IncrementalEngine:
                     table[key] = var
                 literals.append(-var)
             for atom in block_atoms:
-                block = _BlockState(
-                    atom,
-                    {v: combo[i] for v, i in index.items()},
-                    new_var(),
-                )
+                block = _BlockState(atom, combo, new_var())
                 group.blocks.append(block)
-                if self._grow_block(group, block, new) is None:
+                if self._grow_block(group, block, sizes) is None:
                     del group.blocks[blocks_committed:]
                     return None
                 literals.append(-block.t)
@@ -1444,7 +1509,7 @@ class _IncrementalEngine:
                     table[args] = var
                 literals.append(var)
             self._add(literals)
-        group.done = var_sizes
+        group.stairs = _add_stair(stairs, var_sizes)
         return self._ok
 
     # -- universal blocks --------------------------------------------------
@@ -1452,117 +1517,51 @@ class _IncrementalEngine:
         self,
         group: _ClauseGroup,
         block: _BlockState,
-        new: dict[Sort, int],
+        sizes: dict[Sort, int],
     ) -> Optional[bool]:
-        """(Re-)encode one universal block up to the ``new`` sizes.
+        """Grow one universal block so it is exact at the vector ``sizes``.
 
         ``t`` is implied by the truth of the whole universal block over
         the *active* elements, so a negated ``t`` in a ground clause
         soundly asserts the block fails.  Per instantiation ``u`` of the
         block's universal variables a literal ``t_inst`` is forced true
-        when ``u`` is inactive and implied by ``defs /\\ P(args)`` for
-        every choice of block-local intermediate values; the guarded
-        conjunction ``(/\\ t_inst) -> t`` is re-emitted wider whenever a
-        universal sort grows (the old row is vacuous beyond its frontier
-        guard).
+        when ``u`` is inactive (``ex[s, u_s] \\/ t_inst``) and implied by
+        ``defs /\\ P(args)`` for every choice ``l`` of block-local
+        intermediate values (one *premise* per ``(u, l)``).  A *row*
+        ``(/\\ t_inst over box U) -> t``, guarded by the frontier
+        ``ex[s, U_s]`` of each universal sort, applies at exactly the
+        vectors whose universal sizes are at most ``U``; there the
+        guards force the instantiations outside the vector true.
+
+        The vector's universal sizes ``U`` and local sizes ``L`` grow
+        the block by the premises of ``box(U + L)`` outside every stair
+        (a ``t_inst`` is created with its first premise), and by a row
+        at ``U`` unless a stair's universal part already covers ``U``.
         """
         atom = block.atom
-        u_sizes = tuple(new[v.sort] for v in atom.universal_vars)
-        l_sizes = tuple(new[v.sort] for v in atom.local_vars)
-        grew_u = block.done_u != u_sizes
-        for ucombo in _combos(block.done_u, u_sizes):
-            if not self._tick():
-                return None
-            t_inst = self.solver.new_var()
-            block.t_insts[ucombo] = t_inst
-            for v, u in zip(atom.universal_vars, ucombo):
-                if u >= 1:
-                    # inactive instantiations hold vacuously
-                    self._add([self._ex(v.sort, u), t_inst])
-            if (
-                self._emit_premises(group, block, ucombo, None, l_sizes)
-                is None
-            ):
-                return None
-        if block.done_u is not None and block.done_l != l_sizes:
-            for ucombo in itertools.product(
-                *[range(n) for n in block.done_u]
-            ):
-                if (
-                    self._emit_premises(
-                        group, block, ucombo, block.done_l, l_sizes
-                    )
-                    is None
-                ):
-                    return None
-        if grew_u:
-            literals = [
-                self._ex(s, new[s])
-                for s in dict.fromkeys(
-                    v.sort for v in atom.universal_vars
-                )
-            ]
-            literals.extend(-ti for ti in block.t_insts.values())
-            literals.append(block.t)
-            self._add(literals)
-        block.done_u, block.done_l = u_sizes, l_sizes
-        return True
-
-    def _block_layout(self, group: _ClauseGroup, atom: FlatAtom):
-        """Positional layout of a block atom, computed once per atom.
-
-        A premise row is ``lcombo + ucombo + outer values`` (local, then
-        universal, then the block's outer variables in ``outer_vars``
-        order), and every table key is read out of it by a positional
-        picker, as in the plain-clause grounding loop.
-        """
-        layout = group.atom_layouts.get(id(atom))
-        if layout is None:
-            local, univ = atom.local_vars, atom.universal_vars
-            slots = {v: len(local) + j for j, v in enumerate(univ)}
-            slots.update((v, i) for i, v in enumerate(local))
-            refs = [v for _, args, r in atom.local_defs for v in (*args, r)]
-            outer_vars = tuple(
-                v for v in dict.fromkeys(refs + list(atom.vars))
-                if v not in slots
-            )
-            base = len(local) + len(univ)
-            slots.update((v, base + k) for k, v in enumerate(outer_vars))
-            defs = [
-                (
-                    self.func_vars[func],
-                    _picker([slots[a] for a in arg_vars]),
-                    itemgetter(slots[result]),
-                )
-                for func, arg_vars, result in atom.local_defs
-            ]
-            layout = (
-                defs,
-                self.pred_vars[atom.pred],
-                _picker([slots[v] for v in atom.vars]),
-                outer_vars,
-            )
-            group.atom_layouts[id(atom)] = layout
-        return layout
-
-    def _emit_premises(
-        self,
-        group: _ClauseGroup,
-        block: _BlockState,
-        ucombo: tuple[int, ...],
-        old_l: Optional[tuple[int, ...]],
-        l_sizes: tuple[int, ...],
-    ) -> Optional[bool]:
-        t_inst = block.t_insts[ucombo]
-        defs, ptable, pick, outer_vars = self._block_layout(
-            group, block.atom
-        )
-        fixed = ucombo + tuple([block.outer[v] for v in outer_vars])
+        univ = atom.universal_vars
+        nu = len(univ)
+        box = tuple(sizes[v.sort] for v in univ + atom.local_vars)
+        stairs = block.stairs
+        if _inside(box, stairs):
+            return True
+        defs, ptable, pick, pick_outer = self._block_layout(group, atom)
+        outer = pick_outer(block.outer)
+        t_insts = block.t_insts
         new_var = self.solver.new_var
-        for lcombo in _combos(old_l, l_sizes):
+        for combo in _box_minus(box, stairs):
             if not self._tick():
                 return None
-            row = lcombo + fixed
+            ucombo = combo[:nu]
+            t_inst = t_insts.get(ucombo)
+            if t_inst is None:
+                t_inst = new_var()
+                t_insts[ucombo] = t_inst
+                for v, u in zip(univ, ucombo):
+                    if u >= 1:
+                        # inactive instantiations hold vacuously
+                        self._add([self._ex(v.sort, u), t_inst])
+            row = combo + outer
             literals: list[int] = []
             for table, pick_args, pick_result in defs:
                 key = (pick_args(row), pick_result(row))
@@ -1579,7 +1578,58 @@ class _IncrementalEngine:
             literals.append(-var)
             literals.append(t_inst)
             self._add(literals)
+        u_box = box[:nu]
+        if not _inside(u_box, [stair[:nu] for stair in stairs]):
+            literals = [
+                self._ex(s, sizes[s])
+                for s in dict.fromkeys(v.sort for v in univ)
+            ]
+            literals.extend(
+                -ti for u, ti in t_insts.items() if all(map(lt, u, u_box))
+            )
+            literals.append(block.t)
+            self._add(literals)
+        block.stairs = _add_stair(stairs, box)
         return True
+
+    def _block_layout(self, group: _ClauseGroup, atom: FlatAtom):
+        """Positional layout of a block atom, computed once per atom.
+
+        A premise row is ``ucombo + lcombo + outer values`` (universal,
+        then local, then the block's outer variables, whose values
+        ``pick_outer`` reads out of :attr:`_BlockState.outer`), and
+        every table key is read out of it by a positional picker, as in
+        the plain-clause grounding loop.
+        """
+        layout = group.atom_layouts.get(id(atom))
+        if layout is None:
+            bound = atom.universal_vars + atom.local_vars
+            slots = {v: i for i, v in enumerate(bound)}
+            refs = [v for _, args, r in atom.local_defs for v in (*args, r)]
+            outer_vars = [
+                v for v in dict.fromkeys(refs + list(atom.vars))
+                if v not in slots
+            ]
+            slots.update(
+                (v, len(bound) + k) for k, v in enumerate(outer_vars)
+            )
+            index = {v: i for i, v in enumerate(group.flat.vars)}
+            defs = [
+                (
+                    self.func_vars[func],
+                    _picker([slots[a] for a in arg_vars]),
+                    itemgetter(slots[result]),
+                )
+                for func, arg_vars, result in atom.local_defs
+            ]
+            layout = (
+                defs,
+                self.pred_vars[atom.pred],
+                _picker([slots[v] for v in atom.vars]),
+                _picker([index[v] for v in outer_vars]),
+            )
+            group.atom_layouts[id(atom)] = layout
+        return layout
 
     # -- solving -----------------------------------------------------------
     def try_vector(

@@ -1,7 +1,10 @@
 """Tests for the finite model finder and finite structures (Sec. 4.1/4.2)."""
 
+import collections
+import functools
 import hashlib
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +22,11 @@ from repro.logic.sorts import FuncSymbol, PredSymbol, Sort
 from repro.logic.terms import App, Var
 from repro.mace.finder import (
     FinderOptions,
+    FinderStats,
     ModelFinder,
+    _add_stair,
+    _box_minus,
+    _IncrementalEngine,
     find_model,
     flatten_clause,
     size_vectors,
@@ -292,10 +299,14 @@ class TestIncrementalEngine:
         assert "vectors_skipped" in stats
 
 
-def _stlc_system(name):
+def _stlc_problem(name):
     from repro.stlc import stlc_problems
 
-    problem = next(p for p in stlc_problems() if p.name == name)
+    return next(p for p in stlc_problems() if p.name == name)
+
+
+def _stlc_system(name):
+    problem = _stlc_problem(name)
     assert problem.category == "classical-only"
     return problem.system()
 
@@ -322,15 +333,15 @@ PINNED_STREAMS = {
     ),
     "peirce": (
         lambda: _stlc_system("peirce"), 6,
-        "8e29eb2239fa69f482e4776ab410d06fd52ae2fe16ff602d394225c48a11abdf",
+        "9430d04604e8697ddb371e8abc2062fe8979c57f4c2b2bb4530c0222908f5022",
     ),
     "peirce-swap": (
         lambda: _stlc_system("peirce-swap"), 6,
-        "6fed1ebbdcfa19c909d52d480df9da7da0bbea3378d91b7dc0644775b01b1cf2",
+        "b2669248a56953313f0d008dc56f92a7eb23a22dd399e1c97f5f861a00ccb295",
     ),
     "peirce-inst": (
         lambda: _stlc_system("peirce-inst"), 6,
-        "f359eab4269f25011bb4a16dfe60a901bb282b78e6030caf3302d0a6c74c39d4",
+        "0a1205a21725511e3c9f517b7f81c9829705bea64e9956b54e56506e44d7c342",
     ),
     "tip-mirror-g6": (
         lambda: _tip_system("tip-mirror-g6"), 2,
@@ -430,23 +441,23 @@ PINNED_SWEEPS = {
     "even": [(True, True, 2, 2, 1, 0, 0, 1, 0, 0, 29, 7, 0, 0, 0)],
     "incdec": [(True, True, 3, 3, 2, 0, 0, 2, 0, 0, 224, 68, 1, 0, 0)],
     "peirce": [
-        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 9229, 28090, 239, 0, 0)
+        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 2691, 13519, 237, 0, 0)
     ],
     "peirce-inst": [
-        (False, True, None, 10, 10, 5, 0, 10, 4, 6, 13603, 40950, 320, 0, 0)
+        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 3241, 16237, 286, 0, 0)
     ],
     "peirce-swap": [
-        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 9229, 28090, 238, 0, 0)
+        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 2691, 13519, 237, 0, 0)
     ],
     "tip-mirror-g6": [
         (False, True, None, 2, 2, 0, 0, 2, 0, 0, 65783, 11, 2, 0, 0)
     ],
     "tip-rev-g6": [(False, True, None, 1, 1, 0, 0, 1, 0, 0, 18, 0, 0, 0, 0)],
     "pooled-stlc": [
-        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 9229, 28090, 239, 0, 0),
-        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 2232, 99065, 240, 0,
-         9229),
-        (False, True, None, 0, 0, 15, 0, 0, 0, 0, 0, 0, 0, 0, 11461),
+        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 2691, 13519, 237, 0, 0),
+        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 335, 28568, 250, 0,
+         2691),
+        (False, True, None, 0, 0, 15, 0, 0, 0, 0, 0, 0, 0, 0, 3026),
     ],
     "resumed-incdec": [
         (True, True, 3, 3, 2, 0, 0, 2, 0, 0, 224, 68, 1, 0, 0),
@@ -460,7 +471,7 @@ PINNED_SWEEPS = {
 SWEEP_DIGESTS = {
     "pooled-stlc": (
         _pooled_stlc,
-        "1a89525568799160d00c1bc245cc0ed03ec6b79d520b8de994bbb2204b52f5fd",
+        "50bd5b8bff3851ee5f04ced5dd6fe0250bfcd1e84aebc127710173acc9d2d121",
     ),
     "resumed-incdec": (
         _resumed_incdec,
@@ -495,6 +506,201 @@ def test_sweep_is_pinned(name):
     assert rows == PINNED_SWEEPS[name]
     # one lane never speculates
     assert all(r.stats.vectors_speculated == 0 for r in results)
+
+
+def _combos_reference(old, new):
+    """The pivot enumeration of ``box(new)`` minus ``box(old)`` that
+    ``_box_minus`` generalizes, kept as the order reference for its
+    one-stair case: by the first position that escapes the old box."""
+    for pivot in range(len(new)):
+        if new[pivot] <= old[pivot]:
+            continue
+        pools = [range(old[j]) for j in range(pivot)]
+        pools.append(range(old[pivot], new[pivot]))
+        pools.extend(range(n) for n in new[pivot + 1:])
+        yield from itertools.product(*pools)
+
+
+def _box(sizes):
+    return set(itertools.product(*[range(n) for n in sizes]))
+
+
+@st.composite
+def _box_and_stairs(draw):
+    dim = draw(st.integers(min_value=0, max_value=4))
+    new = draw(st.tuples(*[st.integers(min_value=0, max_value=4)] * dim))
+    stairs = draw(
+        st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=5)] * dim),
+            max_size=4,
+        )
+    )
+    return new, stairs
+
+
+class TestBoxMinus:
+    """The one enumerator behind every staircase and cell table."""
+
+    @given(_box_and_stairs())
+    @settings(max_examples=300, deadline=None)
+    def test_yields_the_difference_once(self, case):
+        new, stairs = case
+        out = list(_box_minus(new, stairs))
+        assert len(out) == len(set(out))
+        covered = set().union(*[_box(stair) for stair in stairs])
+        assert set(out) == _box(new) - covered
+
+    @given(_box_and_stairs())
+    @settings(max_examples=300, deadline=None)
+    def test_stairs_keep_only_maximal_boxes(self, case):
+        new, stairs = case
+        kept = []
+        for box in stairs + [new]:
+            kept = _add_stair(kept, box)
+        for i, a in enumerate(kept):
+            for j, b in enumerate(kept):
+                assert i == j or not all(x <= y for x, y in zip(a, b))
+        for box in stairs + [new]:
+            assert any(all(x <= y for x, y in zip(box, k)) for k in kept)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_stair_inside_new_keeps_the_pivot_order(self, data):
+        dim = data.draw(st.integers(min_value=0, max_value=4))
+        new = data.draw(
+            st.tuples(*[st.integers(min_value=1, max_value=4)] * dim)
+        )
+        old = tuple(
+            data.draw(st.integers(min_value=1, max_value=n)) for n in new
+        )
+        assert list(_box_minus(new, [old])) == list(
+            _combos_reference(old, new)
+        )
+        assert list(_box_minus(new, [])) == sorted(_box(new))
+
+
+#: every size vector is solved exactly, so answers compare across engines
+_EXACT = FinderOptions(max_conflicts_per_size=None)
+
+
+def _engine_for(system, options=_EXACT):
+    """A fresh private engine with ``system`` registered on it."""
+    finder = ModelFinder(system, options)
+    engine = _IncrementalEngine(
+        finder.sorts, finder.functions, finder.predicates, options
+    )
+    return engine, engine.register(finder.flat_clauses)
+
+
+def _attempt(engine, ctx, sizes):
+    """(answer, clauses added) of one vector, ``sizes`` in sort order."""
+    before = engine.total_added
+    outcome = engine.try_vector(
+        ctx, dict(zip(engine.sorts, sizes)), FinderStats(), _EXACT
+    )
+    answer = (
+        "sat" if outcome.model is not None
+        else "unsat" if outcome.refuted else "unknown"
+    )
+    return answer, engine.total_added - before
+
+
+def _positiveeq_system(name):
+    from repro.benchgen.adtbench import positiveeq_suite
+
+    return next(p for p in positiveeq_suite() if p.name == name).build()
+
+
+#: name -> (system factory, max total size): a non-tautology STLC
+#: problem (SAT vectors through a universal block), a classical-only
+#: one (every vector refuted) and a two-sort list problem (SAT and
+#: UNSAT vectors on Nat x NatList)
+STAIR_PROBES = {
+    "atom-a": (lambda: _stlc_problem("atom-a").system(), 7),
+    "peirce": (lambda: _stlc_system("peirce"), 6),
+    "list-len-mod3-0-1": (lambda: _positiveeq_system("list-len-mod3-0-1"), 7),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _stair_probe(name):
+    """The probe's system, its size vectors, and each vector's answer on
+    a fresh engine that tries that vector alone."""
+    factory, max_total = STAIR_PROBES[name]
+    system = preprocess(factory())
+    engine, _ = _engine_for(system)
+    vectors = [
+        tuple(v[s] for s in engine.sorts)
+        for v in size_vectors(engine.sorts, max_total)
+    ]
+    alone = [_attempt(*_engine_for(system), v)[0] for v in vectors]
+    return system, vectors, alone
+
+
+class TestStaircase:
+    """Groups and universal blocks ground only the boxes of the vectors
+    tried, and answer every vector as a fresh engine would."""
+
+    @pytest.mark.parametrize("name", sorted(STAIR_PROBES))
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_answers_do_not_depend_on_vector_order(self, name, data):
+        system, vectors, alone = _stair_probe(name)
+        order = data.draw(st.permutations(range(len(vectors))))
+        engine, ctx = _engine_for(system)
+        for i in order:
+            assert _attempt(engine, ctx, vectors[i])[0] == alone[i], (
+                vectors[i]
+            )
+
+    def test_groups_ground_exactly_the_attempted_boxes(self):
+        system = preprocess(_stlc_system("peirce"))
+        options = FinderOptions(max_total_size=7)
+        finder = ModelFinder(system, options)
+        engine = _IncrementalEngine(
+            finder.sorts, finder.functions, finder.predicates, options
+        )
+        attempted, first_literals = [], collections.Counter()
+        add, try_vector = engine._add, engine.try_vector
+
+        def counting_add(literals):
+            first_literals[literals[0]] += 1
+            add(literals)
+
+        def recording_try_vector(ctx, sizes, *args, **kwargs):
+            attempted.append(dict(sizes))
+            return try_vector(ctx, sizes, *args, **kwargs)
+
+        engine._add = counting_add
+        engine.try_vector = recording_try_vector
+        result = ModelFinder(system, options, engine=engine).search()
+        assert result.complete and result.stats.attempts == len(attempted)
+        assert len(engine._groups) == 16
+        for group in engine._groups.values():
+            union = set().union(
+                *[
+                    _box(tuple(sizes[v.sort] for v in group.flat.vars))
+                    for sizes in attempted
+                ]
+            )
+            # a group's ground instances are the clauses led by -sel
+            assert first_literals[-group.sel] == len(union)
+
+    @pytest.mark.parametrize("k", [4, 9])
+    def test_stairs_survive_a_snapshot(self, k):
+        system, vectors, _ = _stair_probe("peirce")
+        straight_engine, ctx = _engine_for(system)
+        straight = [_attempt(straight_engine, ctx, v) for v in vectors]
+        engine, ctx = _engine_for(system)
+        for sizes in vectors[:k]:
+            _attempt(engine, ctx, sizes)
+        snap = pickle.loads(pickle.dumps(engine.snapshot()))
+        restored = _IncrementalEngine.restore(snap, _EXACT)
+        ctx = restored.register(ctx.flat_clauses)
+        for sizes, (answer, _) in zip(vectors[:k], straight):
+            assert _attempt(restored, ctx, sizes) == (answer, 0)
+        for sizes, expected in zip(vectors[k:], straight[k:]):
+            assert _attempt(restored, ctx, sizes) == expected
 
 
 class TestVerdictCompleteness:

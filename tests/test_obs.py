@@ -489,6 +489,56 @@ class TestMetricsTransport:
         assert isolated["phase.encode_n"] == 4
 
 
+class TestTracedFaultCampaign:
+    """Worker telemetry survives crashes and watchdog kills: spans and
+    metrics ship per verdict, not at worker exit.  CI's fault-injection
+    job runs this with ``--basetemp`` in its workspace and uploads the
+    trace, its Chrome conversion and the metrics snapshot."""
+
+    def test_trace_survives_crash_and_hang(self, tmp_path):
+        suite = Suite("TracedCI")
+        factories = [even_system, incdec_system, odd_unsat_system]
+        expected = ["sat", "sat", "unsat"]
+        for i in range(6):
+            suite.add(f"p{i}", "fam", factories[i % 3], expected[i % 3])
+        trace = str(tmp_path / "obs-trace.jsonl")
+        obs_runtime.configure(trace_path=trace, metrics=True)
+        campaign = run_campaign(
+            [suite],
+            solvers=["ringen"],
+            timeout=1.0,
+            policy=ExecPolicy(
+                isolate=True,
+                heartbeat_interval=0.1,
+                fault_plan=ReproFaultPlan.parse("crash@1,hang@3"),
+            ),
+        )
+        obs_runtime.METRICS.write(str(tmp_path / "obs-metrics.json"))
+        obs_runtime.reset()
+        errors = {
+            task_id_for(r.problem, r.solver): r.error_kind
+            for r in campaign.records
+        }
+        assert errors["TracedCI/p1/ringen"] == "crash"
+        assert errors["TracedCI/p3/ringen"] == "timeout_hard"
+        spans = load_trace(trace)
+        assert {"campaign", "task"} <= {s["name"] for s in spans}
+        ids = [s["id"] for s in spans]
+        assert len(set(ids)) == len(ids)
+        known = set(ids)
+        assert all(s["parent"] is None or s["parent"] in known for s in spans)
+        # the crashed task and the tasks after the killed worker still
+        # report their spans; only the hung task's span dies with it
+        traced = {
+            s["args"].get("task") for s in spans if s["name"] == "task"
+        }
+        assert {
+            f"TracedCI/p{i}/ringen" for i in (0, 1, 2, 4, 5)
+        } <= traced
+        chrome = str(tmp_path / "obs-trace.chrome.json")
+        assert write_chrome(trace, chrome) == len(spans)
+
+
 class TestLiveProgress:
     def test_isolated_hang_produces_heartbeat_renders(self):
         """A hung isolated task emits heartbeats over the verdict pipe,
