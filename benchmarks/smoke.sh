@@ -51,16 +51,6 @@
 #   * the obs-off path is more than 5% slower than baseline (the
 #     instrumentation guards must be free when disabled).
 #
-# Gate 8 (PR 10): speculative parallel size sweeps; emits
-# BENCH_parallel.json and fails if
-#   * sequential, 1-shard, and 2-shard verdicts/model sizes disagree,
-#   * the 2-shard portfolio is not >=10% faster than 1 shard,
-#   * no speculation, core broadcast, or cross-shard queue prune was
-#     observed, or
-#   * the 1-shard path is more than 5% slower than the sequential
-#     baseline (the machinery must be free when disabled).
-#   Each leg is timed as the best of 3 interleaved runs.
-#
 # Usage: benchmarks/smoke.sh   (from anywhere; CI runs it as-is)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -264,38 +254,4 @@ if off > 1.05 * base + 0.05:
     sys.exit(f"FAIL: obs-off path {off:.3f}s is >5% slower than "
              f"baseline {base:.3f}s — disabled guards are not free")
 print("OK: observability free when off, verdicts unchanged when on")
-EOF
-
-python benchmarks/bench_parallel.py
-
-python - <<'EOF'
-import json
-import sys
-
-with open("BENCH_parallel.json") as handle:
-    report = json.load(handle)
-totals, gates = report["totals"], report["gates"]
-
-if not gates["parity"]:
-    sys.exit("FAIL: parallel-sweep verdicts diverge from sequential")
-if not gates["speculation"]:
-    sys.exit("FAIL: no vector speculation or core broadcast observed")
-if not gates["queue_pruned"]:
-    sys.exit("FAIL: no broadcast core pruned a sibling shard's queue")
-
-seq, one, two = (totals["sequential_time"], totals["shards1_time"],
-                 totals["shards2_time"])
-print(f"sequential: {seq:.3f}s  1 shard: {one:.3f}s  2 shards: {two:.3f}s  "
-      f"speedup: {totals['speedup_vs_shards1']:.2f}x")
-print(f"speculated {totals['vectors_speculated']} vectors, broadcast "
-      f"{totals['cores_broadcast']} cores, pruned "
-      f"{totals['speculative_pruned']} sibling-queue vectors")
-if not gates["speedup"]:
-    sys.exit(f"FAIL: 2-shard portfolio {two:.3f}s not >=10% faster than "
-             f"1 shard {one:.3f}s")
-if not gates["no_tax_disabled"]:
-    sys.exit(f"FAIL: 1-shard path {one:.3f}s is >5% slower than the "
-             f"sequential baseline {seq:.3f}s — parallel machinery "
-             f"taxes the disabled path")
-print("OK: parallel sweep parity + speedup, no tax when disabled")
 EOF

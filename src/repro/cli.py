@@ -13,8 +13,8 @@ follows, and with ``--cex`` the refutation derivation is printed for
 UNSAT answers.  Unknown answers distinguish a completed sweep ("no
 finite model of total size <= N") from budget exhaustion on the reason
 line.  ``--no-cores`` switches off the unsat-core-guided sweep (the
-ablation baseline), and ``--sweep-shards N`` runs the size sweep as a
-speculative portfolio of N engine shards with the same verdicts.
+ablation baseline).  ``--timeout`` takes a finite number of seconds
+greater than zero; anything else is a usage error (exit code 2).
 
 Campaign batch mode solves many files through one shared
 :class:`~repro.mace.pool.EnginePool`, so signature-compatible problems
@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -92,6 +93,21 @@ SOLVERS = {
         VeriMapConfig(timeout=t)
     ),
 }
+
+
+def _seconds(text: str) -> float:
+    """The ``--timeout`` type: a finite number of seconds > 0.  A NaN
+    deadline would never expire, and the isolated supervisor cannot
+    schedule a poll on it."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below, with the same message
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds > 0, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which engine to run (default: ringen)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=60.0, help="seconds (default 60)"
+        "--timeout", type=_seconds, default=60.0, help="seconds (default 60)"
     )
     parser.add_argument(
         "--model",
@@ -132,15 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cores",
         action="store_true",
         help="disable the unsat-core-guided size sweep (ringen only)",
-    )
-    parser.add_argument(
-        "--sweep-shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="speculatively solve N candidate size vectors in parallel "
-        "engine shards; the verdict is identical to the sequential "
-        "sweep (ringen only; default: 1)",
     )
     parser.add_argument(
         "--warm-cache",
@@ -192,7 +199,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_seconds,
         default=60.0,
         help="per-problem seconds (default 60)",
     )
@@ -210,15 +217,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         "--no-cores",
         action="store_true",
         help="disable the unsat-core-guided size sweep",
-    )
-    parser.add_argument(
-        "--sweep-shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="speculatively solve N candidate size vectors in parallel "
-        "engine shards per problem; verdicts are identical to the "
-        "sequential sweep (default: 1)",
     )
     parser.add_argument(
         "--isolate",
@@ -360,10 +358,7 @@ def _run_campaign(args) -> int:
         legacy_line_subscriber,
     )
 
-    solver_opts = {
-        "core_guided_sweep": not args.no_cores,
-        "sweep_shards": args.sweep_shards,
-    }
+    solver_opts = {"core_guided_sweep": not args.no_cores}
     if args.warm_cache:
         solver_opts["engine_cache_dir"] = args.warm_cache
     policy = ExecPolicy(
@@ -519,7 +514,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.timeout,
         core_guided_sweep=not args.no_cores,
         engine_cache_dir=args.warm_cache,
-        sweep_shards=args.sweep_shards,
     )
     from repro.obs import runtime as obs_runtime
     from repro.obs.profiler import maybe_profile, profile_path

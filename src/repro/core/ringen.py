@@ -6,11 +6,13 @@ The end-to-end pipeline of Figure 1:
    disequalities replaced by ``diseq`` atoms with their Horn rules),
 2. run a quick bounded counterexample search — a derivation of ⊥ proves
    UNSAT outright,
-3. hand the constraint-free clauses to the finite model finder; a finite
-   model yields a regular Herbrand model of the original system
-   (Theorems 1 and 5),
-4. verify the model exactly against the preprocessed clauses (decidable)
-   and, optionally, bounded-check it against the original system.
+3. hand the constraint-free clauses to the finite model finder: one
+   size sweep over one incremental engine, the campaign pool's shared
+   engine when a pool or warm cache is configured; a finite model yields
+   a regular Herbrand model of the original system (Theorems 1 and 5),
+4. verify the model exactly against the preprocessed clauses (decidable;
+   a model that fails resumes the sweep at the next total size) and,
+   optionally, bounded-check it against the original system.
 
 Answers: SAT with a :class:`~repro.core.regular_model.RegularModel`,
 UNSAT with a derivation, or UNKNOWN on resource exhaustion — the three
@@ -40,9 +42,9 @@ class RInGenConfig:
     The model-finder fields — ``max_model_size`` (the finder's
     ``max_total_size``), ``max_conflicts_per_size``,
     ``max_learned_clauses``, ``symmetry_breaking``, ``incremental``,
-    ``core_guided_sweep``, ``core_minimization`` and ``sweep_shards`` —
-    are documented on :class:`~repro.mace.finder.FinderOptions`;
-    :meth:`finder_options` converts them once per solve.
+    ``core_guided_sweep`` and ``core_minimization`` — are documented
+    on :class:`~repro.mace.finder.FinderOptions`; :meth:`finder_options`
+    converts them once per solve.
     ``automata_verification`` lets the exact Herbrand check decide
     variable-only clauses on the automata view (sparse products plus the
     memoized emptiness cache) instead of enumerating the finite model.
@@ -60,12 +62,6 @@ class RInGenConfig:
     solve builds a private pool over that cache, so repeated runs on
     the same signature start from the previous run's encodings, learned
     clauses and refutation bounds (the CLI's ``--warm-cache``).
-    ``sweep_shards`` > 1 runs the size sweep as a speculative parallel
-    portfolio whose statuses, winning vector and model size match the
-    sequential sweep by construction.  The finder runs one lane when
-    ``incremental`` is off; with a pool attached, the lanes warm-start
-    from the pool's snapshot for the signature, but lane-side learning
-    does not flow back into the pool.
     """
 
     max_model_size: int = 12
@@ -85,7 +81,6 @@ class RInGenConfig:
     engine_pool: Optional[EnginePool] = None
     release_engines: bool = True
     engine_cache_dir: Optional[str] = None
-    sweep_shards: int = 1
 
     def finder_options(self) -> FinderOptions:
         """The model-finder part of this configuration, as one value."""
@@ -97,7 +92,6 @@ class RInGenConfig:
             incremental=self.incremental,
             core_guided_sweep=self.core_guided_sweep,
             core_minimization=self.core_minimization,
-            sweep_shards=self.sweep_shards,
         )
 
 
@@ -177,31 +171,20 @@ class RInGen:
             # this solve loads the signature's engine from disk (if any)
             # and persists it back when done
             pool = ephemeral = EnginePool(cache_dir=cfg.engine_cache_dir)
-        # a pooled engine serves a one-lane sweep; a wider portfolio
-        # runs its lanes on private engines, which a pool (or warm
-        # cache) seeds with its latest snapshot for this signature and
-        # engine key.  Lane-side learning is discarded at the end of
-        # the solve rather than folded back into the pool.
-        pooled = pool is not None and options.sweep_shards == 1
-        if pooled:
+        if pool is not None:
             finder = pool.finder(prepared, options)
         else:
-            seed = (
-                pool.snapshot_for(prepared, options)
-                if pool is not None
-                else None
-            )
-            finder = ModelFinder(prepared, options, snapshot=seed)
+            finder = ModelFinder(prepared, options)
         try:
             result = self._model_search(
                 system, prepared, finder, predicates, deadline, start
             )
         finally:
-            if pooled and cfg.release_engines:
+            if pool is not None and cfg.release_engines:
                 pool.release(finder)
             if ephemeral is not None:
                 ephemeral.flush_cache()
-        if pooled:
+        if pool is not None:
             result.details["engine_pool"] = {
                 "pooled": True,
                 "cross_problem_clauses": result.details.get(

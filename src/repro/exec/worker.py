@@ -26,7 +26,6 @@ import signal
 import threading
 import time
 import traceback
-from collections import deque
 from typing import Any, Optional
 
 from repro.exec.faults import (
@@ -330,108 +329,4 @@ def worker_entry(conn, payload: dict) -> None:
             conn.send(done)
     finally:
         stop_heartbeat.set()
-        conn.close()
-
-
-def shard_entry(conn, payload: dict) -> None:
-    """Subprocess main of one size-sweep lane in a shard process.
-
-    The vector-granularity sibling of :func:`worker_entry`, serving
-    :func:`repro.mace.parallel.run_process`.  Down the pipe come
-    ``{"kind": "vector", "seq", "sizes", "attempt", "deadline"}``
-    dispatches, ``{"kind": "core", "bounds"}`` broadcasts from sibling
-    lanes, and ``{"kind": "stop"}``; every vector is answered with the
-    lane's result message (verdict, fresh core bounds, the vector's
-    ``FinderStats`` and ``SatStats`` deltas) plus the spans and metrics
-    recorded since the previous message, and ``stop`` with a done
-    message carrying the remainder.  An exception dies *without* a done
-    message so the sweep's EOF path respawns the shard — the
-    vector-level analogue of a result-less worker death.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    obs_runtime.forget()
-    obs_cfg = payload.get("obs") or {}
-    obs_runtime.configure(
-        trace=bool(obs_cfg.get("trace")),
-        metrics=bool(obs_cfg.get("metrics")),
-    )
-    from repro.mace.finder import _Lane
-
-    plan = ReproFaultPlan.parse(payload.get("fault_plan"))
-    tracer = obs_runtime.TRACER
-    span = (
-        tracer.begin("shard", {"shard": payload.get("shard")})
-        if tracer is not None
-        else None
-    )
-    crashed = False
-    try:
-        lane = _Lane.from_payload(payload)
-        # Vectors buffer locally so core broadcasts arriving *behind*
-        # queued dispatches are adopted before those vectors start —
-        # processing the pipe strictly in order would let a shard grind
-        # through its whole queue while a sibling's refutation core that
-        # prunes it sits unread one message later.
-        pending: deque = deque()
-        stopped = False
-        while not stopped or pending:
-            while not stopped and (not pending or conn.poll(0)):
-                msg = conn.recv()
-                kind = msg.get("kind")
-                if kind == "vector":
-                    pending.append(msg)
-                elif kind == "core":
-                    lane.adopt_bounds(msg.get("bounds") or ())
-                elif kind == "stop":
-                    # outstanding speculation is cancelled, not drained
-                    pending.clear()
-                    stopped = True
-            if pending:
-                msg = pending.popleft()
-                # deterministic fault injection, keyed like supervised
-                # tasks: the integer key is the vector sequence number
-                plan.fire(
-                    f"shard{lane.uid}",
-                    msg["seq"],
-                    msg.get("attempt", 1),
-                    isolated=True,
-                    timeout=None,
-                    mem_limit_mb=None,
-                )
-                result = lane.solve(
-                    msg["seq"], tuple(msg["sizes"]), msg.get("deadline")
-                )
-                if tracer is not None:
-                    # close the current shard-span segment so this
-                    # result ships a parent for its vector span — a
-                    # single whole-life shard span would leave every
-                    # already-shipped vector dangling when a SAT
-                    # commit kills the shard before its done message
-                    tracer.end(span)
-                    result["obs_spans"] = tracer.drain()
-                    span = tracer.begin(
-                        "shard", {"shard": payload.get("shard")}
-                    )
-                if obs_runtime.METRICS is not None:
-                    # like spans: a SAT commit kills the shard before
-                    # its done message
-                    result["obs_metrics"] = obs_runtime.METRICS.drain()
-                conn.send(result)
-    except EOFError:
-        pass  # scheduler went away (speculation cancelled): just exit
-    except Exception:
-        crashed = True  # die result-less; the scheduler respawns us
-    finally:
-        if not crashed:
-            done: dict = {"kind": "done"}
-            if span is not None:
-                tracer.end(span)
-                done["obs_spans"] = tracer.drain()
-            if obs_runtime.METRICS is not None:
-                done["obs_metrics"] = obs_runtime.METRICS.drain()
-            try:
-                conn.send(done)
-            except (OSError, ValueError):
-                pass
         conn.close()

@@ -135,31 +135,26 @@ short.  ``FinderOptions(core_guided_sweep=False)`` disables the pruning
 (ablation; ``benchmarks/bench_core.py`` gates that verdicts are
 identical either way).
 
-The sweep: lanes, one commit path
----------------------------------
+The sweep
+---------
 
-:meth:`ModelFinder.search` is the one size sweep.  It runs
-``options.sweep_shards`` *lanes* through one :class:`_SweepState`: the
-frontier in order of total size, the bound list of every refutation
-core reported so far (covered vectors are skipped before dispatch),
-and a pointer that commits lane answers strictly in sweep order.  A
-lane (:class:`_Lane`) is an engine plus the problem's context and one
-per-vector body, :meth:`_Lane.solve`: prune the vector against known
-core bounds, or solve it and report the outcome, fresh core bounds and
-the vector's own statistics.  Every result, in-process or off a pipe,
-is folded by :meth:`_SweepState.consume` as it arrives, and every
-sweep ends in :meth:`_SweepState.finish`.  The sequential sweep is one
-in-process lane on the finder's own (possibly pooled) engine; several
-lanes are the speculative portfolio of :mod:`repro.mace.parallel`,
-interleaved in this process or run in shard subprocesses, with
-verdicts equal to the one-lane sweep's by construction.
+:meth:`ModelFinder.search` is the one size sweep: one loop, in this
+process, over the finder's own (possibly pooled) engine.  Its
+:class:`_SweepState` walks the frontier in order of total size, skips
+every vector a refutation core of the problem already covers, and
+solves the others one at a time (:meth:`_SweepState.solve`).  Each
+vector's outcome is folded, with its own :class:`FinderStats` and
+``SatStats`` deltas, by :meth:`_SweepState.consume`, and every sweep
+ends in :meth:`_SweepState.finish`: at the first model, at a
+size-independent refutation, at the deadline or at the end of the
+frontier.
 
 Configuration
 -------------
 
 Every knob of the search lives in one frozen :class:`FinderOptions`
-value: :class:`ModelFinder` and every lane of its sweep, the engine and
-the engine pool are all configured by it, and its
+value: :class:`ModelFinder`, its sweep, the engine and the engine pool
+are all configured by it, and its
 :meth:`FinderOptions.engine_key` — the part a clause database depends
 on — keys pooled engines, cache files and snapshots.  Whether given
 engine state may serve a finder is decided in exactly one place,
@@ -170,15 +165,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import multiprocessing
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from operator import getitem, itemgetter, le, lt
 from typing import Iterator, Optional, Sequence
 
 from repro.chc.clauses import BodyAtom, CHCSystem, Clause
-from repro.exec.faults import ReproFaultPlan
 from repro.logic.formulas import TRUE
 from repro.logic.sorts import FuncSymbol, PredSymbol, Sort
 from repro.logic.terms import App, Term, Var
@@ -219,9 +211,7 @@ class FinderOptions:
     every vector (the from-scratch reference path).
     ``core_guided_sweep`` prunes the sweep with the unsat cores of
     refuted vectors, and ``core_minimization`` shrinks each core by
-    bounded deletion probes first.  ``sweep_shards`` is the number of
-    lanes the sweep runs (see :class:`ModelFinder`); more than one is a
-    speculative parallel portfolio (:mod:`repro.mace.parallel`).
+    bounded deletion probes first.
     """
 
     max_total_size: int = 12
@@ -231,7 +221,6 @@ class FinderOptions:
     incremental: bool = True
     core_guided_sweep: bool = True
     core_minimization: bool = True
-    sweep_shards: int = 1
 
     def engine_key(self) -> tuple:
         """The part of the configuration an engine's clause database
@@ -286,7 +275,7 @@ def check_engine(
     ``fingerprint`` is given, over that signature.  Raises
     :class:`EngineSnapshotError` otherwise.  Engine injection into a
     :class:`ModelFinder` and every restore path (the pool's disk cache,
-    adopted snapshots, sweep lanes) go through here.
+    adopted snapshots) go through here.
     """
     if not isinstance(state, dict) or state.get("schema") != "engine":
         raise EngineSnapshotError("not an engine snapshot")
@@ -451,20 +440,6 @@ class FinderStats:
     # engine when this finder attached (cross-problem reuse)
     engine_shared: bool = False
     cross_problem_clauses: int = 0
-    # speculative parallel sweeps (repro.mace.parallel):
-    # ``vectors_speculated`` counts vectors dispatched to a lane while
-    # another vector was still outstanding, ``cores_broadcast`` the
-    # refutation cores relayed to at least one sibling lane,
-    # ``speculative_pruned`` the already-dispatched vectors a sibling's
-    # broadcast core pruned lane-side without a solver call, and
-    # ``shard_restarts`` the shard processes respawned after dying
-    # mid-speculation.  ``sweep_shards`` is the number of lanes (1 for
-    # the sequential sweep).
-    vectors_speculated: int = 0
-    cores_broadcast: int = 0
-    speculative_pruned: int = 0
-    shard_restarts: int = 0
-    sweep_shards: int = 1
 
     def as_dict(self) -> dict:
         """Plain-dict view for result details / JSON artifacts."""
@@ -475,12 +450,11 @@ class FinderStats:
 
         The single merge rule shared by the per-solve accumulator in
         :mod:`repro.core.ringen` (searches resumed after a failed
-        Herbrand check) and the sweep folding each lane result's
-        per-vector statistics: additive counters add, high-water marks
-        (``sat_vars``, ``sat_clauses``, ``learned_kept``,
-        ``cross_problem_clauses``, ``sweep_shards``) take the max,
-        sticky flags or together, and ``model_size`` keeps the most
-        recent part that actually found a model.  ``incremental`` is a
+        Herbrand check) and the sweep folding each vector's statistics:
+        additive counters add, high-water marks (``sat_vars``,
+        ``sat_clauses``, ``learned_kept``, ``cross_problem_clauses``)
+        take the max, sticky flags or together, and ``model_size`` keeps
+        the most recent part that actually found a model.  ``incremental`` is a
         configuration echo and is left untouched.
         """
         self.attempts += part.attempts
@@ -507,11 +481,6 @@ class FinderStats:
         self.cross_problem_clauses = max(
             self.cross_problem_clauses, part.cross_problem_clauses
         )
-        self.vectors_speculated += part.vectors_speculated
-        self.cores_broadcast += part.cores_broadcast
-        self.speculative_pruned += part.speculative_pruned
-        self.shard_restarts += part.shard_restarts
-        self.sweep_shards = max(self.sweep_shards, part.sweep_shards)
 
 
 @dataclass
@@ -1940,42 +1909,12 @@ class _IncrementalEngine:
 
 
 # ---------------------------------------------------------------------------
-# the size sweep: lanes, sweep state and the finder
-
-
-#: vectors queued per lane beyond the one it is solving, in a portfolio
-#: of more than one lane: the queue keeps a shard busy the moment it
-#: answers while leaving queued vectors exposed to broadcast cores (the
-#: lane-side prune needs a queue deep enough that a sibling's refutation
-#: lands before the covered vector starts; shallower queues prune almost
-#: never, much deeper ones waste speculation past the commit horizon).
-#: A lone in-process lane has no sibling to prune for and takes one
-#: vector at a time.
-SHARD_QUEUE_DEPTH = 4
-
-
-def _covered(
-    bounds: Sequence[tuple[dict, dict]], sizes: tuple[int, ...]
-) -> bool:
-    """True when some core bound pair already refutes ``sizes``.
-
-    Bounds and sizes are keyed by sort position.  A core with lower
-    bounds L and upper bounds U transfers to every vector meeting all of
-    them: the existence prefix chains make that vector's assumptions
-    entail the core's, so it is unsat without re-solving (see the
-    module docstring).
-    """
-    for lower, upper in bounds:
-        if all(sizes[i] >= k for i, k in lower.items()) and all(
-            sizes[i] <= k for i, k in upper.items()
-        ):
-            return True
-    return False
+# the size sweep and the finder
 
 
 def _signature(system: CHCSystem) -> tuple[list, list, list]:
     """The system's sorts, functions and predicates, each sorted by
-    name: the signature order every engine and lane shares."""
+    name: the signature order every engine shares."""
     return (
         sorted(system.adts.sorts, key=lambda s: s.name),
         sorted(
@@ -1985,215 +1924,44 @@ def _signature(system: CHCSystem) -> tuple[list, list, list]:
     )
 
 
-def _seeded_engine(
-    sorts, functions, predicates, options: FinderOptions, snapshot
-) -> tuple[_IncrementalEngine, bool]:
-    """An engine restored from ``snapshot`` when :func:`check_engine`
-    accepts it for this signature and ``options``, else a cold one;
-    the flag says whether the restore happened."""
-    if snapshot is not None:
-        try:
-            engine = _IncrementalEngine.restore(
-                snapshot,
-                options,
-                engine_fingerprint(sorts, functions, predicates),
-            )
-            return engine, True
-        except Exception:
-            pass  # stale or foreign snapshot: start cold
-    return _IncrementalEngine(sorts, functions, predicates, options), False
+class _SweepState:
+    """One size sweep of one problem context over one engine.
 
-
-class _Lane:
-    """One engine and problem context: the sweep's per-vector body.
-
-    Every size sweep runs its vectors through lanes.  The sequential
-    sweep is one in-process lane on the finder's own (possibly pooled)
-    engine; a portfolio runs several, in-process or each in a shard
-    subprocess (:func:`repro.exec.worker.shard_entry`), on private
-    engines seeded from the finder's snapshot.  A lane answers every
-    vector with a result message — the outcome, the bounds of fresh
-    refutation cores, the vector's own :class:`FinderStats` and, with
-    metrics on, its ``SatStats`` deltas — which
-    :meth:`_SweepState.consume` folds in as it arrives.
+    Owns the frontier, the refutation-core bounds that prune it and the
+    verdict under construction.  :meth:`solve` is the per-vector body,
+    :meth:`consume` the one point where every vector's outcome is folded
+    in with its own :class:`FinderStats` and (metrics on) ``SatStats``
+    deltas, and :meth:`finish` the one way a sweep ends.
     """
 
     def __init__(
         self,
-        uid: int,
         engine: _IncrementalEngine,
         ctx: _ProblemContext,
-        options: FinderOptions,
-        *,
-        warm: bool = False,
-    ):
-        self.uid = uid
-        self.engine = engine
-        self.ctx = ctx
-        self.options = options
-        self.warm = warm  # pooled or snapshot-restored engine
-        # a pooled or restored engine's signature objects are value-equal
-        # copies of the finder's; key size dicts by the engine's own
-        self.sorts = list(engine.sorts)
-        self._sort_pos = {s: i for i, s in enumerate(self.sorts)}
-        #: bounds of the context's own refutation cores, including those
-        #: it inherited (an earlier search, the problem-facts memo)
-        self.bounds: list[tuple[dict, dict]] = (
-            [self._index_bounds(b) for b in ctx.refuted_cores]
-            if options.core_guided_sweep
-            else []
-        )
-        #: bounds broadcast from sibling lanes; a hit is a lane-side
-        #: prune, no solver call
-        self.foreign_bounds: list[tuple[dict, dict]] = []
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "_Lane":
-        """A lane on a private engine, as a portfolio builds it: seeded
-        from the payload snapshot, with the bounds accumulated before a
-        respawn replayed."""
-        system: CHCSystem = payload["system"]
-        options: FinderOptions = payload["options"]
-        engine, warm = _seeded_engine(
-            *_signature(system), options, payload.get("snapshot")
-        )
-        counter = itertools.count()
-        ctx = engine.register(
-            [flatten_clause(cl, counter) for cl in system.clauses]
-        )
-        lane = cls(payload["shard"], engine, ctx, options, warm=warm)
-        lane.adopt_bounds(payload.get("bounds") or ())
-        return lane
-
-    def adopt_bounds(self, bounds: Sequence[tuple[dict, dict]]) -> None:
-        """Fold bounds broadcast from sibling lanes."""
-        self.foreign_bounds.extend(
-            (dict(lower), dict(upper)) for lower, upper in bounds
-        )
-
-    def _index_bounds(self, bounds: tuple[dict, dict]) -> tuple[dict, dict]:
-        """Sort-keyed context bounds → sort-position-keyed sweep bounds."""
-        lower, upper = bounds
-        pos = self._sort_pos
-        return (
-            {pos[s]: k for s, k in lower.items()},
-            {pos[s]: k for s, k in upper.items()},
-        )
-
-    def solve(
-        self, seq: int, sizes_t: tuple[int, ...], deadline: Optional[float]
-    ) -> dict:
-        """Prune or solve one vector; returns its result message."""
-        engine, ctx, options = self.engine, self.ctx, self.options
-        stats = FinderStats(
-            incremental=options.incremental, engine_shared=self.warm
-        )
-        result: dict = {
-            "kind": "result",
-            "seq": seq,
-            "shard": self.uid,
-            "stats": stats,
-        }
-        if _covered(self.bounds, sizes_t):
-            # an own core: the sweep's frontier filter had not caught up
-            # with it, or the context brought it into this search
-            stats.vectors_skipped = 1
-            result["outcome"] = "skipped"
-        elif _covered(self.foreign_bounds, sizes_t):
-            stats.vectors_skipped = 1
-            result["outcome"] = "skipped"
-            result["foreign"] = True
-        else:
-            stats.attempts = 1
-            if not options.incremental:
-                engine.reset(stats)
-            base_added = engine.total_added
-            base_learned = engine.total_learned
-            base_glue = engine.total_glue
-            sat_before = (
-                dataclasses.asdict(engine.solver.stats)
-                if obs_runtime.METRICS is not None
-                else None
-            )
-            pre_cores = len(ctx.refuted_cores)
-            outcome = engine.try_vector(
-                ctx,
-                dict(zip(self.sorts, sizes_t)),
-                stats,
-                options,
-                deadline=deadline,
-            )
-            stats.clauses_encoded = engine.total_added - base_added
-            stats.learned_total = engine.total_learned - base_learned
-            stats.learned_glue = engine.total_glue - base_glue
-            if sat_before is not None:
-                # deltas, clamped: an engine reset mid-vector swaps in a
-                # fresh counter object and must not go negative
-                result["sat"] = {
-                    key: max(value - sat_before.get(key, 0), 0)
-                    for key, value in dataclasses.asdict(
-                        engine.solver.stats
-                    ).items()
-                }
-            if outcome.model is not None:
-                result["outcome"] = "sat"
-                result["model"] = outcome.model
-            elif outcome.refuted:
-                result["outcome"] = "refuted"
-            else:
-                result["outcome"] = "exhausted"
-            fresh = [
-                self._index_bounds(b) for b in ctx.refuted_cores[pre_cores:]
-            ]
-            if fresh:
-                self.bounds.extend(fresh)
-                result["cores"] = fresh
-            if ctx.hopeless:
-                result["hopeless"] = True
-        stats.learned_kept = engine.solver.learned_count()
-        return result
-
-
-class _SweepState:
-    """One sweep's frontier, core bounds, in-order commit and result fold.
-
-    Owns the frontier iterator, the master (sort-position-keyed) bound
-    list, per-sequence outcomes, and the strictly-in-order commit
-    pointer that makes a portfolio's verdict match the one-lane sweep's.
-    :meth:`consume` is the one path every lane result takes, in-process
-    or off a pipe, and :meth:`finish` the one way a sweep ends.  Bounds
-    only ever come from cores the lanes recorded, so with core guidance
-    off the list stays empty and nothing is pruned.
-    """
-
-    def __init__(
-        self,
-        sorts: list,
         options: FinderOptions,
         min_total: int,
         stats: FinderStats,
         deadline: Optional[float],
-        *,
-        portfolio: bool,
     ):
-        self._iter = size_vectors(sorts, options.max_total_size, min_total)
-        self._sorts = sorts
+        self.engine = engine
+        self.ctx = ctx
+        self.options = options
         self.stats = stats
         self.deadline = deadline
-        self.portfolio = portfolio
         self.start = time.monotonic()
-        self.bounds: list[tuple[dict, dict]] = []
-        self.next_seq = 0
-        self.next_commit = 0
-        self.outcomes: dict[int, dict] = {}
+        # a pooled or restored engine's sorts are value-equal copies of
+        # the finder's, in the same order; size dicts key the engine's
+        self._iter = size_vectors(
+            engine.sorts, options.max_total_size, min_total
+        )
+        #: the context's refutation cores, including those it inherited
+        #: (an earlier search, the problem-facts memo); the engine
+        #: appends each fresh one as it refutes a vector
+        self.bounds = ctx.refuted_cores if options.core_guided_sweep else []
         self.exhausted_frontier = False
-        self.sat_seq: Optional[int] = None
         self.winner: Optional[FiniteModel] = None
-        self.hopeless = False
         self.complete = True
-        #: newest learned-clause count per lane uid
-        self.kept: dict[int, int] = {}
-        #: SatStats deltas summed over every result (metrics on only)
+        #: SatStats deltas summed over every vector (metrics on only)
         self.sat: Optional[dict] = (
             dict.fromkeys((f.name for f in dataclasses.fields(SatStats)), 0)
             if obs_runtime.METRICS is not None
@@ -2209,145 +1977,101 @@ class _SweepState:
             return True
         return False
 
-    def next_vector(self) -> Optional[tuple[int, tuple[int, ...]]]:
-        """Next uncovered frontier vector with its sequence number.
+    def next_vector(self) -> Optional[dict[Sort, int]]:
+        """The next frontier vector no known core covers; ``None`` once
+        the frontier is exhausted.
 
-        ``None`` once the frontier is exhausted — or while a SAT answer
-        is pending commit: vectors above it can never win, so dispatch
-        stops (in-flight lower vectors still resolve normally).
+        A core with lower bounds L and upper bounds U covers every
+        vector meeting all of them: the existence prefix chains make
+        that vector's assumptions entail the core's, so it is unsat
+        without touching the solver (see the module docstring).
         """
-        if self.sat_seq is not None:
-            return None
-        while True:
-            sizes = next(self._iter, None)
-            if sizes is None:
-                self.exhausted_frontier = True
-                return None
-            sizes_t = tuple(sizes[s] for s in self._sorts)
-            if _covered(self.bounds, sizes_t):
-                # a reported core already refutes this vector: it is
-                # proven unsat without touching a solver
-                self.stats.vectors_skipped += 1
-                continue
-            seq = self.next_seq
-            self.next_seq += 1
-            return seq, sizes_t
+        for sizes in self._iter:
+            if not any(
+                all(sizes[s] >= k for s, k in lower.items())
+                and all(sizes[s] <= k for s, k in upper.items())
+                for lower, upper in self.bounds
+            ):
+                return sizes
+            self.stats.vectors_skipped += 1
+        self.exhausted_frontier = True
+        return None
 
-    def add_bounds(
-        self, bounds: Sequence[tuple[dict, dict]]
-    ) -> list[tuple[dict, dict]]:
-        """Fold lane-reported bounds; returns the genuinely new ones."""
-        fresh = []
-        for bound in bounds:
-            pair = (dict(bound[0]), dict(bound[1]))
-            if pair not in self.bounds:
-                self.bounds.append(pair)
-                fresh.append(pair)
-        return fresh
-
-    def resolve(self, seq: int, outcome: dict) -> None:
-        """Record a lane answer (or write-off) for one sequence."""
-        if seq < self.next_commit or seq in self.outcomes:
-            return  # late duplicate (e.g. answered then redispatched)
-        self.outcomes[seq] = outcome
-        if outcome.get("hopeless"):
-            # size-independent refutation: definitive for the whole
-            # sweep regardless of order
-            self.hopeless = True
-        if outcome["outcome"] == "sat" and (
-            self.sat_seq is None or seq < self.sat_seq
-        ):
-            self.sat_seq = seq
-
-    def commit(self) -> bool:
-        """Advance the in-order pointer; True once a winner committed."""
-        while self.next_commit in self.outcomes:
-            outcome = self.outcomes.pop(self.next_commit)
-            self.next_commit += 1
-            kind = outcome["outcome"]
-            if kind == "sat":
-                self.winner = outcome["model"]
-                return True
-            if kind == "exhausted":
-                # budget/deadline exhaustion is not a refutation
-                self.complete = False
-            # refuted / skipped just advance the pointer
-        return False
-
-    def consume(self, msg: dict, siblings) -> None:
-        """Fold one lane message into the sweep as it arrives.
-
-        The result's statistics land in the sweep's stats at once (the
-        object live progress watches); ``siblings(origin_uid)`` yields
-        the receivers a fresh core is broadcast to.
-        """
-        metrics = obs_runtime.METRICS
-        if metrics is not None and msg.get("obs_metrics"):
-            metrics.merge(msg["obs_metrics"])
-        spans = msg.get("obs_spans")
-        if spans and obs_runtime.TRACER is not None:
-            obs_runtime.TRACER.absorb(spans)
-        if msg.get("kind") != "result":
-            return
-        stats = self.stats
-        part: FinderStats = msg["stats"]
-        stats.merge(part)
-        uid = msg["shard"]
-        self.kept[uid] = part.learned_kept
-        if self.sat is not None:
-            for key, value in (msg.get("sat") or {}).items():
-                self.sat[key] = self.sat.get(key, 0) + value
-        if msg.get("foreign"):
-            # a sibling's broadcast core pruned this lane's queue
-            stats.speculative_pruned += 1
-        fresh = self.add_bounds(msg.get("cores") or ())
-        if fresh:
-            receivers = list(siblings(uid))
-            for receiver in receivers:
-                receiver(fresh)
-            if receivers:
-                stats.cores_broadcast += len(fresh)
-        self.resolve(
-            msg["seq"],
-            {
-                "outcome": msg["outcome"],
-                "model": msg.get("model"),
-                "hopeless": msg.get("hopeless", False),
-            },
+    def solve(
+        self, sizes: dict[Sort, int]
+    ) -> tuple[_VectorOutcome, FinderStats, Optional[dict]]:
+        """Solve one vector: its outcome, its own statistics and, with
+        metrics on, its ``SatStats`` deltas."""
+        engine, options = self.engine, self.options
+        part = FinderStats(incremental=options.incremental, attempts=1)
+        if not options.incremental:
+            engine.reset(part)
+        base_added = engine.total_added
+        base_learned = engine.total_learned
+        base_glue = engine.total_glue
+        sat_before = (
+            dataclasses.asdict(engine.solver.stats)
+            if self.sat is not None
+            else None
         )
+        outcome = engine.try_vector(
+            self.ctx, sizes, part, options, deadline=self.deadline
+        )
+        part.clauses_encoded = engine.total_added - base_added
+        part.learned_total = engine.total_learned - base_learned
+        part.learned_glue = engine.total_glue - base_glue
+        sat = None
+        if sat_before is not None:
+            # deltas, clamped: an engine reset mid-vector swaps in a
+            # fresh counter object and must not go negative
+            sat = {
+                key: max(value - sat_before.get(key, 0), 0)
+                for key, value in dataclasses.asdict(
+                    engine.solver.stats
+                ).items()
+            }
+        return outcome, part, sat
+
+    def consume(
+        self,
+        outcome: _VectorOutcome,
+        part: FinderStats,
+        sat: Optional[dict],
+    ) -> None:
+        """Fold one vector's result into the sweep; its statistics land
+        in the sweep's stats at once (the object live progress
+        watches)."""
+        self.stats.merge(part)
+        if sat:
+            for key, value in sat.items():
+                self.sat[key] += value
+        if outcome.model is not None:
+            self.winner = outcome.model
+        elif not outcome.refuted:
+            # budget/deadline exhaustion is not a refutation
+            self.complete = False
 
     def finish(self) -> FinderResult:
         """Settle the sweep's statistics, metrics and verdict.
 
         ``complete`` is ``True`` only when the verdict is definitive: a
-        model was committed, a size-independent refutation came in, or
-        the whole frontier was refuted (directly or by a covering core)
+        model was found, a size-independent refutation came in, or the
+        whole frontier was refuted (directly or by a covering core)
         with no vector exhausted and no deadline cut.
         """
         stats = self.stats
         model = self.winner
-        # lane times overlap; wall clock is the honest figure
         stats.elapsed = time.monotonic() - self.start
-        if self.kept:
-            stats.learned_kept = max(self.kept.values())
-        stats.hopeless = self.hopeless
+        stats.learned_kept = self.engine.solver.learned_count()
+        stats.hopeless = self.ctx.hopeless
         if model is not None:
             stats.model_size = model.size()
         metrics = obs_runtime.METRICS
-        if metrics is not None:
-            if self.sat is not None:
-                metrics.publish("sat", self.sat)
-            if self.portfolio:
-                for name, value in (
-                    ("vectors", stats.vectors_speculated),
-                    ("cores_broadcast", stats.cores_broadcast),
-                    ("pruned", stats.speculative_pruned),
-                    ("shard_restarts", stats.shard_restarts),
-                ):
-                    metrics.inc(f"finder.speculative.{name}", value)
+        if metrics is not None and self.sat is not None:
+            metrics.publish("sat", self.sat)
         complete = (
             model is not None
-            or self.hopeless
+            or stats.hopeless
             or (
                 self.complete
                 and self.exhausted_frontier
@@ -2361,12 +2085,10 @@ _UNSET = object()
 
 
 def _check_shared(options: FinderOptions) -> None:
-    """A shared (pooled) engine serves one incremental lane only: a
-    reset or a second lane would disturb every other problem on it."""
+    """A shared (pooled) engine serves incremental sweeps only: a reset
+    would disturb every other problem on it."""
     if not options.incremental:
         raise FinderError("a shared engine requires incremental mode")
-    if options.sweep_shards > 1:
-        raise FinderError("a shared engine serves a one-lane sweep only")
 
 
 class ModelFinder:
@@ -2376,33 +2098,19 @@ class ModelFinder:
     ``deadline`` and ``min_total_size`` belong to the search, not the
     finder, and :meth:`search` may replace them per call.
 
-    The sweep runs ``options.sweep_shards`` lanes (:class:`_Lane`); the
-    from-scratch ablation (``incremental=False``, which resets its
-    engine before every size vector) always runs one.  One lane is the
-    sequential sweep, in-process on the finder's own engine.  Several
-    lanes are a speculative portfolio whose statuses, winning vector
-    and model size equal the one-lane sweep's by construction (see
-    :mod:`repro.mace.parallel`).  ``mode`` places the lanes:
-    ``"inprocess"`` interleaves them in this process, ``"process"``
-    runs each in a shard subprocess, and ``"auto"`` runs one lane
-    in-process and several in subprocesses — unless this process is
-    daemonic (e.g. an isolated supervised worker), which may not have
-    children.  ``snapshot`` seeds the finder's own engine and every
-    private lane engine with one serialized engine state
-    (:meth:`~repro.mace.pool.EnginePool.snapshot_for`); ``fault_plan``
-    replaces ``REPRO_FAULT_PLAN`` for shard subprocesses.
-
     With ``options.incremental`` (the default) the finder keeps its own
     :class:`_IncrementalEngine` alive across every :meth:`search` call,
     so repeated searches (e.g. resuming at a larger minimum size after a
-    failed Herbrand check) also reuse the encoding and learned clauses.
+    failed Herbrand check) also reuse the encoding and learned clauses;
+    the from-scratch ablation (``incremental=False``) resets the engine
+    before every size vector.
 
     ``engine`` injects a shared engine (campaign mode): the finder
     registers its problem as one context on that engine instead of
     building its own, inheriting every clause, learned clause and
     heuristic score other signature-compatible problems left behind.
-    It serves a one-lane incremental sweep only, and :func:`check_engine`
-    must accept it for this system's signature and ``options`` — the
+    It serves an incremental sweep only, and :func:`check_engine` must
+    accept it for this system's signature and ``options`` — the
     :class:`~repro.mace.pool.EnginePool` guarantees this by keying
     engines on exactly those two.
     """
@@ -2415,21 +2123,11 @@ class ModelFinder:
         deadline: Optional[float] = None,
         min_total_size: int = 0,
         engine: Optional[_IncrementalEngine] = None,
-        snapshot: Optional[dict] = None,
-        mode: str = "auto",
-        fault_plan: Optional[ReproFaultPlan] = None,
     ):
-        if options.sweep_shards < 1:
-            raise FinderError("sweep_shards must be >= 1")
-        if mode not in ("auto", "process", "inprocess"):
-            raise FinderError(f"unknown sweep mode {mode!r}")
         self.system = system
         self.options = options
         self.deadline = deadline
         self.min_total_size = min_total_size
-        self.snapshot = snapshot
-        self.mode = mode
-        self.fault_plan = fault_plan
         counter = itertools.count()
         self.flat_clauses = [
             flatten_clause(cl, counter) for cl in system.clauses
@@ -2446,46 +2144,7 @@ class ModelFinder:
             )
         self._engine: Optional[_IncrementalEngine] = engine
         self._shared_engine = engine is not None
-        self._warm = self._shared_engine
         self._ctx: Optional[_ProblemContext] = None
-
-    def _payload(self, uid: int) -> dict:
-        """What a private lane is built from (:meth:`_Lane.from_payload`),
-        in this process or in a shard subprocess."""
-        plan = self.fault_plan
-        if plan is None:
-            plan = ReproFaultPlan.from_env()
-        return {
-            "shard": uid,
-            "system": self.system,
-            "snapshot": self.snapshot,
-            "options": self.options,
-            "fault_plan": plan.encode() if plan else None,
-            "obs": {
-                "trace": obs_runtime.TRACER is not None,
-                "metrics": obs_runtime.METRICS is not None,
-            },
-        }
-
-    def _lanes(self, width: int) -> list[_Lane]:
-        """The in-process lanes: lane 0 on the finder's own engine —
-        injected, seeded from ``snapshot``, or cold — and the others on
-        private engines built like shard subprocesses build theirs."""
-        if self._engine is None:
-            self._engine, self._warm = _seeded_engine(
-                self.sorts,
-                self.functions,
-                self.predicates,
-                self.options,
-                self.snapshot,
-            )
-        if self._ctx is None:
-            self._ctx = self._engine.register(self.flat_clauses)
-        own = _Lane(0, self._engine, self._ctx, self.options, warm=self._warm)
-        return [own] + [
-            _Lane.from_payload(self._payload(uid))
-            for uid in range(1, width)
-        ]
 
     # ------------------------------------------------------------------
     def search(
@@ -2518,87 +2177,37 @@ class ModelFinder:
         min_total = (
             self.min_total_size if min_total_size is None else min_total_size
         )
-        width = options.sweep_shards if options.incremental else 1
-        mode = self.mode
-        if mode == "auto":
-            mode = (
-                "process"
-                if width > 1 and not multiprocessing.current_process().daemon
-                else "inprocess"
+        if self._engine is None:
+            self._engine = _IncrementalEngine(
+                self.sorts, self.functions, self.predicates, options
             )
-        lanes = self._lanes(width) if mode == "inprocess" else []
+        if self._ctx is None:
+            self._ctx = self._engine.register(self.flat_clauses)
+        ctx = self._ctx
         stats = FinderStats(
             incremental=options.incremental,
             engine_shared=self._shared_engine,
             cross_problem_clauses=(
-                self._ctx.joined_at_clauses
-                if self._shared_engine and self._ctx is not None
-                else 0
+                ctx.joined_at_clauses if self._shared_engine else 0
             ),
-            sweep_shards=width,
         )
         state = _SweepState(
-            self.sorts,
-            options,
-            min_total,
-            stats,
-            self.deadline,
-            portfolio=mode == "process" or width > 1,
+            self._engine, ctx, options, min_total, stats, self.deadline
         )
-        # live-progress registration is one weakref assignment, cheap
-        # enough to do even with all collectors off
+        # live-progress registration is one weakref assignment each,
+        # cheap enough to do even with all collectors off
         obs_runtime.watch_finder_stats(stats)
-        if mode == "inprocess":
-            self._sweep_inprocess(state, lanes)
-        else:
-            # the shard transport imports this module
-            from repro.mace.parallel import run_process
-
-            run_process(self, state, width)
-        return state.finish()
-
-    def _sweep_inprocess(
-        self, state: _SweepState, lanes: list[_Lane]
-    ) -> None:
-        """The in-process sweep loop: lanes take turns, one whole vector
-        each, so a sibling's cores land between a lane's queued vectors
-        exactly as they would across processes."""
-        obs_runtime.watch_solver_stats(lanes[0].engine.solver.stats)
-        state.kept = {
-            lane.uid: lane.engine.solver.learned_count() for lane in lanes
-        }
-        depth = SHARD_QUEUE_DEPTH if len(lanes) > 1 else 1
-        queues: list[deque] = [deque() for _ in lanes]
-
-        def siblings(origin_uid: int):
-            return [
-                lane.adopt_bounds for lane in lanes if lane.uid != origin_uid
-            ]
-
+        obs_runtime.watch_solver_stats(self._engine.solver.stats)
         # a context already known to be hopeless returns before any
         # attempt: no model exists at any size
-        state.hopeless = any(lane.ctx.hopeless for lane in lanes)
-        decided = state.hopeless
-        while not decided and not state.expired():
-            for queue in queues:
-                while len(queue) < depth:
-                    nxt = state.next_vector()
-                    if nxt is None:
-                        break
-                    if any(queues):
-                        state.stats.vectors_speculated += 1
-                    queue.append(nxt)
-            if not any(queues):
+        while not ctx.hopeless and not state.expired():
+            sizes = state.next_vector()
+            if sizes is None:
                 break
-            for lane, queue in zip(lanes, queues):
-                if not queue:
-                    continue
-                seq, sizes_t = queue.popleft()
-                result = lane.solve(seq, sizes_t, self.deadline)
-                state.consume(result, siblings)
-                if state.commit() or state.hopeless:
-                    decided = True
-                    break
+            state.consume(*state.solve(sizes))
+            if state.winner is not None:
+                break
+        return state.finish()
 
 
 def find_model(

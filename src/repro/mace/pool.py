@@ -47,8 +47,7 @@ pool exploits that in two ways:
   returned) and :meth:`last_snapshot` serializes the most recently used
   engine for handing back.
 
-Every load/adopt path — and :meth:`snapshot_for`, which hands cached
-state to parallel shards — validates through
+Every load/adopt path validates through
 :func:`~repro.mace.finder.check_engine`; *any* failure — corrupt file,
 stale version, foreign engine key — counts as ``snapshot_rejected``
 and falls back to a cold engine, never an error.
@@ -306,28 +305,6 @@ class EnginePool:
         if not self._engines:
             return None
         slot = next(reversed(self._engines.values()))
-        try:
-            return slot.engine.snapshot()
-        except Exception:
-            self.stats.snapshot_rejected += 1
-            return None
-
-    def snapshot_for(
-        self, system: CHCSystem, options: FinderOptions
-    ) -> Optional[dict]:
-        """Serialized engine state for ``system`` under ``options``, if
-        any.
-
-        The per-shard fan-out path of the parallel sweep
-        (:mod:`repro.mace.parallel`): every shard of a speculative
-        portfolio warm-starts from one snapshot of the pooled engine.  A
-        live slot is snapshotted fresh; otherwise the disk warm cache is
-        consulted.  Never raises — ``None`` means the shards start cold.
-        """
-        key = _slot_key(system, options)
-        slot = self._engines.get(key)
-        if slot is None:
-            return self._read_cache(key, options)
         try:
             return slot.engine.snapshot()
         except Exception:

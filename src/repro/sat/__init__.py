@@ -1,12 +1,10 @@
-"""SAT layer: the backend protocol, the from-scratch CDCL solver, and
-CNF utilities.
+"""SAT layer: the from-scratch CDCL solver and CNF utilities.
 
 Everything above this package (the model finder, the engine pool)
-drives the solver through the :class:`~repro.sat.backend.SatBackend`
-protocol's incremental contract.
+drives :class:`~repro.sat.solver.CDCLSolver` through the incremental
+contract in its docstring.
 """
 
-from repro.sat.backend import SatBackend
 from repro.sat.cnf import (
     at_most_one,
     exactly_one,
@@ -25,7 +23,6 @@ from repro.sat.solver import (
 
 __all__ = [
     "CDCLSolver",
-    "SatBackend",
     "SatError",
     "SatStats",
     "at_most_one",

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Iterator, Optional, Sequence, TextIO
 
-from repro.sat.backend import SatBackend
-from repro.sat.solver import SatError
+from repro.sat.solver import CDCLSolver, SatError
 
 
 class SelectorPool:
@@ -15,20 +14,19 @@ class SelectorPool:
     of retracting clauses, a clause group is guarded by a selector
     literal ``s`` — the clause ``C`` is stored as ``¬s ∨ C`` (built by
     :meth:`guard`), which is vacuous unless ``s`` is assumed true.  A
-    backend ``solve`` call then "pushes" a context by passing the
+    solver ``solve`` call then "pushes" a context by passing the
     active selectors as assumptions; popping is free because nothing was
     ever deleted, and learned clauses mentioning selectors stay valid
     for every future context.
 
-    The pool drives any :class:`~repro.sat.backend.SatBackend` — it
-    only needs ``new_var`` and ``add_clause`` from the protocol.
+    The pool only needs the solver's ``new_var`` and ``add_clause``.
 
     Selectors are allocated lazily per hashable key, so callers address
     them by meaning (e.g. ``("ex", sort, k)`` — "element ``k`` of
     ``sort`` exists") rather than by raw variable number.
     """
 
-    def __init__(self, solver: SatBackend):
+    def __init__(self, solver: CDCLSolver):
         self._solver = solver
         self._by_key: dict[Hashable, int] = {}
 

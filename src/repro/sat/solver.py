@@ -99,6 +99,29 @@ class CDCLSolver:
 
     Learned clauses are garbage-collected by LBD tier with unconditional
     glue retention (Glucose-style; see :meth:`reduce_learned`).
+
+    The model finder (:mod:`repro.mace.finder`), the engine pool
+    (:mod:`repro.mace.pool`) and :class:`~repro.sat.cnf.SelectorPool`
+    rely on this incremental contract:
+
+    * variables and clauses may be added between ``solve`` calls;
+    * ``solve(assumptions, max_conflicts=..., deadline=...)`` returns
+      ``True`` / ``False`` / ``None`` — ``None`` means the conflict
+      budget or the deadline ran out: indeterminate, never to be read
+      as unsat;
+    * after ``False``, :meth:`core` returns a subset of that call's
+      assumptions whose conjunction with the database is unsat, and
+      :meth:`minimize_core` shrinks it further by bounded re-solving;
+    * after ``True``, :meth:`model` returns the assignment, and it
+      raises in any other state rather than serve stale values;
+    * :meth:`fixed` reports a literal's value entailed by the database
+      alone (level 0), ``None`` when it is not fixed there;
+    * :meth:`simplify` and :meth:`reduce_learned` keep the database
+      lean, and :meth:`snapshot` / :meth:`restore` round-trip its whole
+      warm state;
+    * ``stats`` is the :class:`SatStats` block; ``clauses_added`` and
+      ``solve_calls`` are exact, since the engine's reuse accounting is
+      built on them.
     """
 
     #: learned clauses at or below this LBD are "glue" — they connect

@@ -95,6 +95,15 @@ class TestCli:
     def test_missing_file_exit_code(self):
         assert cli_main(["/nonexistent.smt2"]) == 2
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+    def test_bad_timeout_exit_code(self, tmp_path, timeout):
+        # a NaN deadline never expires: reject it before solving
+        path = tmp_path / "even.smt2"
+        path.write_text(EVEN_SMT)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["solve", str(path), "--timeout", timeout])
+        assert exit_info.value.code == 2
+
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "even.smt2"
         path.write_text(EVEN_SMT)
@@ -160,6 +169,13 @@ class TestCampaignCli:
         assert "; exec: 0 executed, 2 resumed" in resumed
         _, entries = load_journal(journal)
         assert {t: e["status"] for t, e in entries.items()} == recorded
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+    def test_bad_timeout_exit_code(self, files, timeout):
+        # the isolated supervisor cannot poll for a NaN timeout
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["campaign", "--isolate", "--timeout", timeout, *files])
+        assert exit_info.value.code == 2
 
     def test_parse_error_counts_as_failure(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.smt2"

@@ -504,8 +504,6 @@ def test_sweep_is_pinned(name):
         for r in results
     ]
     assert rows == PINNED_SWEEPS[name]
-    # one lane never speculates
-    assert all(r.stats.vectors_speculated == 0 for r in results)
 
 
 def _combos_reference(old, new):

@@ -11,9 +11,11 @@ import pstats
 import pytest
 
 from repro.benchgen.suite import Suite
+from repro.chc.transform import preprocess
 from repro.exec import ExecPolicy, ReproFaultPlan, ResultsJournal, load_journal
 from repro.harness import campaign_report
 from repro.harness.runner import run_campaign, task_id_for
+from repro.mace.finder import _SweepState, find_model
 from repro.obs import (
     EventBus,
     HeartbeatRenderer,
@@ -29,7 +31,12 @@ from repro.obs import (
     write_chrome,
 )
 from repro.obs import runtime as obs_runtime
-from repro.problems import even_system, incdec_system, odd_unsat_system
+from repro.problems import (
+    diag_system,
+    even_system,
+    incdec_system,
+    odd_unsat_system,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -258,6 +265,33 @@ class TestRuntime:
         assert sample["elapsed"] >= 0.0
         obs_runtime.task_finished()
         assert obs_runtime.live_sample()["task"] is None
+
+
+class TestSweepTelemetry:
+    """The sweep's one fold point publishes each vector's work to the
+    metrics and to live progress as it is folded in."""
+
+    def test_sweep_publishes_sat_counters(self):
+        obs_runtime.configure(metrics=True)
+        result = find_model(preprocess(diag_system()), max_total_size=5)
+        counters = obs_runtime.METRICS.snapshot()["counters"]
+        assert counters.get("sat.solve_calls", 0) >= result.stats.attempts
+        assert counters.get("sat.conflicts", 0) > 0
+
+    def test_live_progress_counts_each_folded_result(self, monkeypatch):
+        # the k-th vector folded shows at least k vectors
+        samples = []
+        consume = _SweepState.consume
+
+        def sampled(state, *result):
+            consume(state, *result)
+            samples.append(obs_runtime.live_sample()["vectors"])
+
+        monkeypatch.setattr(_SweepState, "consume", sampled)
+        find_model(preprocess(diag_system()), max_total_size=5)
+        assert samples
+        for k, vectors in enumerate(samples, 1):
+            assert vectors >= k, (k, samples)
 
 
 class TestEvents:

@@ -420,17 +420,20 @@ class TestEngineSnapshot:
         assert not receiver.adopt_snapshot(snap, off)
         assert receiver.stats.snapshot_rejected == 1
 
-    def test_warm_cache_seeds_shards_only_under_the_same_policy(
-        self, tmp_path
-    ):
-        # a cache entry written with symmetry breaking off must not
-        # seed the shards of a default-policy parallel sweep
+    def test_warm_cache_hits_only_under_the_same_policy(self, tmp_path):
+        # a cache entry written with symmetry breaking off gives a
+        # default-policy solve no warm hit
         cache = str(tmp_path / "engines")
         solve(even_system(), symmetry_breaking=False, engine_cache_dir=cache)
-        result = solve(even_system(), sweep_shards=2, engine_cache_dir=cache)
+        pool = EnginePool(cache_dir=cache)
+        result = solve(even_system(), engine_pool=pool)
         assert result.is_sat
-        assert result.details["finder"]["engine_shared"] is False
-        # the same policy does seed them
+        assert pool.stats.snapshot_hits == 0
+        assert result.details["finder"]["cross_problem_clauses"] == 0
+        # an entry written under the same policy does
         solve(even_system(), engine_cache_dir=cache)
-        result = solve(even_system(), sweep_shards=2, engine_cache_dir=cache)
-        assert result.details["finder"]["engine_shared"] is True
+        pool = EnginePool(cache_dir=cache)
+        result = solve(even_system(), engine_pool=pool)
+        assert result.is_sat
+        assert pool.stats.snapshot_hits == 1
+        assert result.details["finder"]["cross_problem_clauses"] > 0
