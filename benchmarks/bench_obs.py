@@ -48,7 +48,7 @@ PER_PROBLEM_TIMEOUT = 30.0
 REPEATS = 2
 
 #: span names a traced campaign must contain (the hierarchy's spine;
-#: analyze/minimize aggregates appear only when the solver backtracks)
+#: the analyze aggregate appears only when the solver backtracks)
 REQUIRED_SPANS = {"campaign", "task", "solve", "vector", "propagate"}
 
 

@@ -1,23 +1,11 @@
 #!/usr/bin/env bash
 # Quick performance gates for the model-finding engine.
 #
-# Gate 1 (PR 1): incremental-vs-from-scratch ablation; emits
-# BENCH_incremental.json and fails if
-#   * the two engines disagree on any verdict or model size, or
-#   * the incremental engine is more than 10% slower than from-scratch
-#     on the quick suite.
-#
 # Gate 2 (PR 2): campaign-vs-fresh-engine ablation over a
 # shared-signature batch; emits BENCH_campaign.json and fails if
 #   * statuses disagree,
 #   * campaign mode shows no cross-problem reuse, or
 #   * campaign mode is more than 10% slower than fresh engines.
-#
-# Gate 3 (PR 3): unsat-core-guided sweep ablation; emits
-# BENCH_core.json and fails if
-#   * the guided and unguided sweeps disagree on any verdict,
-#   * no benchmark family shows measured vector skips, or
-#   * the guided sweep is more than 10% slower than unguided.
 #
 # Gate 4 (PR 6): supervised execution parity; emits BENCH_exec.json
 # and fails if
@@ -26,14 +14,6 @@
 #   * the fault-injected campaign (crash + hang + OOM + flaky) fails
 #     to produce its three structured error verdicts, or the flaky
 #     task does not recover via retry.
-#
-# Gate 5 (PR 7): core-minimization ablation; emits BENCH_backend.json
-# and fails if
-#   * the pure-Python default and its no-minimization leg disagree on
-#     a status or model size,
-#   * core minimization never fires on the quick suite, or
-#   * the pure-Python default is more than 10% slower than its
-#     no-minimization baseline.
 #
 # Gate 6 (PR 8): engine snapshot/restore + warm cache; emits
 # BENCH_snapshot.json and fails if
@@ -57,31 +37,6 @@ cd "$(dirname "$0")/.."
 
 export REPRO_BENCH_SCALE="${REPRO_BENCH_SCALE:-quick}"
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
-
-python benchmarks/bench_incremental.py
-
-python - <<'EOF'
-import json
-import sys
-
-with open("BENCH_incremental.json") as handle:
-    report = json.load(handle)
-totals = report["totals"]
-
-if not totals["all_agree"]:
-    sys.exit("FAIL: incremental and from-scratch results disagree")
-
-inc, scr = totals["incremental_time"], totals["scratch_time"]
-print(f"incremental: {inc:.3f}s  from-scratch: {scr:.3f}s  "
-      f"speedup: {totals.get('speedup', float('nan')):.2f}x")
-print(f"clauses encoded: {totals['incremental_clauses_encoded']} vs "
-      f"{totals['scratch_clauses_encoded']} "
-      f"(reused {totals['clauses_reused']})")
-if inc > 1.10 * scr:
-    sys.exit(f"FAIL: incremental engine {inc:.3f}s is >10% slower than "
-             f"from-scratch {scr:.3f}s")
-print("OK: incremental engine within budget")
-EOF
 
 python benchmarks/bench_campaign.py
 
@@ -110,34 +65,6 @@ if camp > 1.10 * fresh:
 print("OK: campaign engine pool within budget")
 EOF
 
-python benchmarks/bench_core.py
-
-python - <<'EOF'
-import json
-import sys
-
-with open("BENCH_core.json") as handle:
-    report = json.load(handle)
-totals = report["totals"]
-
-if not totals["all_agree"]:
-    sys.exit("FAIL: core-guided and unguided sweeps disagree")
-if totals["vectors_skipped"] <= 0:
-    sys.exit("FAIL: core guidance skipped no vectors")
-
-on, off = totals["guided_time"], totals["unguided_time"]
-print(f"core-guided: {on:.3f}s  unguided: {off:.3f}s  "
-      f"speedup: {totals.get('speedup', float('nan')):.2f}x")
-print(f"vectors: {totals['attempts_guided']} attempted + "
-      f"{totals['vectors_skipped']} skipped "
-      f"(vs {totals['attempts_unguided']} unguided; "
-      f"{totals['cores_extracted']} cores)")
-if on > 1.10 * off:
-    sys.exit(f"FAIL: core-guided sweep {on:.3f}s is >10% slower than "
-             f"unguided {off:.3f}s")
-print("OK: core-guided sweep within budget")
-EOF
-
 python benchmarks/bench_exec.py
 
 python - <<'EOF'
@@ -164,31 +91,6 @@ print(f"in-process: {inproc:.3f}s  isolated: {iso:.3f}s  "
       f"fault campaign: {totals['fault_time']:.3f}s "
       f"({totals['fault_retries']} retries)")
 print("OK: isolated execution verdict parity + structured faults")
-EOF
-
-python benchmarks/bench_backend.py
-
-python - <<'EOF'
-import json
-import sys
-
-with open("BENCH_backend.json") as handle:
-    report = json.load(handle)
-totals = report["totals"]
-
-if not totals["all_agree"]:
-    sys.exit("FAIL: minimization on/off disagree on a status")
-if totals["cores_minimized"] <= 0:
-    sys.exit("FAIL: core minimization never fired on the quick suite")
-
-on, off = totals["python_time"], totals["python-nomin_time"]
-print(f"python: {on:.3f}s  python w/o minimization: {off:.3f}s  "
-      f"({totals['cores_minimized']} cores minimized, "
-      f"{totals['core_lits_dropped']} literals dropped)")
-if on > 1.10 * off:
-    sys.exit(f"FAIL: pure-Python default {on:.3f}s is >10% slower than "
-             f"its no-minimization baseline {off:.3f}s")
-print("OK: minimization status parity + pure-Python within budget")
 EOF
 
 python benchmarks/bench_snapshot.py

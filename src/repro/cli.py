@@ -12,9 +12,8 @@ Prints ``sat`` / ``unsat`` / ``unknown`` on the first line; with
 follows, and with ``--cex`` the refutation derivation is printed for
 UNSAT answers.  Unknown answers distinguish a completed sweep ("no
 finite model of total size <= N") from budget exhaustion on the reason
-line.  ``--no-cores`` switches off the unsat-core-guided sweep (the
-ablation baseline).  ``--timeout`` takes a finite number of seconds
-greater than zero; anything else is a usage error (exit code 2).
+line.  ``--timeout`` takes a finite number of seconds greater than
+zero; anything else is a usage error (exit code 2).
 
 Campaign batch mode solves many files through one shared
 :class:`~repro.mace.pool.EnginePool`, so signature-compatible problems
@@ -145,11 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the refutation derivation on UNSAT answers",
     )
     parser.add_argument(
-        "--no-cores",
-        action="store_true",
-        help="disable the unsat-core-guided size sweep (ringen only)",
-    )
-    parser.add_argument(
         "--warm-cache",
         metavar="DIR",
         help="disk cache of serialized engines: warm-start from DIR if "
@@ -212,11 +206,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         "--quiet",
         action="store_true",
         help="suppress the pool summary (verdict lines only)",
-    )
-    parser.add_argument(
-        "--no-cores",
-        action="store_true",
-        help="disable the unsat-core-guided size sweep",
     )
     parser.add_argument(
         "--isolate",
@@ -358,7 +347,7 @@ def _run_campaign(args) -> int:
         legacy_line_subscriber,
     )
 
-    solver_opts = {"core_guided_sweep": not args.no_cores}
+    solver_opts = {}
     if args.warm_cache:
         solver_opts["engine_cache_dir"] = args.warm_cache
     policy = ExecPolicy(
@@ -511,9 +500,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     solver = SOLVERS[args.solver](
-        args.timeout,
-        core_guided_sweep=not args.no_cores,
-        engine_cache_dir=args.warm_cache,
+        args.timeout, engine_cache_dir=args.warm_cache
     )
     from repro.obs import runtime as obs_runtime
     from repro.obs.profiler import maybe_profile, profile_path

@@ -41,8 +41,7 @@ class RInGenConfig:
 
     The model-finder fields — ``max_model_size`` (the finder's
     ``max_total_size``), ``max_conflicts_per_size``,
-    ``max_learned_clauses``, ``symmetry_breaking``, ``incremental``,
-    ``core_guided_sweep`` and ``core_minimization`` — are documented
+    ``max_learned_clauses`` and ``symmetry_breaking`` — are documented
     on :class:`~repro.mace.finder.FinderOptions`; :meth:`finder_options`
     converts them once per solve.
     ``automata_verification`` lets the exact Herbrand check decide
@@ -52,12 +51,12 @@ class RInGenConfig:
     Campaign knobs: ``engine_pool`` plugs a shared
     :class:`~repro.mace.pool.EnginePool` into the model-finding phase,
     so consecutive ``solve`` calls on signature-compatible systems reuse
-    one incremental engine (batch mode for the harness; requires
-    ``incremental``).  ``release_engines`` retires each problem's
-    activation selector from the pool once its solve finishes — the
-    default hygiene for long campaigns; switch it off to inspect
-    contexts afterwards.  ``engine_cache_dir`` points at a disk-backed
-    warm cache of serialized engines (see
+    one incremental engine (batch mode for the harness).
+    ``release_engines`` retires each problem's activation selector from
+    the pool once its solve finishes — the default hygiene for long
+    campaigns; switch it off to inspect contexts afterwards.
+    ``engine_cache_dir`` points at a disk-backed warm cache of
+    serialized engines (see
     :class:`~repro.mace.pool.EnginePool`): without an injected pool, a
     solve builds a private pool over that cache, so repeated runs on
     the same signature start from the previous run's encodings, learned
@@ -73,10 +72,7 @@ class RInGenConfig:
     verify_height: int = 3
     verify: bool = True
     timeout: Optional[float] = None
-    incremental: bool = True
     max_learned_clauses: Optional[int] = 20_000
-    core_guided_sweep: bool = True
-    core_minimization: bool = True
     automata_verification: bool = True
     engine_pool: Optional[EnginePool] = None
     release_engines: bool = True
@@ -89,9 +85,6 @@ class RInGenConfig:
             max_conflicts_per_size=self.max_conflicts_per_size,
             max_learned_clauses=self.max_learned_clauses,
             symmetry_breaking=self.symmetry_breaking,
-            incremental=self.incremental,
-            core_guided_sweep=self.core_guided_sweep,
-            core_minimization=self.core_minimization,
         )
 
 
@@ -164,9 +157,9 @@ class RInGen:
         # mode the finder additionally rides the pool's shared engine for
         # this signature, inheriting other problems' state.
         options = cfg.finder_options()
-        pool = cfg.engine_pool if options.incremental else None
+        pool = cfg.engine_pool
         ephemeral: Optional[EnginePool] = None
-        if pool is None and cfg.engine_cache_dir and options.incremental:
+        if pool is None and cfg.engine_cache_dir:
             # no shared pool, but a warm cache: a private pool scoped to
             # this solve loads the signature's engine from disk (if any)
             # and persists it back when done
@@ -204,7 +197,7 @@ class RInGen:
     ) -> SolveResult:
         """Phase 2 body: drive the finder, verify models, build results."""
         cfg = self.config
-        finder_stats = FinderStats(incremental=cfg.incremental)
+        finder_stats = FinderStats()
         min_size = 0
         while True:
             finder_result = finder.search(

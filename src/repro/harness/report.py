@@ -140,15 +140,6 @@ def campaign_report(
         cores = sum(
             f.get("cores_extracted", 0) for _, f in finder_rows
         )
-        minimized = sum(
-            f.get("cores_minimized", 0) for _, f in finder_rows
-        )
-        lits_dropped = sum(
-            f.get("core_lits_dropped", 0) for _, f in finder_rows
-        )
-        incremental_runs = sum(
-            1 for _, f in finder_rows if f["incremental"]
-        )
         denominator = encoded + reused
         reuse_pct = (100.0 * reused / denominator) if denominator else 0.0
         sections.append(
@@ -156,14 +147,11 @@ def campaign_report(
                 ["metric", "value"],
                 [
                     ["runs with finder stats", len(finder_rows)],
-                    ["incremental runs", incremental_runs],
                     ["size vectors attempted", attempts],
                     ["vectors refuted (proven unsat)", refuted],
                     ["vectors exhausted (budget, unknown)", exhausted],
                     ["vectors skipped by unsat cores", skipped],
                     ["unsat cores extracted", cores],
-                    ["unsat cores minimized", minimized],
-                    ["core literals dropped", lits_dropped],
                     ["clauses encoded", encoded],
                     ["clauses reused across vectors", reused],
                     ["reuse ratio", f"{reuse_pct:.1f}%"],
@@ -334,12 +322,6 @@ def campaign_report(
                 markdown_table(
                     ["phase", "time (s)", "calls", "share"], rows
                 )
-            )
-            sections.append("")
-            sections.append(
-                "_`propagate`/`analyze` are timed inside `minimize` "
-                "probes too, so phase shares describe where time went, "
-                "not a disjoint partition._"
             )
             sections.append("")
         hist = (campaign.obs.get("histograms") or {}).get("task.elapsed")

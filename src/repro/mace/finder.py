@@ -65,11 +65,10 @@ phases carry across the entire sweep (solved with
 ``solver.solve(assumptions=...)``).
 
 The engine *resets* (discarding the solver and re-encoding from scratch)
-in exactly two situations: when the caller asks for the from-scratch
-ablation (``incremental=False`` — a reset before every vector), and as a
-safety valve when the shared clause database derives a level-0
-contradiction, which would otherwise bleed an UNSAT verdict into every
-later size vector.  Both show up in :class:`FinderStats.solver_resets`.
+in exactly one situation: as a safety valve when the shared clause
+database derives a level-0 contradiction, which would otherwise bleed an
+UNSAT verdict into every later size vector.  Each reset shows up in
+:class:`FinderStats.solver_resets`.
 
 Campaign mode (sharing one engine across problems)
 --------------------------------------------------
@@ -109,8 +108,8 @@ Unsat-core–guided sweep and verdict completeness
 ------------------------------------------------
 
 Every vector is solved purely under assumptions, so a refuted vector
-yields an **unsat core** (the solver's ``core()``, optionally
-shrunk further by its deletion-based ``minimize_core()``)
+yields an **unsat core** (the solver's ``core()``, as final-conflict
+analysis returns it)
 over exactly three kinds of literal: the problem's clause-group
 selectors, positive existence frontiers ``ex[s, k-1]`` ("sort ``s`` has
 at least ``k`` elements") and negative bounds ``-ex[s, k]`` ("at most
@@ -131,9 +130,7 @@ solver ``None`` (conflict budget or deadline ran out) is not a
 refutation, so ``FinderResult.complete`` is ``True`` — licensing the
 claim "no model of total size ≤ N" — only when every candidate vector
 was refuted (directly or via a covering core) and the sweep was not cut
-short.  ``FinderOptions(core_guided_sweep=False)`` disables the pruning
-(ablation; ``benchmarks/bench_core.py`` gates that verdicts are
-identical either way).
+short.
 
 The sweep
 ---------
@@ -206,21 +203,15 @@ class FinderOptions:
     sorts); ``max_conflicts_per_size`` is the per-vector conflict budget
     (``None``: unbounded) and ``max_learned_clauses`` bounds the
     learned-clause database the engine carries across vectors.
-    ``symmetry_breaking`` adds the least-constant cuts.  ``incremental``
-    keeps one engine across the sweep; off, the engine is reset before
-    every vector (the from-scratch reference path).
-    ``core_guided_sweep`` prunes the sweep with the unsat cores of
-    refuted vectors, and ``core_minimization`` shrinks each core by
-    bounded deletion probes first.
+    ``symmetry_breaking`` adds the least-constant cuts.  The search
+    policy itself is fixed: one incremental engine per sweep, pruned by
+    the unsat core of every refuted vector.
     """
 
     max_total_size: int = 12
     max_conflicts_per_size: Optional[int] = 200_000
     max_learned_clauses: Optional[int] = 20_000
     symmetry_breaking: bool = True
-    incremental: bool = True
-    core_guided_sweep: bool = True
-    core_minimization: bool = True
 
     def engine_key(self) -> tuple:
         """The part of the configuration an engine's clause database
@@ -417,18 +408,11 @@ class FinderStats:
     learned_kept: int = 0
     learned_glue: int = 0
     solver_resets: int = 0
-    incremental: bool = True
     # unsat-core–guided sweep accounting (see the module docstring)
     vectors_refuted: int = 0
     vectors_exhausted: int = 0
     vectors_skipped: int = 0
     cores_extracted: int = 0
-    # deletion-based minimization before cores become sweep bounds:
-    # cores that went through a minimization pass, and the assumption
-    # literals those passes removed (each removed size-bound literal
-    # widens the band of vectors the core refutes for free)
-    cores_minimized: int = 0
-    core_lits_dropped: int = 0
     hopeless: bool = False
     # True when the sweep was cut short by the *wall-clock* deadline
     # (mid-encoding or mid-solve) as opposed to the per-size conflict
@@ -454,8 +438,7 @@ class FinderStats:
         additive counters add, high-water marks (``sat_vars``,
         ``sat_clauses``, ``learned_kept``, ``cross_problem_clauses``)
         take the max, sticky flags or together, and ``model_size`` keeps
-        the most recent part that actually found a model.  ``incremental`` is a
-        configuration echo and is left untouched.
+        the most recent part that actually found a model.
         """
         self.attempts += part.attempts
         self.sat_vars = max(self.sat_vars, part.sat_vars)
@@ -473,8 +456,6 @@ class FinderStats:
         self.vectors_exhausted += part.vectors_exhausted
         self.vectors_skipped += part.vectors_skipped
         self.cores_extracted += part.cores_extracted
-        self.cores_minimized += part.cores_minimized
-        self.core_lits_dropped += part.core_lits_dropped
         self.hopeless = self.hopeless or part.hopeless
         self.deadline_hit = self.deadline_hit or part.deadline_hit
         self.engine_shared = self.engine_shared or part.engine_shared
@@ -1137,13 +1118,22 @@ class _IncrementalEngine:
         at snapshot time), so a finder whose fingerprint matches passes
         the same check on injection.  Raises
         :class:`EngineSnapshotError` on any mismatch or an internally
-        inconsistent snapshot.
+        inconsistent snapshot, including an unusable solver block.
         """
         check_engine(snap, options, fingerprint)
-        engine = cls(
-            snap["sorts"], snap["functions"], snap["predicates"], options
-        )
-        engine._restore_from(snap)
+        try:
+            engine = cls(
+                snap["sorts"], snap["functions"], snap["predicates"], options
+            )
+            engine._restore_from(snap)
+        except EngineSnapshotError:
+            raise
+        except (LookupError, TypeError, ValueError, AttributeError) as error:
+            # a missing key, a malformed field or a solver block of
+            # another version (SatError is a ValueError)
+            raise EngineSnapshotError(
+                f"unusable engine snapshot: {type(error).__name__}: {error}"
+            ) from error
         return engine
 
     def _restore_from(self, snap: dict) -> None:
@@ -1616,8 +1606,7 @@ class _IncrementalEngine:
         has no model) from budget/deadline exhaustion (indeterminate) is
         what lets :meth:`ModelFinder.search` report an honest
         ``complete`` verdict; refutations additionally carry their unsat
-        core into ``ctx.refuted_cores`` when
-        ``options.core_guided_sweep`` is on.
+        core into ``ctx.refuted_cores``.
 
         With observability on (:mod:`repro.obs.runtime`) each attempt
         runs inside a ``vector`` span with the solver's phase timers
@@ -1726,7 +1715,6 @@ class _IncrementalEngine:
             hi = -self._ex(s, k)
             assumptions.append(hi)
             meaning[hi] = ("hi", s, k)
-        pre_conflicts = self.solver.stats.conflicts
         outcome = self.solver.solve(
             assumptions,
             max_conflicts=options.max_conflicts_per_size,
@@ -1758,100 +1746,17 @@ class _IncrementalEngine:
             # under every assumption set, i.e. at every size vector
             # — stop the sweep early
             ctx.hopeless = True
-        if options.core_guided_sweep:
-            # minimization probes only pay for themselves when the
-            # refutation they amortize against cost real search; a
-            # propagation-only refutation already has a cheap, re-derivable
-            # core, so probing it is pure overhead
-            effort = self.solver.stats.conflicts - pre_conflicts
-            self._record_core(
-                ctx, meaning, stats,
-                minimize=(
-                    options.core_minimization
-                    and effort >= self.CORE_MIN_TRIGGER_CONFLICTS
-                ),
-                effort=effort,
-                deadline=deadline,
-            )
+        self._record_core(ctx, meaning, stats)
         return _VectorOutcome(refuted=True)
-
-    #: per-probe conflict budget of the deletion-based core
-    #: minimization pass (each dropped literal costs at most this many
-    #: conflicts; inconclusive probes just keep the literal)
-    CORE_MIN_CONFLICTS = 500
-
-    #: refutation cost (conflicts) below which a core is NOT worth
-    #: minimizing: near-propagation refutations recur cheaply, so
-    #: widening their stored bounds cannot win back the probe cost
-    CORE_MIN_TRIGGER_CONFLICTS = 10
-
-    #: refutation cost from which the long-shot upper-bound probes run
-    #: too (see :meth:`_record_core`); below it only the lower-bound
-    #: candidates — the probes that commonly succeed — are tried
-    CORE_MIN_HI_CONFLICTS = 100
 
     def _record_core(
         self,
         ctx: _ProblemContext,
         meaning: dict[int, tuple],
         stats: FinderStats,
-        *,
-        minimize: bool = True,
-        effort: int = 0,
-        deadline: Optional[float] = None,
     ) -> None:
-        """Translate the refutation's unsat core into reusable bounds.
-
-        With ``minimize`` the core first goes through the solver's
-        deletion-based :meth:`minimize_core` (bounded re-solves, budget
-        capped per probe by the *refutation's own conflict count*
-        ``effort`` up to :data:`CORE_MIN_CONFLICTS`, and by the sweep
-        deadline — a probe never costs more than the search it is
-        trying to generalize): every size-bound literal dropped widens
-        the band of vectors the stored core covers, and a core
-        minimized down to clause-group selectors alone upgrades to a
-        size-independent refutation.
-        """
+        """Translate the refutation's unsat core into reusable bounds."""
         core = self.solver.core()
-        # Only size-bound assumptions are worth deletion probes:
-        # dropping one widens the stored bounds, while dropping a
-        # clause-group selector leaves the translated core unchanged.
-        # Lower bounds are probed on multi-sort sweeps only — the
-        # sweep ascends and never revisits smaller totals, so widening
-        # a band downward pays solely through *other compositions* of a
-        # later total size.  Upper bounds are the long-shot probes: a
-        # droppable "hi" upgrades the core toward a size-independent
-        # refutation that stops the sweep, but such drops are rare, so
-        # the gamble is only taken after a refutation expensive enough
-        # (``CORE_MIN_HI_CONFLICTS``) that stopping the sweep would
-        # repay many failed probes.
-        multi_sort = len(self.sorts) > 1
-        probe_hi = effort >= self.CORE_MIN_HI_CONFLICTS
-        bound_lits = [
-            lit
-            for lit in core
-            if (probe_hi and meaning.get(lit, ("",))[0] == "hi")
-            or (multi_sort and meaning.get(lit, ("",))[0] == "lo")
-        ]
-        if minimize and bound_lits and len(core) > 1:
-            before = len(core)
-            # each probe may spend at most half the refutation's own
-            # conflict count (floor: the trigger): a conclusive unsat
-            # probe re-derives the refutation with the learned clauses
-            # already in place, so it is normally much cheaper than the
-            # original search, while a failed probe must not cost more
-            # than the work it was trying to generalize
-            core = self.solver.minimize_core(
-                max_conflicts_per_probe=min(
-                    self.CORE_MIN_CONFLICTS,
-                    max(effort // 2, self.CORE_MIN_TRIGGER_CONFLICTS),
-                ),
-                deadline=deadline,
-                candidates=bound_lits,
-            )
-            if len(core) < before:
-                stats.cores_minimized += 1
-                stats.core_lits_dropped += before - len(core)
         if not core:
             # an empty core means the shared database alone is unsat —
             # that is the reset safety valve's business, not evidence
@@ -1927,7 +1832,7 @@ def _signature(system: CHCSystem) -> tuple[list, list, list]:
 class _SweepState:
     """One size sweep of one problem context over one engine.
 
-    Owns the frontier, the refutation-core bounds that prune it and the
+    Owns the frontier, pruned by the context's refutation cores, and the
     verdict under construction.  :meth:`solve` is the per-vector body,
     :meth:`consume` the one point where every vector's outcome is folded
     in with its own :class:`FinderStats` and (metrics on) ``SatStats``
@@ -1954,10 +1859,6 @@ class _SweepState:
         self._iter = size_vectors(
             engine.sorts, options.max_total_size, min_total
         )
-        #: the context's refutation cores, including those it inherited
-        #: (an earlier search, the problem-facts memo); the engine
-        #: appends each fresh one as it refutes a vector
-        self.bounds = ctx.refuted_cores if options.core_guided_sweep else []
         self.exhausted_frontier = False
         self.winner: Optional[FiniteModel] = None
         self.complete = True
@@ -1981,16 +1882,19 @@ class _SweepState:
         """The next frontier vector no known core covers; ``None`` once
         the frontier is exhausted.
 
-        A core with lower bounds L and upper bounds U covers every
-        vector meeting all of them: the existence prefix chains make
-        that vector's assumptions entail the core's, so it is unsat
-        without touching the solver (see the module docstring).
+        The known cores are the context's refutation cores: those it
+        inherited (an earlier search, the problem-facts memo) and each
+        one the engine appends as it refutes a vector.  A core with
+        lower bounds L and upper bounds U covers every vector meeting
+        all of them: the existence prefix chains make that vector's
+        assumptions entail the core's, so it is unsat without touching
+        the solver (see the module docstring).
         """
         for sizes in self._iter:
             if not any(
                 all(sizes[s] >= k for s, k in lower.items())
                 and all(sizes[s] <= k for s, k in upper.items())
-                for lower, upper in self.bounds
+                for lower, upper in self.ctx.refuted_cores
             ):
                 return sizes
             self.stats.vectors_skipped += 1
@@ -2003,9 +1907,7 @@ class _SweepState:
         """Solve one vector: its outcome, its own statistics and, with
         metrics on, its ``SatStats`` deltas."""
         engine, options = self.engine, self.options
-        part = FinderStats(incremental=options.incremental, attempts=1)
-        if not options.incremental:
-            engine.reset(part)
+        part = FinderStats(attempts=1)
         base_added = engine.total_added
         base_learned = engine.total_learned
         base_glue = engine.total_glue
@@ -2084,13 +1986,6 @@ class _SweepState:
 _UNSET = object()
 
 
-def _check_shared(options: FinderOptions) -> None:
-    """A shared (pooled) engine serves incremental sweeps only: a reset
-    would disturb every other problem on it."""
-    if not options.incremental:
-        raise FinderError("a shared engine requires incremental mode")
-
-
 class ModelFinder:
     """Iterative-deepening finite model search for one CHC system.
 
@@ -2098,21 +1993,18 @@ class ModelFinder:
     ``deadline`` and ``min_total_size`` belong to the search, not the
     finder, and :meth:`search` may replace them per call.
 
-    With ``options.incremental`` (the default) the finder keeps its own
-    :class:`_IncrementalEngine` alive across every :meth:`search` call,
-    so repeated searches (e.g. resuming at a larger minimum size after a
-    failed Herbrand check) also reuse the encoding and learned clauses;
-    the from-scratch ablation (``incremental=False``) resets the engine
-    before every size vector.
+    The finder keeps its own :class:`_IncrementalEngine` alive across
+    every :meth:`search` call, so repeated searches (e.g. resuming at a
+    larger minimum size after a failed Herbrand check) also reuse the
+    encoding and learned clauses.
 
     ``engine`` injects a shared engine (campaign mode): the finder
     registers its problem as one context on that engine instead of
     building its own, inheriting every clause, learned clause and
     heuristic score other signature-compatible problems left behind.
-    It serves an incremental sweep only, and :func:`check_engine` must
-    accept it for this system's signature and ``options`` — the
-    :class:`~repro.mace.pool.EnginePool` guarantees this by keying
-    engines on exactly those two.
+    :func:`check_engine` must accept it for this system's signature and
+    ``options`` — the :class:`~repro.mace.pool.EnginePool` guarantees
+    this by keying engines on exactly those two.
     """
 
     def __init__(
@@ -2134,7 +2026,6 @@ class ModelFinder:
         ]
         self.sorts, self.functions, self.predicates = _signature(system)
         if engine is not None:
-            _check_shared(options)
             check_engine(
                 engine.header(),
                 options,
@@ -2168,10 +2059,6 @@ class ModelFinder:
         wall-clock budget leaves the sweep incomplete.
         """
         options = self.options
-        if self._shared_engine:
-            # defensive re-check of the constructor invariant (the
-            # options attribute can be rebound)
-            _check_shared(options)
         if deadline is not _UNSET:
             self.deadline = deadline  # type: ignore[assignment]
         min_total = (
@@ -2185,7 +2072,6 @@ class ModelFinder:
             self._ctx = self._engine.register(self.flat_clauses)
         ctx = self._ctx
         stats = FinderStats(
-            incremental=options.incremental,
             engine_shared=self._shared_engine,
             cross_problem_clauses=(
                 ctx.joined_at_clauses if self._shared_engine else 0

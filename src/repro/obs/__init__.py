@@ -4,7 +4,7 @@ Zero-dependency telemetry for every layer of the pipeline (SAT solver →
 incremental finder → engine pool → supervised exec → harness):
 
 * :mod:`repro.obs.tracer` — hierarchical span tracer (``campaign >
-  task > solve > vector > propagate/analyze/minimize/encode``) recorded
+  task > solve > vector > propagate/analyze/encode``) recorded
   to JSONL and exportable as Chrome ``trace_event`` JSON;
 * :mod:`repro.obs.metrics` — counters / gauges / timing histograms the
   existing stats dataclasses (``SatStats``, ``FinderStats``,

@@ -3,8 +3,8 @@
 A span is one timed region of work with a name, a parent, and optional
 attributes; nesting follows the call structure (``campaign > task >
 solve > vector``).  The two phase levels below a vector — propagate /
-analyze / minimize from the SAT solver's phase timers, encode from the
-finder — are emitted as *aggregate* child spans: one synthetic span per
+analyze from the SAT solver's phase timers, encode from the finder —
+are emitted as *aggregate* child spans: one synthetic span per
 vector carrying the summed duration and call count, because recording
 every ``_propagate`` call individually (hundreds of thousands per
 solve) would dwarf the work being measured.

@@ -43,7 +43,7 @@ FALSE_VAL = -1
 #: schema version of :meth:`CDCLSolver.snapshot`; bumped whenever the
 #: serialized layout changes incompatibly.  :meth:`CDCLSolver.restore`
 #: rejects any other version instead of guessing.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class SatError(ValueError):
@@ -79,10 +79,6 @@ class SatStats:
     # dynamic LBD maintenance: learned clauses whose glue improved when
     # they were reused as reasons (Glucose-style re-computation)
     lbd_updates: int = 0
-    # deletion-based core minimization: probe solves issued and
-    # assumption literals they removed from cores
-    core_probes: int = 0
-    core_lits_removed: int = 0
 
 
 def _luby(i: int) -> int:
@@ -110,8 +106,8 @@ class CDCLSolver:
       budget or the deadline ran out: indeterminate, never to be read
       as unsat;
     * after ``False``, :meth:`core` returns a subset of that call's
-      assumptions whose conjunction with the database is unsat, and
-      :meth:`minimize_core` shrinks it further by bounded re-solving;
+      assumptions whose conjunction with the database is unsat, as
+      final-conflict analysis found it;
     * after ``True``, :meth:`model` returns the assignment, and it
       raises in any other state rather than serve stale values;
     * :meth:`fixed` reports a literal's value entailed by the database
@@ -617,97 +613,10 @@ class CDCLSolver:
             )
         return list(self._core)
 
-    def minimize_core(
-        self,
-        *,
-        max_conflicts_per_probe: int = 1_000,
-        deadline: Optional[float] = None,
-        candidates: Optional[Sequence[int]] = None,
-    ) -> list[int]:
-        """Deletion-based minimization of the last :meth:`core`.
-
-        Re-solves with one core literal deleted at a time (each probe
-        bounded by ``max_conflicts_per_probe`` conflicts and the
-        optional wall-clock ``deadline``); a probe that still answers
-        unsat proves the deleted literal redundant and replaces the
-        working core with the probe's own (possibly even smaller) core.
-        Inconclusive probes (sat, or budget exhausted) keep the literal
-        — the result is always a correct core, minimization is purely
-        best-effort within the budget.  On return :meth:`core` serves
-        the minimized core, exactly as if the original ``False`` answer
-        had produced it; any model a sat probe left behind is discarded.
-
-        ``candidates`` restricts which literals deletion is attempted
-        on (others are kept without probing) — callers that only profit
-        from dropping *specific* assumptions skip the probes that
-        cannot pay off.  The model finder runs this before a refutation
-        core becomes a sweep bound, with the size-bound literals as
-        candidates: every one dropped widens the band of size vectors
-        the core refutes for free, while dropping a clause-group
-        selector would not change the stored bounds at all.
-        """
-        if self._phase_times is None:
-            return self._minimize_core(
-                max_conflicts_per_probe=max_conflicts_per_probe,
-                deadline=deadline,
-                candidates=candidates,
-            )
-        t0 = time.monotonic()
-        try:
-            return self._minimize_core(
-                max_conflicts_per_probe=max_conflicts_per_probe,
-                deadline=deadline,
-                candidates=candidates,
-            )
-        finally:
-            self._phase_add("minimize", time.monotonic() - t0)
-
-    def _minimize_core(
-        self,
-        *,
-        max_conflicts_per_probe: int,
-        deadline: Optional[float],
-        candidates: Optional[Sequence[int]],
-    ) -> list[int]:
-        core = self.core()
-        probe_set = (
-            None if candidates is None else {l for l in candidates}
-        )
-        i = 0
-        while len(core) > 1 and i < len(core):
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            if probe_set is not None and core[i] not in probe_set:
-                i += 1
-                continue
-            trial = core[:i] + core[i + 1 :]
-            self.stats.core_probes += 1
-            outcome = self.solve(
-                trial,
-                max_conflicts=max_conflicts_per_probe,
-                deadline=deadline,
-            )
-            if outcome is False:
-                shrunk = set(self._core or ())
-                self.stats.core_lits_removed += len(core) - len(shrunk)
-                # keep the original order; the probe's core is a subset
-                # of ``trial`` so position ``i`` now names a fresh lit
-                core = [l for l in core if l in shrunk]
-            else:
-                i += 1
-        # the probes overwrote the solve-state flags; restore the
-        # contract of the original False answer with the refined core
-        self._model_ready = False
-        self._core = list(core)
-        return list(core)
-
     def set_phase_timing(self, enabled: bool) -> None:
         """Switch per-phase wall-clock accounting on (resetting the
         accumulators) or off.  Phases: ``propagate`` and ``analyze``
-        from the search loop, ``minimize`` around core minimization —
-        note a minimization probe's propagation/analysis time lands in
-        *both* its own phases and ``minimize`` (the phases overlap by
-        design; see :meth:`phase_times`)."""
+        from the search loop."""
         self._phase_times = {} if enabled else None
 
     def phase_times(self) -> dict[str, tuple[float, int]]:

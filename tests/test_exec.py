@@ -597,7 +597,7 @@ class TestJournalConfigGuard:
         resumed = run_campaign(
             [tiny_suite()], solvers=["ringen"], timeout=5.0,
             journal_path=journal, resume=True,
-            policy=ExecPolicy(solver_opts={"core_guided_sweep": True}),
+            policy=ExecPolicy(solver_opts={"symmetry_breaking": True}),
         )
         assert resumed.exec_stats["tasks_resumed"] == 3
         assert verdicts(resumed) == verdicts(first)
@@ -608,7 +608,7 @@ class TestJournalConfigGuard:
             [tiny_suite()], solvers=["ringen"], timeout=5.0,
             journal_path=journal,
             policy=ExecPolicy(
-                solver_opts={"core_guided_sweep": True}
+                solver_opts={"symmetry_breaking": True}
             ),
         )
         with pytest.raises(JournalError, match="configuration"):
@@ -616,7 +616,7 @@ class TestJournalConfigGuard:
                 [tiny_suite()], solvers=["ringen"], timeout=5.0,
                 journal_path=journal, resume=True,
                 policy=ExecPolicy(
-                    solver_opts={"core_guided_sweep": False}
+                    solver_opts={"symmetry_breaking": False}
                 ),
             )
 

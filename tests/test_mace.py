@@ -224,6 +224,36 @@ class TestFinder:
         assert not result.found
 
 
+Reference = collections.namedtuple(
+    "Reference", "found model_size complete attempts clauses_encoded"
+)
+
+
+def reference_sweep(system, max_total_size):
+    """The sweep with no search policy, as the reference the one sweep
+    must agree with: every ``size_vectors`` vector in order, each on a
+    fresh engine, up to the first model — no carried clauses, no
+    cores.  ``complete`` is False once any vector ran out of budget."""
+    options = FinderOptions(max_total_size=max_total_size)
+    finder = ModelFinder(system, options)
+    attempts = encoded = 0
+    complete = True
+    for sizes in size_vectors(finder.sorts, max_total_size):
+        engine = _IncrementalEngine(
+            finder.sorts, finder.functions, finder.predicates, options
+        )
+        ctx = engine.register(finder.flat_clauses)
+        outcome = engine.try_vector(ctx, sizes, FinderStats(), options)
+        attempts += 1
+        encoded += engine.total_added
+        if outcome.model is not None:
+            return Reference(
+                True, outcome.model.size(), True, attempts, encoded
+            )
+        complete = complete and outcome.refuted
+    return Reference(False, None, complete, attempts, encoded)
+
+
 SEED_SUITES = {
     "even": even_system,
     "incdec": incdec_system,
@@ -247,33 +277,26 @@ class TestIncrementalEngine:
         self, name, max_total
     ):
         prepared = _PREPARED[name]
-        inc = find_model(
-            prepared, incremental=True, max_total_size=max_total
-        )
-        scr = find_model(
-            prepared, incremental=False, max_total_size=max_total
-        )
-        assert inc.found and scr.found
-        assert inc.model.size() == scr.model.size()
+        inc = find_model(prepared, max_total_size=max_total)
+        ref = reference_sweep(prepared, max_total)
+        assert inc.found and ref.found
+        assert inc.model.size() == ref.model_size
         assert inc.model.satisfies(prepared)
-        assert scr.model.satisfies(prepared)
 
     def test_unsat_verdicts_agree(self):
         prepared = preprocess(odd_unsat_system())
-        inc = find_model(prepared, incremental=True, max_total_size=5)
-        scr = find_model(prepared, incremental=False, max_total_size=5)
-        assert not inc.found and not scr.found
+        inc = find_model(prepared, max_total_size=5)
+        ref = reference_sweep(prepared, 5)
+        assert not inc.found and not ref.found
 
     def test_incremental_reuses_solver_state(self):
         prepared = _PREPARED["incdec"]
-        inc = find_model(prepared, incremental=True)
-        scr = find_model(prepared, incremental=False)
+        inc = find_model(prepared)
+        ref = reference_sweep(prepared, FinderOptions().max_total_size)
         # the whole point: carried clauses, strictly less re-encoding
         assert inc.stats.clauses_reused > 0
-        assert inc.stats.clauses_encoded < scr.stats.clauses_encoded
+        assert inc.stats.clauses_encoded < ref.clauses_encoded
         assert inc.stats.solver_resets == 0
-        assert scr.stats.solver_resets == scr.stats.attempts
-        assert scr.stats.clauses_reused == 0
 
     def test_search_resume_keeps_engine_state(self):
         # resuming at a larger minimum size (the Herbrand-retry path)
@@ -293,7 +316,6 @@ class TestIncrementalEngine:
         result = find_model(_PREPARED["even"])
         stats = result.stats.as_dict()
         assert stats["model_size"] == result.model.size()
-        assert stats["incremental"] is True
         assert stats["clauses_encoded"] > 0
         assert stats["vectors_refuted"] >= 0
         assert "vectors_skipped" in stats
@@ -333,15 +355,15 @@ PINNED_STREAMS = {
     ),
     "peirce": (
         lambda: _stlc_system("peirce"), 6,
-        "9430d04604e8697ddb371e8abc2062fe8979c57f4c2b2bb4530c0222908f5022",
+        "68fa520500b153bc35592e0d66f557837c9da20f8e8f5f959098b7dae19f1866",
     ),
     "peirce-swap": (
         lambda: _stlc_system("peirce-swap"), 6,
-        "b2669248a56953313f0d008dc56f92a7eb23a22dd399e1c97f5f861a00ccb295",
+        "516b2144107fe76ffa74a446b9000f9796ce28a51ac230fa48ffb0cbb3322b01",
     ),
     "peirce-inst": (
         lambda: _stlc_system("peirce-inst"), 6,
-        "0a1205a21725511e3c9f517b7f81c9829705bea64e9956b54e56506e44d7c342",
+        "2b148a7bb42dbcf578da7b9c2e564ecea436fa887cbd2432e4d37154c67c8b95",
     ),
     "tip-mirror-g6": (
         lambda: _tip_system("tip-mirror-g6"), 2,
@@ -424,8 +446,6 @@ SWEEP_WORK = (
     "vectors_skipped",
     "vectors_exhausted",
     "cores_extracted",
-    "cores_minimized",
-    "core_lits_dropped",
     "clauses_encoded",
     "clauses_reused",
     "learned_total",
@@ -438,40 +458,39 @@ SWEEP_WORK = (
 #: The cases crossing a finder's lifetime (pooled, resumed) also pin
 #: the final clause-stream digest.
 PINNED_SWEEPS = {
-    "even": [(True, True, 2, 2, 1, 0, 0, 1, 0, 0, 29, 7, 0, 0, 0)],
-    "incdec": [(True, True, 3, 3, 2, 0, 0, 2, 0, 0, 224, 68, 1, 0, 0)],
+    "even": [(True, True, 2, 2, 1, 0, 0, 1, 29, 7, 0, 0, 0)],
+    "incdec": [(True, True, 3, 3, 2, 0, 0, 2, 224, 68, 1, 0, 0)],
     "peirce": [
-        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 2691, 13519, 237, 0, 0)
+        (False, True, None, 10, 10, 5, 0, 10, 2691, 13519, 205, 0, 0)
     ],
     "peirce-inst": [
-        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 3241, 16237, 286, 0, 0)
+        (False, True, None, 10, 10, 5, 0, 10, 3241, 16237, 311, 0, 0)
     ],
     "peirce-swap": [
-        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 2691, 13519, 237, 0, 0)
+        (False, True, None, 10, 10, 5, 0, 10, 2691, 13519, 258, 0, 0)
     ],
     "tip-mirror-g6": [
-        (False, True, None, 2, 2, 0, 0, 2, 0, 0, 65783, 11, 2, 0, 0)
+        (False, True, None, 2, 2, 0, 0, 2, 65783, 11, 2, 0, 0)
     ],
-    "tip-rev-g6": [(False, True, None, 1, 1, 0, 0, 1, 0, 0, 18, 0, 0, 0, 0)],
+    "tip-rev-g6": [(False, True, None, 1, 1, 0, 0, 1, 18, 0, 0, 0, 0)],
     "pooled-stlc": [
-        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 2691, 13519, 237, 0, 0),
-        (False, True, None, 10, 10, 5, 0, 10, 3, 4, 335, 28568, 250, 0,
-         2691),
-        (False, True, None, 0, 0, 15, 0, 0, 0, 0, 0, 0, 0, 0, 3026),
+        (False, True, None, 10, 10, 5, 0, 10, 2691, 13519, 205, 0, 0),
+        (False, True, None, 10, 10, 5, 0, 10, 335, 28568, 231, 0, 2691),
+        (False, True, None, 0, 0, 15, 0, 0, 0, 0, 0, 0, 3026),
     ],
     "resumed-incdec": [
-        (True, True, 3, 3, 2, 0, 0, 2, 0, 0, 224, 68, 1, 0, 0),
-        (True, True, 4, 1, 0, 0, 0, 0, 0, 0, 403, 224, 0, 0, 0),
+        (True, True, 3, 3, 2, 0, 0, 2, 224, 68, 1, 0, 0),
+        (True, True, 4, 1, 0, 0, 0, 0, 403, 224, 0, 0, 0),
     ],
     "resumed-hopeless": [
-        (False, True, None, 1, 1, 0, 0, 1, 0, 0, 5, 0, 0, 0, 0),
-        (False, True, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (False, True, None, 1, 1, 0, 0, 1, 5, 0, 0, 0, 0),
+        (False, True, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
     ],
 }
 SWEEP_DIGESTS = {
     "pooled-stlc": (
         _pooled_stlc,
-        "50bd5b8bff3851ee5f04ced5dd6fe0250bfcd1e84aebc127710173acc9d2d121",
+        "a2af4939b23f4bcbce55e10776c252d404d1b8013b5bcace256e48970faac343",
     ),
     "resumed-incdec": (
         _resumed_incdec,

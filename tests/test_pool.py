@@ -17,6 +17,7 @@ from repro.mace.finder import (
     clause_key,
 )
 from repro.problems import even_system, odd_unsat_system
+from repro.sat.solver import SNAPSHOT_VERSION
 from repro.stlc import stlc_problems
 
 
@@ -149,40 +150,6 @@ class TestEnginePool:
         assert len(pool) == 1
         assert pool.stats.engines_evicted == 1
 
-    def test_shared_engine_requires_incremental(self):
-        # a non-incremental finder resets its engine before every size
-        # vector; on a pooled shared engine that would wipe every other
-        # problem's state, so the combination must be rejected outright
-        pool = EnginePool()
-        prepared = preprocess(nat_mod_system(2, 0, 1))
-        engine = pool.engine_for(prepared)
-        with pytest.raises(FinderError):
-            ModelFinder(
-                prepared, FinderOptions(incremental=False), engine=engine
-            )
-
-    def test_shared_engine_incremental_flag_mutation_rejected(self):
-        # the constructor check can be bypassed by rebinding the
-        # options attribute afterwards; search() must re-check before it ever
-        # reaches an engine.reset() — and the shared engine must come
-        # through unscathed for the problem already riding it
-        pool = EnginePool()
-        first = pool.finder(preprocess(nat_mod_system(2, 0, 1)))
-        assert first.search().found
-        second = pool.finder(preprocess(nat_mod_system(3, 0, 1)))
-        assert second._engine is first._engine
-        clauses_before = second._engine.total_added
-        resets_before = 0
-        second.options = FinderOptions(incremental=False)
-        with pytest.raises(FinderError):
-            second.search()
-        # no reset happened: the shared clause database is intact
-        assert second._engine.total_added == clauses_before
-        second.options = FinderOptions()
-        result = second.search()
-        assert result.found
-        assert result.stats.solver_resets == resets_before
-
     def test_engine_key_separates_pool_slots(self):
         pool = EnginePool()
         prepared = preprocess(nat_mod_system(2, 0, 1))
@@ -230,18 +197,6 @@ class TestRInGenCampaign:
         assert result.is_sat
         assert result.details["engine_pool"]["pooled"] is True
         assert pool.stats.released == 1
-
-    def test_pool_ignored_for_non_incremental(self):
-        pool = EnginePool()
-        result = solve(
-            nat_mod_system(2, 0, 1),
-            timeout=10,
-            engine_pool=pool,
-            incremental=False,
-        )
-        assert result.is_sat
-        assert "engine_pool" not in result.details
-        assert pool.stats.problems == 0
 
 
 class TestHarnessCampaign:
@@ -323,6 +278,37 @@ class TestEngineSnapshot:
         with pytest.raises(EngineSnapshotError):
             _IncrementalEngine.restore(snap, FinderOptions())
 
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            pytest.param(
+                lambda snap: snap["solver"].update(
+                    version=SNAPSHOT_VERSION + 1
+                ),
+                id="solver-version",
+            ),
+            pytest.param(
+                lambda snap: snap["solver"]["stats"].update(bogus=0),
+                id="solver-stats-field",
+            ),
+            pytest.param(
+                lambda snap: snap["solver"].pop("activity"),
+                id="solver-missing-key",
+            ),
+            pytest.param(
+                lambda snap: snap.pop("groups"), id="engine-missing-key"
+            ),
+        ],
+    )
+    def test_snapshot_rejects_unusable_contents(self, spoil):
+        from repro.mace import EngineSnapshotError
+
+        pool = self._warm_pool()
+        snap = next(iter(pool._engines.values())).engine.snapshot()
+        spoil(snap)
+        with pytest.raises(EngineSnapshotError):
+            _IncrementalEngine.restore(snap, FinderOptions())
+
     def test_disk_cache_round_trip(self, tmp_path):
         cache = tmp_path / "engines"
         first = self._warm_pool(cache_dir=cache)
@@ -370,15 +356,26 @@ class TestEngineSnapshot:
     def test_wrong_version_cache_falls_back_cold(self, tmp_path):
         import pickle
 
-        cache = tmp_path / "engines"
-        self._warm_pool(cache_dir=cache).flush_cache()
-        for entry in cache.iterdir():
-            snap = pickle.loads(entry.read_bytes())
+        def bump_engine(snap):
             snap["version"] += 1
-            entry.write_bytes(pickle.dumps(snap))
-        pool = self._warm_pool(cache_dir=cache)
-        assert pool.stats.snapshot_rejected >= 1
-        assert pool.stats.engines_created == 1
+
+        def solver_v2(snap):
+            # a warm cache written by a build whose solver blocks were
+            # at version 2, before SatStats changed layout
+            snap["solver"]["version"] = 2
+
+        for spoil in (bump_engine, solver_v2):
+            cache = tmp_path / spoil.__name__
+            self._warm_pool(cache_dir=cache).flush_cache()
+            for entry in cache.iterdir():
+                snap = pickle.loads(entry.read_bytes())
+                spoil(snap)
+                entry.write_bytes(pickle.dumps(snap))
+            # _warm_pool asserts both problems are still solved
+            pool = self._warm_pool(cache_dir=cache)
+            assert pool.stats.snapshot_rejected >= 1, spoil.__name__
+            assert pool.stats.snapshot_hits == 0, spoil.__name__
+            assert pool.stats.engines_created == 1, spoil.__name__
 
     def test_wrong_fingerprint_cache_falls_back_cold(self, tmp_path):
         import os

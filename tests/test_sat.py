@@ -788,54 +788,53 @@ def test_one_pass_add_clause_matches_two_pass_reference(case):
 
 
 # ----------------------------------------------------------------------
-# the unsat-core-guided sweep end to end: verdicts must be identical
-# with the guidance on and off across the example suite
+# the unsat-core-guided sweep end to end: verdicts must be those of the
+# policy-free reference sweep across the example suite
 # ----------------------------------------------------------------------
-def test_core_guided_sweep_matches_unguided_on_examples():
+def test_guided_sweep_matches_reference_on_examples():
     from repro.chc.transform import preprocess
     from repro.mace.finder import find_model
     from repro.problems import ALL_PAPER_SYSTEMS, odd_unsat_system
+    from test_mace import reference_sweep
 
-    cases = [(name, factory, {"max_total_size": 5})
-             for name, factory in ALL_PAPER_SYSTEMS.items()]
-    cases.append(("odd_unsat", odd_unsat_system, {"max_total_size": 5}))
-    for name, factory, kwargs in cases:
+    cases = dict(ALL_PAPER_SYSTEMS, odd_unsat=odd_unsat_system)
+    for name, factory in cases.items():
         prepared = preprocess(factory())
-        guided = find_model(prepared, core_guided_sweep=True, **kwargs)
-        unguided = find_model(
-            prepared, core_guided_sweep=False, **kwargs
-        )
-        assert guided.found == unguided.found, name
-        assert guided.stats.model_size == unguided.stats.model_size, name
-        assert guided.complete == unguided.complete, name
+        guided = find_model(prepared, max_total_size=5)
+        reference = reference_sweep(prepared, 5)
+        assert guided.found == reference.found, name
+        assert guided.stats.model_size == reference.model_size, name
+        assert guided.complete == reference.complete, name
         # the guidance only ever *prunes* proven-unsat vectors
-        assert guided.stats.attempts <= unguided.stats.attempts, name
-        assert unguided.stats.vectors_skipped == 0, name
+        assert (
+            guided.stats.attempts + guided.stats.vectors_skipped
+            == reference.attempts
+        ), name
 
 
-def test_core_guided_sweep_skips_on_multi_sort_problems():
+def test_guided_sweep_skips_on_multi_sort_problems():
     from repro.chc.transform import preprocess
     from repro.mace.finder import find_model
     from repro.stlc import stlc_problems
+    from test_mace import reference_sweep
 
-    problem = next(
-        p for p in stlc_problems() if p.category == "non-tautology"
-    )
-    prepared = preprocess(problem.system())
-    guided = find_model(
-        prepared, core_guided_sweep=True, max_total_size=7
-    )
-    unguided = find_model(
-        prepared, core_guided_sweep=False, max_total_size=7
-    )
-    assert guided.found == unguided.found
-    assert guided.stats.model_size == unguided.stats.model_size
-    assert guided.stats.vectors_skipped > 0
-    assert guided.stats.cores_extracted > 0
-    assert (
-        guided.stats.attempts + guided.stats.vectors_skipped
-        == unguided.stats.attempts
-    )
+    problems = stlc_problems()
+    non_tautology = next(p for p in problems if p.category == "non-tautology")
+    # multi-sort with universal blocks: 10 attempted + 5 skipped of 15
+    peirce = next(p for p in problems if p.name == "peirce")
+    for problem, max_total in ((non_tautology, 7), (peirce, 6)):
+        prepared = preprocess(problem.system())
+        guided = find_model(prepared, max_total_size=max_total)
+        reference = reference_sweep(prepared, max_total)
+        assert guided.found == reference.found, problem.name
+        assert guided.stats.model_size == reference.model_size
+        assert guided.complete == reference.complete, problem.name
+        assert guided.stats.vectors_skipped > 0, problem.name
+        assert guided.stats.cores_extracted > 0, problem.name
+        assert (
+            guided.stats.attempts + guided.stats.vectors_skipped
+            == reference.attempts
+        ), problem.name
 
 
 # ----------------------------------------------------------------------
