@@ -1,6 +1,6 @@
-"""Engine snapshot/restore: parity, warm-cache speedup, warm workers.
+"""Engine snapshot/restore: parity and warm-cache speedup.
 
-Three legs, all gated by ``benchmarks/smoke.sh``:
+Two legs, both gated by ``benchmarks/smoke.sh``:
 
 * **roundtrip**: every engine in a warmed pool is serialized, restored
   in-process, and re-driven over the family — the restored engine's
@@ -9,11 +9,7 @@ Three legs, all gated by ``benchmarks/smoke.sh``:
   (``EnginePool(cache_dir=...)``): the second run must reproduce the
   first run's statuses exactly and finish at most 90% of the cold
   wall-clock (the cache carries clause databases, learned clauses,
-  heuristic state and per-signature refutation cores across runs);
-* **warmworkers**: a supervised, isolated, engine-sharing campaign with
-  a fault plan that kills a worker mid-batch — the rescheduled
-  remainder must ride a warm-started worker and the final verdicts
-  must match an unfaulted in-process run.
+  heuristic state and per-signature refutation cores across runs).
 
 The measurements land in ``BENCH_snapshot.json`` at the repo root.
 Usable both as a script (``python benchmarks/bench_snapshot.py``, exit
@@ -31,20 +27,15 @@ import time
 from repro.benchgen.builders import nat_mod_system
 from repro.benchgen.suite import Suite
 from repro.chc.transform import preprocess
-from repro.exec import ExecPolicy, ReproFaultPlan
 from repro.harness.runner import run_campaign, task_id_for
 from repro.mace import EnginePool, find_model
 from repro.mace.finder import FinderOptions, ModelFinder, _IncrementalEngine
-from repro.problems import even_system, incdec_system, odd_unsat_system
 
 ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / (
     "BENCH_snapshot.json"
 )
 
 PER_PROBLEM_TIMEOUT = 30.0
-#: kills the worker on the second task of its signature batch, so the
-#: first task's verdict has already shipped a snapshot for the group
-FAULT_PLAN = "flaky@5x1"
 #: the warm run must come in at or under this fraction of the cold run
 WARM_SPEEDUP_GATE = 0.90
 
@@ -69,16 +60,6 @@ def snapshot_suite(scale: str) -> Suite:
             (lambda m=m, r=r, c=c: nat_mod_system(m, r, c)),
             "sat",
         )
-    return suite
-
-
-def fault_suite() -> Suite:
-    """Three repeating signature families (batches of >= 3 tasks)."""
-    suite = Suite("WarmFault")
-    factories = [even_system, incdec_system, odd_unsat_system]
-    expected = ["sat", "sat", "unsat"]
-    for i in range(10):
-        suite.add(f"p{i}", "fam", factories[i % 3], expected[i % 3])
     return suite
 
 
@@ -160,37 +141,6 @@ def leg_warmcache(scale: str, cache_root: pathlib.Path) -> dict:
     }
 
 
-def leg_warmworkers() -> dict:
-    """Worker death mid-batch: warm reschedule, unchanged verdicts."""
-    suite = fault_suite()
-    reference = run_campaign(
-        [suite],
-        solvers=["ringen"],
-        timeout=PER_PROBLEM_TIMEOUT,
-        share_engines=True,
-    )
-    plan = ReproFaultPlan.parse(FAULT_PLAN)
-    faulted = run_campaign(
-        [suite],
-        solvers=["ringen"],
-        timeout=PER_PROBLEM_TIMEOUT,
-        share_engines=True,
-        policy=ExecPolicy(
-            isolate=True, fault_plan=plan, backoff_base=0.01
-        ),
-    )
-    return {
-        "problems": len(list(suite)),
-        "fault_plan": FAULT_PLAN,
-        "parity": _verdicts(faulted) == _verdicts(reference),
-        "workers_warm_started": faulted.exec_stats[
-            "workers_warm_started"
-        ],
-        "snapshots_collected": faulted.exec_stats["snapshots_collected"],
-        "retries": faulted.exec_stats["retries"],
-    }
-
-
 def run_snapshot_bench(cache_root=None) -> dict:
     import tempfile
 
@@ -201,14 +151,11 @@ def run_snapshot_bench(cache_root=None) -> dict:
         "scale": scale,
         "roundtrip": leg_roundtrip(scale),
         "warmcache": leg_warmcache(scale, pathlib.Path(cache_root)),
-        "warmworkers": leg_warmworkers(),
     }
     report["ok"] = (
         report["roundtrip"]["parity"]
         and report["warmcache"]["parity"]
         and report["warmcache"]["fast_enough"]
-        and report["warmworkers"]["parity"]
-        and report["warmworkers"]["workers_warm_started"] >= 1
     )
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -219,10 +166,6 @@ def test_snapshot_bench(tmp_path):
     assert report["roundtrip"]["parity"], report["roundtrip"]
     assert report["warmcache"]["parity"], report["warmcache"]
     assert report["warmcache"]["fast_enough"], report["warmcache"]
-    assert report["warmworkers"]["parity"], report["warmworkers"]
-    assert report["warmworkers"]["workers_warm_started"] >= 1, (
-        report["warmworkers"]
-    )
 
 
 def main() -> int:

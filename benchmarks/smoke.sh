@@ -18,10 +18,8 @@
 # Gate 6 (PR 8): engine snapshot/restore + warm cache; emits
 # BENCH_snapshot.json and fails if
 #   * a restored engine's verdicts diverge from cold runs,
-#   * a warm-cache second campaign diverges from the cold first run,
-#   * the warm run is not at least 10% faster than the cold run, or
-#   * a fault-killed engine-sharing worker's batch remainder is not
-#     rescheduled onto a warm-started worker with unchanged verdicts.
+#   * a warm-cache second campaign diverges from the cold first run, or
+#   * the warm run is not at least 10% faster than the cold run.
 #
 # Gate 7 (PR 9): observability overhead + fidelity; emits
 # BENCH_obs.json and fails if
@@ -102,7 +100,7 @@ import sys
 with open("BENCH_snapshot.json") as handle:
     report = json.load(handle)
 
-rt, wc, ww = report["roundtrip"], report["warmcache"], report["warmworkers"]
+rt, wc = report["roundtrip"], report["warmcache"]
 if not rt["parity"]:
     sys.exit("FAIL: restored-engine verdicts diverge from cold runs")
 if not wc["parity"]:
@@ -110,19 +108,12 @@ if not wc["parity"]:
 if not wc["fast_enough"]:
     sys.exit(f"FAIL: warm run {wc['warm_time']:.3f}s not >=10% faster "
              f"than cold {wc['cold_time']:.3f}s")
-if not ww["parity"]:
-    sys.exit("FAIL: warm-rescheduled campaign verdicts diverge")
-if ww["workers_warm_started"] < 1:
-    sys.exit("FAIL: no worker was warm-started after the injected death")
 
 print(f"snapshot round-trip: {rt['agreed']}/{rt['problems']} agree "
       f"({rt['snapshot_bytes']} bytes, {rt['snapshot_groups']} groups)")
 print(f"warm cache: cold {wc['cold_time']:.3f}s -> warm "
       f"{wc['warm_time']:.3f}s "
       f"({wc['warm_pool']['snapshot_hits']} snapshot hits)")
-print(f"warm workers: {ww['workers_warm_started']} warm-started, "
-      f"{ww['snapshots_collected']} snapshots collected, "
-      f"{ww['retries']} retries")
 print("OK: engine snapshot/restore parity + warm-cache speedup")
 EOF
 

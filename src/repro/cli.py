@@ -77,7 +77,7 @@ from typing import Optional, Sequence
 
 from repro.chc.parser import ParseError, parse_chc
 from repro.core.ringen import RInGen, RInGenConfig
-from repro.mace.pool import EnginePool
+from repro.mace.pool import EnginePool, publish_pool_stats
 from repro.solvers.elem import ElemConfig, ElemSolver
 from repro.solvers.induct import InductConfig, InductSolver
 from repro.solvers.sizeelem import SizeElemConfig, SizeElemSolver
@@ -444,13 +444,14 @@ def _run_campaign(args) -> int:
         )
     if pool is not None:
         pool.flush_cache()
-        pool.publish_metrics()
+    pool_stats = pool.as_dict() if pool is not None else stats.pool_stats
+    if metrics is not None and pool_stats:
+        publish_pool_stats(metrics, pool_stats)
     for task in tasks:
         record = records.get(task.task_id)
         if record is None or record["status"] not in ("sat", "unsat"):
             failures += 1  # undecided, or interrupted before it ran
     if not args.quiet:
-        pool_stats = pool.as_dict() if pool is not None else stats.pool_stats
         if pool_stats:
             print(
                 f"; pool: {pool_stats.get('problems', 0)} problems, "

@@ -32,8 +32,11 @@ signature ``group_key`` ride one worker, which hosts a private
 :class:`~repro.mace.pool.EnginePool` — the in-process sharing mode,
 preserved per worker — and streams one result per task so the watchdog
 still applies per task.  If a batch worker dies midway, its finished
-verdicts are kept and the remainder is rescheduled in fresh singleton
-workers.
+verdicts are kept, the task it died on is retried (or scored) on its
+own, and the survivors are re-batched by ``group_key`` onto one fresh
+worker.  Engine state never crosses from one worker to the next except
+through the disk warm cache, which every worker's pool reads when one
+is configured.
 
 Every failure path is exercised deterministically through
 :class:`~repro.exec.faults.ReproFaultPlan` (``REPRO_FAULT_PLAN``).
@@ -189,11 +192,6 @@ class ExecStats:
     tasks_resumed: int = 0
     retries: int = 0
     workers_spawned: int = 0
-    # engine-snapshot hand-off between workers: workers that started
-    # from a predecessor's snapshot instead of cold, and snapshots
-    # received back alongside verdicts (the supply side)
-    workers_warm_started: int = 0
-    snapshots_collected: int = 0
     interrupted: bool = False
     isolate: bool = False
     # live progress: heartbeats seen on the verdict pipes, and the most
@@ -208,12 +206,19 @@ class ExecStats:
             self.error_counts[kind] = self.error_counts.get(kind, 0) + 1
 
     def merge_pool(self, other: dict) -> None:
-        """Fold one worker's EnginePool counters into the campaign's."""
+        """Fold one worker's EnginePool counters into the campaign's.
+
+        Counters add; the ``engines_live`` gauge keeps the last
+        worker's value, as :meth:`MetricsRegistry.merge` does for
+        gauges.
+        """
         if self.pool_stats is None:
             self.pool_stats = dict(other)
             return
         for key, value in other.items():
-            if isinstance(value, (int, float)):
+            if key == "engines_live":
+                self.pool_stats[key] = value
+            elif isinstance(value, (int, float)):
                 self.pool_stats[key] = self.pool_stats.get(key, 0) + value
 
     def as_dict(self) -> dict:
@@ -223,8 +228,6 @@ class ExecStats:
             "tasks_resumed": self.tasks_resumed,
             "retries": self.retries,
             "workers_spawned": self.workers_spawned,
-            "workers_warm_started": self.workers_warm_started,
-            "snapshots_collected": self.snapshots_collected,
             "interrupted": self.interrupted,
             "isolate": self.isolate,
             "heartbeats_received": self.heartbeats_received,
@@ -483,43 +486,6 @@ def _execute_inprocess(
 _EOF = object()
 
 
-class _SnapshotStore:
-    """Freshest engine snapshot per signature group, ordered by stamp.
-
-    Workers stamp every snapshot they ship with a monotonic per-worker
-    sequence seeded from the stamp of the snapshot they warm-started
-    from, so when several workers share one fingerprint concurrently
-    the store keeps the snapshot that has advanced furthest — not
-    merely the one whose message happened to arrive last (the old
-    last-write-wins bug: a straggling verdict from a slow cold worker
-    could clobber a far fresher snapshot already collected from a
-    faster one).  Equal stamps — independent workers racing from the
-    same seed — keep the most recent arrival, matching the old
-    behaviour where ordering genuinely is a coin toss.
-    """
-
-    def __init__(self) -> None:
-        self._slots: dict[object, tuple[int, dict]] = {}
-
-    def offer(self, group_key: object, seq: int, snap: dict) -> bool:
-        """Store ``snap`` unless a strictly fresher one is held."""
-        held = self._slots.get(group_key)
-        if held is not None and held[0] > seq:
-            return False
-        self._slots[group_key] = (seq, snap)
-        return True
-
-    def get(self, group_key: object) -> Optional[dict]:
-        held = self._slots.get(group_key)
-        return held[1] if held is not None else None
-
-    def seq(self, group_key: object) -> int:
-        """Stamp of the held snapshot (0 when none): the seed for the
-        next worker's own sequence."""
-        held = self._slots.get(group_key)
-        return held[0] if held is not None else 0
-
-
 def _execute_isolated(
     pending: Sequence[TaskSpec],
     policy: ExecPolicy,
@@ -531,12 +497,6 @@ def _execute_isolated(
 ) -> None:
     attempts = {t.task_id: 1 for t in pending}
     queue: deque[list[TaskSpec]] = deque(_batches(pending, policy))
-    # freshest engine snapshot per signature group_key: workers return
-    # their engine state alongside verdicts, and the next worker for
-    # the same group — a rescheduled remainder after a mid-batch death,
-    # a retried survivor — starts from it instead of cold.  Newest wins
-    # by the workers' monotonic sequence stamps, not arrival order.
-    snapshots = _SnapshotStore()
     while queue:
         batch = queue.popleft()
         for task in batch:
@@ -556,13 +516,13 @@ def _execute_isolated(
             )
 
         retry, reschedule = _run_worker_batch(
-            batch, policy, plan, attempts, stats, finish, snapshots, bus
+            batch, policy, plan, attempts, stats, finish, bus
         )
         # retried tasks run next (singleton workers, attempt bumped);
         # rescheduled tasks were bystanders of a batch failure and keep
         # their attempt count.  Survivors are re-batched by group_key so
-        # several tasks sharing a fingerprint ride one (warm) worker
-        # again instead of degenerating into cold singletons.
+        # several tasks sharing a fingerprint ride one pooled worker
+        # again instead of degenerating into singletons.
         for task in reversed(retry):
             attempts[task.task_id] += 1
             stats.retries += 1
@@ -659,7 +619,6 @@ def _run_worker_batch(
     attempts: dict[str, int],
     stats: ExecStats,
     finish: Callable[[TaskSpec, dict], None],
-    snapshots: Optional[_SnapshotStore] = None,
     bus: Optional[EventBus] = None,
 ) -> tuple[list[TaskSpec], list[TaskSpec]]:
     """Run one batch in one worker; classify every way it can end.
@@ -671,24 +630,17 @@ def _run_worker_batch(
     ``(retry, reschedule)``: transient failures with budget left, and
     innocent bystanders of a batch failure.
 
-    With engine sharing on, the payload carries the latest engine
-    snapshot recorded for the batch's ``group_key`` (warm start), and
-    every verdict message coming back may carry the worker's current
-    engine snapshot, which replaces the stored one — so whatever the
-    worker manages to send before dying seeds its successors.
-    Snapshots are supervisor-side state only: they are stripped from
-    the record before it reaches the journal.
+    With engine sharing on, a batch of several tasks runs on one fresh
+    pooled worker.  Each verdict message carries the worker's
+    cumulative pool counters; the latest ones (the done message's, if
+    it arrives) are merged into ``stats`` once, when the batch ends —
+    done, death or watchdog kill — so a dying worker's counters for the
+    verdicts it sent are kept.  This freight, like the worker's spans
+    and metrics, is stripped from the record before it reaches the
+    journal.
     """
     ctx = _mp_context()
     parent, child = ctx.Pipe(duplex=False)
-    group_key = batch[0].group_key
-    warm: Optional[dict] = None
-    if (
-        policy.share_engines
-        and snapshots is not None
-        and group_key is not None
-    ):
-        warm = snapshots.get(group_key)
     payload = {
         # workers parse the SMT-LIB text; a live problem (whose factory
         # may be a lambda) never crosses the process boundary
@@ -699,21 +651,10 @@ def _run_worker_batch(
             )
             for t in batch
         ],
-        # a lone rescheduled survivor still builds a pool when it has a
-        # snapshot to warm-start from
-        "share_engines": policy.share_engines
-        and (len(batch) > 1 or warm is not None),
+        "share_engines": policy.share_engines and len(batch) > 1,
         "mem_limit_mb": policy.mem_limit_mb,
         "fault_plan": plan.encode() if plan else None,
         "solver_opts": policy.solver_opts,
-        "engine_snapshot": warm,
-        # seed for the worker's own snapshot stamps: its snapshots must
-        # outrank the one it warm-started from (see _SnapshotStore)
-        "engine_snapshot_seq": (
-            snapshots.seq(group_key)
-            if snapshots is not None and group_key is not None
-            else 0
-        ),
         # workers mirror the supervisor's collector configuration with
         # their own in-memory instances; spans/metrics ship back over
         # the pipe and merge here
@@ -724,16 +665,14 @@ def _run_worker_batch(
             "profile_dir": policy.profile_dir,
         },
     }
-    if warm is not None:
-        stats.workers_warm_started += 1
+    # the worker's latest cumulative pool counters
+    pool_stats: Optional[dict] = None
 
     def collect(record: dict) -> None:
-        """Pull supervisor-side freight out of a verdict record."""
-        snap = record.pop("engine_snapshot", None)
-        snap_seq = record.pop("engine_snapshot_seq", 0)
-        if snap is not None and snapshots is not None and group_key is not None:
-            snapshots.offer(group_key, int(snap_seq or 0), snap)
-            stats.snapshots_collected += 1
+        """Pull supervisor-side freight out of a verdict or done
+        message."""
+        nonlocal pool_stats
+        pool_stats = record.pop("pool_stats", None) or pool_stats
         spans = record.pop("obs_spans", None)
         if spans and obs_runtime.TRACER is not None:
             obs_runtime.TRACER.absorb(spans)
@@ -838,13 +777,7 @@ def _run_worker_batch(
                 heartbeat(done)
                 continue
             if isinstance(done, dict):
-                if done.get("pool_stats"):
-                    stats.merge_pool(done["pool_stats"])
-                if (
-                    done.get("obs_metrics")
-                    and obs_runtime.METRICS is not None
-                ):
-                    obs_runtime.METRICS.merge(done["obs_metrics"])
+                collect(done)
             break
         proc.join(timeout=5.0)
         return retry, reschedule
@@ -852,3 +785,5 @@ def _run_worker_batch(
         parent.close()
         if proc.is_alive():
             _kill(proc)
+        if pool_stats is not None:
+            stats.merge_pool(pool_stats)

@@ -14,9 +14,10 @@ single task; with campaign engine-sharing on, a whole
 signature-compatible group) over a pipe, runs them one at a time and
 streams one structured result message back per task, so the supervisor
 can apply its hard wall-clock watchdog *per task* and keep every
-already-finished verdict when the worker later dies.  Hangs and hard
-kills are the supervisor's business (a hung worker never writes, so the
-watchdog classifies it).
+already-finished verdict, with the telemetry and pool counters riding
+it, when the worker later dies.  Hangs and hard kills are the
+supervisor's business (a hung worker never writes, so the watchdog
+classifies it).
 """
 
 from __future__ import annotations
@@ -199,14 +200,18 @@ def worker_entry(conn, payload: dict) -> None:
         {"tasks": [(TaskSpec carrying smt_text, attempt), ...],
          "share_engines": bool, "mem_limit_mb": int | None,
          "fault_plan": str | None, "solver_opts": dict | None,
-         "engine_snapshot": dict | None,
          "obs": {"trace": bool, "metrics": bool,
                  "heartbeat": float, "profile_dir": str | None} | None}
 
-    ``engine_snapshot`` (engine sharing only) warm-starts the worker's
-    pool from a predecessor's serialized engine; each verdict message
-    carries the pool's current snapshot back so the supervisor can
-    reschedule the batch remainder warm after a worker death.
+    ``share_engines`` gives the batch one private, freshly built
+    :class:`~repro.mace.pool.EnginePool`.  Engine state reaches a
+    worker only through the disk warm cache
+    (``solver_opts["engine_cache_dir"]``), which the pool reads on a
+    miss and is flushed to before the done message.  Each verdict
+    carries the pool's cumulative counters (``record["pool_stats"]``)
+    and the done message the final ones, so the supervisor keeps the
+    counts of every verdict the worker sent even if it dies before
+    finishing.
 
     ``obs`` turns the worker's own collectors on: an in-memory tracer
     and a metrics registry whose spans and metrics recorded since the
@@ -263,12 +268,6 @@ def worker_entry(conn, payload: dict) -> None:
     plan = ReproFaultPlan.parse(payload.get("fault_plan"))
     solver_opts = payload.get("solver_opts") or None
     tracer = obs_runtime.TRACER
-    # per-worker monotonic snapshot sequence, seeded from the stamp of
-    # the snapshot this worker warm-started from: every snapshot this
-    # worker ships outranks its seed, so the supervisor's newest-wins
-    # store orders concurrent workers sharing one fingerprint by
-    # progress instead of by message arrival
-    snap_seq = int(payload.get("engine_snapshot_seq") or 0)
     pool = None
     if payload.get("share_engines"):
         from repro.core.ringen import RInGenConfig
@@ -276,11 +275,6 @@ def worker_entry(conn, payload: dict) -> None:
 
         config = RInGenConfig(**(solver_opts or {}))
         pool = EnginePool(cache_dir=config.engine_cache_dir)
-        warm = payload.get("engine_snapshot")
-        if warm is not None:
-            # warm start: a predecessor's engine state for this batch's
-            # signature (adoption failure silently falls back cold)
-            pool.adopt_snapshot(warm, config.finder_options())
     try:
         for task, attempt in payload["tasks"]:
             record = run_task(
@@ -294,30 +288,23 @@ def worker_entry(conn, payload: dict) -> None:
                 profile_dir=profile_dir,
             )
             record["task"] = task.task_id
-            # finished spans and metrics ride each verdict so the
-            # supervisor absorbs them as they happen, not only if the
+            # finished spans, metrics and pool counters ride each verdict
+            # so the supervisor has them as they happen, not only if the
             # worker survives to the done message
             if tracer is not None:
                 record["obs_spans"] = tracer.drain()
             if obs_runtime.METRICS is not None:
                 record["obs_metrics"] = obs_runtime.METRICS.drain()
             if pool is not None:
-                # ship the engine state with every verdict: whatever
-                # the worker last managed to send seeds a warm restart
-                # of the batch remainder if this process dies next
-                snap = pool.last_snapshot()
-                if snap is not None:
-                    snap_seq += 1
-                    record["engine_snapshot"] = snap
-                    record["engine_snapshot_seq"] = snap_seq
+                record["pool_stats"] = pool.as_dict()
             with send_lock:
                 conn.send(record)
         done: dict = {DONE: True}
         if pool is not None:
             pool.flush_cache()
-            # pool counters ride pool_stats and are published once at
-            # campaign level; publishing them into this registry too
-            # would double-count after the supervisor's merge
+            # the final counters (the flush adds snapshot_saves); they
+            # are published once at campaign level, never into this
+            # worker's registry, which the supervisor merges too
             done["pool_stats"] = pool.as_dict()
         if obs_runtime.METRICS is not None:
             done["obs_metrics"] = obs_runtime.METRICS.drain()

@@ -248,14 +248,6 @@ def campaign_report(
             ["tasks resumed from journal", stats.get("tasks_resumed", 0)],
             ["transient retries", stats.get("retries", 0)],
             ["workers spawned", stats.get("workers_spawned", 0)],
-            [
-                "workers warm-started",
-                stats.get("workers_warm_started", 0),
-            ],
-            [
-                "engine snapshots collected",
-                stats.get("snapshots_collected", 0),
-            ],
             ["interrupted", "yes" if stats.get("interrupted") else "no"],
         ]
         for kind in sorted(error_counts):

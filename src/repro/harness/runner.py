@@ -27,7 +27,11 @@ from repro.exec.supervisor import (
     TaskSpec,
     execute_tasks,
 )
-from repro.mace.pool import EnginePool, signature_fingerprint
+from repro.mace.pool import (
+    EnginePool,
+    publish_pool_stats,
+    signature_fingerprint,
+)
 from repro.obs import runtime as obs_runtime
 from repro.solvers.elem import ElemConfig, ElemSolver
 from repro.solvers.induct import InductConfig, InductSolver
@@ -431,7 +435,7 @@ def _publish_campaign_obs(campaign: Campaign) -> None:
         if isinstance(finder, dict):
             metrics.publish("finder", finder)
     if campaign.pool_stats:
-        metrics.publish("pool", campaign.pool_stats)
+        publish_pool_stats(metrics, campaign.pool_stats)
     metrics.publish(
         "exec",
         {

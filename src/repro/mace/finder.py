@@ -184,9 +184,9 @@ class FinderError(ValueError):
 class EngineSnapshotError(FinderError):
     """An engine snapshot cannot be restored (wrong schema/version,
     mismatched signature fingerprint, or an unusable solver snapshot).
-    Callers holding possibly-stale snapshots (the pool's disk warm
-    cache, a supervised worker's task payload) treat this as "fall
-    back to a cold engine", never as a campaign failure."""
+    The pool's disk warm cache, which may hold stale snapshots, treats
+    this as "fall back to a cold engine", never as a campaign
+    failure."""
 
 
 #: schema version of :meth:`_IncrementalEngine.snapshot`; bumped
@@ -265,8 +265,8 @@ def check_engine(
     under the same :meth:`FinderOptions.engine_key` — and, when
     ``fingerprint`` is given, over that signature.  Raises
     :class:`EngineSnapshotError` otherwise.  Engine injection into a
-    :class:`ModelFinder` and every restore path (the pool's disk cache,
-    adopted snapshots) go through here.
+    :class:`ModelFinder` and :meth:`_IncrementalEngine.restore` (the
+    pool's disk-cache path) go through here.
     """
     if not isinstance(state, dict) or state.get("schema") != "engine":
         raise EngineSnapshotError("not an engine snapshot")
@@ -811,9 +811,9 @@ class _IncrementalEngine:
         # (identified by its frozenset of canonical clause keys):
         # refutation cores and hopeless verdicts are facts about the
         # problem, not the encoding, so a re-registered problem — a
-        # recycled engine, a warm-restored worker — inherits its sweep
-        # bounds instead of re-deriving them.  FIFO-bounded; survives
-        # ``reset`` for the same reason ``refuted_cores`` does.
+        # recycled engine, one restored from the warm cache — inherits
+        # its sweep bounds instead of re-deriving them.  FIFO-bounded;
+        # survives ``reset`` for the same reason ``refuted_cores`` does.
         self._problem_facts: dict[
             frozenset,
             tuple[

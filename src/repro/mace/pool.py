@@ -34,23 +34,19 @@ Warm persistence (the snapshot layer)
 -------------------------------------
 
 Engines are serializable (:meth:`_IncrementalEngine.snapshot`), and the
-pool exploits that in two ways:
+pool exploits that one way: ``cache_dir`` turns on a **disk-backed warm
+cache**.  Recycled and evicted engines are persisted (pickled, written
+atomically) keyed by their engine key, a :meth:`_slot_for` miss tries
+the cache before building cold, and :meth:`flush_cache` persists every
+live engine — so a second campaign over the same benchmark family
+starts from the first one's encodings, learned clauses and refutation
+bounds.  It is the only way engine state crosses a process boundary:
+supervised workers read and write the same cache.
 
-* ``cache_dir`` turns on a **disk-backed warm cache**: recycled and
-  evicted engines are persisted (pickled, written atomically) keyed by
-  their engine key, a :meth:`_slot_for` miss tries the cache before
-  building cold, and :meth:`flush_cache` persists every live engine —
-  so a second campaign over the same benchmark family starts from the
-  first one's encodings, learned clauses and refutation bounds;
-* :meth:`adopt_snapshot` installs an in-memory snapshot as a live slot
-  (supervised workers warm-start from the snapshot a predecessor
-  returned) and :meth:`last_snapshot` serializes the most recently used
-  engine for handing back.
-
-Every load/adopt path validates through
-:func:`~repro.mace.finder.check_engine`; *any* failure — corrupt file,
-stale version, foreign engine key — counts as ``snapshot_rejected``
-and falls back to a cold engine, never an error.
+Every load validates through :func:`~repro.mace.finder.check_engine`;
+*any* failure — corrupt file, stale version, foreign engine key —
+counts as ``snapshot_rejected`` and falls back to a cold engine, never
+an error.
 """
 
 from __future__ import annotations
@@ -66,7 +62,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.chc.clauses import CHCSystem
-from repro.obs import runtime as obs_runtime
 from repro.mace.finder import (
     FinderOptions,
     ModelFinder,
@@ -116,15 +111,16 @@ class PoolStats:
     lifecycle block (``engine_recycles`` / ``engines_evicted`` /
     ``released``) tracks the memory bounds.  The snapshot block:
     ``snapshot_saves`` engines persisted to the warm cache,
-    ``snapshot_hits`` engines started warm (from disk or an adopted
-    in-memory snapshot), ``snapshot_misses`` cache lookups that found
-    no usable file, ``snapshot_rejected`` snapshots refused for any
-    reason (corrupt, wrong version, foreign engine key) — rejections
-    always fall back cold.
+    ``snapshot_hits`` engines started warm from it, ``snapshot_misses``
+    cache lookups that found no usable file, ``snapshot_rejected``
+    snapshots refused for any reason (corrupt, wrong version, foreign
+    engine key) — rejections always fall back cold.
 
     ``engines_live`` is a gauge, refreshed by :meth:`EnginePool.as_dict`;
     everything else is a monotone counter.  :meth:`as_dict` is the one
-    serialization used by reports and JSON artifacts.
+    serialization used by reports and JSON artifacts, and
+    :func:`publish_pool_stats` the one way it reaches the metrics
+    registry.
     """
 
     problems: int = 0
@@ -271,46 +267,6 @@ class EnginePool:
                 written += 1
         return written
 
-    def adopt_snapshot(self, snap: dict, options: FinderOptions) -> bool:
-        """Install an in-memory engine snapshot as a live pool slot.
-
-        The warm-start path of supervised workers: the supervisor ships
-        the latest snapshot for a task batch's fingerprint in the task
-        payload, and the worker's pool adopts it before solving, so a
-        rescheduled batch resumes from its predecessor's state instead
-        of cold.  The snapshot must suit finders configured by
-        ``options``; any failure counts as ``snapshot_rejected`` and
-        returns False — callers proceed cold.
-        """
-        try:
-            engine = _IncrementalEngine.restore(snap, options)
-        except Exception:
-            self.stats.snapshot_rejected += 1
-            return False
-        key = (engine.engine_key, engine.fingerprint)
-        self._engines[key] = _PooledEngine(engine)
-        self._engines.move_to_end(key)
-        self._evict_over_limit()
-        self.stats.snapshot_hits += 1
-        return True
-
-    def last_snapshot(self) -> Optional[dict]:
-        """Snapshot of the most recently used engine, or ``None``.
-
-        The inverse of :meth:`adopt_snapshot`: a supervised worker calls
-        this after its batch so the supervisor can reschedule survivors
-        warm.  Serialization failure degrades to ``None`` (cold), never
-        an error.
-        """
-        if not self._engines:
-            return None
-        slot = next(reversed(self._engines.values()))
-        try:
-            return slot.engine.snapshot()
-        except Exception:
-            self.stats.snapshot_rejected += 1
-            return None
-
     # -- engine lookup -----------------------------------------------------
     def _evict_over_limit(self) -> None:
         while (
@@ -407,15 +363,14 @@ class EnginePool:
         self.stats.engines_live = len(self._engines)
         return self.stats.as_dict()
 
-    def publish_metrics(self) -> None:
-        """Fold the pool counters into the active metrics registry
-        (no-op when metrics are off); ``engines_live`` goes in as a
-        gauge, everything else as additive counters."""
-        metrics = obs_runtime.METRICS
-        if metrics is None:
-            return
-        snap = self.as_dict()
-        live = snap.pop("engines_live", None)
-        metrics.publish("pool", snap)
-        if live is not None:
-            metrics.gauge("pool.engines_live", live)
+
+def publish_pool_stats(metrics, stats: dict) -> None:
+    """Fold a :meth:`PoolStats.as_dict` view into ``metrics`` (a
+    :class:`~repro.obs.metrics.MetricsRegistry`): the counters add
+    under ``pool.``, and ``engines_live`` is set as the gauge
+    ``pool.engines_live``."""
+    counters = dict(stats)
+    live = counters.pop("engines_live", None)
+    metrics.publish("pool", counters)
+    if live is not None:
+        metrics.gauge("pool.engines_live", live)

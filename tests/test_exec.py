@@ -497,82 +497,66 @@ class TestResumeAndInterrupt:
             assert entries[task_id]["status"] == record.status.value
 
 
-class TestWarmWorkers:
-    """Engine snapshots across worker boundaries (share_engines)."""
+class TestBatchReschedule:
+    """A worker death mid-batch in an isolated, engine-sharing campaign.
 
-    def test_warm_reschedule_after_worker_death(self):
-        # flaky@ kills the whole worker process mid-batch; with engine
-        # sharing the supervisor must reschedule the batch remainder on
-        # a worker warm-started from the last snapshot it received.
-        # Index 5 is the *second* task of its signature batch, so the
-        # first task's verdict already carried a snapshot for the group
-        plan = ReproFaultPlan.parse("flaky@5x1")
-        faulted = run_campaign(
+    fault10's batches are even p0/p3/p6/p9 (task indices 0-3), incdec
+    p1/p4/p7 (4-6) and odd p2/p5/p8 (7-9); odd_unsat is refuted by the
+    counterexample search, so its verdicts never reach the pool.
+    """
+
+    def shared_faulted(self, plan: str, **kwargs):
+        return run_campaign(
             [fault10_suite()], solvers=["ringen"], timeout=5.0,
             share_engines=True,
             policy=ExecPolicy(
-                isolate=True, fault_plan=plan, backoff_base=0.01
+                isolate=True,
+                fault_plan=ReproFaultPlan.parse(plan),
+                backoff_base=0.01,
             ),
+            **kwargs,
         )
+
+    def test_survivors_rebatch_onto_one_pooled_worker(self):
+        # flaky@4x1 kills the incdec batch's worker on its first task:
+        # p1 is retried alone, and the survivors p4 and p7 ride one
+        # fresh pooled worker, so the second hits the first's engine
+        faulted = self.shared_faulted("flaky@4x1")
         clean = run_campaign(
             [fault10_suite()], solvers=["ringen"], timeout=5.0,
             share_engines=True,
             policy=ExecPolicy(isolate=True),
         )
         assert verdicts(faulted) == verdicts(clean)
-        assert faulted.exec_stats["snapshots_collected"] > 0
-        assert faulted.exec_stats["workers_warm_started"] >= 1
-        assert clean.exec_stats["workers_warm_started"] == 0
+        assert faulted.exec_stats["retries"] == 1
+        assert faulted.exec_stats["workers_spawned"] == 5
+        assert faulted.pool_stats["problems"] == 6
+        assert faulted.pool_stats["engine_hits"] == 4
 
-    def test_snapshots_stay_out_of_the_journal(self, tmp_path):
-        journal = str(tmp_path / "warm.jsonl")
-        run_campaign(
-            [fault10_suite()], solvers=["ringen"], timeout=5.0,
-            share_engines=True, journal_path=journal,
-            policy=ExecPolicy(isolate=True),
+    def test_dead_worker_keeps_its_pool_counters(self):
+        # flaky@5x1 kills the incdec worker after it solved p1 on its
+        # pool: p1's counters rode its verdict, so they still count
+        faulted = self.shared_faulted("flaky@5x1")
+        pooled = sum(
+            1 for r in faulted.records
+            if r.details.get("engine_pool", {}).get("pooled")
         )
+        assert faulted.pool_stats["problems"] == pooled
+        assert pooled == 5
+
+    def test_supervisor_freight_stays_out_of_the_journal(self, tmp_path):
+        from repro.obs import runtime as obs_runtime
+
+        journal = str(tmp_path / "freight.jsonl")
+        obs_runtime.configure(trace=True, metrics=True)
+        try:
+            self.shared_faulted("flaky@5x1", journal_path=journal)
+        finally:
+            obs_runtime.reset()
         meta, entries = load_journal(journal)
-        assert entries
+        assert len(entries) == 10
         for entry in entries.values():
-            assert "engine_snapshot" not in entry
-
-    def test_snapshot_store_keeps_freshest_not_last_arrival(self):
-        # Regression: two workers share a fingerprint; the slow cold
-        # one's snapshot (stamp 1) arrives *after* the fast warm one's
-        # (stamp 3).  The old last-write-wins store would clobber the
-        # fresher snapshot with the stale one.
-        from repro.exec.supervisor import _SnapshotStore
-
-        store = _SnapshotStore()
-        assert store.seq("g") == 0
-        assert store.offer("g", 3, {"who": "fast"})
-        assert not store.offer("g", 1, {"who": "slow-straggler"})
-        assert store.get("g") == {"who": "fast"}
-        assert store.seq("g") == 3
-        # equal stamps (independent workers racing from the same seed):
-        # most recent arrival wins, like the pre-fix coin toss
-        assert store.offer("g", 3, {"who": "peer"})
-        assert store.get("g") == {"who": "peer"}
-        # groups are independent
-        assert store.offer("h", 1, {"who": "other-group"})
-        assert store.get("g") == {"who": "peer"}
-
-    def test_racing_workers_keep_snapshot_stamps_monotonic(self):
-        # Two same-signature batches raced through workers: the stamp
-        # seeded into each new worker equals the freshest collected so
-        # far, so a respawned worker's snapshots always outrank the
-        # snapshots it warm-started from.
-        plan = ReproFaultPlan.parse("flaky@5x1")
-        faulted = run_campaign(
-            [fault10_suite()], solvers=["ringen"], timeout=5.0,
-            share_engines=True,
-            policy=ExecPolicy(
-                isolate=True, fault_plan=plan, backoff_base=0.01
-            ),
-        )
-        assert faulted.exec_stats["workers_warm_started"] >= 1
-        # every verdict is still correct after the race
-        assert all(r.correct for r in faulted.records)
+            assert not {"obs_spans", "obs_metrics", "pool_stats"} & set(entry)
 
 
 class TestJournalConfigGuard:

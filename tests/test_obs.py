@@ -523,6 +523,55 @@ class TestMetricsTransport:
         assert isolated["phase.encode_n"] == 4
 
 
+class TestPoolMetrics:
+    """Pool counters reach the registry one way on every path: summed
+    under ``pool.``, with ``pool.engines_live`` a gauge."""
+
+    FACTORIES = [even_system, even_system, incdec_system, incdec_system]
+
+    @pytest.mark.parametrize("isolate", [False, True])
+    def test_run_campaign_publishes_engines_live_as_a_gauge(self, isolate):
+        suite = Suite("Pooled")
+        for i, factory in enumerate(self.FACTORIES):
+            suite.add(f"p{i}", "fam", factory, "sat")
+        obs_runtime.configure(metrics=True)
+        campaign = run_campaign(
+            [suite],
+            solvers=["ringen"],
+            timeout=5.0,
+            share_engines=True,
+            policy=ExecPolicy(isolate=isolate),
+        )
+        snap = obs_runtime.METRICS.snapshot()
+        stats = campaign.pool_stats
+        assert stats["problems"] == 4
+        # two signatures: one pool holds both engines in-process; each
+        # isolated batch has its own worker, and the last one's counts
+        assert stats["engines_live"] == (1 if isolate else 2)
+        assert snap["gauges"]["pool.engines_live"] == stats["engines_live"]
+        assert "pool.engines_live" not in snap["counters"]
+        assert snap["counters"]["pool.problems"] == 4
+        assert snap["counters"]["pool.engine_hits"] == stats["engine_hits"]
+
+    @pytest.mark.parametrize("isolate", [False, True])
+    def test_cli_campaign_publishes_pool_metrics(self, tmp_path, isolate):
+        from repro.chc.printer import print_system
+        from repro.cli import main
+
+        paths = []
+        for i, factory in enumerate(self.FACTORIES):
+            path = tmp_path / f"p{i}.smt2"
+            path.write_text(print_system(factory()))
+            paths.append(str(path))
+        metrics = tmp_path / "metrics.json"
+        argv = ["campaign", "--quiet", "--metrics", str(metrics), *paths]
+        assert main(argv + (["--isolate"] if isolate else [])) == 0
+        snap = json.loads(metrics.read_text())
+        assert snap["counters"]["pool.problems"] == 4
+        assert snap["gauges"]["pool.engines_live"] == (1 if isolate else 2)
+        assert "pool.engines_live" not in snap["counters"]
+
+
 class TestTracedFaultCampaign:
     """Worker telemetry survives crashes and watchdog kills: spans and
     metrics ship per verdict, not at worker exit.  CI's fault-injection

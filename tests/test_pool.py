@@ -398,25 +398,6 @@ class TestEngineSnapshot:
         assert pool.stats.snapshot_rejected >= 1
         assert pool.stats.engines_created == 1
 
-    def test_adopt_and_last_snapshot(self):
-        pool = self._warm_pool()
-        snap = pool.last_snapshot()
-        assert snap is not None and snap["schema"] == "engine"
-        receiver = EnginePool()
-        assert receiver.adopt_snapshot(snap, FinderOptions())
-        assert receiver.stats.snapshot_hits == 1
-        finder = receiver.finder(preprocess(nat_mod_system(4, 1, 2)))
-        assert finder.search().found
-        assert receiver.stats.engines_created == 0
-
-    def test_adopt_rejects_incompatible_config(self):
-        pool = self._warm_pool()
-        snap = pool.last_snapshot()
-        receiver = EnginePool()
-        off = FinderOptions(symmetry_breaking=False)
-        assert not receiver.adopt_snapshot(snap, off)
-        assert receiver.stats.snapshot_rejected == 1
-
     def test_warm_cache_hits_only_under_the_same_policy(self, tmp_path):
         # a cache entry written with symmetry breaking off gives a
         # default-policy solve no warm hit
