@@ -7,14 +7,6 @@
 #   * campaign mode shows no cross-problem reuse, or
 #   * campaign mode is more than 10% slower than fresh engines.
 #
-# Gate 4 (PR 6): supervised execution parity; emits BENCH_exec.json
-# and fails if
-#   * isolated-mode verdicts diverge from the default in-process
-#     execution on the quick suite, or
-#   * the fault-injected campaign (crash + hang + OOM + flaky) fails
-#     to produce its three structured error verdicts, or the flaky
-#     task does not recover via retry.
-#
 # Gate 6 (PR 8): engine snapshot/restore + warm cache; emits
 # BENCH_snapshot.json and fails if
 #   * a restored engine's verdicts diverge from cold runs,
@@ -61,34 +53,6 @@ if camp > 1.10 * fresh:
     sys.exit(f"FAIL: campaign mode {camp:.3f}s is >10% slower than "
              f"fresh engines {fresh:.3f}s")
 print("OK: campaign engine pool within budget")
-EOF
-
-python benchmarks/bench_exec.py
-
-python - <<'EOF'
-import json
-import sys
-
-with open("BENCH_exec.json") as handle:
-    report = json.load(handle)
-totals = report["totals"]
-
-if not totals["isolated_agrees"]:
-    sys.exit("FAIL: isolated-mode verdicts diverge from in-process")
-if sorted(totals["fault_kinds"]) != ["crash", "oom", "timeout_hard"]:
-    sys.exit(f"FAIL: fault campaign produced {totals['fault_kinds']} "
-             f"instead of crash/oom/timeout_hard")
-if not totals["flaky_recovered"]:
-    sys.exit("FAIL: flaky task did not recover via retry")
-if not totals["unfaulted_tasks_ok"]:
-    sys.exit("FAIL: a fault leaked into an unfaulted task's verdict")
-
-inproc, iso = totals["inprocess_time"], totals["isolated_time"]
-print(f"in-process: {inproc:.3f}s  isolated: {iso:.3f}s  "
-      f"({totals['workers_spawned']} workers)  "
-      f"fault campaign: {totals['fault_time']:.3f}s "
-      f"({totals['fault_retries']} retries)")
-print("OK: isolated execution verdict parity + structured faults")
 EOF
 
 python benchmarks/bench_snapshot.py

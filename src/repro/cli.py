@@ -7,6 +7,11 @@ Usage (mirrors how the original RInGen binary was driven):
     python -m repro.cli --solver elem problem.smt2    # the Elem baseline
     python -m repro.cli --timeout 60 --model problem.smt2
 
+``--solver`` takes any name in :data:`repro.solvers.SOLVERS`: ``ringen``
+(the default), ``elem``, ``sizeelem``, ``cvc4-ind``, ``verimap-iddt``,
+and Table 1's aliases ``spacer`` (``elem``) and ``eldarica``
+(``sizeelem``).
+
 Prints ``sat`` / ``unsat`` / ``unknown`` on the first line; with
 ``--model`` the regular invariant (finite-model and automata views)
 follows, and with ``--cex`` the refutation derivation is printed for
@@ -18,21 +23,26 @@ zero; anything else is a usage error (exit code 2).
 Campaign batch mode solves many files through one shared
 :class:`~repro.mace.pool.EnginePool`, so signature-compatible problems
 reuse a single persistent incremental engine (clauses, learned clauses,
-heuristic state) instead of rebuilding it per file:
+heuristic state) instead of rebuilding it per file.  Files run grouped
+by signature, in first-occurrence order, as
+:func:`~repro.harness.runner.batch_order` schedules problems;
+``--no-share`` keeps the command-line order:
 
     python -m repro.cli campaign a.smt2 b.smt2 c.smt2
     python -m repro.cli campaign --timeout 10 --no-share *.smt2  # ablation
 
-One ``<file>: <status> (<seconds>s)`` line is printed per problem
-(suffixed ``[<error>]`` for a crashed, killed or OOM task), followed by
-a summary of the pool's cross-problem reuse counters (engines created,
-warm-engine hits, clauses inherited) and an ``; exec:`` line (tasks
-executed and resumed, retries, workers, errors).  The exit code is the
-number of files that did not produce a sat/unsat answer.
+One ``<file>: <status> (<seconds>s)`` line is printed per problem in
+run order (suffixed ``[<error>]`` for a crashed, killed or OOM task),
+followed by a summary of the pool's cross-problem reuse counters
+(engines created, warm-engine hits, clauses inherited) and an
+``; exec:`` line (tasks executed and resumed, retries, workers,
+errors).  The exit code is the number of files that did not produce a
+sat/unsat answer.
 
-Every campaign runs through the :mod:`repro.exec` supervisor, so a
-solver exception on one file becomes that file's ``error:crash``
-verdict and the remaining files are still solved.  ``--isolate`` runs
+The command builds one task per file and runs them through
+:func:`repro.exec.execute_tasks`, so a solver exception on one file
+becomes that file's ``error:crash`` verdict and the remaining files are
+still solved.  ``--isolate`` runs
 each problem in a watchdogged worker subprocess, so hangs and OOMs
 become per-problem ``error:*`` verdicts too, and ``--journal`` records
 every verdict so an interrupted campaign resumes where it stopped:
@@ -41,6 +51,9 @@ every verdict so an interrupted campaign resumes where it stopped:
     python -m repro.cli campaign --resume run.jsonl *.smt2   # finish it
     python -m repro.cli campaign --isolate --mem-limit 2048 \\
         --max-retries 3 *.smt2
+
+``--mem-limit`` takes MiB > 0 and ``--max-retries`` a count >= 0;
+anything else is a usage error (exit code 2).
 
 Warm cache (``--warm-cache DIR``, solve and campaign): persists each
 engine's serialized state (clauses, learned clauses, heuristic scores,
@@ -76,22 +89,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.chc.parser import ParseError, parse_chc
-from repro.core.ringen import RInGen, RInGenConfig
-from repro.mace.pool import EnginePool, publish_pool_stats
-from repro.solvers.elem import ElemConfig, ElemSolver
-from repro.solvers.induct import InductConfig, InductSolver
-from repro.solvers.sizeelem import SizeElemConfig, SizeElemSolver
-from repro.solvers.verimap import VeriMapConfig, VeriMapSolver
-
-SOLVERS = {
-    "ringen": lambda t, **kw: RInGen(RInGenConfig(timeout=t, **kw)),
-    "elem": lambda t, **kw: ElemSolver(ElemConfig(timeout=t)),
-    "sizeelem": lambda t, **kw: SizeElemSolver(SizeElemConfig(timeout=t)),
-    "cvc4-ind": lambda t, **kw: InductSolver(InductConfig(timeout=t)),
-    "verimap-iddt": lambda t, **kw: VeriMapSolver(
-        VeriMapConfig(timeout=t)
-    ),
-}
+from repro.solvers import SOLVERS, make_solver
 
 
 def _seconds(text: str) -> float:
@@ -107,6 +105,23 @@ def _seconds(text: str) -> float:
             f"expected a finite number of seconds > 0, got {text!r}"
         )
     return value
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1  # rejected below, with the same message
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,7 +244,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-retries",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         metavar="N",
         help="retries (with exponential backoff) for transient worker "
@@ -237,7 +252,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--mem-limit",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         metavar="MB",
         help="per-worker address-space cap in MiB; allocation beyond it "
@@ -335,12 +350,11 @@ def _snapshot_note(stats: dict) -> str:
 
 
 def _run_campaign(args) -> int:
-    """Solve the files through :func:`repro.exec.execute_tasks`."""
-    from repro.chc.transform import preprocess
+    """Build one task per readable file (grouped by signature when
+    engines are shared) and run them through :func:`execute_tasks`."""
+    from repro.exec import ExecPolicy, TaskSpec, execute_tasks
     from repro.exec.journal import JournalError
-    from repro.exec.supervisor import ExecPolicy, TaskSpec, execute_tasks
-    from repro.mace.pool import signature_fingerprint
-    from repro.obs import runtime as obs_runtime
+    from repro.harness.runner import signature_groups
     from repro.obs.events import (
         EventBus,
         HeartbeatRenderer,
@@ -363,39 +377,35 @@ def _run_campaign(args) -> int:
     if args.max_retries is not None:
         policy.max_retries = args.max_retries
     failures = 0
-    tasks: list[TaskSpec] = []
-    for index, path in enumerate(args.files):
+    texts: dict[str, str] = {}
+    systems: dict[str, object] = {}
+    for path in args.files:
         try:
             with open(path) as handle:
-                text = handle.read()
-            system = parse_chc(text, name=path)
+                texts[path] = handle.read()
+            systems[path] = parse_chc(texts[path], name=path)
         except (OSError, ParseError) as error:
             print(f"{path}: error: {error}", file=sys.stderr)
             failures += 1
-            continue
-        group_key = None
-        if policy.share_engines and policy.isolate:
-            try:
-                group_key = signature_fingerprint(preprocess(system))
-            except Exception as error:
-                print(
-                    f"{path}: warning: unfingerprintable ({error}); "
-                    f"running unshared",
-                    file=sys.stderr,
+    paths = [path for path in args.files if path in systems]
+    groups = (
+        signature_groups(paths, systems.__getitem__)
+        if policy.share_engines
+        else {None: paths}
+    )
+    tasks: list[TaskSpec] = []
+    for key, group in groups.items():
+        for path in group:
+            tasks.append(
+                TaskSpec(
+                    task_id=path,
+                    solver="ringen",
+                    timeout=args.timeout,
+                    smt_text=texts[path],
+                    index=len(tasks),
+                    group_key=key,
                 )
-        tasks.append(
-            TaskSpec(
-                task_id=path,
-                solver="ringen",
-                timeout=args.timeout,
-                smt_text=text,
-                index=index,
-                group_key=group_key,
             )
-        )
-    pool = None
-    if policy.share_engines and not policy.isolate:
-        pool = EnginePool(cache_dir=args.warm_cache)
     # verdict lines on stdout and heartbeats on stderr, so verdict
     # stdout is byte-identical with --progress on or off
     bus = EventBus()
@@ -406,52 +416,23 @@ def _run_campaign(args) -> int:
             min_interval=policy.progress_throttle,
         )
     )
-    tracer = obs_runtime.TRACER
-    campaign_cm = (
-        tracer.span(
-            "campaign", {"files": len(tasks), "isolate": policy.isolate}
-        )
-        if tracer is not None
-        else contextlib.nullcontext()
-    )
     try:
-        with campaign_cm:
-            records, stats = execute_tasks(
-                tasks,
-                policy,
-                journal_path=args.resume or args.journal,
-                resume=bool(args.resume),
-                engine_pool=pool,
-                bus=bus,
-            )
+        records, stats = execute_tasks(
+            tasks,
+            policy,
+            journal_path=args.resume or args.journal,
+            resume=bool(args.resume),
+            bus=bus,
+        )
     except JournalError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    metrics = obs_runtime.METRICS
-    if metrics is not None:
-        for record in records.values():
-            metrics.timing(
-                "task.elapsed", float(record.get("elapsed") or 0.0)
-            )
-            metrics.inc(f"task.status.{record.get('status', 'unknown')}")
-        metrics.publish(
-            "exec",
-            {
-                k: v
-                for k, v in stats.as_dict().items()
-                if k not in ("pool_stats", "last_heartbeat")
-            },
-        )
-    if pool is not None:
-        pool.flush_cache()
-    pool_stats = pool.as_dict() if pool is not None else stats.pool_stats
-    if metrics is not None and pool_stats:
-        publish_pool_stats(metrics, pool_stats)
     for task in tasks:
         record = records.get(task.task_id)
         if record is None or record["status"] not in ("sat", "unsat"):
             failures += 1  # undecided, or interrupted before it ran
     if not args.quiet:
+        pool_stats = stats.pool_stats
         if pool_stats:
             print(
                 f"; pool: {pool_stats.get('problems', 0)} problems, "
@@ -500,8 +481,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"parse error: {error}", file=sys.stderr)
         return 2
 
-    solver = SOLVERS[args.solver](
-        args.timeout, engine_cache_dir=args.warm_cache
+    solver = make_solver(
+        args.solver, args.timeout, engine_cache_dir=args.warm_cache
     )
     from repro.obs import runtime as obs_runtime
     from repro.obs.profiler import maybe_profile, profile_path

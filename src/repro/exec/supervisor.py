@@ -5,8 +5,10 @@ CHC problem can hang propagation, exhaust memory, or blow the recursion
 limit, and before this layer existed any one of those took the whole
 campaign down with it.  :func:`execute_tasks` is the only way a
 campaign runs (the harness's ``run_campaign`` and the CLI's
-``campaign`` command both call it), and it turns individual-task
-failure into structured per-task verdicts:
+``campaign`` command only build its tasks; it owns the in-process engine
+pool, ``pool_stats``, the ``campaign`` span and the one metrics
+publication), and it turns individual-task failure into structured
+per-task verdicts:
 
 * by default tasks run **in-process**, one after another, each through
   :func:`repro.exec.worker.run_task`: exceptions become ``error:crash``
@@ -52,7 +54,7 @@ import threading
 import time
 import zlib
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from repro.exec import worker as worker_mod
@@ -67,17 +69,17 @@ from repro.exec.journal import (
     config_fingerprint,
     load_journal,
 )
+from repro.mace.pool import EnginePool, publish_pool_stats
 from repro.obs import runtime as obs_runtime
 from repro.obs.events import (
     EventBus,
     HeartbeatRenderer,
+    Progress,
     ProgressMonitor,
     legacy_line_subscriber,
 )
 
 logger = logging.getLogger(__name__)
-
-Progress = Callable[[str], None]
 
 
 class CampaignInterrupted(BaseException):
@@ -222,19 +224,7 @@ class ExecStats:
                 self.pool_stats[key] = self.pool_stats.get(key, 0) + value
 
     def as_dict(self) -> dict:
-        return {
-            "tasks_total": self.tasks_total,
-            "tasks_executed": self.tasks_executed,
-            "tasks_resumed": self.tasks_resumed,
-            "retries": self.retries,
-            "workers_spawned": self.workers_spawned,
-            "interrupted": self.interrupted,
-            "isolate": self.isolate,
-            "heartbeats_received": self.heartbeats_received,
-            "last_heartbeat": self.last_heartbeat,
-            "error_counts": dict(self.error_counts),
-            "pool_stats": self.pool_stats,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +248,13 @@ def execute_tasks(
     verdicts replayed from the journal on resume.  On SIGINT/SIGTERM
     the partial records collected so far are returned with
     ``stats.interrupted`` set — the journal already holds all of them.
+
+    It assembles the campaign for every front-end.  In-process, with
+    ``policy.share_engines`` or a caller's ``engine_pool``, all tasks
+    ride one pool (the caller's, or one over ``policy.solver_opts``'s
+    warm cache), flushed at the end; isolated workers host their own.
+    ``stats.pool_stats`` is set on every path, the run is one
+    ``campaign`` span, and metrics are published once.
 
     Progress reporting rides the :class:`~repro.obs.events.EventBus`:
     every verdict becomes a ``task_finished`` event and (with
@@ -307,6 +304,18 @@ def execute_tasks(
                 stats.tasks_resumed += 1
             pending = [t for t in tasks if t.task_id not in results]
         journal = ResultsJournal(journal_path, meta=meta)
+    pool = None if policy.isolate else engine_pool
+    if pool is None and policy.share_engines and not policy.isolate:
+        opts = policy.solver_opts or {}
+        pool = EnginePool(cache_dir=opts.get("engine_cache_dir"))
+    tracer = obs_runtime.TRACER
+    span = (
+        tracer.begin(
+            "campaign", {"tasks": len(tasks), "isolate": policy.isolate}
+        )
+        if tracer is not None
+        else None
+    )
     try:
         with _graceful_signals():
             try:
@@ -318,7 +327,7 @@ def execute_tasks(
                 else:
                     _execute_inprocess(
                         pending, policy, plan, stats, results, journal,
-                        bus, engine_pool,
+                        bus, pool,
                     )
             except (KeyboardInterrupt, CampaignInterrupted) as stop:
                 logger.warning(
@@ -332,7 +341,37 @@ def execute_tasks(
     finally:
         if journal is not None:
             journal.close()
+        if span is not None:
+            tracer.end(span)
+    if pool is not None:
+        pool.flush_cache()
+        stats.pool_stats = pool.as_dict()
+    _publish_campaign(results, stats)
     return results, stats
+
+
+def _publish_campaign(results: dict[str, dict], stats: ExecStats) -> None:
+    """Fold a finished campaign into the metrics registry, if any: per
+    verdict ``task.*`` and ``finder.*``, then the ``pool.*`` and
+    ``exec.*`` counters (``phase.*``/``sat.*`` came at solve time)."""
+    metrics = obs_runtime.METRICS
+    if metrics is None:
+        return
+    for record in results.values():
+        metrics.timing("task.elapsed", float(record.get("elapsed") or 0.0))
+        metrics.inc(f"task.status.{record.get('status', 'unknown')}")
+        if record.get("error_kind"):
+            metrics.inc(f"task.error.{record['error_kind']}")
+        finder = (record.get("details") or {}).get("finder")
+        if isinstance(finder, dict):
+            metrics.publish("finder", finder)
+    if stats.pool_stats:
+        publish_pool_stats(metrics, stats.pool_stats)
+    exec_stats = stats.as_dict()
+    # pool counters went in under their own prefix; the last heartbeat
+    # is a point sample, not a counter
+    del exec_stats["pool_stats"], exec_stats["last_heartbeat"]
+    metrics.publish("exec", exec_stats)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 :func:`run_task` is the one sequence every campaign task runs, in the
 campaign process (the default) and in a worker alike: register the
 task for live progress and open its ``task`` span, profile it if asked,
-fire the fault plan, build the system, build the solver and solve.  A
+fire the fault plan, build the system, build the solver (by its name in
+:data:`repro.solvers.SOLVERS`) and solve.  A
 solver exception becomes ``error:crash`` with its type and traceback,
 and a MemoryError (e.g. under the worker's address-space cap) becomes
 ``error:oom``; isolated and in-process campaigns therefore produce
@@ -17,11 +18,13 @@ can apply its hard wall-clock watchdog *per task* and keep every
 already-finished verdict, with the telemetry and pool counters riding
 it, when the worker later dies.  Hangs and hard kills are the
 supervisor's business (a hung worker never writes, so the watchdog
-classifies it).
+classifies it).  Heartbeats come from a
+:class:`~repro.obs.events.ProgressMonitor`, as in-process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import signal
 import threading
@@ -35,8 +38,9 @@ from repro.exec.faults import (
     TransientWorkerFault,
 )
 from repro.obs import runtime as obs_runtime
-from repro.obs.events import heartbeat_event
+from repro.obs.events import EventBus, ProgressMonitor
 from repro.obs.profiler import maybe_profile, profile_path
+from repro.solvers import make_solver
 
 #: message sent after the last task so the supervisor can tell a clean
 #: finish from a death right after the final result
@@ -105,9 +109,6 @@ def run_task(
     :class:`CooperativeHang`) and interrupts escape; the in-process
     loop handles them.
     """
-    # deferred: the harness imports the execution layer
-    from repro.harness.runner import make_solver
-
     obs_runtime.task_started(task.task_id)
     tracer = obs_runtime.TRACER
     span = (
@@ -217,10 +218,10 @@ def worker_entry(conn, payload: dict) -> None:
     and a metrics registry whose spans and metrics recorded since the
     previous message ship back inside each verdict
     (``record["obs_spans"]``, ``record["obs_metrics"]``; the done
-    message carries the remainder), a heartbeat thread streaming
-    live-progress samples over the verdict pipe every ``heartbeat``
-    seconds (0 disables it), and per-task cProfile dumps under
-    ``profile_dir``.
+    message carries the remainder), a progress monitor sending
+    heartbeats over the verdict pipe every ``heartbeat`` seconds (0
+    disables it; it stops before the done message), and per-task
+    cProfile dumps under ``profile_dir``.
     """
     # the supervisor owns interrupt handling; a Ctrl-C aimed at the
     # campaign must not corrupt a worker mid-message
@@ -238,43 +239,36 @@ def worker_entry(conn, payload: dict) -> None:
     )
     profile_dir = obs_cfg.get("profile_dir")
     heartbeat = float(obs_cfg.get("heartbeat") or 0.0)
-    # every pipe write (verdicts, done, heartbeats from the sampler
+    # every pipe write (verdicts, done, heartbeats from the monitor
     # thread) holds this lock: multiprocessing.Connection sends are not
     # atomic across threads
     send_lock = threading.Lock()
-    stop_heartbeat = threading.Event()
-    beater: Optional[threading.Thread] = None
+
+    def send(message: dict) -> None:
+        with send_lock:
+            conn.send(message)
+
+    def send_heartbeat(event: dict) -> None:
+        # a closed pipe means the supervisor is tearing down
+        with contextlib.suppress(OSError, ValueError):
+            send(event)
+
+    monitor: Optional[ProgressMonitor] = None
     if heartbeat > 0:
-
-        def _beat() -> None:
-            previous: Optional[dict] = None
-            while not stop_heartbeat.wait(heartbeat):
-                sample = obs_runtime.live_sample()
-                if sample.get("task") is None:
-                    previous = None
-                    continue
-                event = heartbeat_event(sample, previous)
-                previous = sample
-                try:
-                    with send_lock:
-                        conn.send(event)
-                except (OSError, ValueError):
-                    return  # pipe gone: the supervisor is tearing down
-
-        beater = threading.Thread(
-            target=_beat, name="repro-worker-heartbeat", daemon=True
-        )
-        beater.start()
+        bus = EventBus()
+        bus.subscribe(send_heartbeat)
+        monitor = ProgressMonitor(bus, interval=heartbeat)
+        monitor.start()
     plan = ReproFaultPlan.parse(payload.get("fault_plan"))
     solver_opts = payload.get("solver_opts") or None
     tracer = obs_runtime.TRACER
     pool = None
     if payload.get("share_engines"):
-        from repro.core.ringen import RInGenConfig
         from repro.mace.pool import EnginePool
 
-        config = RInGenConfig(**(solver_opts or {}))
-        pool = EnginePool(cache_dir=config.engine_cache_dir)
+        pool = EnginePool(
+            cache_dir=(solver_opts or {}).get("engine_cache_dir")
+        )
     try:
         for task, attempt in payload["tasks"]:
             record = run_task(
@@ -297,8 +291,7 @@ def worker_entry(conn, payload: dict) -> None:
                 record["obs_metrics"] = obs_runtime.METRICS.drain()
             if pool is not None:
                 record["pool_stats"] = pool.as_dict()
-            with send_lock:
-                conn.send(record)
+            send(record)
         done: dict = {DONE: True}
         if pool is not None:
             pool.flush_cache()
@@ -308,12 +301,11 @@ def worker_entry(conn, payload: dict) -> None:
             done["pool_stats"] = pool.as_dict()
         if obs_runtime.METRICS is not None:
             done["obs_metrics"] = obs_runtime.METRICS.drain()
-        # the heartbeat thread must not race a close()d pipe
-        stop_heartbeat.set()
-        if beater is not None:
-            beater.join(timeout=2.0)
-        with send_lock:
-            conn.send(done)
+        # the monitor must not race a close()d pipe
+        if monitor is not None:
+            monitor.stop()
+        send(done)
     finally:
-        stop_heartbeat.set()
+        if monitor is not None:
+            monitor.stop()
         conn.close()

@@ -2,7 +2,6 @@
 
 from repro.harness.runner import (
     Campaign,
-    REPRESENTATION_ROW,
     RunRecord,
     SOLVER_ORDER,
     batch_order,
@@ -27,7 +26,6 @@ __all__ = [
     "batch_order",
     "campaign_report",
     "markdown_table",
-    "REPRESENTATION_ROW",
     "RunRecord",
     "SOLVER_ORDER",
     "Table1Row",

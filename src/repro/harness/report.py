@@ -11,12 +11,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.result import Status
-from repro.harness.runner import Campaign, REPRESENTATION_ROW, SOLVER_ORDER
+from repro.harness.runner import Campaign, SOLVER_ORDER
 from repro.harness.tables import (
     figure4_data,
     figure5_data,
     figure6_data,
     table1,
+    table1_header,
 )
 
 
@@ -58,9 +59,7 @@ def campaign_report(
     # Table 1
     sections.append("## Table 1 — correct answers per solver")
     sections.append("")
-    headers = ["Problem Set", "#", "Answer"] + [
-        f"{s} ({REPRESENTATION_ROW.get(s, '-')})" for s in solvers
-    ]
+    headers = table1_header(solvers)
     rows = []
     for row in table1(campaign, suite_sizes, solvers=solvers):
         rows.append(

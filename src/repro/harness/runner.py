@@ -4,73 +4,36 @@ Runs every solver on every problem of a suite with per-run timeouts,
 records verdicts + wall times, checks each verdict against the problem's
 ground truth (a wrong SAT/UNSAT is counted as *incorrect* and excluded
 from the solved tallies, mirroring how solver competitions score), and
-aggregates into the paper's tables and figures.  Every campaign runs
-through the execution layer (:func:`repro.exec.execute_tasks`), in the
-campaign process by default, so a crashing solver, an injected fault or
-an interrupt is handled the same way in every mode.
+aggregates into the paper's tables and figures.  :func:`run_campaign`
+only builds the tasks: :func:`repro.exec.execute_tasks` runs them (in
+the campaign process by default) and assembles the campaign, so a
+crashing solver, an injected fault or an interrupt is handled the same
+way in every mode and by every front-end.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.benchgen.suite import Problem, Suite
 from repro.chc.transform import preprocess
 from repro.core.result import Status
-from repro.core.ringen import RInGen, RInGenConfig
 from repro.exec.supervisor import (
     CampaignInterrupted,
     ExecPolicy,
     TaskSpec,
     execute_tasks,
 )
-from repro.mace.pool import (
-    EnginePool,
-    publish_pool_stats,
-    signature_fingerprint,
-)
+from repro.mace.pool import EnginePool, signature_fingerprint
 from repro.obs import runtime as obs_runtime
-from repro.solvers.elem import ElemConfig, ElemSolver
-from repro.solvers.induct import InductConfig, InductSolver
-from repro.solvers.sizeelem import SizeElemConfig, SizeElemSolver
-from repro.solvers.verimap import VeriMapConfig, VeriMapSolver
+from repro.solvers import make_solver  # importable from here too
 
 logger = logging.getLogger(__name__)
 
+#: Table 1's columns, under the names of the tools each solver stands for
 SOLVER_ORDER = ["ringen", "eldarica", "spacer", "cvc4-ind", "verimap-iddt"]
-
-# Table 1's header row: the representation class of each solver.
-REPRESENTATION_ROW = {
-    "ringen": "Reg",
-    "eldarica": "SizeElem",
-    "spacer": "Elem",
-    "cvc4-ind": "-",
-    "verimap-iddt": "-",
-}
-
-
-def make_solver(name: str, timeout: float, **ringen_opts):
-    """Instantiate a solver under its Table 1 alias.
-
-    ``ringen_opts`` are :class:`~repro.core.ringen.RInGenConfig` fields
-    (e.g. ``engine_pool`` for campaign batch mode, ``engine_cache_dir``
-    for the warm cache); the baselines have no such options and ignore
-    them.
-    """
-    if name == "ringen":
-        return RInGen(RInGenConfig(timeout=timeout, **ringen_opts))
-    if name == "eldarica":
-        return SizeElemSolver(SizeElemConfig(timeout=timeout))
-    if name == "spacer":
-        return ElemSolver(ElemConfig(timeout=timeout))
-    if name == "cvc4-ind":
-        return InductSolver(InductConfig(timeout=timeout))
-    if name == "verimap-iddt":
-        return VeriMapSolver(VeriMapConfig(timeout=timeout))
-    raise ValueError(f"unknown solver {name!r}")
 
 
 @dataclass
@@ -229,36 +192,36 @@ def batch_order(problems: Sequence[Problem]) -> list[Problem]:
     exactly by the pool's engine keys (preprocessing can add ``diseq``
     predicates that split raw-compatible systems apart).  Grouping is
     stable: groups appear in first-occurrence order and problems keep
-    their relative order within a group.
+    their relative order within a group.  :func:`run_campaign` and the
+    CLI's ``campaign`` schedule their tasks in this order.
     """
-    groups = _signature_groups(problems)
+    groups = signature_groups(problems, Problem.build)
     return [p for group in groups.values() for p in group]
 
 
-def _signature_groups(
-    problems: Sequence[Problem],
-) -> dict[object, list[Problem]]:
-    """:func:`batch_order`'s groups, keyed by signature fingerprint in
-    first-occurrence order."""
-    groups: dict[object, list[Problem]] = {}
-    for problem in problems:
+def signature_groups(
+    items: Iterable, system_of: Callable[[object], object]
+) -> dict[object, list]:
+    """:func:`batch_order`'s groups, used by both campaign front-ends:
+    ``items`` keyed by the signature fingerprint of ``system_of(item)``
+    preprocessed, in first-occurrence order."""
+    groups: dict[object, list] = {}
+    for item in items:
         try:
-            key = signature_fingerprint(preprocess(problem.build()))
+            key = signature_fingerprint(preprocess(system_of(item)))
         except Exception as error:
-            # an unfingerprintable problem still runs (in its own group,
-            # on a fresh engine) — but a build/preprocess failure here
+            # an unfingerprintable item still runs (in its own group, on
+            # a fresh engine) — but a build/preprocess failure here
             # predicts a failure at solve time, so say so instead of
             # hiding it
             logger.warning(
-                "batch_order: could not fingerprint %s/%s (%s: %s); "
-                "scheduling it unshared",
-                problem.suite,
-                problem.name,
+                "could not fingerprint %s (%s: %s); scheduling it unshared",
+                item,
                 type(error).__name__,
                 error,
             )
-            key = ("unfingerprintable", problem.suite, problem.name)
-        groups.setdefault(key, []).append(problem)
+            key = ("unfingerprintable", str(item))
+        groups.setdefault(key, []).append(item)
     return groups
 
 
@@ -300,13 +263,15 @@ def run_campaign(
     engine_cache_dir: Optional[str] = None,
 ) -> Campaign:
     """Run the full (suite x solver) product through
-    :func:`repro.exec.execute_tasks`.
+    :func:`repro.exec.execute_tasks`, which assembles the campaign.
 
     ``share_engines`` (or passing an ``engine_pool``) switches on
     campaign batch mode: one :class:`~repro.mace.pool.EnginePool` spans
-    the whole run, problems are scheduled in :func:`batch_order` so
-    signature-compatible systems run back-to-back, and the pool's
-    cross-problem reuse counters land in ``Campaign.pool_stats``.
+    the whole run (the caller's ``engine_pool`` in-process, else one
+    built by ``execute_tasks``), problems are scheduled in
+    :func:`batch_order` so signature-compatible systems run
+    back-to-back, and the pool's cross-problem reuse counters land in
+    ``Campaign.pool_stats``.
     Verdicts are unaffected — the pool only changes which solver state
     the model finder starts from.  ``engine_cache_dir`` persists engines
     to a disk warm cache, so a later campaign over the same benchmark
@@ -322,7 +287,10 @@ def run_campaign(
     SIGINT/SIGTERM return the partial campaign
     (``Campaign.interrupted``).  In isolated + shared mode each
     signature-compatible batch rides one worker with a private engine
-    pool.  The caller's ``policy`` is never modified.
+    pool, and ``Campaign.pool_stats`` sums the workers' counters (a
+    caller's ``engine_pool`` goes unused).  With metrics on,
+    ``Campaign.obs`` is the registry's snapshot after the campaign was
+    published.  The caller's ``policy`` is never modified.
     """
     solvers = list(solvers or SOLVER_ORDER)
     policy = policy or ExecPolicy()
@@ -346,7 +314,9 @@ def run_campaign(
             if problem_filter is None or problem_filter(p)
         ]
         groups = (
-            _signature_groups(problems) if shared else {None: problems}
+            signature_groups(problems, Problem.build)
+            if shared
+            else {None: problems}
         )
         for key, group in groups.items():
             for problem in group:
@@ -365,33 +335,17 @@ def run_campaign(
                             group_key=key if ringen else None,
                         )
                     )
-    pool = engine_pool
-    if shared and not policy.isolate and pool is None:
-        pool = EnginePool(cache_dir=engine_cache_dir)
-    tracer = obs_runtime.TRACER
-    span_cm = (
-        tracer.span(
-            "campaign",
-            {
-                "suites": len(suites),
-                "solvers": solvers,
-                "isolate": policy.isolate,
-            },
-        )
-        if tracer is not None
-        else contextlib.nullcontext()
+    records, stats = execute_tasks(
+        tasks,
+        policy,
+        journal_path=journal_path,
+        resume=resume,
+        progress=progress,
+        engine_pool=engine_pool,
     )
-    with span_cm:
-        records, stats = execute_tasks(
-            tasks,
-            policy,
-            journal_path=journal_path,
-            resume=resume,
-            progress=progress,
-            engine_pool=pool,
-        )
     campaign = Campaign(
         timeout=timeout,
+        pool_stats=stats.pool_stats,
         exec_stats=stats.as_dict(),
         interrupted=stats.interrupted,
     )
@@ -399,54 +353,14 @@ def run_campaign(
         rec = records.get(task.task_id)
         if rec is not None:  # None: interrupted before this task ran
             campaign.add(_record_from_exec(task, rec))
-    if pool is not None:
-        pool.flush_cache()
-        campaign.pool_stats = pool.as_dict()
-    else:
-        campaign.pool_stats = stats.pool_stats
-    _publish_campaign_obs(campaign)
+    if obs_runtime.METRICS is not None:
+        campaign.obs = obs_runtime.METRICS.snapshot()
     return campaign
 
 
 def task_id_for(problem: Problem, solver_name: str) -> str:
     """The stable journal/task key of one (problem, solver) pair."""
     return f"{problem.suite}/{problem.name}/{solver_name}"
-
-
-def _publish_campaign_obs(campaign: Campaign) -> None:
-    """Fold the finished campaign into the metrics registry (if any)
-    and hang the merged snapshot on ``campaign.obs``.
-
-    Per-record: the ``task.elapsed`` timing histogram, status and error
-    tallies, and the model finder's stats dict.  Campaign-level: the
-    pool and execution-layer counters.  The ``phase.*`` and ``sat.*``
-    counters were already published at solve time by the instrumented
-    layers themselves.
-    """
-    metrics = obs_runtime.METRICS
-    if metrics is None:
-        return
-    for r in campaign.records:
-        metrics.timing("task.elapsed", r.elapsed)
-        metrics.inc(f"task.status.{r.status.value}")
-        if r.error_kind:
-            metrics.inc(f"task.error.{r.error_kind}")
-        finder = r.details.get("finder")
-        if isinstance(finder, dict):
-            metrics.publish("finder", finder)
-    if campaign.pool_stats:
-        publish_pool_stats(metrics, campaign.pool_stats)
-    metrics.publish(
-        "exec",
-        {
-            k: v
-            for k, v in campaign.exec_stats.items()
-            # pool counters go in under their own prefix above; the
-            # last heartbeat is a point sample, not a counter
-            if k not in ("pool_stats", "last_heartbeat")
-        },
-    )
-    campaign.obs = metrics.snapshot()
 
 
 def _record_from_exec(task: TaskSpec, rec: dict) -> RunRecord:

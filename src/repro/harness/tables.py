@@ -2,8 +2,9 @@
 
 The paper's artifacts, regenerated from a :class:`Campaign`:
 
-* :func:`table1` — the per-suite SAT/UNSAT/unique counts with the
-  representation-class header row,
+* :func:`table1` — the per-suite SAT/UNSAT/unique counts, and
+  :func:`table1_header` the representation-class header row (read from
+  :data:`repro.solvers.SOLVERS`),
 * :func:`figure4_data` / :func:`figure5_data` — the timing scatter pairs
   (all results / SAT-only), with timeouts pinned to the boundary,
 * :func:`figure6_data` — the histogram of finite-model sizes,
@@ -16,11 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.result import Status
-from repro.harness.runner import (
-    Campaign,
-    REPRESENTATION_ROW,
-    SOLVER_ORDER,
-)
+from repro.harness.runner import Campaign, SOLVER_ORDER
+from repro.solvers import SOLVERS
 
 
 @dataclass
@@ -69,13 +67,20 @@ def table1(
     return rows
 
 
+def table1_header(solvers: Sequence[str]) -> list[str]:
+    """Table 1's header row: each solver with its representation
+    class."""
+    return ["Problem Set", "#", "Answer"] + [
+        f"{s} ({SOLVERS[s].representation if s in SOLVERS else '-'})"
+        for s in solvers
+    ]
+
+
 def format_table1(
     rows: list[Table1Row], *, solvers: Sequence[str] = SOLVER_ORDER
 ) -> str:
     """ASCII rendering in the paper's layout."""
-    headers = ["Problem Set", "#", "Answer"] + [
-        f"{s} ({REPRESENTATION_ROW.get(s, '-')})" for s in solvers
-    ]
+    headers = table1_header(solvers)
     widths = [max(14, len(h)) for h in headers]
     lines = [
         "  ".join(h.ljust(w) for h, w in zip(headers, widths)),

@@ -14,9 +14,9 @@ rides an adapter that renders byte-identical lines.  Event schema
     ``{"kind": "heartbeat", "v": 1, "task": str, "elapsed": float,
     "conflicts": int, "propagations": int, "vectors": int,
     "conflicts_per_s": float, "rss_kb": int | None, "pid": int}`` —
-    periodic in-flight samples.  Isolated workers send them over the
-    verdict pipe; in-process runs get them from a
-    :class:`ProgressMonitor` sampling thread.
+    periodic in-flight samples, always from a :class:`ProgressMonitor`
+    sampling thread: in-process runs emit them onto the campaign's bus,
+    and isolated workers send them over the verdict pipe.
 
 Subscribers are plain callables; exceptions propagate to the emitter,
 matching the old direct-callback behaviour.
@@ -130,9 +130,10 @@ class ProgressMonitor(threading.Thread):
     """In-process heartbeat source: samples the live runtime state on an
     interval and emits heartbeat events onto a bus.
 
-    Used when there is no worker pipe to carry heartbeats (in-process
-    campaigns and the ``solve`` verb).  Daemon thread; :meth:`stop`
-    joins it.
+    The one heartbeat sampler: in-process campaigns and the ``solve``
+    verb run it on their own bus, and each isolated worker on a bus
+    whose one subscriber sends to the verdict pipe.  Daemon thread;
+    :meth:`stop` joins it.
     """
 
     def __init__(self, bus: EventBus, *, interval: float = 1.0) -> None:

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.benchgen.builders import nat_mod_system
 from repro.benchgen.suite import Problem, Suite
 from repro.core.result import Status
 from repro.exec import (
@@ -27,6 +28,7 @@ from repro.exec.faults import FaultSpec
 from repro.exec.journal import JournalError
 from repro.exec.supervisor import _graceful_signals
 from repro.harness.runner import run_campaign, run_problem, task_id_for
+from repro.mace.pool import EnginePool
 from repro.problems import (
     diag_system,
     even_system,
@@ -40,6 +42,23 @@ def tiny_suite() -> Suite:
     suite.add("even", "parity", even_system, "sat")
     suite.add("incdec", "offset", incdec_system, "sat")
     suite.add("broken", "broken", odd_unsat_system, "unsat")
+    return suite
+
+
+def nat_mod_suite() -> Suite:
+    """The tiny suite plus five ``nat_mod`` problems (safe iff
+    ``c % m != 0``): the isolated-vs-in-process parity suite."""
+    suite = tiny_suite()
+    for m in (2, 3, 4):
+        for r, c in ((0, 1), (1, 2)):
+            if c % m == 0:
+                continue
+            suite.add(
+                f"nat-mod{m}-r{r}-c{c}",
+                "nat_mod",
+                (lambda m=m, r=r, c=c: nat_mod_system(m, r, c)),
+                "sat",
+            )
     return suite
 
 
@@ -338,18 +357,26 @@ class TestIsolated:
         for name in ("p0", "p2", "p4", "p6", "p8", "p9"):
             assert campaign.record(name, "ringen").solved, name
 
-    def test_verdicts_match_inprocess(self):
+    @pytest.mark.parametrize(
+        "suite, timeout, mem_limit_mb",
+        [
+            pytest.param(tiny_suite, 5.0, None, id="tiny"),
+            # eight problems, each worker under a 1 GiB cap
+            pytest.param(nat_mod_suite, 30.0, 1024, id="nat-mod"),
+        ],
+    )
+    def test_verdicts_match_inprocess(self, suite, timeout, mem_limit_mb):
         inproc = run_campaign(
-            [tiny_suite()], solvers=["ringen"], timeout=5.0,
+            [suite()], solvers=["ringen"], timeout=timeout,
             policy=ExecPolicy(),
         )
         isolated = run_campaign(
-            [tiny_suite()], solvers=["ringen"], timeout=5.0,
-            policy=ExecPolicy(isolate=True),
+            [suite()], solvers=["ringen"], timeout=timeout,
+            policy=ExecPolicy(isolate=True, mem_limit_mb=mem_limit_mb),
         )
         assert verdicts(inproc) == verdicts(isolated)
         assert isolated.exec_stats["isolate"] is True
-        assert isolated.exec_stats["workers_spawned"] == 3
+        assert isolated.exec_stats["workers_spawned"] == len(suite())
 
     def test_watchdog_kills_hang_within_bound(self):
         plan = ReproFaultPlan.parse("hang@0")
@@ -403,6 +430,24 @@ class TestIsolated:
         # the workers' private pools report aggregated reuse counters
         assert shared.pool_stats is not None
         assert shared.pool_stats.get("problems", 0) >= 2
+
+    def test_callers_pool_yields_to_the_workers_pools(self):
+        # isolated workers host their own pools: the campaign reports
+        # their counters, not those of the caller's pool, which no task
+        # rode
+        suite = Suite("Pooled")
+        for i, factory in enumerate(
+            [even_system, even_system, incdec_system, incdec_system]
+        ):
+            suite.add(f"p{i}", "fam", factory, "sat")
+        campaign = run_campaign(
+            [suite], solvers=["ringen"], timeout=5.0,
+            engine_pool=EnginePool(),
+            policy=ExecPolicy(isolate=True),
+        )
+        assert campaign.exec_stats["workers_spawned"] == 2
+        assert campaign.pool_stats["problems"] == 4
+        assert campaign.pool_stats["engine_hits"] == 2
 
 
 class TestResumeAndInterrupt:

@@ -12,7 +12,7 @@ from repro.chc.printer import print_system
 from repro.chc.transform import preprocess
 from repro.cli import main as cli_main
 from repro.logic.adt import nat
-from repro.problems import even_system, odd_unsat_system
+from repro.problems import even_system, incdec_system, odd_unsat_system
 
 
 EVEN_SMT = """
@@ -145,6 +145,38 @@ class TestCampaignCli:
         assert lines[3].startswith("; exec: 2 executed, 0 resumed")
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("isolate", [False, True])
+    def test_files_run_grouped_by_signature(self, tmp_path, capsys, isolate):
+        # even2 holds even's system again: it joins even's group, so
+        # with --isolate the pair rides one pooled worker
+        paths = []
+        for name, factory in (
+            ("even", even_system),
+            ("incdec", incdec_system),
+            ("even2", even_system),
+        ):
+            path = tmp_path / f"{name}.smt2"
+            path.write_text(print_system(factory()))
+            paths.append(str(path))
+        even, incdec, even2 = paths
+        argv = ["campaign", "--timeout", "30", *paths]
+        code = cli_main(argv + (["--isolate"] if isolate else []))
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [line.split(":")[0] for line in lines[:3]] == [
+            even, even2, incdec,
+        ]
+        if isolate:
+            assert lines[3].startswith(
+                "; pool: 2 problems, 1 engines, 1 warm-engine hits"
+            )
+            assert lines[4].startswith("; exec: 3 executed, 0 resumed")
+            assert "2 workers" in lines[4]
+        else:
+            assert lines[3].startswith(
+                "; pool: 3 problems, 2 engines, 1 warm-engine hits"
+            )
+
     def test_no_share(self, files, capsys):
         even, odd = files
         code = cli_main(["campaign", "--no-share", "--timeout", "30", *files])
@@ -175,6 +207,17 @@ class TestCampaignCli:
         # the isolated supervisor cannot poll for a NaN timeout
         with pytest.raises(SystemExit) as exit_info:
             cli_main(["campaign", "--isolate", "--timeout", timeout, *files])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--mem-limit", "0"), ("--mem-limit", "-3"), ("--max-retries", "-1")],
+    )
+    def test_bad_limit_exit_code(self, files, flag, value):
+        # a zero address-space cap kills every worker, and a negative
+        # one cannot be applied
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["campaign", "--isolate", flag, value, *files])
         assert exit_info.value.code == 2
 
     def test_parse_error_counts_as_failure(self, files, tmp_path, capsys):

@@ -525,7 +525,10 @@ class TestMetricsTransport:
 
 class TestPoolMetrics:
     """Pool counters reach the registry one way on every path: summed
-    under ``pool.``, with ``pool.engines_live`` a gauge."""
+    under ``pool.``, with ``pool.engines_live`` a gauge.  The CLI's
+    campaign publishes the same campaign metrics as ``run_campaign``
+    (``finder.*``, ``task.error.*``): both are published once, by
+    ``execute_tasks``."""
 
     FACTORIES = [even_system, even_system, incdec_system, incdec_system]
 
@@ -564,12 +567,43 @@ class TestPoolMetrics:
             path.write_text(print_system(factory()))
             paths.append(str(path))
         metrics = tmp_path / "metrics.json"
-        argv = ["campaign", "--quiet", "--metrics", str(metrics), *paths]
+        journal = tmp_path / "run.jsonl"
+        argv = [
+            "campaign", "--quiet", "--metrics", str(metrics),
+            "--journal", str(journal), *paths,
+        ]
         assert main(argv + (["--isolate"] if isolate else [])) == 0
         snap = json.loads(metrics.read_text())
         assert snap["counters"]["pool.problems"] == 4
         assert snap["gauges"]["pool.engines_live"] == (1 if isolate else 2)
         assert "pool.engines_live" not in snap["counters"]
+        # the model finder's per-problem stats, summed over the verdicts
+        _, entries = load_journal(str(journal))
+        attempts = sum(
+            e["details"]["finder"]["attempts"] for e in entries.values()
+        )
+        assert attempts > 0
+        assert snap["counters"]["finder.attempts"] == attempts
+
+    def test_cli_campaign_counts_task_errors(self, tmp_path, monkeypatch):
+        from repro.chc.printer import print_system
+        from repro.cli import main
+
+        paths = []
+        for name, factory in (
+            ("even", even_system),
+            ("incdec", incdec_system),
+        ):
+            path = tmp_path / f"{name}.smt2"
+            path.write_text(print_system(factory()))
+            paths.append(str(path))
+        metrics = tmp_path / "metrics.json"
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "crash@0")
+        argv = ["campaign", "--quiet", "--metrics", str(metrics), *paths]
+        assert main(argv) == 1
+        snap = json.loads(metrics.read_text())
+        assert snap["counters"]["task.error.crash"] == 1
+        assert snap["counters"]["task.status.unknown"] == 1
 
 
 class TestTracedFaultCampaign:

@@ -265,14 +265,18 @@ class TestInductAndVerimap:
 
 class TestSolverRegistry:
     def test_registry_contents(self):
-        from repro.solvers import REPRESENTATION, SOLVER_CLASSES
+        from repro.solvers import SOLVERS
 
-        assert set(SOLVER_CLASSES) == {
+        assert set(SOLVERS) == {
             "ringen", "elem", "sizeelem", "cvc4-ind", "verimap-iddt",
+            "spacer", "eldarica",
         }
-        assert REPRESENTATION["ringen"] == "Reg"
-        assert REPRESENTATION["sizeelem"] == "SizeElem"
-        assert REPRESENTATION["elem"] == "Elem"
+        assert SOLVERS["ringen"].representation == "Reg"
+        assert SOLVERS["sizeelem"].representation == "SizeElem"
+        assert SOLVERS["elem"].representation == "Elem"
+        # Table 1's aliases name the baselines they stand for
+        assert SOLVERS["eldarica"].representation == "SizeElem"
+        assert SOLVERS["spacer"].representation == "Elem"
 
     def test_unknown_options_rejected(self):
         with pytest.raises(TypeError):
