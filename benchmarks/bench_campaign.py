@@ -23,9 +23,9 @@ state, and a candidate can fail the exact Herbrand check and resume at
 a larger size, so equally-correct runs may report different (verified)
 sizes.
 
-The measurements land in ``BENCH_campaign.json`` at the repo root and
-``benchmarks/smoke.sh`` fails if campaign mode is more than 10% slower
-than fresh mode or shows no cross-problem reuse.
+The measurements land in ``bench-artifacts/BENCH_campaign.json``
+(gitignored) and ``benchmarks/smoke.sh`` fails if campaign mode is more
+than 10% slower than fresh mode or shows no cross-problem reuse.
 
 Usable both as a script (``python benchmarks/bench_campaign.py``, exit
 code 1 on disagreement) and as a pytest module.
@@ -48,8 +48,10 @@ from repro.benchgen.builders import (
 from repro.mace.pool import EnginePool
 from repro.stlc import stlc_problems
 
-ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / (
-    "BENCH_campaign.json"
+ARTIFACT = (
+    pathlib.Path(__file__).resolve().parent.parent
+    / "bench-artifacts"
+    / "BENCH_campaign.json"
 )
 
 PER_PROBLEM_TIMEOUT = 30.0
@@ -159,6 +161,7 @@ def run_campaign_ablation() -> dict:
         "totals": totals,
         "pool": pool.as_dict(),
     }
+    ARTIFACT.parent.mkdir(exist_ok=True)
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
     return report
 

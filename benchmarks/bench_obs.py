@@ -15,9 +15,10 @@ Runs one quick campaign (the three tiny paper systems plus the
   export).
 
 Both off legs take the best of ``REPEATS`` runs so scheduler noise does
-not flap the 5% gate.  The measurements land in ``BENCH_obs.json`` at
-the repo root; ``benchmarks/smoke.sh`` fails on verdict divergence, a
-malformed trace, or disabled-path overhead beyond the budget.
+not flap the 5% gate.  The measurements land in
+``bench-artifacts/BENCH_obs.json`` (gitignored); ``benchmarks/smoke.sh``
+fails on verdict divergence, a malformed trace, or disabled-path
+overhead beyond the budget.
 
 Usable both as a script (``python benchmarks/bench_obs.py``, exit code
 1 on disagreement) and as a pytest module (parity and trace fidelity
@@ -40,8 +41,10 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.tracer import load_trace, to_chrome
 from repro.problems import even_system, incdec_system, odd_unsat_system
 
-ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / (
-    "BENCH_obs.json"
+ARTIFACT = (
+    pathlib.Path(__file__).resolve().parent.parent
+    / "bench-artifacts"
+    / "BENCH_obs.json"
 )
 
 PER_PROBLEM_TIMEOUT = 30.0
@@ -174,6 +177,7 @@ def run_obs_ablation() -> dict:
         },
         "totals": totals,
     }
+    ARTIFACT.parent.mkdir(exist_ok=True)
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
     return report
 

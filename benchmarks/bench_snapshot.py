@@ -11,7 +11,8 @@ Two legs, both gated by ``benchmarks/smoke.sh``:
   wall-clock (the cache carries clause databases, learned clauses,
   heuristic state and per-signature refutation cores across runs).
 
-The measurements land in ``BENCH_snapshot.json`` at the repo root.
+The measurements land in ``bench-artifacts/BENCH_snapshot.json``
+(gitignored).
 Usable both as a script (``python benchmarks/bench_snapshot.py``, exit
 code 1 on any gate failure) and as a pytest module.
 """
@@ -31,8 +32,10 @@ from repro.harness.runner import run_campaign, task_id_for
 from repro.mace import EnginePool, find_model
 from repro.mace.finder import FinderOptions, ModelFinder, _IncrementalEngine
 
-ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / (
-    "BENCH_snapshot.json"
+ARTIFACT = (
+    pathlib.Path(__file__).resolve().parent.parent
+    / "bench-artifacts"
+    / "BENCH_snapshot.json"
 )
 
 PER_PROBLEM_TIMEOUT = 30.0
@@ -157,6 +160,7 @@ def run_snapshot_bench(cache_root=None) -> dict:
         and report["warmcache"]["parity"]
         and report["warmcache"]["fast_enough"]
     )
+    ARTIFACT.parent.mkdir(exist_ok=True)
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
     return report
 

@@ -2,24 +2,28 @@
 # Quick performance gates for the model-finding engine.
 #
 # Gate 2 (PR 2): campaign-vs-fresh-engine ablation over a
-# shared-signature batch; emits BENCH_campaign.json and fails if
+# shared-signature batch; emits bench-artifacts/BENCH_campaign.json
+# and fails if
 #   * statuses disagree,
 #   * campaign mode shows no cross-problem reuse, or
 #   * campaign mode is more than 10% slower than fresh engines.
 #
 # Gate 6 (PR 8): engine snapshot/restore + warm cache; emits
-# BENCH_snapshot.json and fails if
+# bench-artifacts/BENCH_snapshot.json and fails if
 #   * a restored engine's verdicts diverge from cold runs,
 #   * a warm-cache second campaign diverges from the cold first run, or
 #   * the warm run is not at least 10% faster than the cold run.
 #
 # Gate 7 (PR 9): observability overhead + fidelity; emits
-# BENCH_obs.json and fails if
+# bench-artifacts/BENCH_obs.json and fails if
 #   * verdicts change with tracing/metrics enabled,
 #   * the produced trace is malformed (duplicate span ids, dangling
 #     parents, missing hierarchy levels, broken Chrome export), or
 #   * the obs-off path is more than 5% slower than baseline (the
 #     instrumentation guards must be free when disabled).
+#
+# The artifacts directory is gitignored, so a run leaves the tracked
+# tree as it was.
 #
 # Usage: benchmarks/smoke.sh   (from anywhere; CI runs it as-is)
 set -euo pipefail
@@ -34,7 +38,7 @@ python - <<'EOF'
 import json
 import sys
 
-with open("BENCH_campaign.json") as handle:
+with open("bench-artifacts/BENCH_campaign.json") as handle:
     report = json.load(handle)
 totals = report["totals"]
 
@@ -61,7 +65,7 @@ python - <<'EOF'
 import json
 import sys
 
-with open("BENCH_snapshot.json") as handle:
+with open("bench-artifacts/BENCH_snapshot.json") as handle:
     report = json.load(handle)
 
 rt, wc = report["roundtrip"], report["warmcache"]
@@ -87,7 +91,7 @@ python - <<'EOF'
 import json
 import sys
 
-with open("BENCH_obs.json") as handle:
+with open("bench-artifacts/BENCH_obs.json") as handle:
     report = json.load(handle)
 totals = report["totals"]
 

@@ -12,7 +12,7 @@ removal) local rewrites of clause parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.logic.adt import ADTSystem
@@ -20,11 +20,10 @@ from repro.logic.formulas import (
     Formula,
     PredAtom,
     TRUE,
-    conj,
     formula_vars,
     substitute_formula,
 )
-from repro.logic.sorts import PredSymbol, Sort
+from repro.logic.sorts import PredSymbol
 from repro.logic.terms import Substitution, Term, Var, substitute, variables
 
 
@@ -133,9 +132,6 @@ class Clause:
             None if self.head is None else self.head.substituted(subst),
             self.name,
         )
-
-    def with_constraint(self, constraint: Formula) -> "Clause":
-        return replace(self, constraint=constraint)
 
     def renamed(self, suffix: str) -> "Clause":
         """A variant with every variable renamed by appending ``suffix``."""

@@ -66,8 +66,11 @@ the run falls back to a cold start:
     python -m repro.cli campaign --warm-cache .engines *.smt2  # cold
     python -m repro.cli campaign --warm-cache .engines *.smt2  # warm
 
-A resumed journal may point at a different (or no) warm cache: the
-journal's configuration fingerprint deliberately excludes it.
+A journal whose header records another solver configuration (its
+fingerprint, e.g. from a build whose ``RInGenConfig`` differs) is
+refused with exit code 2 before any problem runs, whether the campaign
+resumes it or only appends to it.  A resumed journal may point at a
+different (or no) warm cache: the fingerprint deliberately excludes it.
 
 Observability (``solve`` and ``campaign``): ``--trace FILE`` records a
 hierarchical span trace (JSONL; convert with ``python -m

@@ -15,7 +15,7 @@ automata (Theorem 1).  This class keeps both views and provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.automata.dfta import DFTA
@@ -29,7 +29,7 @@ from repro.automata.ops import (
 )
 from repro.chc.clauses import CHCSystem, Clause
 from repro.chc.semantics import ClauseViolation, check_model_bounded
-from repro.chc.transform import diseq_symbol, is_diseq_symbol
+from repro.chc.transform import is_diseq_symbol
 from repro.logic.adt import ADTSystem
 from repro.logic.formulas import TRUE
 from repro.logic.sorts import PredSymbol
@@ -78,27 +78,22 @@ class RegularModel:
         return self.member(pred, terms)
 
     # ------------------------------------------------------------------
-    def verify_exact(
-        self, preprocessed: CHCSystem, *, use_automata: bool = True
-    ) -> bool:
+    def verify_exact(self, preprocessed: CHCSystem) -> bool:
         """Decidable inductiveness check on the constraint-free system.
 
-        Evaluated over the constructor-reachable substructure of the
-        finite model: quantification over reachable elements is exactly
+        Clauses whose atoms all range over one shared tuple of distinct
+        variables are decided on the automata view:
+        ``P1(x̄) ∧ ... ∧ Pn(x̄) → Q(x̄)`` holds in the Herbrand
+        interpretation iff ``⋂ L(A_Pi) ⊆ L(A_Q)`` (Theorem 1), checked
+        with the sparse product and the shared memoized emptiness cache.
+
+        The clauses the automata view cannot decide fall back to the
+        finite model, evaluated over its constructor-reachable
+        substructure: quantification over reachable elements is exactly
         Herbrand quantification, so this check is sound and complete for
         Herbrand satisfaction of the induced relations — including the
         quantifier-alternating clauses of the STLC case study.
-
-        With ``use_automata`` (the default), clauses whose atoms all
-        range over one shared tuple of distinct variables are decided on
-        the automata view instead: ``P1(x̄) ∧ ... ∧ Pn(x̄) → Q(x̄)`` holds
-        in the Herbrand interpretation iff ``⋂ L(A_Pi) ⊆ L(A_Q)``
-        (Theorem 1), checked with the sparse product and the shared
-        memoized emptiness cache.  The remaining clauses fall back to
-        the finite-model evaluation.
         """
-        if not use_automata:
-            return self.finite_model.satisfies(preprocessed, herbrand=True)
         residual: list[Clause] = []
         for cl in preprocessed.clauses:
             verdict = self._clause_via_automata(cl)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.chc.clauses import CHCSystem
-from repro.chc.transform import is_diseq_symbol, preprocess
+from repro.chc.transform import preprocess
 from repro.core.cex import search_counterexample
 from repro.core.regular_model import RegularModel
 from repro.core.result import SolveResult, Status, sat, unknown, unsat
@@ -44,17 +44,12 @@ class RInGenConfig:
     ``max_learned_clauses`` and ``symmetry_breaking`` — are documented
     on :class:`~repro.mace.finder.FinderOptions`; :meth:`finder_options`
     converts them once per solve.
-    ``automata_verification`` lets the exact Herbrand check decide
-    variable-only clauses on the automata view (sparse products plus the
-    memoized emptiness cache) instead of enumerating the finite model.
 
     Campaign knobs: ``engine_pool`` plugs a shared
     :class:`~repro.mace.pool.EnginePool` into the model-finding phase,
     so consecutive ``solve`` calls on signature-compatible systems reuse
-    one incremental engine (batch mode for the harness).
-    ``release_engines`` retires each problem's activation selector from
-    the pool once its solve finishes — the default hygiene for long
-    campaigns; switch it off to inspect contexts afterwards.
+    one incremental engine (batch mode for the harness); each solve
+    releases its problem from the pool when it finishes.
     ``engine_cache_dir`` points at a disk-backed warm cache of
     serialized engines (see
     :class:`~repro.mace.pool.EnginePool`): without an injected pool, a
@@ -73,9 +68,7 @@ class RInGenConfig:
     verify: bool = True
     timeout: Optional[float] = None
     max_learned_clauses: Optional[int] = 20_000
-    automata_verification: bool = True
     engine_pool: Optional[EnginePool] = None
-    release_engines: bool = True
     engine_cache_dir: Optional[str] = None
 
     def finder_options(self) -> FinderOptions:
@@ -173,7 +166,7 @@ class RInGen:
                 system, prepared, finder, predicates, deadline, start
             )
         finally:
-            if pool is not None and cfg.release_engines:
+            if pool is not None:
                 pool.release(finder)
             if ephemeral is not None:
                 ephemeral.flush_cache()
@@ -255,9 +248,7 @@ class RInGen:
             model = RegularModel.from_finite_model(
                 prepared.adts, finder_result.model, predicates
             )
-            if cfg.verify and not model.verify_exact(
-                prepared, use_automata=cfg.automata_verification
-            ):
+            if cfg.verify and not model.verify_exact(prepared):
                 min_size = finder_result.model.size() + 1
                 if min_size > cfg.max_model_size:
                     result = unknown(

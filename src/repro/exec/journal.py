@@ -31,7 +31,8 @@ JOURNAL_VERSION = 1
 
 
 class JournalError(ValueError):
-    """Raised when a journal cannot be used for resume."""
+    """Raised when a journal cannot be used: a record without a task
+    id, or a campaign configured unlike the journal it opens."""
 
 
 #: RInGenConfig fields the fingerprint ignores: the warm cache and the
@@ -167,15 +168,17 @@ def check_meta(
     solvers: list[str],
     fingerprint: Optional[str] = None,
 ) -> None:
-    """Validate a resumed journal against the current configuration.
+    """Validate a journal's meta against the current configuration.
 
-    Mixing *timeouts* or *solver sets* across the splice only skews
-    comparability, so those mismatches warn and proceed — the journaled
-    verdicts are real verdicts.  Mixing *solver configurations*
-    (``config_fingerprint``) changes what the verdicts mean, so when
-    the journal recorded a fingerprint and it disagrees, resume is
-    refused with a :class:`JournalError` naming both sides.  Journals
-    written before the fingerprint existed lack it and resume.
+    Every campaign that opens a non-empty journal calls this, whether
+    it resumes the journal or only appends to it.  Mixing *timeouts* or
+    *solver sets* across the splice only skews comparability, so those
+    mismatches warn and proceed — the journaled verdicts are real
+    verdicts.  Mixing *solver configurations* (``config_fingerprint``)
+    changes what the verdicts mean, so when the journal recorded a
+    fingerprint and it disagrees, the campaign is refused with a
+    :class:`JournalError` naming both sides before any task runs.
+    Journals written before the fingerprint existed lack it and pass.
     """
     if not meta:
         return
@@ -188,13 +191,13 @@ def check_meta(
         raise JournalError(
             f"journal was recorded under solver configuration "
             f"{j_fingerprint} but this campaign is configured as "
-            f"{fingerprint}; resuming would mix incomparable verdicts "
+            f"{fingerprint}; continuing it would mix incomparable verdicts "
             f"— use a fresh journal or the recorded configuration"
         )
     j_timeout = meta.get("timeout")
     if j_timeout is not None and abs(j_timeout - timeout) > 1e-9:
         logger.warning(
-            "resuming journal recorded with timeout %.3fs into a "
+            "continuing journal recorded with timeout %.3fs in a "
             "campaign with timeout %.3fs",
             j_timeout,
             timeout,
@@ -202,7 +205,7 @@ def check_meta(
     j_solvers = meta.get("solvers")
     if j_solvers is not None and list(j_solvers) != list(solvers):
         logger.warning(
-            "resuming journal recorded with solvers %s into a campaign "
+            "continuing journal recorded with solvers %s in a campaign "
             "with solvers %s",
             j_solvers,
             solvers,

@@ -248,6 +248,10 @@ def execute_tasks(
     verdicts replayed from the journal on resume.  On SIGINT/SIGTERM
     the partial records collected so far are returned with
     ``stats.interrupted`` set — the journal already holds all of them.
+    A non-empty journal's header must match this campaign's solver
+    configuration (:func:`~repro.exec.journal.check_meta`), on resume
+    and append alike, or :class:`~repro.exec.journal.JournalError` is
+    raised before any task runs.
 
     It assembles the campaign for every front-end.  In-process, with
     ``policy.share_engines`` or a caller's ``engine_pool``, all tasks
@@ -284,14 +288,16 @@ def execute_tasks(
             "solvers": sorted({t.solver for t in tasks}),
             "config_fingerprint": config_fingerprint(policy.solver_opts),
         }
+        # appending and resuming alike: verdicts must never land under
+        # (or be replayed from) a header of another configuration
+        old_meta, entries = load_journal(journal_path)
+        check_meta(
+            old_meta,
+            timeout=meta["timeout"] or 0.0,
+            solvers=meta["solvers"],
+            fingerprint=meta["config_fingerprint"],
+        )
         if resume:
-            old_meta, entries = load_journal(journal_path)
-            check_meta(
-                old_meta,
-                timeout=meta["timeout"] or 0.0,
-                solvers=meta["solvers"],
-                fingerprint=meta["config_fingerprint"],
-            )
             for task in tasks:
                 entry = entries.get(task.task_id)
                 if entry is None:

@@ -7,8 +7,7 @@ user regenerates to compare their run against EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.result import Status
 from repro.harness.runner import Campaign, SOLVER_ORDER
@@ -126,7 +125,6 @@ def campaign_report(
             f.get("learned_glue", 0) for _, f in finder_rows
         )
         attempts = sum(f["attempts"] for _, f in finder_rows)
-        resets = sum(f["solver_resets"] for _, f in finder_rows)
         refuted = sum(
             f.get("vectors_refuted", 0) for _, f in finder_rows
         )
@@ -157,7 +155,6 @@ def campaign_report(
                     ["learned clauses derived", learned_total],
                     ["glue clauses (LBD <= 2) derived", learned_glue],
                     ["learned clauses kept at end", learned_kept],
-                    ["engine resets", resets],
                 ],
             )
         )

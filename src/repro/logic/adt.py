@@ -10,8 +10,7 @@ evaluates ground facts (testers/selectors), and computes the size image
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from repro.logic.sorts import FuncSymbol, Signature, Sort, SignatureError
@@ -41,11 +40,6 @@ class ADT:
         names = [c.name for c in self.constructors]
         if len(set(names)) != len(names):
             raise ADTError(f"ADT {self.sort} has duplicate constructor names")
-
-    @property
-    def base_constructors(self) -> tuple[FuncSymbol, ...]:
-        """Constructors with no argument of any ADT sort (recursion bases)."""
-        return tuple(c for c in self.constructors if not c.arg_sorts)
 
     def constructor(self, name: str) -> FuncSymbol:
         for c in self.constructors:

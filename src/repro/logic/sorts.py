@@ -157,10 +157,6 @@ class Signature:
         except KeyError:
             raise SignatureError(f"unknown predicate symbol {name!r}") from None
 
-    def functions_of_sort(self, sort: Sort) -> list[FuncSymbol]:
-        """All function symbols whose result sort is ``sort``."""
-        return [f for f in self.functions.values() if f.result_sort == sort]
-
     def merge(self, other: "Signature") -> "Signature":
         """A new signature containing the symbols of both operands."""
         merged = Signature()

@@ -8,9 +8,8 @@ representation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from repro.logic.sorts import FuncSymbol, Sort
 
@@ -238,35 +237,6 @@ def matches(pattern: Term, ground: Term) -> Optional[dict[Var, Term]]:
             return None
         work.extend(zip(pat.args, g.args))
     return subst
-
-
-def rename_apart(
-    terms: list[Term], taken: set[str], suffix: str = "_r"
-) -> tuple[list[Term], dict[Var, Var]]:
-    """Rename the variables of ``terms`` away from the names in ``taken``."""
-    renaming: dict[Var, Var] = {}
-    fresh = fresh_name_generator(taken, suffix)
-    for term in terms:
-        for v in variables(term):
-            if v.name in taken and v not in renaming:
-                renaming[v] = Var(next(fresh), v.sort)
-    return [substitute(t, renaming) for t in terms], renaming
-
-
-def fresh_name_generator(taken: set[str], prefix: str = "v") -> Iterator[str]:
-    """Yields names not present in ``taken`` (and marks produced ones taken)."""
-    for i in itertools.count():
-        candidate = f"{prefix}{i}"
-        if candidate not in taken:
-            taken.add(candidate)
-            yield candidate
-
-
-def map_leaves(term: Term, fn: Callable[[Var], Term]) -> Term:
-    """Rebuild ``term`` with every variable leaf replaced by ``fn(leaf)``."""
-    if isinstance(term, Var):
-        return fn(term)
-    return App(term.func, tuple(map_leaves(a, fn) for a in term.args))
 
 
 def count_symbol(term: Term, name: str) -> int:

@@ -64,11 +64,24 @@ block rows' clauses, while learned clauses, VSIDS activity and saved
 phases carry across the entire sweep (solved with
 ``solver.solve(assumptions=...)``).
 
-The engine *resets* (discarding the solver and re-encoding from scratch)
-in exactly one situation: as a safety valve when the shared clause
-database derives a level-0 contradiction, which would otherwise bleed an
-UNSAT verdict into every later size vector.  Each reset shows up in
-:class:`FinderStats.solver_resets`.
+The engine never resets: it builds one solver and keeps it for life (a
+snapshot restore replaces it once), because its clause database is
+satisfiable by construction.  The *canonical assignment* — every
+existence selector ``ex[s, v]`` true, every other variable (cells,
+relations, clause-group selectors, Tseitin literals) false — satisfies
+every clause the engine emits: the chain clauses and the ``ex[s, 0]``
+units hold by the ``ex`` literals; functionality, value-existence and
+symmetry clauses each carry a negated cell; a totality row carries its
+frontier ``ex[s, K]``; every ground group instance carries ``-sel``, as
+does the unit retiring a group; a universal-block premise carries its
+negated relation atom, and ``ex[s, u] \\/ t_inst`` and every block row
+carry an ``ex`` literal.  Learned clauses and level-0 facts follow from
+the database, so they hold there too.  Hence the database never derives
+a level-0 contradiction, and every refutation rests on a non-empty set
+of the vector's assumptions.  Both are checked where they would surface
+— :meth:`_IncrementalEngine._add` and
+:meth:`_IncrementalEngine._record_core` raise :class:`FinderError` —
+so a broken encoder fails loudly instead of turning into a verdict.
 
 Campaign mode (sharing one engine across problems)
 --------------------------------------------------
@@ -170,7 +183,7 @@ from typing import Iterator, Optional, Sequence
 from repro.chc.clauses import BodyAtom, CHCSystem, Clause
 from repro.logic.formulas import TRUE
 from repro.logic.sorts import FuncSymbol, PredSymbol, Sort
-from repro.logic.terms import App, Term, Var
+from repro.logic.terms import Term, Var
 from repro.mace.model import FiniteModel, validate_model
 from repro.obs import runtime as obs_runtime
 from repro.sat.cnf import SelectorPool
@@ -192,7 +205,7 @@ class EngineSnapshotError(FinderError):
 #: schema version of :meth:`_IncrementalEngine.snapshot`; bumped
 #: whenever the serialized layout changes incompatibly.  ``restore``
 #: rejects any other version instead of guessing.
-ENGINE_SNAPSHOT_VERSION = 3
+ENGINE_SNAPSHOT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -385,7 +398,8 @@ class FinderStats:
     and ``learned_kept`` the learned clauses still alive (carried across
     attempts) when it ended; ``learned_glue`` is the subset of
     ``learned_total`` with LBD ≤ 2 (kept unconditionally by the LBD
-    retention policy).
+    retention policy).  The engine keeps one solver for life, so each
+    of these is a plain difference of that solver's ``SatStats``.
 
     The sweep-verdict counters partition the candidate vectors:
     ``vectors_refuted`` were proven unsat by the solver,
@@ -407,7 +421,6 @@ class FinderStats:
     learned_total: int = 0
     learned_kept: int = 0
     learned_glue: int = 0
-    solver_resets: int = 0
     # unsat-core–guided sweep accounting (see the module docstring)
     vectors_refuted: int = 0
     vectors_exhausted: int = 0
@@ -451,7 +464,6 @@ class FinderStats:
         self.learned_total += part.learned_total
         self.learned_kept = max(self.learned_kept, part.learned_kept)
         self.learned_glue += part.learned_glue
-        self.solver_resets += part.solver_resets
         self.vectors_refuted += part.vectors_refuted
         self.vectors_exhausted += part.vectors_exhausted
         self.vectors_skipped += part.vectors_skipped
@@ -733,23 +745,25 @@ class _ProblemContext:
         self.joined_at_clauses = joined_at
         self.hopeless = False
         self.released = False
-        # resolved lazily (and re-resolved after an engine reset)
+        # resolved lazily, on the context's first ensure
         self.groups: Optional[list[_ClauseGroup]] = None
         # unsat cores of refuted size vectors as (lower, upper) bound
         # maps over sorts; like ``hopeless`` these are semantic facts
         # about the problem (the clause database only grows and the
-        # existence chains are permanent), so they survive engine resets
-        # and later searches on the same context
+        # existence chains are permanent), so they hold for every later
+        # search on the same context
         self.refuted_cores: list[tuple[dict[Sort, int], dict[Sort, int]]] = []
 
 
 class _IncrementalEngine:
     """One persistent CDCL encoding spanning size sweeps and problems.
 
-    See the module docstring for the selector-literal scheme and the
-    campaign extension.  The engine owns the solver, the cell/relation
-    variable maps and the signature-level growth bookkeeping; each
-    registered :class:`_ProblemContext` carries the per-problem state.
+    See the module docstring for the selector-literal scheme, the
+    campaign extension and why the clause database stays satisfiable.
+    The engine owns its one solver, built here and kept for life (only
+    :meth:`restore` replaces it, once), the cell/relation variable maps
+    and the signature-level growth bookkeeping; each registered
+    :class:`_ProblemContext` carries the per-problem state.
     :class:`ModelFinder` drives one context at a time through
     :meth:`try_vector`.  Of its :class:`FinderOptions` the engine keeps
     only the :meth:`~FinderOptions.engine_key` part; the search knobs
@@ -798,12 +812,8 @@ class _IncrementalEngine:
         self.fingerprint = engine_fingerprint(
             self.sorts, self.functions, self.predicates
         )
-        self._folded_added = 0
-        self._folded_learned = 0
-        self._folded_glue = 0
         self._tick_count = 0
         self._deadline: Optional[float] = None
-        self._contexts: list[_ProblemContext] = []
         self._ctx_counter = itertools.count()
         self.problems_registered = 0
         self.groups_shared = 0  # group lookups served by an existing group
@@ -812,8 +822,7 @@ class _IncrementalEngine:
         # refutation cores and hopeless verdicts are facts about the
         # problem, not the encoding, so a re-registered problem — a
         # recycled engine, one restored from the warm cache — inherits
-        # its sweep bounds instead of re-deriving them.  FIFO-bounded;
-        # survives ``reset`` for the same reason ``refuted_cores`` does.
+        # its sweep bounds instead of re-deriving them.  FIFO-bounded.
         self._problem_facts: dict[
             frozenset,
             tuple[
@@ -828,10 +837,6 @@ class _IncrementalEngine:
             ]
             for s in self.sorts
         }
-        self._fresh()
-
-    # -- lifecycle ---------------------------------------------------------
-    def _fresh(self) -> None:
         self.solver = CDCLSolver()
         self.selectors = SelectorPool(self.solver)
         self.cur: dict[Sort, int] = {s: 0 for s in self.sorts}
@@ -854,19 +859,8 @@ class _IncrementalEngine:
         self._sb_done: dict[Sort, int] = {s: 0 for s in self.sorts}
         self._groups: dict[tuple, _ClauseGroup] = {}
         self._group_serial = itertools.count()
-        self._ok = True
-        for ctx in self._contexts:
-            self._reset_context(ctx)
 
-    def _reset_context(self, ctx: _ProblemContext) -> None:
-        """Drop a context's solver-scoped state (after an engine reset).
-
-        ``hopeless`` survives: it records a semantic fact about the
-        problem (the database entailed its unsatisfiability at every
-        size), not an artifact of the discarded encoding.
-        """
-        ctx.groups = None
-
+    # -- lifecycle ---------------------------------------------------------
     #: how many distinct problems' cores/hopeless verdicts the engine
     #: remembers across release/re-register cycles (FIFO eviction)
     PROBLEM_FACTS_MAX = 256
@@ -886,9 +880,10 @@ class _IncrementalEngine:
     ) -> _ProblemContext:
         """Attach one problem's flattened clauses to this engine."""
         ctx = _ProblemContext(
-            flat_clauses, next(self._ctx_counter), self.total_added
+            flat_clauses,
+            next(self._ctx_counter),
+            self.solver.stats.clauses_added,
         )
-        self._reset_context(ctx)
         facts = self._problem_facts.get(self._facts_key(flat_clauses))
         if facts is not None:
             # this exact problem (up to variable renaming) was hosted
@@ -899,7 +894,6 @@ class _IncrementalEngine:
                 (dict(lower), dict(upper)) for lower, upper in cores
             ]
             ctx.hopeless = hopeless
-        self._contexts.append(ctx)
         self.problems_registered += 1
         return ctx
 
@@ -953,8 +947,6 @@ class _IncrementalEngine:
                 self._problem_facts.pop(
                     next(iter(self._problem_facts))
                 )
-        if ctx in self._contexts:
-            self._contexts.remove(ctx)
         if ctx.groups is not None:
             for group in ctx.groups:
                 group.refs -= 1
@@ -980,26 +972,6 @@ class _IncrementalEngine:
             # physically dropping them keeps the watch lists (and hence
             # every later problem's propagation) lean
             self.solver.simplify()
-
-    def reset(self, stats: FinderStats) -> None:
-        """Discard the shared solver state and start over."""
-        stats.solver_resets += 1
-        self._folded_added += self.solver.stats.clauses_added
-        self._folded_learned += self.solver.stats.learned
-        self._folded_glue += self.solver.stats.glue_learned
-        self._fresh()
-
-    @property
-    def total_added(self) -> int:
-        return self._folded_added + self.solver.stats.clauses_added
-
-    @property
-    def total_learned(self) -> int:
-        return self._folded_learned + self.solver.stats.learned
-
-    @property
-    def total_glue(self) -> int:
-        return self._folded_glue + self.solver.stats.glue_learned
 
     # -- snapshot / restore ------------------------------------------------
     def header(self) -> dict:
@@ -1083,12 +1055,6 @@ class _IncrementalEngine:
             + 1,
             "problems_registered": self.problems_registered,
             "groups_shared": self.groups_shared,
-            "folded": [
-                self._folded_added,
-                self._folded_learned,
-                self._folded_glue,
-            ],
-            "ok": self._ok,
             "problem_facts": [
                 [
                     key,
@@ -1181,12 +1147,6 @@ class _IncrementalEngine:
         self._group_serial = itertools.count(int(snap["next_serial"]))
         self.problems_registered = int(snap["problems_registered"])
         self.groups_shared = int(snap["groups_shared"])
-        (
-            self._folded_added,
-            self._folded_learned,
-            self._folded_glue,
-        ) = (int(x) for x in snap["folded"])
-        self._ok = bool(snap["ok"])
         self._problem_facts = {
             key: (
                 [
@@ -1200,7 +1160,13 @@ class _IncrementalEngine:
 
     # -- small helpers -----------------------------------------------------
     def _add(self, literals: list[int]) -> None:
-        self._ok &= self.solver.add_clause(literals)
+        if not self.solver.add_clause(literals):
+            # impossible by the canonical-assignment argument of the
+            # module docstring: only a broken encoder gets here
+            raise FinderError(
+                "the engine's clause database derived a level-0 "
+                "contradiction"
+            )
 
     def _tick(self) -> bool:
         """Deadline poll for the encoding loops; False = give up."""
@@ -1241,14 +1207,6 @@ class _IncrementalEngine:
             table[key] = var
         return var
 
-    def _pvar(self, p: PredSymbol, args: tuple[int, ...]) -> int:
-        table = self.pred_vars[p]
-        var = table.get(args)
-        if var is None:
-            var = self.solver.new_var()
-            table[args] = var
-        return var
-
     # -- growth ------------------------------------------------------------
     def ensure(
         self, ctx: _ProblemContext, sizes: dict[Sort, int]
@@ -1261,8 +1219,9 @@ class _IncrementalEngine:
         its universal blocks inside the vector, grounds only the part of
         the vector's own box its staircase does not cover yet — a group
         shared with other problems may cover it already, in which case
-        its ground instances are simply reused.  Returns ``None`` when
-        the deadline expired mid-encoding (the encoding stays consistent
+        its ground instances are simply reused.  Returns ``True`` once
+        the encoding is exact at ``sizes``, ``None`` when the deadline
+        expired mid-encoding (the encoding stays consistent
         — already-emitted clauses are valid — but the staircases are not
         advanced).
         """
@@ -1304,7 +1263,7 @@ class _IncrementalEngine:
                         return None
             if self._encode_group(group, sizes) is None:
                 return None
-        return self._ok
+        return True
 
     def _encode_cells(self, new: dict[Sort, int]) -> Optional[bool]:
         for func in self.functions:
@@ -1358,7 +1317,7 @@ class _IncrementalEngine:
                         return None
                     emit_rows(args, old_cod)
             self._func_done[func] = (arg_sizes, new_cod)
-        return self._ok
+        return True
 
     def _encode_symmetry(self, new: dict[Sort, int]) -> None:
         """Least-number constraints on base constructors per sort.
@@ -1387,7 +1346,7 @@ class _IncrementalEngine:
         var_sizes = tuple(sizes[v.sort] for v in flat.vars)
         stairs = group.stairs
         if _inside(var_sizes, stairs):
-            return self._ok
+            return True
         sel = self._sel(group)
         # precomputed layout: every table key is read out of the combo
         # tuple by a positional picker, so the grounding loop builds no
@@ -1469,7 +1428,7 @@ class _IncrementalEngine:
                 literals.append(var)
             self._add(literals)
         group.stairs = _add_stair(stairs, var_sizes)
-        return self._ok
+        return True
 
     # -- universal blocks --------------------------------------------------
     def _grow_block(
@@ -1636,9 +1595,6 @@ class _IncrementalEngine:
             outcome = self._try_vector(ctx, sizes, stats, options, deadline)
             return outcome
         finally:
-            # a reset inside the attempt swaps the solver out; the new
-            # instance starts with timing off and an empty table, so the
-            # read below degrades to {} rather than misattributing
             for name, (secs, calls) in self.solver.phase_times().items():
                 if tracer is not None:
                     tracer.aggregate(name, secs, calls)
@@ -1671,28 +1627,10 @@ class _IncrementalEngine:
         # same counter family as clauses_encoded (accepted add_clause
         # calls incl. units), so the reuse ratio compares like with like
         pre_added = self.solver.stats.clauses_added
-        grown = self.ensure(ctx, sizes)
-        if grown is None:
+        if self.ensure(ctx, sizes) is None:
             stats.vectors_exhausted += 1
             stats.deadline_hit = True
             return _VectorOutcome()  # deadline hit mid-encoding
-        if not self._ok:
-            # Level-0 contradiction in the shared database: it can no
-            # longer discriminate between size vectors, so rebuild for
-            # just this one (the documented reset safety valve).
-            self.reset(stats)
-            pre_added = 0
-            if self.ensure(ctx, sizes) is None:
-                stats.vectors_exhausted += 1
-                stats.deadline_hit = True
-                return _VectorOutcome()
-            if not self._ok:
-                # A fresh encoding is contradictory without assumptions.
-                # Every clause is valid at every size, so the conflict is
-                # size-independent: no vector can ever succeed.
-                ctx.hopeless = True
-                stats.vectors_refuted += 1
-                return _VectorOutcome(refuted=True)
         stats.clauses_reused += pre_added
         limit = options.max_learned_clauses
         if limit is not None and self.solver.learned_count() > limit:
@@ -1758,10 +1696,13 @@ class _IncrementalEngine:
         """Translate the refutation's unsat core into reusable bounds."""
         core = self.solver.core()
         if not core:
-            # an empty core means the shared database alone is unsat —
-            # that is the reset safety valve's business, not evidence
-            # about this particular problem
-            return
+            # the database alone would be unsat, which the
+            # canonical-assignment argument of the module docstring
+            # rules out: only a broken encoder gets here
+            raise FinderError(
+                "refutation with an empty unsat core: the engine's "
+                "clause database is unsatisfiable"
+            )
         lower: dict[Sort, int] = {}
         upper: dict[Sort, int] = {}
         for lit in core:
@@ -1906,31 +1847,25 @@ class _SweepState:
     ) -> tuple[_VectorOutcome, FinderStats, Optional[dict]]:
         """Solve one vector: its outcome, its own statistics and, with
         metrics on, its ``SatStats`` deltas."""
-        engine, options = self.engine, self.options
         part = FinderStats(attempts=1)
-        base_added = engine.total_added
-        base_learned = engine.total_learned
-        base_glue = engine.total_glue
+        counters = self.engine.solver.stats
+        base_added = counters.clauses_added
+        base_learned = counters.learned
+        base_glue = counters.glue_learned
         sat_before = (
-            dataclasses.asdict(engine.solver.stats)
-            if self.sat is not None
-            else None
+            dataclasses.asdict(counters) if self.sat is not None else None
         )
-        outcome = engine.try_vector(
-            self.ctx, sizes, part, options, deadline=self.deadline
+        outcome = self.engine.try_vector(
+            self.ctx, sizes, part, self.options, deadline=self.deadline
         )
-        part.clauses_encoded = engine.total_added - base_added
-        part.learned_total = engine.total_learned - base_learned
-        part.learned_glue = engine.total_glue - base_glue
+        part.clauses_encoded = counters.clauses_added - base_added
+        part.learned_total = counters.learned - base_learned
+        part.learned_glue = counters.glue_learned - base_glue
         sat = None
         if sat_before is not None:
-            # deltas, clamped: an engine reset mid-vector swaps in a
-            # fresh counter object and must not go negative
             sat = {
-                key: max(value - sat_before.get(key, 0), 0)
-                for key, value in dataclasses.asdict(
-                    engine.solver.stats
-                ).items()
+                key: value - sat_before[key]
+                for key, value in dataclasses.asdict(counters).items()
             }
         return outcome, part, sat
 
@@ -1983,15 +1918,12 @@ class _SweepState:
         return FinderResult(model, stats, complete=complete)
 
 
-_UNSET = object()
-
-
 class ModelFinder:
     """Iterative-deepening finite model search for one CHC system.
 
     ``options`` (a :class:`FinderOptions`) is the whole configuration;
-    ``deadline`` and ``min_total_size`` belong to the search, not the
-    finder, and :meth:`search` may replace them per call.
+    the deadline and the minimum total size belong to each
+    :meth:`search` call, not to the finder.
 
     The finder keeps its own :class:`_IncrementalEngine` alive across
     every :meth:`search` call, so repeated searches (e.g. resuming at a
@@ -2012,14 +1944,10 @@ class ModelFinder:
         system: CHCSystem,
         options: FinderOptions = FinderOptions(),
         *,
-        deadline: Optional[float] = None,
-        min_total_size: int = 0,
         engine: Optional[_IncrementalEngine] = None,
     ):
         self.system = system
         self.options = options
-        self.deadline = deadline
-        self.min_total_size = min_total_size
         counter = itertools.count()
         self.flat_clauses = [
             flatten_clause(cl, counter) for cl in system.clauses
@@ -2041,15 +1969,16 @@ class ModelFinder:
     def search(
         self,
         *,
-        min_total_size: Optional[int] = None,
-        deadline: object = _UNSET,
+        min_total_size: int = 0,
+        deadline: Optional[float] = None,
     ) -> FinderResult:
         """Try size vectors in order of total size until a model appears.
 
-        ``min_total_size`` applies to this call only.  Passing
-        ``deadline`` *replaces* the finder's deadline from here on
-        (callers resuming a sweep supply a fresh budget each call while
-        the engine keeps its state); omit it to keep the current one.
+        Both arguments apply to this call only: the sweep starts at
+        total size ``min_total_size`` and stops at the ``deadline``
+        (``time.monotonic()`` seconds; ``None``: no wall-clock limit).
+        Callers resuming a sweep supply a fresh budget each call while
+        the engine keeps its state.
 
         The returned :class:`FinderResult` carries ``complete=True``
         only when the verdict is definitive: a model was found, or
@@ -2059,11 +1988,6 @@ class ModelFinder:
         wall-clock budget leaves the sweep incomplete.
         """
         options = self.options
-        if deadline is not _UNSET:
-            self.deadline = deadline  # type: ignore[assignment]
-        min_total = (
-            self.min_total_size if min_total_size is None else min_total_size
-        )
         if self._engine is None:
             self._engine = _IncrementalEngine(
                 self.sorts, self.functions, self.predicates, options
@@ -2078,7 +2002,7 @@ class ModelFinder:
             ),
         )
         state = _SweepState(
-            self._engine, ctx, options, min_total, stats, self.deadline
+            self._engine, ctx, options, min_total_size, stats, deadline
         )
         # live-progress registration is one weakref assignment each,
         # cheap enough to do even with all collectors off
@@ -2109,10 +2033,5 @@ def find_model(
     fields.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
-    finder = ModelFinder(
-        system,
-        FinderOptions(**overrides),
-        deadline=deadline,
-        min_total_size=min_total_size,
-    )
-    return finder.search()
+    finder = ModelFinder(system, FinderOptions(**overrides))
+    return finder.search(min_total_size=min_total_size, deadline=deadline)

@@ -321,29 +321,21 @@ class EnginePool:
         return self._slot_for(system, options).engine
 
     def finder(
-        self,
-        system: CHCSystem,
-        options: FinderOptions = FinderOptions(),
-        *,
-        deadline: Optional[float] = None,
-        min_total_size: int = 0,
+        self, system: CHCSystem, options: FinderOptions = FinderOptions()
     ) -> ModelFinder:
-        """A ModelFinder for ``system`` riding the pooled engine."""
+        """A ModelFinder for ``system`` riding the pooled engine; the
+        deadline and minimum size go to each of its ``search`` calls."""
         slot = self._slot_for(system, options)
         engine = slot.engine
         hit = engine.problems_registered > 0
-        finder = ModelFinder(
-            system,
-            options,
-            deadline=deadline,
-            min_total_size=min_total_size,
-            engine=engine,
-        )
+        finder = ModelFinder(system, options, engine=engine)
         self.stats.problems += 1
         slot.problems_hosted += 1
         if hit:
             self.stats.engine_hits += 1
-            self.stats.cross_problem_clauses += engine.total_added
+            self.stats.cross_problem_clauses += (
+                engine.solver.stats.clauses_added
+            )
         return finder
 
     def release(self, finder: ModelFinder) -> None:

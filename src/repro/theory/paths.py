@@ -19,12 +19,11 @@ selector first and ``apply`` walks them right to left.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from repro.logic.adt import ADTSystem
-from repro.logic.sorts import FuncSymbol, Sort
+from repro.logic.sorts import Sort
 from repro.logic.terms import App, Term
 
 
@@ -68,10 +67,6 @@ class Path:
     def compose(self, inner: "Path") -> "Path":
         """``self`` applied after ``inner``: ``(self . inner)(t)``."""
         return Path(self.steps + inner.steps)
-
-    def extend_inner(self, step: Step) -> "Path":
-        """Append a step applied *first* (innermost position)."""
-        return Path(self.steps + (step,))
 
     def extend_outer(self, step: Step) -> "Path":
         """Prepend a step applied *last* (outermost position)."""

@@ -25,7 +25,6 @@ Appendix A in bounded form.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -43,14 +42,9 @@ from repro.theory.paths import (
     EMPTY_PATH,
     Path,
     PathError,
-    apply_path,
     leaves,
     replace_many,
 )
-
-
-class PumpingError(ValueError):
-    """Raised when the pumping construction does not apply."""
 
 
 # ----------------------------------------------------------------------

@@ -649,6 +649,34 @@ class TestJournalConfigGuard:
                 ),
             )
 
+    def test_mismatched_config_refused_on_append(self, tmp_path):
+        # no resume: appending under another configuration's header
+        # would later let a resume replay verdicts it never produced
+        journal = tmp_path / "append.jsonl"
+        run_campaign(
+            [tiny_suite()], solvers=["ringen"], timeout=5.0,
+            journal_path=str(journal),
+            policy=ExecPolicy(
+                solver_opts={"symmetry_breaking": True}
+            ),
+        )
+        lines = journal.read_text().splitlines()
+        with pytest.raises(JournalError, match="configuration"):
+            run_campaign(
+                [tiny_suite()], solvers=["ringen"], timeout=5.0,
+                journal_path=str(journal),
+                policy=ExecPolicy(
+                    solver_opts={"symmetry_breaking": False}
+                ),
+            )
+        assert journal.read_text().splitlines() == lines
+        # the same configuration still appends, as --journal documents
+        run_campaign(
+            [tiny_suite()], solvers=["ringen"], timeout=5.0,
+            journal_path=str(journal), policy=ExecPolicy(),
+        )
+        assert len(journal.read_text().splitlines()) == 2 * len(lines) - 1
+
     def test_cache_dir_never_affects_the_fingerprint(self, tmp_path):
         journal = str(tmp_path / "cache.jsonl")
         run_campaign(

@@ -14,6 +14,7 @@ from repro.automata.from_model import (
     herbrand_relation_member,
     model_to_automaton,
 )
+from repro.benchgen.builders import nat_mod_system
 from repro.chc.clauses import BodyAtom, CHCSystem, Clause
 from repro.chc.transform import preprocess
 from repro.logic.adt import NAT, S, Z, nat, nat_system, nat_value
@@ -245,7 +246,7 @@ def reference_sweep(system, max_total_size):
         ctx = engine.register(finder.flat_clauses)
         outcome = engine.try_vector(ctx, sizes, FinderStats(), options)
         attempts += 1
-        encoded += engine.total_added
+        encoded += engine.solver.stats.clauses_added
         if outcome.model is not None:
             return Reference(
                 True, outcome.model.size(), True, attempts, encoded
@@ -296,7 +297,6 @@ class TestIncrementalEngine:
         # the whole point: carried clauses, strictly less re-encoding
         assert inc.stats.clauses_reused > 0
         assert inc.stats.clauses_encoded < ref.clauses_encoded
-        assert inc.stats.solver_resets == 0
 
     def test_search_resume_keeps_engine_state(self):
         # resuming at a larger minimum size (the Herbrand-retry path)
@@ -311,6 +311,36 @@ class TestIncrementalEngine:
         assert resumed.model.size() > first.model.size()
         assert resumed.stats.clauses_reused > 0
         assert resumed.model.satisfies(_PREPARED["incdec"])
+
+    def test_inconsistent_database_raises(self):
+        # the engine has no reset: a database the solver reports
+        # inconsistent is a broken encoder, never a verdict
+        from repro.mace.finder import FinderError
+
+        finder = ModelFinder(_PREPARED["even"])
+        engine = _IncrementalEngine(
+            finder.sorts, finder.functions, finder.predicates
+        )
+        ctx = engine.register(finder.flat_clauses)
+        engine.solver.add_clause = lambda literals: False
+        with pytest.raises(FinderError, match="level-0 contradiction"):
+            engine.try_vector(
+                ctx, {finder.sorts[0]: 1}, FinderStats(), FinderOptions()
+            )
+
+    def test_empty_unsat_core_raises(self):
+        from repro.mace.finder import FinderError
+
+        finder = ModelFinder(preprocess(odd_unsat_system()))
+        engine = _IncrementalEngine(
+            finder.sorts, finder.functions, finder.predicates
+        )
+        ctx = engine.register(finder.flat_clauses)
+        engine.solver.core = lambda: []
+        with pytest.raises(FinderError, match="empty unsat core"):
+            engine.try_vector(
+                ctx, {finder.sorts[0]: 1}, FinderStats(), FinderOptions()
+            )
 
     def test_finder_stats_as_dict_roundtrip(self):
         result = find_model(_PREPARED["even"])
@@ -449,7 +479,6 @@ SWEEP_WORK = (
     "clauses_encoded",
     "clauses_reused",
     "learned_total",
-    "solver_resets",
     "cross_problem_clauses",
 )
 
@@ -458,33 +487,33 @@ SWEEP_WORK = (
 #: The cases crossing a finder's lifetime (pooled, resumed) also pin
 #: the final clause-stream digest.
 PINNED_SWEEPS = {
-    "even": [(True, True, 2, 2, 1, 0, 0, 1, 29, 7, 0, 0, 0)],
-    "incdec": [(True, True, 3, 3, 2, 0, 0, 2, 224, 68, 1, 0, 0)],
+    "even": [(True, True, 2, 2, 1, 0, 0, 1, 29, 7, 0, 0)],
+    "incdec": [(True, True, 3, 3, 2, 0, 0, 2, 224, 68, 1, 0)],
     "peirce": [
-        (False, True, None, 10, 10, 5, 0, 10, 2691, 13519, 205, 0, 0)
+        (False, True, None, 10, 10, 5, 0, 10, 2691, 13519, 205, 0)
     ],
     "peirce-inst": [
-        (False, True, None, 10, 10, 5, 0, 10, 3241, 16237, 311, 0, 0)
+        (False, True, None, 10, 10, 5, 0, 10, 3241, 16237, 311, 0)
     ],
     "peirce-swap": [
-        (False, True, None, 10, 10, 5, 0, 10, 2691, 13519, 258, 0, 0)
+        (False, True, None, 10, 10, 5, 0, 10, 2691, 13519, 258, 0)
     ],
     "tip-mirror-g6": [
-        (False, True, None, 2, 2, 0, 0, 2, 65783, 11, 2, 0, 0)
+        (False, True, None, 2, 2, 0, 0, 2, 65783, 11, 2, 0)
     ],
-    "tip-rev-g6": [(False, True, None, 1, 1, 0, 0, 1, 18, 0, 0, 0, 0)],
+    "tip-rev-g6": [(False, True, None, 1, 1, 0, 0, 1, 18, 0, 0, 0)],
     "pooled-stlc": [
-        (False, True, None, 10, 10, 5, 0, 10, 2691, 13519, 205, 0, 0),
-        (False, True, None, 10, 10, 5, 0, 10, 335, 28568, 231, 0, 2691),
-        (False, True, None, 0, 0, 15, 0, 0, 0, 0, 0, 0, 3026),
+        (False, True, None, 10, 10, 5, 0, 10, 2691, 13519, 205, 0),
+        (False, True, None, 10, 10, 5, 0, 10, 335, 28568, 231, 2691),
+        (False, True, None, 0, 0, 15, 0, 0, 0, 0, 0, 3026),
     ],
     "resumed-incdec": [
-        (True, True, 3, 3, 2, 0, 0, 2, 224, 68, 1, 0, 0),
-        (True, True, 4, 1, 0, 0, 0, 0, 403, 224, 0, 0, 0),
+        (True, True, 3, 3, 2, 0, 0, 2, 224, 68, 1, 0),
+        (True, True, 4, 1, 0, 0, 0, 0, 403, 224, 0, 0),
     ],
     "resumed-hopeless": [
-        (False, True, None, 1, 1, 0, 0, 1, 5, 0, 0, 0, 0),
-        (False, True, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (False, True, None, 1, 1, 0, 0, 1, 5, 0, 0, 0),
+        (False, True, None, 0, 0, 0, 0, 0, 0, 0, 0, 0),
     ],
 }
 SWEEP_DIGESTS = {
@@ -523,6 +552,87 @@ def test_sweep_is_pinned(name):
         for r in results
     ]
     assert rows == PINNED_SWEEPS[name]
+
+
+def _canonical_violations(engine):
+    """What the canonical assignment falsifies on ``engine``'s solver.
+
+    The assignment makes every existence selector true and every other
+    variable false.  The ``repro.mace.finder`` module docstring argues
+    it satisfies every clause the engine emits, hence every learned
+    clause and level-0 fact too — which is why the engine needs no
+    reset.  Returns the falsified clauses (original and learned) and
+    level-0 literals; the argument says the list is empty.
+    """
+    ex = {lit for row in engine._ex_rows.values() for lit in row}
+
+    def holds(lit):
+        return (abs(lit) in ex) == (lit > 0)
+
+    solver = engine.solver
+    level0 = (
+        solver._trail_lim[0] if solver._trail_lim else len(solver._trail)
+    )
+    clauses = solver.clauses + solver.learned_clauses
+    return [c for c in clauses if not any(map(holds, c))] + [
+        lit for lit in solver._trail[:level0] if not holds(lit)
+    ]
+
+
+#: a pooled sequence: the first two problems' base, step and query
+#: clauses recur nowhere later, so the ten that follow age them past
+#: GC_WINDOW and their groups are retired; the last two are unsat
+_RETIREMENT_SEQUENCE = (
+    (4, 3, 5), (4, 3, 2), (2, 0, 1), (2, 1, 1), (3, 0, 1), (3, 1, 1),
+    (2, 0, 3), (2, 1, 3), (3, 0, 4), (3, 1, 4), (3, 0, 3), (2, 0, 4),
+)
+
+
+def _pooled_with_retirement():
+    """The pooled engine after ``_RETIREMENT_SEQUENCE``, each problem
+    released after its search, and the group selectors it retired."""
+    pool = EnginePool()
+    options = FinderOptions(max_total_size=4)
+    selectors = set()
+    for m, r, c in _RETIREMENT_SEQUENCE:
+        finder = pool.finder(preprocess(nat_mod_system(m, r, c)), options)
+        finder.search()
+        engine = finder._engine
+        selectors.update(
+            g.sel for g in engine._groups.values() if g.sel is not None
+        )
+        pool.release(finder)
+    retired = [s for s in selectors if engine.solver.fixed(s) is False]
+    return engine, retired
+
+
+@pytest.mark.parametrize(
+    "case", sorted(PINNED_STREAMS) + ["pooled-retired", "restored"]
+)
+def test_canonical_assignment_satisfies_the_database(case):
+    """The invariant the engine's missing reset rests on: no clause
+    database it builds — fresh, pooled with group retirement, or
+    restored from a snapshot — can derive a level-0 contradiction."""
+    if case in PINNED_STREAMS:
+        factory, max_total, _ = PINNED_STREAMS[case]
+        finder = ModelFinder(
+            preprocess(factory()), FinderOptions(max_total_size=max_total)
+        )
+        finder.search()
+        assert not _canonical_violations(finder._engine)
+    else:
+        engine, retired = _pooled_with_retirement()
+        assert not _canonical_violations(engine)
+        # the sequence covers learned clauses and the retirement units
+        # -sel on the level-0 trail
+        assert retired and engine.solver.learned_clauses
+        if case == "restored":
+            options = FinderOptions(max_total_size=4)
+            restored = _IncrementalEngine.restore(engine.snapshot(), options)
+            assert not _canonical_violations(restored)
+            prepared = preprocess(nat_mod_system(3, 2, 3))
+            ModelFinder(prepared, options, engine=restored).search()
+            assert not _canonical_violations(restored)
 
 
 def _combos_reference(old, new):
@@ -611,7 +721,7 @@ def _engine_for(system, options=_EXACT):
 
 def _attempt(engine, ctx, sizes):
     """(answer, clauses added) of one vector, ``sizes`` in sort order."""
-    before = engine.total_added
+    before = engine.solver.stats.clauses_added
     outcome = engine.try_vector(
         ctx, dict(zip(engine.sorts, sizes)), FinderStats(), _EXACT
     )
@@ -619,7 +729,7 @@ def _attempt(engine, ctx, sizes):
         "sat" if outcome.model is not None
         else "unsat" if outcome.refuted else "unknown"
     )
-    return answer, engine.total_added - before
+    return answer, engine.solver.stats.clauses_added - before
 
 
 def _positiveeq_system(name):

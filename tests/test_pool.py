@@ -5,7 +5,6 @@ import pytest
 from repro import solve
 from repro.benchgen.builders import nat_mod_system, nat_two_residues_system
 from repro.chc.transform import preprocess
-from repro.core.ringen import RInGenConfig
 from repro.harness import batch_order, run_campaign
 from repro.benchgen.suite import Suite
 from repro.mace import EnginePool, find_model, signature_fingerprint
@@ -189,8 +188,6 @@ class TestEnginePool:
 class TestRInGenCampaign:
     def test_config_knobs(self):
         pool = EnginePool()
-        config = RInGenConfig(engine_pool=pool)
-        assert config.release_engines is True
         result = solve(
             nat_mod_system(2, 0, 1), timeout=10, engine_pool=pool
         )
@@ -364,7 +361,13 @@ class TestEngineSnapshot:
             # at version 2, before SatStats changed layout
             snap["solver"]["version"] = 2
 
-        for spoil in (bump_engine, solver_v2):
+        def engine_v3(snap):
+            # a warm cache written by a build whose engine snapshots
+            # were at version 3, which still carried the counters
+            # folded across engine resets and the engine's ok flag
+            snap.update(version=3, folded=[0, 0, 0], ok=True)
+
+        for spoil in (bump_engine, solver_v2, engine_v3):
             cache = tmp_path / spoil.__name__
             self._warm_pool(cache_dir=cache).flush_cache()
             for entry in cache.iterdir():
