@@ -15,11 +15,11 @@ sink value ``None`` (the paper's ⊥).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.logic.adt import ADTSystem
-from repro.logic.sorts import FuncSymbol, Sort
+from repro.logic.sorts import Sort
 from repro.logic.terms import App, Term
 
 

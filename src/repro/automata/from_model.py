@@ -11,7 +11,6 @@ invariant of Sec. 5) be checked as finite models.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping, Optional
 
 from repro.automata.dfta import DFTA, AutomatonError, State, make_dfta

@@ -22,8 +22,8 @@ be regular") can be executed rather than cited.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 from repro.automata.dfta import DFTA, AutomatonError, State, make_dfta
 from repro.logic.adt import ADTSystem

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from collections import Counter
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.automata.dfta import DFTA, AutomatonError, State, make_dfta
 from repro.logic.sorts import Sort

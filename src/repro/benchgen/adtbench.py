@@ -22,8 +22,6 @@ from functools import partial
 
 from repro.benchgen.builders import (
     add_conjecture_system,
-    broken_list_system,
-    broken_mod_system,
     diag_variant_system,
     diseq_guard_system,
     diseq_unsat_system,

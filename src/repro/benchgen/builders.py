@@ -24,8 +24,6 @@ pure in its parameters, so suites are reproducible without fixtures.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.chc.clauses import BodyAtom, CHCSystem, Clause
 from repro.logic.adt import (
     CONS,

@@ -16,7 +16,7 @@ truth statuses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from repro.chc.clauses import CHCSystem
 

@@ -34,14 +34,13 @@ from repro.benchgen.builders import (
     list_length_ordering_system,
     mirror_system,
     nat_mod_system,
-    nat_two_residues_system,
     offset_pair_system,
     ordering_system,
     revacc_system,
     tree_branch_parity_system,
     tree_left_spine_zigzag_system,
 )
-from repro.benchgen.suite import Problem, Suite
+from repro.benchgen.suite import Suite
 
 REG = "Reg"
 ELEM = "Elem"

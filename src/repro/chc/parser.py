@@ -19,16 +19,15 @@ The printer below emits the same fragment, so parse/print round-trips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
-from repro.chc.clauses import BodyAtom, CHCError, CHCSystem, Clause
+from repro.chc.clauses import BodyAtom, CHCSystem, Clause
 from repro.chc.transform import selector_func
 from repro.logic.adt import ADT, ADTSystem
 from repro.logic.formulas import (
     Eq,
     Formula,
     Not,
-    PredAtom,
     TRUE,
     Tester,
     conj,

@@ -7,8 +7,6 @@ a parse/print round-trip that the test suite checks.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.chc.clauses import BodyAtom, CHCSystem, Clause
 from repro.chc.transform import parse_selector
 from repro.logic.adt import ADTSystem
@@ -22,8 +20,7 @@ from repro.logic.formulas import (
     TRUE,
     Tester,
 )
-from repro.logic.sorts import Sort
-from repro.logic.terms import App, Term, Var
+from repro.logic.terms import Term, Var
 
 
 def print_term(term: Term, adts: ADTSystem) -> str:

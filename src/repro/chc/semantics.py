@@ -15,10 +15,10 @@ CHC satisfiability is defined over expansions of the Herbrand structure
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
-from repro.chc.clauses import BodyAtom, CHCError, CHCSystem, Clause
+from repro.chc.clauses import BodyAtom, CHCSystem, Clause
 from repro.logic.adt import ADTSystem
 from repro.logic.formulas import (
     And,
@@ -26,7 +26,6 @@ from repro.logic.formulas import (
     Formula,
     Not,
     Or,
-    PredAtom,
     Tester,
     TRUE,
 )

@@ -27,7 +27,6 @@ from repro.chc.clauses import BodyAtom, CHCError, CHCSystem, Clause
 from repro.logic.adt import ADTSystem
 from repro.logic.formulas import (
     Eq,
-    FALSE,
     Formula,
     Not,
     PredAtom,
@@ -37,7 +36,6 @@ from repro.logic.formulas import (
     disj,
     dnf,
     literal_parts,
-    substitute_formula,
 )
 from repro.logic.sorts import FuncSymbol, PredSymbol, Sort
 from repro.logic.terms import (

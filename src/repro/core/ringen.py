@@ -11,8 +11,9 @@ The end-to-end pipeline of Figure 1:
    engine when a pool or warm cache is configured; a finite model yields
    a regular Herbrand model of the original system (Theorems 1 and 5),
 4. verify the model exactly against the preprocessed clauses (decidable;
-   a model that fails resumes the sweep at the next total size) and,
-   optionally, bounded-check it against the original system.
+   a model that fails resumes the sweep at the next total size) and
+   bounded-check it against the original system up to height
+   :data:`VERIFY_HEIGHT`.
 
 Answers: SAT with a :class:`~repro.core.regular_model.RegularModel`,
 UNSAT with a derivation, or UNKNOWN on resource exhaustion — the three
@@ -34,16 +35,25 @@ from repro.mace.finder import FinderOptions, FinderStats, ModelFinder
 from repro.mace.pool import EnginePool
 from repro.obs import runtime as obs_runtime
 
+#: the bounded counterexample search starts at this height and stops
+#: at ``RInGenConfig.cex_max_height`` or after this many facts
+CEX_START_HEIGHT = 2
+CEX_MAX_FACTS = 60_000
+#: height of the bounded Herbrand check of a found model against the
+#: original system
+VERIFY_HEIGHT = 3
+
 
 @dataclass
 class RInGenConfig:
     """Tuning knobs of the pipeline (all have benchmark-friendly defaults).
 
     The model-finder fields — ``max_model_size`` (the finder's
-    ``max_total_size``), ``max_conflicts_per_size``,
-    ``max_learned_clauses`` and ``symmetry_breaking`` — are documented
-    on :class:`~repro.mace.finder.FinderOptions`; :meth:`finder_options`
-    converts them once per solve.
+    ``max_total_size``), ``max_conflicts_per_size`` and
+    ``symmetry_breaking`` — are documented on
+    :class:`~repro.mace.finder.FinderOptions`; :meth:`finder_options`
+    converts them once per solve.  ``cex_max_height`` caps the bounded
+    counterexample search.
 
     Campaign knobs: ``engine_pool`` plugs a shared
     :class:`~repro.mace.pool.EnginePool` into the model-finding phase,
@@ -59,15 +69,10 @@ class RInGenConfig:
     """
 
     max_model_size: int = 12
-    cex_start_height: int = 2
     cex_max_height: int = 4
-    cex_max_facts: int = 60_000
     max_conflicts_per_size: Optional[int] = 200_000
     symmetry_breaking: bool = True
-    verify_height: int = 3
-    verify: bool = True
     timeout: Optional[float] = None
-    max_learned_clauses: Optional[int] = 20_000
     engine_pool: Optional[EnginePool] = None
     engine_cache_dir: Optional[str] = None
 
@@ -76,7 +81,6 @@ class RInGenConfig:
         return FinderOptions(
             max_total_size=self.max_model_size,
             max_conflicts_per_size=self.max_conflicts_per_size,
-            max_learned_clauses=self.max_learned_clauses,
             symmetry_breaking=self.symmetry_breaking,
         )
 
@@ -124,9 +128,9 @@ class RInGen:
                 cex_budget = max(cfg.timeout * 0.3, 0.05)
             cex = search_counterexample(
                 prepared,
-                start_height=cfg.cex_start_height,
+                start_height=CEX_START_HEIGHT,
                 max_height=cfg.cex_max_height,
-                max_facts=cfg.cex_max_facts,
+                max_facts=CEX_MAX_FACTS,
                 timeout=cex_budget,
             )
             if cex.found:
@@ -248,7 +252,7 @@ class RInGen:
             model = RegularModel.from_finite_model(
                 prepared.adts, finder_result.model, predicates
             )
-            if cfg.verify and not model.verify_exact(prepared):
+            if not model.verify_exact(prepared):
                 min_size = finder_result.model.size() + 1
                 if min_size > cfg.max_model_size:
                     result = unknown(
@@ -262,18 +266,15 @@ class RInGen:
                     return result
                 continue
             break
-        if cfg.verify:
-            violation = model.verify_bounded(
-                system, max_height=cfg.verify_height
+        violation = model.verify_bounded(system, max_height=VERIFY_HEIGHT)
+        if violation is not None:
+            result = unknown(
+                self.name,
+                f"internal error: bounded Herbrand check failed: "
+                f"{violation}",
             )
-            if violation is not None:
-                result = unknown(
-                    self.name,
-                    f"internal error: bounded Herbrand check failed: "
-                    f"{violation}",
-                )
-                result.elapsed = time.monotonic() - start
-                return result
+            result.elapsed = time.monotonic() - start
+            return result
         result = sat(self.name, model)
         result.elapsed = time.monotonic() - start
         result.details["model_size"] = model.size()

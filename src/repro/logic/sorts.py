@@ -11,7 +11,7 @@ structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -174,16 +174,3 @@ class Signature:
         sig.functions = dict(self.functions)
         sig.predicates = dict(self.predicates)
         return sig
-
-
-def make_signature(
-    functions: Iterable[FuncSymbol] = (),
-    predicates: Iterable[PredSymbol] = (),
-) -> Signature:
-    """Build a :class:`Signature` from iterables of symbols."""
-    sig = Signature()
-    for f in functions:
-        sig.add_function(f)
-    for p in predicates:
-        sig.add_predicate(p)
-    return sig

@@ -207,6 +207,10 @@ class EngineSnapshotError(FinderError):
 #: rejects any other version instead of guessing.
 ENGINE_SNAPSHOT_VERSION = 4
 
+#: the learned-clause database an engine carries across vectors is
+#: halved whenever it grows beyond this many clauses
+MAX_LEARNED_CLAUSES = 20_000
+
 
 @dataclass(frozen=True)
 class FinderOptions:
@@ -214,16 +218,14 @@ class FinderOptions:
 
     ``max_total_size`` bounds the sweep (total domain size over all
     sorts); ``max_conflicts_per_size`` is the per-vector conflict budget
-    (``None``: unbounded) and ``max_learned_clauses`` bounds the
-    learned-clause database the engine carries across vectors.
-    ``symmetry_breaking`` adds the least-constant cuts.  The search
-    policy itself is fixed: one incremental engine per sweep, pruned by
-    the unsat core of every refuted vector.
+    (``None``: unbounded); ``symmetry_breaking`` adds the least-constant
+    cuts.  The search policy itself is fixed: one incremental engine per
+    sweep, pruned by the unsat core of every refuted vector, its learned
+    clauses capped at :data:`MAX_LEARNED_CLAUSES`.
     """
 
     max_total_size: int = 12
     max_conflicts_per_size: Optional[int] = 200_000
-    max_learned_clauses: Optional[int] = 20_000
     symmetry_breaking: bool = True
 
     def engine_key(self) -> tuple:
@@ -1632,9 +1634,8 @@ class _IncrementalEngine:
             stats.deadline_hit = True
             return _VectorOutcome()  # deadline hit mid-encoding
         stats.clauses_reused += pre_added
-        limit = options.max_learned_clauses
-        if limit is not None and self.solver.learned_count() > limit:
-            self.solver.reduce_learned(limit // 2)
+        if self.solver.learned_count() > MAX_LEARNED_CLAUSES:
+            self.solver.reduce_learned(MAX_LEARNED_CLAUSES // 2)
         # a problem is activated as the set of its groups' selectors;
         # each assumption's *meaning* is remembered so an unsat core can
         # be read back as size bounds

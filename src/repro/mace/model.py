@@ -12,13 +12,13 @@ is decidable"), and is the object converted into a tree automaton by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from repro.chc.clauses import BodyAtom, CHCSystem, Clause
 from repro.logic.formulas import TRUE
 from repro.logic.sorts import FuncSymbol, PredSymbol, Sort
-from repro.logic.terms import App, Term, Var, substitute
+from repro.logic.terms import Term, Var
 
 
 class ModelError(ValueError):

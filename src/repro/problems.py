@@ -21,18 +21,16 @@ from __future__ import annotations
 
 from repro.chc.clauses import BodyAtom, CHCSystem, Clause
 from repro.logic.adt import (
-    ADTSystem,
     LEAF,
     NAT,
     NODE,
     S,
     TREE,
     Z,
-    nat,
     nat_system,
     tree_system,
 )
-from repro.logic.formulas import Eq, Not, TRUE, conj, diseq
+from repro.logic.formulas import Eq, TRUE, conj, diseq
 from repro.logic.sorts import PredSymbol
 from repro.logic.terms import App, Term, Var
 

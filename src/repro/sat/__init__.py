@@ -17,7 +17,6 @@ from repro.sat.solver import (
     CDCLSolver,
     SatError,
     SatStats,
-    brute_force_sat,
     solve_cnf,
 )
 

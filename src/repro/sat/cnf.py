@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.sat.solver import CDCLSolver, SatError
 

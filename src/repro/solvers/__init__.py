@@ -9,27 +9,30 @@ plus :data:`SOLVERS`, the one table of solver names (read by the
 harness, the CLI and the execution layer): each name's factory and
 Table 1 representation class, with Table 1's aliases ``spacer`` (Elem)
 and ``eldarica`` (SizeElem).  RInGen itself lives in :mod:`repro.core`.
+
+The four baselines share one skeleton, :mod:`repro.solvers.synth`: the
+refute-first counterexample search, and (Elem, SizeElem) one ICE
+search.  Each keeps the caps of the tool it stands for as module
+constants and takes only a ``timeout``.
 """
 
 from typing import Callable, NamedTuple
 
 from repro.core.ringen import RInGen, RInGenConfig
 from repro.solvers.elem import (
-    ElemConfig,
     ElemFormula,
     ElemInvariant,
     ElemSolver,
     solve_elem,
 )
-from repro.solvers.induct import InductConfig, InductSolver, solve_induct
+from repro.solvers.induct import InductSolver, solve_induct
 from repro.solvers.sizeelem import (
-    SizeElemConfig,
     SizeElemInvariant,
     SizeElemSolver,
     SizeTemplate,
     solve_sizeelem,
 )
-from repro.solvers.verimap import VeriMapConfig, VeriMapSolver, solve_verimap
+from repro.solvers.verimap import VeriMapSolver, solve_verimap
 
 
 class SolverSpec(NamedTuple):
@@ -40,11 +43,9 @@ class SolverSpec(NamedTuple):
     representation: str
 
 
-def _baseline(solver: type, config: type, representation: str):
+def _baseline(solver: type, representation: str):
     # the baselines take no RInGen options
-    return SolverSpec(
-        lambda timeout, **_: solver(config(timeout=timeout)), representation
-    )
+    return SolverSpec(lambda timeout, **_: solver(timeout), representation)
 
 
 SOLVERS: dict[str, SolverSpec] = {
@@ -52,12 +53,12 @@ SOLVERS: dict[str, SolverSpec] = {
         lambda timeout, **opts: RInGen(RInGenConfig(timeout=timeout, **opts)),
         "Reg",
     ),
-    "elem": _baseline(ElemSolver, ElemConfig, "Elem"),
-    "spacer": _baseline(ElemSolver, ElemConfig, "Elem"),
-    "sizeelem": _baseline(SizeElemSolver, SizeElemConfig, "SizeElem"),
-    "eldarica": _baseline(SizeElemSolver, SizeElemConfig, "SizeElem"),
-    "cvc4-ind": _baseline(InductSolver, InductConfig, "-"),
-    "verimap-iddt": _baseline(VeriMapSolver, VeriMapConfig, "-"),
+    "elem": _baseline(ElemSolver, "Elem"),
+    "spacer": _baseline(ElemSolver, "Elem"),
+    "sizeelem": _baseline(SizeElemSolver, "SizeElem"),
+    "eldarica": _baseline(SizeElemSolver, "SizeElem"),
+    "cvc4-ind": _baseline(InductSolver, "-"),
+    "verimap-iddt": _baseline(VeriMapSolver, "-"),
 }
 
 
@@ -72,19 +73,15 @@ def make_solver(name: str, timeout: float, **ringen_opts):
 
 
 __all__ = [
-    "ElemConfig",
     "ElemFormula",
     "ElemInvariant",
     "ElemSolver",
-    "InductConfig",
     "InductSolver",
     "SOLVERS",
-    "SizeElemConfig",
     "SizeElemInvariant",
     "SizeElemSolver",
     "SizeTemplate",
     "SolverSpec",
-    "VeriMapConfig",
     "VeriMapSolver",
     "make_solver",
     "solve_elem",

@@ -6,49 +6,41 @@ formulas over the ADT signature, in the normal form of Definition 6 (atoms
 are testers ``c?(s(x))``, path equalities ``s(x) = s'(y)`` and ground
 equalities ``s(x) = g``, with guarded selector semantics).
 
-The synthesis loop:
-
-1. derive positive examples (the bounded least fixpoint — any safe
-   inductive invariant must contain the least model),
-2. enumerate per-predicate candidates (cubes and small DNFs over the atom
-   space) consistent with the positives, simplest first,
-3. backtracking search over candidate combinations, accepting the first
-   assignment that passes the bounded inductiveness check (instantiations
-   precomputed once, so each combination costs only set lookups),
-4. if no combination works the solver reports UNKNOWN — by Prop. 1 it
-   *must* diverge on programs without Elem invariants (Even, EvenLeft),
-   exactly the behaviour Table 1 attributes to Spacer.
-
-UNSAT answers come from the shared bounded counterexample search.
+On the shared skeleton (:class:`~repro.solvers.synth.Baseline`) it
+refutes first at height 4 within 30% of the timeout, then
+:func:`synthesize` runs the ICE search with ground argument tuples as
+keys: clauses instantiated over capped term pools
+(:func:`ground_instances`), and cubes and small DNFs over the
+:func:`atom_space` as candidates (:func:`candidate_formulas`).  If no
+combination works the answer is UNKNOWN — by Prop. 1 it *must* diverge
+on programs without Elem invariants (Even, EvenLeft), exactly the
+behaviour Table 1 attributes to Spacer.  The caps are the constants
+below.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from repro.chc.clauses import CHCSystem, Clause
-from repro.chc.semantics import bounded_least_fixpoint, eval_constraint
-from repro.chc.transform import normalize, remove_selectors
-from repro.core.cex import search_counterexample
-from repro.core.result import SolveResult, sat, unknown, unsat
+from repro.chc.semantics import eval_constraint
+from repro.core.result import SolveResult, sat, unknown
 from repro.logic.adt import ADTSystem
-from repro.logic.formulas import TRUE
-from repro.logic.sorts import FuncSymbol, PredSymbol, Sort
-from repro.logic.terms import Term, Var, height, is_ground, substitute
-from repro.theory.paths import (
-    Path,
-    PathError,
-    all_paths,
-    apply_path,
+from repro.logic.formulas import TRUE, Eq, atoms as formula_atoms
+from repro.logic.formulas import substitute_formula
+from repro.logic.sorts import PredSymbol, Sort
+from repro.logic.terms import Term, is_ground, subterms, substitute
+from repro.solvers.synth import (
+    Baseline,
+    Instance,
+    expired,
+    ice_search,
+    positive_examples,
 )
-
-
 from repro.theory.normal_form import (
     Atom,
-    ELEM_FALSE,
     ELEM_TRUE,
     ElemFormula,
     GroundEqAtom,
@@ -56,6 +48,18 @@ from repro.theory.normal_form import (
     PathEqAtom,
     PathTesterAtom,
 )
+from repro.theory.paths import Path, all_paths
+
+#: the atom space: selector paths of depth ≤ 1, ground terms of height
+#: ≤ 2, the 48 simplest atoms
+MAX_PATH_DEPTH = 1
+MAX_GROUND_HEIGHT = 2
+MAX_ATOMS = 48
+#: candidates kept per predicate, combinations tried in all
+MAX_CANDIDATES = 400
+MAX_COMBINATIONS = 60_000
+#: ground terms per sort the clauses are instantiated over
+TERMS_PER_SORT = 10
 
 
 @dataclass
@@ -156,16 +160,8 @@ def candidate_formulas(
 
 
 # ----------------------------------------------------------------------
-# Precomputed bounded inductiveness checking
+# Clause instances over capped term pools
 # ----------------------------------------------------------------------
-@dataclass
-class GroundInstance:
-    """One instantiation of a clause: body tuples and head tuple."""
-
-    body: tuple[tuple[PredSymbol, tuple[Term, ...]], ...]
-    head: Optional[tuple[PredSymbol, tuple[Term, ...]]]
-
-
 def terms_capped(
     adts: ADTSystem, sort: Sort, cap: int, *, max_height: int = 12
 ) -> list[Term]:
@@ -185,10 +181,45 @@ def terms_capped(
     return out
 
 
+def _clause_constants(cl: Clause) -> dict[Sort, list[Term]]:
+    """Ground subterms mentioned by the clause itself.
+
+    These must be reachable by the instantiation pools no matter how
+    the height cap falls: a query whose constraint pins a variable to
+    a deep constant (e.g. ``x = S^10(Z)``) would otherwise produce no
+    instance at all and be *vacuously* satisfied — the soundness hole
+    behind a bogus SAT on deep broken benchmarks.
+    """
+    seed: dict[Sort, list[Term]] = {}
+    roots: list[Term] = []
+    for atom in formula_atoms(cl.constraint):
+        if isinstance(atom, Eq):
+            roots.extend((atom.lhs, atom.rhs))
+        elif hasattr(atom, "term"):
+            roots.append(atom.term)
+        elif hasattr(atom, "args"):
+            roots.extend(atom.args)
+    for a in cl.body:
+        roots.extend(a.args)
+    if cl.head is not None:
+        roots.extend(cl.head.args)
+    for root in roots:
+        for sub in subterms(root):
+            if is_ground(sub):
+                bucket = seed.setdefault(sub.sort, [])
+                if sub not in bucket:
+                    bucket.append(sub)
+    return seed
+
+
 def ground_instances(
-    system: CHCSystem, *, terms_per_sort: int
-) -> list[GroundInstance]:
-    """All capped instantiations of all clauses with true constraints.
+    system: CHCSystem,
+    *,
+    terms_per_sort: int,
+    deadline: Optional[float] = None,
+) -> Optional[list[Instance]]:
+    """All capped instantiations of all clauses with true constraints,
+    or ``None`` once ``deadline`` passes.
 
     Clauses with universal blocks are skipped (they cannot be checked
     conclusively at a bound); the Elem solver then simply never claims SAT
@@ -196,7 +227,7 @@ def ground_instances(
     on the STLC benchmarks (Sec. 8).
     """
     adts = system.adts
-    out: list[GroundInstance] = []
+    out: list[Instance] = []
     pool_cache: dict[Sort, list[Term]] = {}
 
     def pool(sort: Sort) -> list[Term]:
@@ -204,59 +235,24 @@ def ground_instances(
             pool_cache[sort] = terms_capped(adts, sort, terms_per_sort)
         return pool_cache[sort]
 
-    def clause_ground_subterms(cl: Clause) -> dict[Sort, list[Term]]:
-        """Ground subterms mentioned by the clause itself.
-
-        These must be reachable by the instantiation pools no matter how
-        the height cap falls: a query whose constraint pins a variable to
-        a deep constant (e.g. ``x = S^10(Z)``) would otherwise produce no
-        instance at all and be *vacuously* satisfied — the soundness hole
-        behind a bogus SAT on deep broken benchmarks.
-        """
-        from repro.logic.formulas import atoms as formula_atoms
-        from repro.logic.terms import subterms as term_subterms
-
-        seed: dict[Sort, list[Term]] = {}
-        roots: list[Term] = []
-        for atom in formula_atoms(cl.constraint):
-            if isinstance(atom, Eq_):
-                roots.extend((atom.lhs, atom.rhs))
-            elif hasattr(atom, "term"):
-                roots.append(atom.term)
-            elif hasattr(atom, "args"):
-                roots.extend(atom.args)
-        for a in cl.body:
-            roots.extend(a.args)
-        if cl.head is not None:
-            roots.extend(cl.head.args)
-        for root in roots:
-            for sub in term_subterms(root):
-                if is_ground(sub):
-                    bucket = seed.setdefault(sub.sort, [])
-                    if sub not in bucket:
-                        bucket.append(sub)
-        return seed
-
-    from repro.logic.formulas import Eq as Eq_
-
     for cl in system.clauses:
         if any(a.universal_vars for a in cl.body):
             continue
         free = sorted(cl.free_vars(), key=lambda v: v.name)
-        seeds = clause_ground_subterms(cl)
+        seeds = _clause_constants(cl)
         pools = [
             pool(v.sort)
             + [t for t in seeds.get(v.sort, ()) if t not in pool(v.sort)]
             for v in free
         ]
         for combo in itertools.product(*pools):
+            if expired(deadline):
+                return None
             env = dict(zip(free, combo))
-            if cl.constraint != TRUE:
-                from repro.logic.formulas import substitute_formula
-
-                grounded = substitute_formula(cl.constraint, env)
-                if not eval_constraint(grounded, adts):
-                    continue
+            if cl.constraint != TRUE and not eval_constraint(
+                substitute_formula(cl.constraint, env), adts
+            ):
+                continue
             body = tuple(
                 (a.pred, tuple(substitute(t, env) for t in a.args))
                 for a in cl.body
@@ -267,7 +263,7 @@ def ground_instances(
                     cl.head.pred,
                     tuple(substitute(t, env) for t in cl.head.args),
                 )
-            out.append(GroundInstance(body, head))
+            out.append(Instance(body, head))
     return out
 
 
@@ -277,213 +273,64 @@ def has_universal_blocks(system: CHCSystem) -> bool:
     )
 
 
-def implied_negatives(
-    instances: list[GroundInstance],
-    positives: dict[PredSymbol, set[tuple[Term, ...]]],
-) -> dict[PredSymbol, set[tuple[Term, ...]]]:
-    """ICE-style must-not-hold tuples.
-
-    From a query instance whose body tuples are all positive except one,
-    that one tuple cannot belong to *any* safe invariant (the positives are
-    in the least model, hence in every invariant).  Filtering candidates
-    against these negatives prunes unsound candidates long before the full
-    inductiveness check runs.
-    """
-    negatives: dict[PredSymbol, set[tuple[Term, ...]]] = {
-        p: set() for p in positives
-    }
-    for inst in instances:
-        if inst.head is not None:
-            continue
-        unknowns = [
-            (p, args)
-            for p, args in inst.body
-            if args not in positives.get(p, set())
-        ]
-        if len(unknowns) == 1:
-            p, args = unknowns[0]
-            negatives[p].add(args)
-    return negatives
-
-
-@dataclass
-class ElemConfig:
-    """Budgets of the enumeration search."""
-
-    max_path_depth: int = 1
-    max_ground_height: int = 2
-    max_atoms: int = 48
-    max_candidates_per_pred: int = 400
-    max_combinations: int = 60_000
-    terms_per_sort: int = 10
-    positives_height: int = 4
-    timeout: Optional[float] = None
+# ----------------------------------------------------------------------
+# The solver
+# ----------------------------------------------------------------------
+def synthesize(
+    system: CHCSystem, deadline: Optional[float]
+) -> Optional[ElemInvariant]:
+    """An Elem invariant of ``system`` found by the ICE search, or
+    ``None`` (no candidate combination within the caps and deadline)."""
+    adts = system.adts
+    if has_universal_blocks(system):
+        return None
+    preds = sorted(system.predicates.values(), key=lambda p: p.name)
+    if not preds:
+        return None
+    examples = positive_examples(system, preds, deadline)
+    instances = ground_instances(
+        system, terms_per_sort=TERMS_PER_SORT, deadline=deadline
+    )
+    if instances is None:
+        return None
+    formulas = ice_search(
+        preds,
+        examples,
+        instances,
+        lambda p: candidate_formulas(
+            atom_space(
+                p,
+                adts,
+                max_path_depth=MAX_PATH_DEPTH,
+                max_ground_height=MAX_GROUND_HEIGHT,
+                max_atoms=MAX_ATOMS,
+            )
+        ),
+        lambda formula, args: formula.eval(args, adts),
+        max_candidates=MAX_CANDIDATES,
+        max_combinations=MAX_COMBINATIONS,
+        deadline=deadline,
+    )
+    return None if formulas is None else ElemInvariant(formulas, adts)
 
 
-class ElemSolver:
+class ElemSolver(Baseline):
     """Enumerative synthesizer for the Elem representation class."""
 
     name = "elem"
+    cex_share = 0.3
 
-    def __init__(self, config: Optional[ElemConfig] = None):
-        self.config = config or ElemConfig()
-
-    # ------------------------------------------------------------------
-    def solve(self, system: CHCSystem) -> SolveResult:
-        start = time.monotonic()
-        cfg = self.config
-        deadline = None if cfg.timeout is None else start + cfg.timeout
-
-        cex_budget = None
-        if cfg.timeout is not None:
-            cex_budget = max(cfg.timeout * 0.3, 0.05)
-        cex = search_counterexample(
-            normalize(remove_selectors(system)),
-            max_height=4,
-            timeout=cex_budget,
-        )
-        if cex.found:
-            result = unsat(self.name, cex.refutation)
-            result.elapsed = time.monotonic() - start
-            return result
-
-        invariant = self._synthesize(system, deadline)
-        if invariant is None:
-            result = unknown(
-                self.name, "no elementary invariant within budget"
-            )
-        else:
-            result = sat(self.name, invariant)
-        result.elapsed = time.monotonic() - start
-        return result
-
-    # ------------------------------------------------------------------
-    def _synthesize(
+    def answer(
         self, system: CHCSystem, deadline: Optional[float]
-    ) -> Optional[ElemInvariant]:
-        cfg = self.config
-        adts = system.adts
-        if has_universal_blocks(system):
-            return None
-        preds = sorted(system.predicates.values(), key=lambda p: p.name)
-        if not preds:
-            return None
-
-        fixpoint = bounded_least_fixpoint(
-            system, max_height=cfg.positives_height, check_queries=False
-        )
-        positives = {
-            p: set(fixpoint.facts.get(p, set())) for p in preds
-        }
-
-        instances = ground_instances(
-            system, terms_per_sort=cfg.terms_per_sort
-        )
-        negatives = implied_negatives(instances, positives)
-
-        candidates: dict[PredSymbol, list[ElemFormula]] = {}
-        for p in preds:
-            atoms = atom_space(
-                p,
-                adts,
-                max_path_depth=cfg.max_path_depth,
-                max_ground_height=cfg.max_ground_height,
-                max_atoms=cfg.max_atoms,
-            )
-            kept: list[ElemFormula] = []
-            pos = sorted(positives[p], key=str)
-            neg = sorted(negatives[p], key=str)
-            for formula in candidate_formulas(atoms):
-                if deadline is not None and time.monotonic() > deadline:
-                    return None
-                if not all(formula.eval(args, adts) for args in pos):
-                    continue
-                if any(formula.eval(args, adts) for args in neg):
-                    continue
-                kept.append(formula)
-                if len(kept) >= cfg.max_candidates_per_pred:
-                    break
-            if not kept:
-                return None
-            candidates[p] = kept
-
-        # precompute candidate extensions over the tuples occurring in the
-        # instances so that combination checking is pure set lookups
-        needed: dict[PredSymbol, set[tuple[Term, ...]]] = {
-            p: set() for p in preds
-        }
-        for inst in instances:
-            for p, args in inst.body:
-                needed[p].add(args)
-            if inst.head is not None:
-                needed[inst.head[0]].add(inst.head[1])
-        extensions: dict[PredSymbol, list[frozenset]] = {}
-        for p in preds:
-            tuples = sorted(needed[p], key=str)
-            exts = []
-            for formula in candidates[p]:
-                exts.append(
-                    frozenset(
-                        args for args in tuples if formula.eval(args, adts)
-                    )
-                )
-            extensions[p] = exts
-
-        # backtracking over candidate indices, simplest-first
-        combos = 0
-        choice: dict[PredSymbol, int] = {}
-
-        def check_partial() -> bool:
-            assigned = set(choice)
-            for inst in instances:
-                involved = {p for p, _ in inst.body}
-                if inst.head is not None:
-                    involved.add(inst.head[0])
-                if not involved <= assigned:
-                    continue
-                body_ok = all(
-                    args in extensions[p][choice[p]] for p, args in inst.body
-                )
-                if not body_ok:
-                    continue
-                if inst.head is None:
-                    return False
-                hp, hargs = inst.head
-                if hargs not in extensions[hp][choice[hp]]:
-                    return False
-            return True
-
-        def backtrack(i: int) -> bool:
-            nonlocal combos
-            if deadline is not None and time.monotonic() > deadline:
-                return False
-            if i == len(preds):
-                return True
-            p = preds[i]
-            for idx in range(len(candidates[p])):
-                combos += 1
-                if combos > cfg.max_combinations:
-                    return False
-                choice[p] = idx
-                if check_partial() and backtrack(i + 1):
-                    return True
-                del choice[p]
-            return False
-
-        if not backtrack(0):
-            return None
-        return ElemInvariant(
-            {p: candidates[p][choice[p]] for p in preds}, adts
-        )
+    ) -> SolveResult:
+        invariant = synthesize(system, deadline)
+        if invariant is None:
+            return unknown(self.name, "no elementary invariant within budget")
+        return sat(self.name, invariant)
 
 
 def solve_elem(
-    system: CHCSystem, *, timeout: Optional[float] = None, **overrides
+    system: CHCSystem, *, timeout: Optional[float] = None
 ) -> SolveResult:
     """One-call API for the Elem baseline."""
-    config = ElemConfig(timeout=timeout)
-    for key, value in overrides.items():
-        if not hasattr(config, key):
-            raise TypeError(f"unknown Elem option {key!r}")
-        setattr(config, key, value)
-    return ElemSolver(config).solve(system)
+    return ElemSolver(timeout).solve(system)

@@ -3,77 +3,43 @@
 In Table 1 the CVC4 induction solver answers *no* SAT queries and a
 handful of UNSATs: its inductive-strengthening machinery refutes buggy
 systems but does not emit invariants for safe ones.  Our proxy mirrors
-that observable behaviour:
-
-* UNSAT via a slightly deeper bounded derivation search (quantifier
-  instantiation by exhaustive grounding is what CVC4's refutation side
-  amounts to on these benchmarks),
-* a structural-induction attempt for single-predicate goals which, like
-  the original on these benchmark families, succeeds only when the goal
-  needs no helper lemmas — otherwise UNKNOWN.
+that observable behaviour: UNSAT from the shared refute-first step
+(:meth:`~repro.solvers.synth.Baseline.refute_first`) with a deeper
+reach than the other baselines, height 5 and 150,000 facts within the
+whole timeout (quantifier instantiation by exhaustive grounding is what
+CVC4's refutation side amounts to on these benchmarks), and UNKNOWN
+otherwise.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.chc.clauses import CHCSystem
-from repro.chc.semantics import bounded_least_fixpoint
-from repro.chc.transform import normalize, remove_selectors
-from repro.core.cex import search_counterexample
-from repro.core.result import SolveResult, unknown, unsat
+from repro.core.result import SolveResult, unknown
+from repro.solvers.synth import Baseline
 
 
-@dataclass
-class InductConfig:
-    max_height: int = 5
-    max_facts: int = 150_000
-    timeout: Optional[float] = None
-
-
-class InductSolver:
-    """Bounded refutation with an (intentionally weak) induction attempt."""
+class InductSolver(Baseline):
+    """Bounded refutation; no invariant for safe systems."""
 
     name = "cvc4-ind"
+    cex_height = 5
+    cex_facts = 150_000
 
-    def __init__(self, config: Optional[InductConfig] = None):
-        self.config = config or InductConfig()
-
-    def solve(self, system: CHCSystem) -> SolveResult:
-        start = time.monotonic()
-        cfg = self.config
-        prepared = normalize(remove_selectors(system))
-        cex = search_counterexample(
-            prepared,
-            max_height=cfg.max_height,
-            max_facts=cfg.max_facts,
-            timeout=cfg.timeout,
-        )
-        if cex.found:
-            result = unsat(self.name, cex.refutation)
-            result.elapsed = time.monotonic() - start
-            return result
+    def answer(
+        self, system: CHCSystem, deadline: Optional[float]
+    ) -> SolveResult:
         # A safe system would need an invariant representation to report
         # SAT; the induction engine has none (it proves goals, it does not
-        # synthesize certificates), so safe problems end in UNKNOWN unless
-        # the bounded universe happens to saturate (a genuinely finite
-        # state space, which none of the paper's benchmarks have).
-        result = unknown(
-            self.name,
-            "induction found no proof and no counterexample",
+        # synthesize certificates), so safe problems end in UNKNOWN.
+        return unknown(
+            self.name, "induction found no proof and no counterexample"
         )
-        result.elapsed = time.monotonic() - start
-        return result
 
 
 def solve_induct(
-    system: CHCSystem, *, timeout: Optional[float] = None, **overrides
+    system: CHCSystem, *, timeout: Optional[float] = None
 ) -> SolveResult:
-    config = InductConfig(timeout=timeout)
-    for key, value in overrides.items():
-        if not hasattr(config, key):
-            raise TypeError(f"unknown Induct option {key!r}")
-        setattr(config, key, value)
-    return InductSolver(config).solve(system)
+    """One-call API for the CVC4-Ind baseline."""
+    return InductSolver(timeout).solve(system)

@@ -3,15 +3,19 @@
 The stand-in for Eldarica in Table 1.  Eldarica's representation class
 (Sec. 6.3) extends Elem with Presburger arithmetic over ``size_sigma``
 terms; Hojjat & Rümmer solve the resulting constraints by reduction to
-EUF + LIA.  We reproduce the same *class* with a two-phase synthesizer:
+EUF + LIA.  We reproduce the same *class* on the shared skeleton
+(:class:`~repro.solvers.synth.Baseline`): it refutes first at height 4
+within 25% of the timeout, then runs two phases:
 
 1. the Elem phase (SizeElem subsumes Elem — Figure 3 draws Elem strictly
-   inside SizeElem), with a reduced budget;
-2. the size phase: clauses are abstracted to linear-integer clauses by
-   mapping every term to its size expression (``size(c(t1..tn)) = 1 +
-   sum size(ti)``, disequality constraints dropped — a sound
-   over-approximation), and per-predicate size templates are enumerated:
-   orderings ``s_i < s_j``, offsets ``s_i = s_j + c``, congruences
+   inside SizeElem), :func:`repro.solvers.elem.synthesize` within 40% of
+   the time left;
+2. the size phase, :func:`size_phase`: clauses are abstracted to
+   linear-integer clauses by mapping every term to its size expression
+   (``size(c(t1..tn)) = 1 + sum size(ti)``, disequality constraints
+   dropped — a sound over-approximation), and the ICE search runs with
+   size vectors as keys over per-predicate size templates: orderings
+   ``s_i < s_j``, offsets ``s_i = s_j + c``, congruences
    ``s_i ≡ r (mod m)`` (how Eldarica expresses *Even*), congruences of
    sums, constant bounds, and conjunctions of two.
 
@@ -22,7 +26,7 @@ numbers, which matters for inductiveness checks.
 
 The solver succeeds on LtGt/Even/IncDec/Diag and must diverge on EvenLeft
 (Prop. 2): size constraints count all constructors at once and cannot see
-"the leftmost branch".
+"the leftmost branch".  The caps are the constants below.
 """
 
 from __future__ import annotations
@@ -32,23 +36,31 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.chc.clauses import CHCSystem, Clause
-from repro.chc.semantics import bounded_least_fixpoint
+from repro.chc.clauses import CHCSystem
 from repro.chc.transform import normalize, remove_selectors
-from repro.core.cex import search_counterexample
-from repro.core.result import SolveResult, sat, unknown, unsat
+from repro.core.result import SolveResult, sat, unknown
 from repro.logic.adt import ADTSystem
 from repro.logic.sorts import PredSymbol, Sort
-from repro.logic.terms import App, Term, Var
+from repro.logic.terms import Term, Var
 from repro.logic.terms import size as term_size
-from repro.solvers.elem import (
-    ElemConfig,
-    ElemInvariant,
-    ElemSolver,
-    ground_instances,
-    has_universal_blocks,
-    implied_negatives,
+from repro.solvers import elem
+from repro.solvers.synth import (
+    Baseline,
+    Instance,
+    expired,
+    ice_search,
+    positive_examples,
+    share,
 )
+
+#: share of the time left after refuting that the Elem phase may take
+ELEM_SHARE = 0.4
+#: templates kept per predicate, combinations tried in all
+MAX_TEMPLATES = 600
+MAX_COMBINATIONS = 80_000
+#: integer instances per abstract clause, and the largest size used
+BUDGET_PER_CLAUSE = 30_000
+MAX_SIZE = 16
 
 
 # ----------------------------------------------------------------------
@@ -231,8 +243,7 @@ def size_templates(
 class SizeElemInvariant:
     """SAT witness of the size phase: one template per predicate.
 
-    Membership of a ground tuple is decided by its size vector alone
-    (plus, optionally, an Elem part when the Elem phase contributed)."""
+    Membership of a ground tuple is decided by its size vector alone."""
 
     templates: dict[PredSymbol, SizeTemplate]
     adts: ADTSystem
@@ -273,7 +284,7 @@ def abstract_system(system: CHCSystem) -> Optional[list[AbstractClause]]:
     Returns ``None`` if the system has universal blocks.
     """
     normalized = normalize(remove_selectors(system))
-    if has_universal_blocks(normalized):
+    if elem.has_universal_blocks(normalized):
         return None
     out: list[AbstractClause] = []
     for cl in normalized.clauses:
@@ -297,41 +308,34 @@ def abstract_system(system: CHCSystem) -> Optional[list[AbstractClause]]:
     return out
 
 
-@dataclass
-class SizeInstance:
-    """One integer instantiation of an abstract clause."""
-
-    body: tuple[tuple[PredSymbol, tuple[int, ...]], ...]
-    head: Optional[tuple[PredSymbol, tuple[int, ...]]]
-
-
 def size_instances(
     clauses: list[AbstractClause],
     adts: ADTSystem,
-    *,
-    budget_per_clause: int = 30_000,
-    max_size: int = 16,
-) -> list[SizeInstance]:
-    """Ground the abstract clauses over realizable size pools.
+    deadline: Optional[float],
+) -> Optional[list[Instance]]:
+    """Ground the abstract clauses over realizable size pools, or
+    ``None`` once ``deadline`` passes.
 
-    Every variable ranges over ``S_sigma ∩ [1, B]`` where ``B`` adapts to
-    the clause's variable count so the instance count stays within budget.
+    Every variable ranges over ``S_sigma ∩ [1, B]``, ``B`` ≤
+    :data:`MAX_SIZE`, where ``B`` adapts to the clause's variable count
+    so the instance count stays within :data:`BUDGET_PER_CLAUSE`.
     """
-    out: list[SizeInstance] = []
+    out: list[Instance] = []
     image_cache: dict[Sort, list[int]] = {}
 
     def image(sort: Sort, bound: int) -> list[int]:
-        key = sort
-        if key not in image_cache:
-            image_cache[key] = adts.size_image(sort, max_size)
-        return [s for s in image_cache[key] if s <= bound]
+        if sort not in image_cache:
+            image_cache[sort] = adts.size_image(sort, MAX_SIZE)
+        return [s for s in image_cache[sort] if s <= bound]
 
     for cl in clauses:
         n = max(len(cl.vars), 1)
-        bound = max(4, int(budget_per_clause ** (1.0 / n)))
-        bound = min(bound, max_size)
+        bound = max(4, int(BUDGET_PER_CLAUSE ** (1.0 / n)))
+        bound = min(bound, MAX_SIZE)
         pools = [image(v.sort, bound) for v in cl.vars]
         for combo in itertools.product(*pools):
+            if expired(deadline):
+                return None
             env = dict(zip(cl.vars, combo))
             body = tuple(
                 (p, tuple(e.eval(env) for e in exprs))
@@ -343,212 +347,75 @@ def size_instances(
                     cl.head[0],
                     tuple(e.eval(env) for e in cl.head[1]),
                 )
-            out.append(SizeInstance(body, head))
+            out.append(Instance(body, head))
     return out
 
 
 # ----------------------------------------------------------------------
 # The solver
 # ----------------------------------------------------------------------
-@dataclass
-class SizeElemConfig:
-    """Budgets for both phases."""
+def size_phase(
+    system: CHCSystem, deadline: Optional[float]
+) -> Optional[SizeElemInvariant]:
+    """A size-template invariant of ``system`` found by the ICE search
+    over its size abstraction, or ``None``."""
+    adts = system.adts
+    clauses = abstract_system(system)
+    if clauses is None:
+        return None
+    preds = sorted(system.predicates.values(), key=lambda p: p.name)
+    if not preds:
+        return None
+    examples = positive_examples(
+        system,
+        preds,
+        deadline,
+        key=lambda args: tuple(term_size(t) for t in args),
+    )
+    instances = size_instances(clauses, adts, deadline)
+    if instances is None:
+        return None
+    templates = ice_search(
+        preds,
+        examples,
+        instances,
+        lambda p: size_templates(p.arity),
+        lambda template, sizes: template.eval(sizes),
+        max_candidates=MAX_TEMPLATES,
+        max_combinations=MAX_COMBINATIONS,
+        deadline=deadline,
+    )
+    return None if templates is None else SizeElemInvariant(templates, adts)
 
-    elem_share: float = 0.4
-    max_templates_per_pred: int = 600
-    max_combinations: int = 80_000
-    positives_height: int = 4
-    budget_per_clause: int = 30_000
-    max_size: int = 16
-    timeout: Optional[float] = None
 
-
-class SizeElemSolver:
+class SizeElemSolver(Baseline):
     """Two-phase Elem + size-template synthesizer (Eldarica proxy)."""
 
     name = "sizeelem"
+    cex_share = 0.25
 
-    def __init__(self, config: Optional[SizeElemConfig] = None):
-        self.config = config or SizeElemConfig()
-
-    def solve(self, system: CHCSystem) -> SolveResult:
-        start = time.monotonic()
-        cfg = self.config
-        deadline = None if cfg.timeout is None else start + cfg.timeout
-
-        cex_budget = None
-        if cfg.timeout is not None:
-            cex_budget = max(cfg.timeout * 0.25, 0.05)
-        cex = search_counterexample(
-            normalize(remove_selectors(system)),
-            max_height=4,
-            timeout=cex_budget,
-        )
-        if cex.found:
-            result = unsat(self.name, cex.refutation)
-            result.elapsed = time.monotonic() - start
-            return result
-
+    def answer(
+        self, system: CHCSystem, deadline: Optional[float]
+    ) -> SolveResult:
         # Phase 1: Elem (SizeElem subsumes Elem)
-        elem_timeout = None
-        if cfg.timeout is not None:
-            elem_timeout = max(
-                (deadline - time.monotonic()) * cfg.elem_share, 0.05
-            )
-        elem_result = ElemSolver(
-            ElemConfig(timeout=elem_timeout)
-        ).solve(system)
-        if elem_result.is_sat:
-            elem_result.solver = self.name
-            elem_result.elapsed = time.monotonic() - start
-            elem_result.details["phase"] = "elem"
-            return elem_result
-
+        elem_deadline = None
+        if deadline is not None:
+            now = time.monotonic()
+            elem_deadline = now + share(deadline - now, ELEM_SHARE)
+        invariant = elem.synthesize(system, elem_deadline)
+        if invariant is not None:
+            return sat(self.name, invariant, phase="elem")
         # Phase 2: size templates
-        invariant = self._size_phase(system, deadline)
+        invariant = size_phase(system, deadline)
         if invariant is None:
-            result = unknown(
+            return unknown(
                 self.name, "no size-constrained invariant within budget"
             )
-        else:
-            result = sat(self.name, invariant, phase="size")
-        result.elapsed = time.monotonic() - start
-        return result
-
-    # ------------------------------------------------------------------
-    def _size_phase(
-        self, system: CHCSystem, deadline: Optional[float]
-    ) -> Optional[SizeElemInvariant]:
-        cfg = self.config
-        adts = system.adts
-        clauses = abstract_system(system)
-        if clauses is None:
-            return None
-        preds = sorted(system.predicates.values(), key=lambda p: p.name)
-        if not preds:
-            return None
-
-        fixpoint = bounded_least_fixpoint(
-            system, max_height=cfg.positives_height, check_queries=False
-        )
-        positive_sizes: dict[PredSymbol, set[tuple[int, ...]]] = {
-            p: set() for p in preds
-        }
-        for p in preds:
-            for args in fixpoint.facts.get(p, set()):
-                positive_sizes[p].add(tuple(term_size(t) for t in args))
-
-        instances = size_instances(
-            clauses,
-            adts,
-            budget_per_clause=cfg.budget_per_clause,
-            max_size=cfg.max_size,
-        )
-        # implied negative size vectors, ICE-style (cf. solvers.elem)
-        negative_sizes: dict[PredSymbol, set[tuple[int, ...]]] = {
-            p: set() for p in preds
-        }
-        for inst in instances:
-            if inst.head is not None:
-                continue
-            unknowns = [
-                (p, vec)
-                for p, vec in inst.body
-                if vec not in positive_sizes.get(p, set())
-            ]
-            if len(unknowns) == 1:
-                p, vec = unknowns[0]
-                negative_sizes[p].add(vec)
-
-        candidates: dict[PredSymbol, list[SizeTemplate]] = {}
-        for p in preds:
-            kept: list[SizeTemplate] = []
-            pos = sorted(positive_sizes[p])
-            neg = sorted(negative_sizes[p])
-            for template in size_templates(p.arity):
-                if deadline is not None and time.monotonic() > deadline:
-                    return None
-                if not all(template.eval(v) for v in pos):
-                    continue
-                if any(template.eval(v) for v in neg):
-                    continue
-                kept.append(template)
-                if len(kept) >= cfg.max_templates_per_pred:
-                    break
-            if not kept:
-                return None
-            candidates[p] = kept
-
-        # precompute extensions over occurring size vectors
-        needed: dict[PredSymbol, set[tuple[int, ...]]] = {
-            p: set() for p in preds
-        }
-        for inst in instances:
-            for p, vec in inst.body:
-                needed[p].add(vec)
-            if inst.head is not None:
-                needed[inst.head[0]].add(inst.head[1])
-        extensions: dict[PredSymbol, list[frozenset]] = {}
-        for p in preds:
-            vectors = sorted(needed[p])
-            extensions[p] = [
-                frozenset(v for v in vectors if template.eval(v))
-                for template in candidates[p]
-            ]
-
-        combos = 0
-        choice: dict[PredSymbol, int] = {}
-
-        def check_partial() -> bool:
-            assigned = set(choice)
-            for inst in instances:
-                involved = {p for p, _ in inst.body}
-                if inst.head is not None:
-                    involved.add(inst.head[0])
-                if not involved <= assigned:
-                    continue
-                if not all(
-                    vec in extensions[p][choice[p]] for p, vec in inst.body
-                ):
-                    continue
-                if inst.head is None:
-                    return False
-                hp, hvec = inst.head
-                if hvec not in extensions[hp][choice[hp]]:
-                    return False
-            return True
-
-        def backtrack(i: int) -> bool:
-            nonlocal combos
-            if deadline is not None and time.monotonic() > deadline:
-                return False
-            if i == len(preds):
-                return True
-            p = preds[i]
-            for idx in range(len(candidates[p])):
-                combos += 1
-                if combos > cfg.max_combinations:
-                    return False
-                choice[p] = idx
-                if check_partial() and backtrack(i + 1):
-                    return True
-                del choice[p]
-            return False
-
-        if not backtrack(0):
-            return None
-        return SizeElemInvariant(
-            {p: candidates[p][choice[p]] for p in preds}, adts
-        )
+        return sat(self.name, invariant, phase="size")
 
 
 def solve_sizeelem(
-    system: CHCSystem, *, timeout: Optional[float] = None, **overrides
+    system: CHCSystem, *, timeout: Optional[float] = None
 ) -> SolveResult:
     """One-call API for the SizeElem baseline."""
-    config = SizeElemConfig(timeout=timeout)
-    for key, value in overrides.items():
-        if not hasattr(config, key):
-            raise TypeError(f"unknown SizeElem option {key!r}")
-        setattr(config, key, value)
-    return SizeElemSolver(config).solve(system)
+    return SizeElemSolver(timeout).solve(system)

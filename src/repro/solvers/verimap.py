@@ -9,84 +9,49 @@ invariant is produced* — the paper includes it as a baseline despite this
 Our proxy performs the analogous pipeline with the size abstraction as the
 ADT-eliminating transformation (every term is replaced by its constructor
 count, the strongest ADT-free abstraction our clause language supports)
-followed by the size-template fixpoint engine of
-:mod:`repro.solvers.sizeelem`.  A SAT answer means the *transformed*
-system is safe; like the original tool, it certifies safety without an
-ADT-level invariant.  UNSAT answers come from bounded derivation search.
+followed by :func:`repro.solvers.sizeelem.size_phase` in the time left.
+A SAT answer means the *transformed* system is safe; like the original
+tool, it certifies safety without an ADT-level invariant.  UNSAT answers
+come from the shared refute-first step: height 4 within 30% of the
+timeout.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.chc.clauses import CHCSystem
-from repro.chc.transform import normalize, remove_selectors
-from repro.core.cex import search_counterexample
-from repro.core.result import SolveResult, sat, unknown, unsat
-from repro.solvers.sizeelem import SizeElemConfig, SizeElemSolver
+from repro.core.result import SolveResult, sat, unknown
+from repro.solvers.sizeelem import size_phase
+from repro.solvers.synth import MIN_BUDGET, Baseline
 
 
-@dataclass
-class VeriMapConfig:
-    cex_height: int = 4
-    timeout: Optional[float] = None
-
-
-class VeriMapSolver:
+class VeriMapSolver(Baseline):
     """Transformation-based baseline (size abstraction + LIA templates)."""
 
     name = "verimap-iddt"
+    cex_share = 0.3
 
-    def __init__(self, config: Optional[VeriMapConfig] = None):
-        self.config = config or VeriMapConfig()
-
-    def solve(self, system: CHCSystem) -> SolveResult:
-        start = time.monotonic()
-        cfg = self.config
-        cex_budget = None
-        if cfg.timeout is not None:
-            cex_budget = max(cfg.timeout * 0.3, 0.05)
-        cex = search_counterexample(
-            normalize(remove_selectors(system)),
-            max_height=cfg.cex_height,
-            timeout=cex_budget,
-        )
-        if cex.found:
-            result = unsat(self.name, cex.refutation)
-            result.elapsed = time.monotonic() - start
-            return result
-        remaining = None
-        if cfg.timeout is not None:
-            remaining = max(
-                cfg.timeout - (time.monotonic() - start), 0.05
-            )
-        inner = SizeElemSolver(SizeElemConfig(timeout=remaining))
-        invariant = inner._size_phase(
-            system,
-            None if remaining is None else time.monotonic() + remaining,
-        )
+    def answer(
+        self, system: CHCSystem, deadline: Optional[float]
+    ) -> SolveResult:
+        if deadline is not None:
+            deadline = max(deadline, time.monotonic() + MIN_BUDGET)
+        invariant = size_phase(system, deadline)
         if invariant is None:
-            result = unknown(
+            return unknown(
                 self.name, "transformed (ADT-free) system not proved safe"
             )
-        else:
-            # the certificate lives at the transformed level; no ADT
-            # invariant is returned, matching the original tool
-            result = sat(self.name, None, transformed_certificate=str(
-                invariant.describe()
-            ))
-        result.elapsed = time.monotonic() - start
-        return result
+        # the certificate lives at the transformed level; no ADT
+        # invariant is returned, matching the original tool
+        return sat(
+            self.name, None, transformed_certificate=invariant.describe()
+        )
 
 
 def solve_verimap(
-    system: CHCSystem, *, timeout: Optional[float] = None, **overrides
+    system: CHCSystem, *, timeout: Optional[float] = None
 ) -> SolveResult:
-    config = VeriMapConfig(timeout=timeout)
-    for key, value in overrides.items():
-        if not hasattr(config, key):
-            raise TypeError(f"unknown VeriMAP option {key!r}")
-        setattr(config, key, value)
-    return VeriMapSolver(config).solve(system)
+    """One-call API for the VeriMAP-iddt baseline."""
+    return VeriMapSolver(timeout).solve(system)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.logic.adt import ADT, ADTSystem
 from repro.logic.sorts import FuncSymbol, Sort
-from repro.logic.terms import App, Term, Var as LogicVar
+from repro.logic.terms import App, Term
 
 VAR = Sort("Var")
 TYPE = Sort("Type")

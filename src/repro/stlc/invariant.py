@@ -24,20 +24,12 @@ from repro.logic.sorts import FuncSymbol, PredSymbol
 from repro.logic.terms import App, Term
 from repro.mace.model import FiniteModel
 from repro.stlc.adts import (
-    ABS,
-    APP_E,
     ARROW,
     CONS_ENV,
-    EMPTY,
     ENV,
-    EVAR,
     EXPR,
-    PRIM_P,
-    PRIM_Q,
     TYPE,
     VAR,
-    VAR_X,
-    VAR_Y,
     stlc_adts,
 )
 from repro.stlc.vc import TYPECHECK

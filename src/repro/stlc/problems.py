@@ -18,7 +18,7 @@ Each problem carries its ground truth so the harness can score solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.chc.clauses import CHCSystem
 from repro.logic.terms import Term

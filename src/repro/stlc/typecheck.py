@@ -18,7 +18,6 @@ from repro.stlc.adts import (
     APP_E,
     ARROW,
     CONS_ENV,
-    EMPTY,
     EVAR,
     abs_,
     app_,

@@ -10,10 +10,10 @@ the body, see :class:`repro.chc.clauses.BodyAtom`).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.chc.clauses import BodyAtom, CHCSystem, Clause
-from repro.logic.formulas import Eq, Not, Or, TRUE, conj, disj
+from repro.logic.formulas import Eq, Not, TRUE, conj, disj
 from repro.logic.sorts import PredSymbol
 from repro.logic.terms import Term, Var
 

@@ -19,7 +19,7 @@ refuters of :mod:`repro.theory.pumping`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.automata.dfta import DFTA, make_dfta
@@ -36,13 +36,7 @@ from repro.logic.sorts import PredSymbol
 from repro.logic.terms import App, Term
 from repro.problems import (
     DEC,
-    DISEQP,
-    EQP,
-    EVEN,
-    EVENLEFT,
-    GT,
     INC,
-    LT,
     diag_system,
     even_system,
     evenleft_system,

@@ -16,8 +16,6 @@ the size image ``S_sigma``.  This module provides:
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 

@@ -110,10 +110,6 @@ class TestConfig:
         with pytest.raises(TypeError):
             solve(even_system(), nonsense=True)
 
-    def test_verification_can_be_disabled(self):
-        result = solve(even_system(), timeout=30, verify=False)
-        assert result.is_sat
-
     def test_tiny_model_budget_gives_unknown(self):
         result = solve(even_system(), timeout=5, max_model_size=1)
         assert result.is_unknown

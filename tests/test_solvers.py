@@ -5,6 +5,9 @@ programs whose invariants its representation class contains (and within
 its search budgets), and diverges on the rest.
 """
 
+import hashlib
+import time
+
 import pytest
 
 from repro.logic.adt import NAT, nat, nat_system, nat_value
@@ -16,14 +19,7 @@ from repro.problems import (
     ltgt_system,
     odd_unsat_system,
 )
-from repro.solvers.elem import (
-    ElemConfig,
-    ElemSolver,
-    ground_instances,
-    implied_negatives,
-    solve_elem,
-    terms_capped,
-)
+from repro.solvers.elem import ground_instances, solve_elem, terms_capped
 from repro.solvers.induct import solve_induct
 from repro.solvers.sizeelem import (
     SizeAtom,
@@ -32,6 +28,7 @@ from repro.solvers.sizeelem import (
     size_expr,
     solve_sizeelem,
 )
+from repro.solvers.synth import implied_negatives
 from repro.solvers.verimap import solve_verimap
 from repro.theory.normal_form import (
     ELEM_FALSE,
@@ -287,3 +284,107 @@ class TestSolverRegistry:
             solve_induct(even_system(), bogus=1)
         with pytest.raises(TypeError):
             solve_verimap(even_system(), bogus=1)
+
+
+def _problem(name):
+    """A system of the paper (``even``) or of a generated suite."""
+    import repro.problems
+    from repro.benchgen import diseq_suite, positiveeq_suite, tip_suite
+
+    factory = getattr(repro.problems, f"{name}_system", None)
+    if factory is not None:
+        return factory()
+    for suite in (positiveeq_suite(), diseq_suite(), tip_suite()):
+        for problem in suite.problems:
+            if problem.name == name:
+                return problem.build()
+    raise KeyError(name)
+
+
+def _answer_digest(result):
+    if result.invariant is not None:
+        text = result.invariant.describe()
+    elif "transformed_certificate" in result.details:
+        text = result.details["transformed_certificate"]
+    elif result.refutation is not None:
+        text = result.refutation.format()
+    else:
+        text = ""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+_NONE = "e3b0c44298fc1c14"  # the digest of no answer text
+_ODD_CEX = "20c415a552de733f"
+
+#: (status, SizeElem phase, digest of the invariant's ``describe()`` or
+#: the refutation's ``format()``) per baseline and problem: answers each
+#: baseline gives far inside its budget, recorded before the baselines
+#: shared one skeleton
+BASELINE_PINS = {
+    "elem": {
+        "even": ("unknown", None, _NONE),
+        "diag": ("sat", None, "ea27aa0791a209ae"),
+        "odd_unsat": ("unsat", None, _ODD_CEX),
+        "nat-add-mono": ("sat", None, "e56592f2ed4c2f4a"),
+        "nat-offset-1-vs-2": ("sat", None, "8b44fb0b9ed503dc"),
+        "list-every-other-z": ("sat", None, "2c673fb6ca02a0e9"),
+        "diseq-guard-4": ("unknown", None, _NONE),
+        "tip-ord-s-1": ("unknown", None, _NONE),
+    },
+    "sizeelem": {
+        "even": ("sat", "size", "c3bfc0117aa7e0a8"),
+        "diag": ("sat", "elem", "ea27aa0791a209ae"),
+        "odd_unsat": ("unsat", None, _ODD_CEX),
+        "nat-add-mono": ("sat", "elem", "e56592f2ed4c2f4a"),
+        "nat-offset-1-vs-2": ("sat", "elem", "8b44fb0b9ed503dc"),
+        "list-every-other-z": ("sat", "elem", "2c673fb6ca02a0e9"),
+        "diseq-guard-4": ("sat", "size", "1f72042afd614d3c"),
+        "tip-ord-s-1": ("sat", "size", "03d7308fdb335b98"),
+    },
+    "cvc4-ind": {
+        "even": ("unknown", None, _NONE),
+        "diag": ("unknown", None, _NONE),
+        "odd_unsat": ("unsat", None, _ODD_CEX),
+        "nat-add-mono": ("unknown", None, _NONE),
+        "nat-offset-1-vs-2": ("unknown", None, _NONE),
+        "list-every-other-z": ("unknown", None, _NONE),
+        "diseq-guard-4": ("unknown", None, _NONE),
+        "tip-ord-s-1": ("unknown", None, _NONE),
+    },
+    "verimap-iddt": {
+        "even": ("sat", None, "c3bfc0117aa7e0a8"),
+        "diag": ("unknown", None, _NONE),
+        "odd_unsat": ("unsat", None, _ODD_CEX),
+        "nat-add-mono": ("sat", None, "ada6456ee86079e9"),
+        "nat-offset-1-vs-2": ("sat", None, "1554db07cd02c493"),
+        "list-every-other-z": ("unknown", None, _NONE),
+        "diseq-guard-4": ("sat", None, "1f72042afd614d3c"),
+        "tip-ord-s-1": ("sat", None, "03d7308fdb335b98"),
+    },
+}
+
+
+class TestBaselineSkeleton:
+    @pytest.mark.parametrize("solver", list(BASELINE_PINS))
+    def test_baseline_answers_are_pinned(self, solver):
+        from repro.solvers import make_solver
+
+        got = {}
+        for name in BASELINE_PINS[solver]:
+            result = make_solver(solver, 30).solve(_problem(name))
+            got[name] = (
+                result.status.value,
+                result.details.get("phase"),
+                _answer_digest(result),
+            )
+        assert got == BASELINE_PINS[solver]
+
+    @pytest.mark.parametrize("solve", [solve_elem, solve_sizeelem])
+    def test_grounding_respects_the_deadline(self, solve):
+        # the clause instances of this problem take many seconds to
+        # ground; the deadline must cut the grounding short
+        system = _problem("tip-add-fun-g26")
+        start = time.monotonic()
+        result = solve(system, timeout=1)
+        assert time.monotonic() - start < 2.5
+        assert result.is_unknown
