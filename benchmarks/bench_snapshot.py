@@ -1,10 +1,10 @@
-"""Engine snapshot/restore: parity and warm-cache speedup.
+"""Engine pickling: parity and warm-cache speedup.
 
 Two legs, both gated by ``benchmarks/smoke.sh``:
 
-* **roundtrip**: every engine in a warmed pool is serialized, restored
-  in-process, and re-driven over the family — the restored engine's
-  verdicts must be identical to a cold run's;
+* **roundtrip**: a warmed pool's engine is pickled, unpickled
+  in-process, and re-driven over the family — the copy's verdicts must
+  be identical to a cold run's;
 * **warmcache**: the same campaign twice through a disk warm cache
   (``EnginePool(cache_dir=...)``): the second run must reproduce the
   first run's statuses exactly and finish at most 90% of the cold
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import pickle
 import sys
 import time
 
@@ -30,7 +31,7 @@ from repro.benchgen.suite import Suite
 from repro.chc.transform import preprocess
 from repro.harness.runner import run_campaign, task_id_for
 from repro.mace import EnginePool, find_model
-from repro.mace.finder import FinderOptions, ModelFinder, _IncrementalEngine
+from repro.mace.finder import ModelFinder
 
 ARTIFACT = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -74,7 +75,7 @@ def _verdicts(campaign) -> dict[str, tuple[str, bool]]:
 
 
 def leg_roundtrip(scale: str) -> dict:
-    """Serialize, restore, re-drive: statuses identical to cold runs."""
+    """Pickle, unpickle, re-drive: statuses identical to cold runs."""
     pool = EnginePool()
     cases = nat_mod_cases(scale)
     for m, r, c in cases[: len(cases) // 2]:
@@ -82,8 +83,8 @@ def leg_roundtrip(scale: str) -> dict:
         finder.search()
         pool.release(finder)
     engine = next(iter(pool._engines.values())).engine
-    snap = engine.snapshot()
-    restored = _IncrementalEngine.restore(snap, FinderOptions())
+    payload = pickle.dumps(engine, pickle.HIGHEST_PROTOCOL)
+    restored = pickle.loads(payload)
     agreed = 0
     for m, r, c in cases:
         prepared = preprocess(nat_mod_system(m, r, c))
@@ -94,16 +95,12 @@ def leg_roundtrip(scale: str) -> dict:
         if warm.found and not warm.model.satisfies(prepared):
             break
         agreed += 1
-    import pickle
-
     return {
         "problems": len(cases),
         "agreed": agreed,
         "parity": agreed == len(cases),
-        "snapshot_bytes": len(
-            pickle.dumps(snap, pickle.HIGHEST_PROTOCOL)
-        ),
-        "snapshot_groups": len(snap["groups"]),
+        "snapshot_bytes": len(payload),
+        "snapshot_groups": len(engine._groups),
     }
 
 

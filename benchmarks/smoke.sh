@@ -8,9 +8,9 @@
 #   * campaign mode shows no cross-problem reuse, or
 #   * campaign mode is more than 10% slower than fresh engines.
 #
-# Gate 6 (PR 8): engine snapshot/restore + warm cache; emits
+# Gate 6: engine pickling + warm cache; emits
 # bench-artifacts/BENCH_snapshot.json and fails if
-#   * a restored engine's verdicts diverge from cold runs,
+#   * a pickled and unpickled engine's verdicts diverge from cold runs,
 #   * a warm-cache second campaign diverges from the cold first run, or
 #   * the warm run is not at least 10% faster than the cold run.
 #
@@ -70,19 +70,19 @@ with open("bench-artifacts/BENCH_snapshot.json") as handle:
 
 rt, wc = report["roundtrip"], report["warmcache"]
 if not rt["parity"]:
-    sys.exit("FAIL: restored-engine verdicts diverge from cold runs")
+    sys.exit("FAIL: unpickled-engine verdicts diverge from cold runs")
 if not wc["parity"]:
     sys.exit("FAIL: warm-cache campaign verdicts diverge from cold run")
 if not wc["fast_enough"]:
     sys.exit(f"FAIL: warm run {wc['warm_time']:.3f}s not >=10% faster "
              f"than cold {wc['cold_time']:.3f}s")
 
-print(f"snapshot round-trip: {rt['agreed']}/{rt['problems']} agree "
+print(f"pickle round-trip: {rt['agreed']}/{rt['problems']} agree "
       f"({rt['snapshot_bytes']} bytes, {rt['snapshot_groups']} groups)")
 print(f"warm cache: cold {wc['cold_time']:.3f}s -> warm "
       f"{wc['warm_time']:.3f}s "
       f"({wc['warm_pool']['snapshot_hits']} snapshot hits)")
-print("OK: engine snapshot/restore parity + warm-cache speedup")
+print("OK: pickled-engine parity + warm-cache speedup")
 EOF
 
 python benchmarks/bench_obs.py

@@ -15,6 +15,7 @@ CHC satisfiability is defined over expansions of the Herbrand structure
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -31,13 +32,13 @@ from repro.logic.formulas import (
 )
 from repro.logic.sorts import PredSymbol
 from repro.logic.terms import (
+    Substitution,
     Term,
     Var,
     height,
     is_ground,
     matches,
     substitute,
-    variables,
 )
 
 GroundAtom = tuple[PredSymbol, tuple[Term, ...]]
@@ -48,27 +49,80 @@ class SemanticsError(ValueError):
     """Raised on non-ground evaluation or missing interpretations."""
 
 
-def eval_constraint(formula: Formula, adts: ADTSystem) -> bool:
-    """Evaluate a ground assertion-language constraint in ℋ.
+def eval_constraint(
+    formula: Formula,
+    adts: ADTSystem,
+    subst: Optional[Substitution] = None,
+) -> bool:
+    """Evaluate an assertion-language constraint in ℋ.
 
-    Equality is structural equality of ground terms (the Herbrand
-    interpretation); testers check the top constructor.
+    The constraint is read through ``subst``: the result is that of
+    ``substitute_formula(formula, subst)``, which must be ground, but no
+    ground formula or term is built.  Equality is structural equality
+    of ground terms (the Herbrand interpretation); testers check the top
+    constructor.  A variable ``subst`` leaves without a ground value
+    raises :class:`SemanticsError`.
     """
     if isinstance(formula, Eq):
-        if not (is_ground(formula.lhs) and is_ground(formula.rhs)):
-            raise SemanticsError(f"non-ground constraint {formula}")
-        return formula.lhs == formula.rhs
+        return _equal(formula.lhs, formula.rhs, subst)
     if isinstance(formula, Tester):
-        if not is_ground(formula.term):
-            raise SemanticsError(f"non-ground constraint {formula}")
-        return adts.test(formula.constructor.name, formula.term)
+        term = formula.term
+        if isinstance(term, Var):
+            term = _bound(term, subst)
+        else:
+            _check_ground(term, subst)
+        return adts.test(formula.constructor.name, term)
     if isinstance(formula, Not):
-        return not eval_constraint(formula.operand, adts)
+        return not eval_constraint(formula.operand, adts, subst)
     if isinstance(formula, And):
-        return all(eval_constraint(f, adts) for f in formula.operands)
+        return all(eval_constraint(f, adts, subst) for f in formula.operands)
     if isinstance(formula, Or):
-        return any(eval_constraint(f, adts) for f in formula.operands)
+        return any(eval_constraint(f, adts, subst) for f in formula.operands)
     raise SemanticsError(f"cannot evaluate {formula} as a constraint")
+
+
+def _bound(var: Var, subst: Optional[Substitution]) -> Term:
+    """The ground value of ``var`` under ``subst``."""
+    value = subst.get(var) if subst is not None else None
+    if value is None or not is_ground(value):
+        raise SemanticsError(f"non-ground constraint: {var} is unbound")
+    return value
+
+
+def _check_ground(term: Term, subst: Optional[Substitution]) -> None:
+    """Raise :class:`SemanticsError` unless ``term`` is ground under
+    ``subst``."""
+    if isinstance(term, Var):
+        _bound(term, subst)
+    elif not is_ground(term):
+        for arg in term.args:
+            _check_ground(arg, subst)
+
+
+def _equal(a: Term, b: Term, subst: Optional[Substitution]) -> bool:
+    """Structural equality of the ground terms ``a`` and ``b`` denote
+    under ``subst``, raising :class:`SemanticsError` unless both are
+    ground there.  Each variable is read once: past a mismatch, the
+    rest of the terms is only checked for groundness."""
+    if isinstance(a, Var):
+        a = _bound(a, subst)
+    if isinstance(b, Var):
+        b = _bound(b, subst)
+    # both are applications now
+    if a._ground and b._ground:
+        return a == b
+    if a.func != b.func:
+        _check_ground(a, subst)
+        _check_ground(b, subst)
+        return False
+    equal = True
+    for x, y in zip(a.args, b.args):
+        if equal:
+            equal = _equal(x, y, subst)
+        else:
+            _check_ground(x, subst)
+            _check_ground(y, subst)
+    return equal
 
 
 @dataclass
@@ -136,8 +190,6 @@ def bounded_least_fixpoint(
     (substitution candidates examined) bound the saturation; hitting any of
     them marks the result unsaturated.
     """
-    import time as _time
-
     adts = system.adts
     budget = _StepBudget(deadline, max_steps)
     facts: dict[PredSymbol, set[tuple[Term, ...]]] = {}
@@ -258,12 +310,15 @@ class _StepBudget:
             self.exhausted = True
             return False
         if self.deadline is not None and self.remaining % 4096 == 0:
-            import time as _time
-
-            if _time.monotonic() > self.deadline:
-                self.exhausted = True
-                return False
+            return not self.expired()
         return True
+
+    def expired(self) -> bool:
+        """Read the clock without spending steps; True (and exhausted
+        from now on) once the deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.exhausted = True
+        return self.exhausted
 
 
 def _head_can_fit(
@@ -334,8 +389,13 @@ def _body_matches(
         substs = new_substs
         if not substs:
             return
-    for subst in substs:
-        free = _unbound_vars(cl, subst)
+    clause_vars = sorted(cl.free_vars(), key=lambda v: v.name)
+    for i, subst in enumerate(substs):
+        # this loop spends no steps on substitutions the head-height cut
+        # prunes, so it reads the clock itself
+        if budget is not None and i % 256 == 255 and budget.expired():
+            return
+        free = [v for v in clause_vars if v not in subst]
         if not _head_can_fit(head, subst, free, adts, max_height):
             if budget is not None:
                 budget.pruned = True
@@ -344,7 +404,7 @@ def _body_matches(
             if budget is not None and not budget.spend():
                 return
             if cl.constraint != TRUE and not eval_constraint(
-                _ground_constraint(cl.constraint, full), adts
+                cl.constraint, adts, full
             ):
                 continue
             if universal and not all(
@@ -353,12 +413,6 @@ def _body_matches(
             ):
                 continue
             yield full
-
-
-def _ground_constraint(constraint: Formula, subst: dict[Var, Term]) -> Formula:
-    from repro.logic.formulas import substitute_formula
-
-    return substitute_formula(constraint, subst)
 
 
 def _match_tuple(
@@ -374,13 +428,6 @@ def _match_tuple(
                 return None
             subst[v] = t
     return subst
-
-
-def _unbound_vars(cl: Clause, subst: dict[Var, Term]) -> list[Var]:
-    return sorted(
-        (v for v in cl.free_vars() if v not in subst),
-        key=lambda v: v.name,
-    )
 
 
 def _enumerate_completions(
@@ -511,10 +558,10 @@ def _clause_instance_holds(
     adts: ADTSystem,
     universal_height: int,
 ) -> bool:
-    if cl.constraint != TRUE:
-        grounded = _ground_constraint(cl.constraint, assignment)
-        if not eval_constraint(grounded, adts):
-            return True
+    if cl.constraint != TRUE and not eval_constraint(
+        cl.constraint, adts, assignment
+    ):
+        return True
     for atom in cl.body:
         if atom.universal_vars:
             pools = [

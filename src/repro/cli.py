@@ -414,10 +414,7 @@ def _run_campaign(args) -> int:
     bus = EventBus()
     bus.subscribe(legacy_line_subscriber(print))
     bus.subscribe(
-        HeartbeatRenderer(
-            lambda line: print(line, file=sys.stderr),
-            min_interval=policy.progress_throttle,
-        )
+        HeartbeatRenderer(lambda line: print(line, file=sys.stderr))
     )
     try:
         records, stats = execute_tasks(

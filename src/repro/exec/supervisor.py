@@ -90,37 +90,59 @@ class CampaignInterrupted(BaseException):
     """
 
 
+#: the watchdog gives a worker ``timeout * HARD_TIMEOUT_FACTOR +
+#: HARD_TIMEOUT_GRACE`` of wall clock per task before it is killed —
+#: strictly beyond the solver's cooperative deadline, so it only fires
+#: on genuinely stuck tasks
+HARD_TIMEOUT_FACTOR = 1.5
+HARD_TIMEOUT_GRACE = 1.0
+#: a retried task waits ``BACKOFF_BASE * BACKOFF_FACTOR ** (attempt -
+#: 2)`` seconds, plus up to ``BACKOFF_JITTER`` of that as jitter
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.25
+
+
+def hard_timeout(timeout: float) -> float:
+    """The watchdog's wall-clock allowance for a task of ``timeout``."""
+    return timeout * HARD_TIMEOUT_FACTOR + HARD_TIMEOUT_GRACE
+
+
+def backoff(task_id: str, attempt: int) -> float:
+    """Sleep before dispatching ``attempt`` (>= 2) of a task.
+
+    Exponential in the attempt number with a deterministic jitter
+    derived from the task id, so reruns are reproducible while herds of
+    retried tasks still spread out.
+    """
+    base = BACKOFF_BASE * BACKOFF_FACTOR ** max(attempt - 2, 0)
+    salt = zlib.crc32(f"{task_id}:{attempt}".encode()) % 1000
+    return base * (1.0 + BACKOFF_JITTER * (salt / 1000.0))
+
+
 @dataclass
 class ExecPolicy:
     """Execution-layer knobs, independent of any solver configuration.
 
-    ``hard_timeout_factor``/``hard_timeout_grace`` size the watchdog:
-    a worker gets ``timeout * factor + grace`` of wall clock per task
-    before it is killed — strictly beyond the solver's cooperative
-    deadline, so the watchdog only fires on genuinely stuck tasks.
-    ``max_retries`` bounds retries of *transient* failures (a worker
-    that died without writing a result); deterministic faults — a
-    structured crash, a hard timeout, an OOM — are never retried.
+    ``isolate`` runs each task in a worker under the watchdog (see
+    :func:`hard_timeout`).  ``max_retries`` bounds retries of
+    *transient* failures (a worker that died without writing a result),
+    each after a :func:`backoff`; deterministic faults — a structured
+    crash, a hard timeout, an OOM — are never retried.
 
     The observability block: ``heartbeat_interval`` > 0 makes workers
     (and an in-process sampling thread) emit periodic live-progress
-    heartbeats onto the event bus, rendered at most once per
-    ``progress_throttle`` seconds; ``profile_dir`` dumps one cProfile
-    pstats file per task there.
+    heartbeats onto the event bus, rendered at most once a second
+    (:class:`~repro.obs.events.HeartbeatRenderer`); ``profile_dir``
+    dumps one cProfile pstats file per task there.
     """
 
     isolate: bool = False
     max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.25
     mem_limit_mb: Optional[int] = None
-    hard_timeout_factor: float = 1.5
-    hard_timeout_grace: float = 1.0
     share_engines: bool = False
     solver_opts: Optional[dict] = None
     heartbeat_interval: float = 0.0
-    progress_throttle: float = 1.0
     profile_dir: Optional[str] = None
     # None = read REPRO_FAULT_PLAN from the environment (empty plan if
     # unset); pass an explicit plan (possibly empty) to override
@@ -130,22 +152,6 @@ class ExecPolicy:
         if self.fault_plan is not None:
             return self.fault_plan
         return ReproFaultPlan.from_env()
-
-    def hard_timeout(self, timeout: float) -> float:
-        return timeout * self.hard_timeout_factor + self.hard_timeout_grace
-
-    def backoff(self, task_id: str, attempt: int) -> float:
-        """Sleep before dispatching ``attempt`` (>= 2) of a task.
-
-        Exponential in the attempt number with a deterministic jitter
-        derived from the task id, so reruns are reproducible while
-        herds of retried tasks still spread out.
-        """
-        base = self.backoff_base * (
-            self.backoff_factor ** max(attempt - 2, 0)
-        )
-        salt = zlib.crc32(f"{task_id}:{attempt}".encode()) % 1000
-        return base * (1.0 + self.backoff_jitter * (salt / 1000.0))
 
 
 @dataclass
@@ -274,11 +280,7 @@ def execute_tasks(
     if progress is not None:
         bus.subscribe(legacy_line_subscriber(progress))
         if policy.heartbeat_interval > 0:
-            bus.subscribe(
-                HeartbeatRenderer(
-                    progress, min_interval=policy.progress_throttle
-                )
-            )
+            bus.subscribe(HeartbeatRenderer(progress))
     results: dict[str, dict] = {}
     pending = list(tasks)
     journal: Optional[ResultsJournal] = None
@@ -509,7 +511,7 @@ def _execute_inprocess(
                     if attempt <= policy.max_retries:
                         stats.retries += 1
                         attempt += 1
-                        time.sleep(policy.backoff(task.task_id, attempt))
+                        time.sleep(backoff(task.task_id, attempt))
                         continue
                     record = worker_mod.crash_record(
                         error, time.monotonic() - start, transient=True
@@ -550,9 +552,7 @@ def _execute_isolated(
             )
         first = batch[0]
         if attempts[first.task_id] > 1:
-            time.sleep(
-                policy.backoff(first.task_id, attempts[first.task_id])
-            )
+            time.sleep(backoff(first.task_id, attempts[first.task_id]))
 
         def finish(task: TaskSpec, record: dict) -> None:
             _finish(
@@ -758,7 +758,7 @@ def _run_worker_batch(
         index = 0
         while index < len(batch):
             task = batch[index]
-            hard = policy.hard_timeout(task.timeout)
+            hard = hard_timeout(task.timeout)
             deadline = time.monotonic() + hard
             msg: object = None
             while msg is None:

@@ -53,7 +53,7 @@ class ADTSystem:
 
     Provides the assertion-language signature, Herbrand enumeration and the
     combinatorics (term counts by size/height) used by the expanding-sort
-    check of Definition 5.
+    check of Definition 5 (:func:`repro.theory.linsets.is_expanding_sort`).
     """
 
     def __init__(self, adts: Sequence[ADT]):
@@ -258,22 +258,6 @@ class ADTSystem:
         return [
             k for k in range(1, bound + 1) if self.count_terms_of_size(sort, k)
         ]
-
-    def is_expanding_sort(self, sort: Sort, *, bound: int = 60, witness: int = 3) -> bool:
-        """Heuristic check of Definition 5 (expanding sort).
-
-        A sort is *expanding* if for every ``n`` there is ``b(sigma, n)``
-        past which every non-empty size class has at least ``n`` members.
-        We check that size classes, once non-empty beyond a prefix, grow
-        without ever falling back to fewer than ``witness`` members —
-        sufficient in practice for the ADTs of the paper (Example 7: ``Nat``
-        is not expanding, ``List``/``Tree`` are).
-        """
-        counts = [self.count_terms_of_size(sort, k) for k in range(1, bound + 1)]
-        nonempty = [c for c in counts[bound // 2 :] if c > 0]
-        if not nonempty:
-            return False
-        return all(c >= witness for c in nonempty)
 
     # ------------------------------------------------------------------
     # ground evaluation helpers

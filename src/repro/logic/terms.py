@@ -25,6 +25,12 @@ class Var:
     name: str
     sort: Sort
 
+    def __hash__(self) -> int:
+        # the name alone (equal variables share it): substitutions are
+        # dicts keyed by variables, and hashing the sort as well doubled
+        # the cost of every lookup in the bounded checks
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 
@@ -67,7 +73,8 @@ class App:
     def __reduce__(self):
         # slots + the raising __setattr__ break default pickling;
         # rebuilding through the constructor revalidates sorts and
-        # recomputes the caches (terms travel in engine snapshots)
+        # recomputes the caches, the hash among them, which another
+        # process seeds differently (terms travel in pickled engines)
         return (App, (self.func, self.args))
 
     def __eq__(self, other: object) -> bool:

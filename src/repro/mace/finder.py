@@ -64,11 +64,11 @@ block rows' clauses, while learned clauses, VSIDS activity and saved
 phases carry across the entire sweep (solved with
 ``solver.solve(assumptions=...)``).
 
-The engine never resets: it builds one solver and keeps it for life (a
-snapshot restore replaces it once), because its clause database is
-satisfiable by construction.  The *canonical assignment* — every
-existence selector ``ex[s, v]`` true, every other variable (cells,
-relations, clause-group selectors, Tseitin literals) false — satisfies
+The engine never resets: it builds one solver and keeps it for life,
+because its clause database is satisfiable by construction.  The
+*canonical assignment* — every existence selector ``ex[s, v]`` true,
+every other variable (cells, relations, clause-group selectors, Tseitin
+literals) false — satisfies
 every clause the engine emits: the chain clauses and the ``ex[s, 0]``
 units hold by the ``ex`` literals; functionality, value-existence and
 symmetry clauses each carry a negated cell; a totality row carries its
@@ -166,9 +166,19 @@ Every knob of the search lives in one frozen :class:`FinderOptions`
 value: :class:`ModelFinder`, its sweep, the engine and the engine pool
 are all configured by it, and its
 :meth:`FinderOptions.engine_key` — the part a clause database depends
-on — keys pooled engines, cache files and snapshots.  Whether given
-engine state may serve a finder is decided in exactly one place,
-:func:`check_engine`.
+on — keys pooled engines and warm-cache files.  Whether a given engine
+may serve a finder is decided in exactly one place, :func:`check_engine`,
+which reads an engine's :meth:`~_IncrementalEngine.header`.
+
+Warm persistence
+----------------
+
+An engine pickles as it is, and an unpickled engine is an exact copy;
+the pool's disk warm cache stores it beside its header.  Only the
+solver and the clause groups define how they pickle (their
+``__getstate__``), and problem contexts are not part of the engine: a
+problem registered again recovers its refutation bounds through the
+engine's problem-facts memo.
 """
 
 from __future__ import annotations
@@ -195,17 +205,20 @@ class FinderError(ValueError):
 
 
 class EngineSnapshotError(FinderError):
-    """An engine snapshot cannot be restored (wrong schema/version,
-    mismatched signature fingerprint, or an unusable solver snapshot).
-    The pool's disk warm cache, which may hold stale snapshots, treats
+    """An engine cannot serve a finder (see :func:`check_engine`): a
+    foreign schema or version, another engine key or another signature.
+    The pool's disk warm cache, which may hold stale engines, treats
     this as "fall back to a cold engine", never as a campaign
     failure."""
 
 
-#: schema version of :meth:`_IncrementalEngine.snapshot`; bumped
-#: whenever the serialized layout changes incompatibly.  ``restore``
-#: rejects any other version instead of guessing.
-ENGINE_SNAPSHOT_VERSION = 4
+#: version of the pickled engine layout, stored in every
+#: :meth:`_IncrementalEngine.header`; :func:`check_engine` rejects any
+#: other.  Bump it whenever an attribute of :class:`_IncrementalEngine`,
+#: :class:`~repro.sat.solver.CDCLSolver`, :class:`_ClauseGroup`,
+#: :class:`_BlockState` or :class:`~repro.sat.cnf.SelectorPool` changes,
+#: so a warm cache written by another build starts cold.
+ENGINE_SNAPSHOT_VERSION = 5
 
 #: the learned-clause database an engine carries across vectors is
 #: halved whenever it grows beyond this many clauses
@@ -230,7 +243,7 @@ class FinderOptions:
 
     def engine_key(self) -> tuple:
         """The part of the configuration an engine's clause database
-        depends on.  Engines, snapshots and pool slots built under
+        depends on.  Engines, cache files and pool slots built under
         different keys never serve each other's finders; every other
         field only steers how a search drives the engine."""
         return (self.symmetry_breaking,)
@@ -242,9 +255,9 @@ def engine_fingerprint(sorts, functions, predicates) -> tuple:
     Order-insensitive over the three symbol families, built purely from
     names and sort names, so it is stable across processes and pickle
     round-trips.  :func:`repro.mace.pool.signature_fingerprint`
-    delegates here, which is what guarantees a snapshot taken from a
-    pooled engine carries exactly the fingerprint the pool will later
-    look it up under.
+    delegates here, which is what guarantees a pooled engine's header
+    carries exactly the fingerprint the pool will later look it up
+    under.
     """
     return (
         tuple(sorted(s.name for s in sorts)),
@@ -272,22 +285,23 @@ def check_engine(
     options: FinderOptions,
     fingerprint: Optional[tuple] = None,
 ) -> None:
-    """The one rule deciding whether engine state may serve a finder.
+    """The one rule deciding whether an engine may serve a finder.
 
-    ``state`` is an engine snapshot or a live engine's
-    :meth:`_IncrementalEngine.header`.  It serves a finder configured by
-    ``options`` iff it has this build's schema and version and was built
+    ``state`` is an engine's :meth:`_IncrementalEngine.header`: a live
+    engine's, or the one stored beside a pickled engine in the warm
+    cache.  The engine serves a finder configured by ``options`` iff the
+    header has this build's schema and version and the engine was built
     under the same :meth:`FinderOptions.engine_key` — and, when
     ``fingerprint`` is given, over that signature.  Raises
     :class:`EngineSnapshotError` otherwise.  Engine injection into a
-    :class:`ModelFinder` and :meth:`_IncrementalEngine.restore` (the
-    pool's disk-cache path) go through here.
+    :class:`ModelFinder` and the pool's warm-cache loads go through
+    here.
     """
     if not isinstance(state, dict) or state.get("schema") != "engine":
-        raise EngineSnapshotError("not an engine snapshot")
+        raise EngineSnapshotError("not an engine header")
     if state.get("version") != ENGINE_SNAPSHOT_VERSION:
         raise EngineSnapshotError(
-            f"engine snapshot version {state.get('version')!r} "
+            f"engine layout version {state.get('version')!r} "
             f"(this build reads {ENGINE_SNAPSHOT_VERSION})"
         )
     if state.get("engine_key") != options.engine_key():
@@ -595,7 +609,7 @@ def _picker(positions: Sequence[int]):
     ``itemgetter`` returns a bare value for one position and has no
     empty form, so those arities get lambdas, which do not pickle: keep
     pickers in per-call locals and ``_ClauseGroup.atom_layouts``, which
-    :meth:`_IncrementalEngine.snapshot` drops.
+    a pickled group drops.
     """
     if len(positions) > 1:
         return itemgetter(*positions)
@@ -715,6 +729,19 @@ class _ClauseGroup:
         self.refs = 0
         self.last_touch = 0
 
+    def __getstate__(self) -> dict:
+        # the layouts are keyed by id(atom) and hold picker lambdas, so
+        # they stay behind (_block_layout rebuilds them lazily); a
+        # stored engine hosts no problem
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["atom_layouts"] = {}
+        state["refs"] = 0
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+
 
 class _ProblemContext:
     """Per-problem state registered on a (possibly shared) engine.
@@ -731,7 +758,6 @@ class _ProblemContext:
 
     __slots__ = (
         "flat_clauses",
-        "key",
         "groups",
         "hopeless",
         "released",
@@ -739,11 +765,8 @@ class _ProblemContext:
         "refuted_cores",
     )
 
-    def __init__(
-        self, flat_clauses: Sequence[FlatClause], key: int, joined_at: int
-    ):
+    def __init__(self, flat_clauses: Sequence[FlatClause], joined_at: int):
         self.flat_clauses = tuple(flat_clauses)
-        self.key = key
         self.joined_at_clauses = joined_at
         self.hopeless = False
         self.released = False
@@ -761,10 +784,10 @@ class _IncrementalEngine:
     """One persistent CDCL encoding spanning size sweeps and problems.
 
     See the module docstring for the selector-literal scheme, the
-    campaign extension and why the clause database stays satisfiable.
-    The engine owns its one solver, built here and kept for life (only
-    :meth:`restore` replaces it, once), the cell/relation variable maps
-    and the signature-level growth bookkeeping; each registered
+    campaign extension, why the clause database stays satisfiable and
+    how the engine pickles.  The engine owns its one solver, built here
+    and kept for life, the cell/relation variable maps and the
+    signature-level growth bookkeeping; each registered
     :class:`_ProblemContext` carries the per-problem state.
     :class:`ModelFinder` drives one context at a time through
     :meth:`try_vector`.  Of its :class:`FinderOptions` the engine keeps
@@ -816,14 +839,13 @@ class _IncrementalEngine:
         )
         self._tick_count = 0
         self._deadline: Optional[float] = None
-        self._ctx_counter = itertools.count()
         self.problems_registered = 0
         self.groups_shared = 0  # group lookups served by an existing group
         # semantic memory across registrations of the *same problem*
         # (identified by its frozenset of canonical clause keys):
         # refutation cores and hopeless verdicts are facts about the
         # problem, not the encoding, so a re-registered problem — a
-        # recycled engine, one restored from the warm cache — inherits
+        # recycled engine, one loaded from the warm cache — inherits
         # its sweep bounds instead of re-deriving them.  FIFO-bounded.
         self._problem_facts: dict[
             frozenset,
@@ -860,7 +882,7 @@ class _IncrementalEngine:
         ] = {}
         self._sb_done: dict[Sort, int] = {s: 0 for s in self.sorts}
         self._groups: dict[tuple, _ClauseGroup] = {}
-        self._group_serial = itertools.count()
+        self._next_serial = 0
 
     # -- lifecycle ---------------------------------------------------------
     #: how many distinct problems' cores/hopeless verdicts the engine
@@ -881,11 +903,7 @@ class _IncrementalEngine:
         self, flat_clauses: Sequence[FlatClause]
     ) -> _ProblemContext:
         """Attach one problem's flattened clauses to this engine."""
-        ctx = _ProblemContext(
-            flat_clauses,
-            next(self._ctx_counter),
-            self.solver.stats.clauses_added,
-        )
+        ctx = _ProblemContext(flat_clauses, self.solver.stats.clauses_added)
         facts = self._problem_facts.get(self._facts_key(flat_clauses))
         if facts is not None:
             # this exact problem (up to variable renaming) was hosted
@@ -909,7 +927,8 @@ class _IncrementalEngine:
             key = clause_key(flat)
             group = self._groups.get(key)
             if group is None:
-                group = _ClauseGroup(flat, next(self._group_serial))
+                group = _ClauseGroup(flat, self._next_serial)
+                self._next_serial += 1
                 self._groups[key] = group
             elif group.serial not in seen:
                 self.groups_shared += 1
@@ -975,189 +994,16 @@ class _IncrementalEngine:
             # every later problem's propagation) lean
             self.solver.simplify()
 
-    # -- snapshot / restore ------------------------------------------------
     def header(self) -> dict:
-        """What :func:`check_engine` reads: schema, version, engine key
-        and signature fingerprint — also the head of every
-        :meth:`snapshot`."""
+        """What :func:`check_engine` reads: schema, layout version,
+        engine key and signature fingerprint.  The warm cache stores it
+        beside the pickled engine, so a file written by another build
+        is rejected by its version before the engine is used."""
         return {
             "schema": "engine",
             "version": ENGINE_SNAPSHOT_VERSION,
             "engine_key": self.engine_key,
             "fingerprint": self.fingerprint,
-        }
-
-    def snapshot(self) -> dict:
-        """Serializable state of the whole engine (picklable dict).
-
-        Captures the solver (via its own ``snapshot``), the
-        selector table, the signature-level hull, every live clause
-        group with its blocks and their staircases, and the
-        problem-facts memo.
-        Problem *contexts* are deliberately absent: a restored engine
-        starts with no registered problems, and re-registering one
-        recovers its bounds through the memo.  ``atom_layouts`` is also
-        dropped — it is keyed by object identity (``id(atom)``), which
-        does not survive pickling, and holds picker lambdas, which do
-        not pickle at all; :meth:`_block_layout` rebuilds it lazily on
-        first use.
-
-        The snapshot references the engine's own ``FlatClause``/``Var``
-        structures; those are value objects the engine never mutates, so
-        the dict stays valid even if the donor engine keeps solving
-        (every mutable container is copied here).
-        """
-        groups = []
-        for group in self._groups.values():
-            groups.append(
-                {
-                    "flat": group.flat,
-                    "serial": group.serial,
-                    "sel": group.sel,
-                    "stairs": list(group.stairs),
-                    "last_touch": group.last_touch,
-                    "blocks": [
-                        {
-                            "atom": b.atom,
-                            "outer": b.outer,
-                            "t": b.t,
-                            "t_insts": dict(b.t_insts),
-                            "stairs": list(b.stairs),
-                        }
-                        for b in group.blocks
-                    ],
-                }
-            )
-        return {
-            **self.header(),
-            "sorts": list(self.sorts),
-            "functions": list(self.functions),
-            "predicates": list(self.predicates),
-            "solver": self.solver.snapshot(),
-            "selectors": self.selectors.export_state(),
-            "cur": dict(self.cur),
-            "func_vars": {
-                f: dict(table) for f, table in self.func_vars.items()
-            },
-            "pred_vars": {
-                p: dict(table) for p, table in self.pred_vars.items()
-            },
-            "ex_rows": {
-                s: list(row) for s, row in self._ex_rows.items()
-            },
-            "func_done": dict(self._func_done),
-            "sb_done": dict(self._sb_done),
-            "groups": groups,
-            # ``itertools.count`` does not pickle; serial reuse of
-            # *retired* groups is safe (retire pops the selector key),
-            # so resuming past the live maximum is all that is needed
-            "next_serial": max(
-                (g.serial for g in self._groups.values()), default=-1
-            )
-            + 1,
-            "problems_registered": self.problems_registered,
-            "groups_shared": self.groups_shared,
-            "problem_facts": [
-                [
-                    key,
-                    [
-                        (dict(lower), dict(upper))
-                        for lower, upper in cores
-                    ],
-                    hopeless,
-                ]
-                for key, (cores, hopeless) in self._problem_facts.items()
-            ],
-        }
-
-    @classmethod
-    def restore(
-        cls,
-        snap: dict,
-        options: FinderOptions,
-        fingerprint: Optional[tuple] = None,
-    ) -> "_IncrementalEngine":
-        """Rebuild an engine from a :meth:`snapshot` dict for finders
-        configured by ``options`` (and, when given, the signature
-        ``fingerprint``).
-
-        :func:`check_engine` vets the snapshot first.  The engine is
-        then constructed from the snapshot's own signature lists (sorted
-        at snapshot time), so a finder whose fingerprint matches passes
-        the same check on injection.  Raises
-        :class:`EngineSnapshotError` on any mismatch or an internally
-        inconsistent snapshot, including an unusable solver block.
-        """
-        check_engine(snap, options, fingerprint)
-        try:
-            engine = cls(
-                snap["sorts"], snap["functions"], snap["predicates"], options
-            )
-            engine._restore_from(snap)
-        except EngineSnapshotError:
-            raise
-        except (LookupError, TypeError, ValueError, AttributeError) as error:
-            # a missing key, a malformed field or a solver block of
-            # another version (SatError is a ValueError)
-            raise EngineSnapshotError(
-                f"unusable engine snapshot: {type(error).__name__}: {error}"
-            ) from error
-        return engine
-
-    def _restore_from(self, snap: dict) -> None:
-        if snap["fingerprint"] != self.fingerprint:
-            raise EngineSnapshotError(
-                "snapshot fingerprint disagrees with its signature lists"
-            )
-        self.solver = CDCLSolver.restore(snap["solver"])
-        self.selectors = SelectorPool(self.solver)
-        self.selectors.import_state(snap["selectors"])
-        # symbol-keyed tables: the snapshot's keys are value-equal to
-        # this engine's own (frozen dataclasses hash by value), so the
-        # adopted dicts serve lookups from self.functions/predicates
-        self.cur = {s: int(snap["cur"].get(s, 0)) for s in self.sorts}
-        self.func_vars = {
-            f: dict(snap["func_vars"].get(f, {})) for f in self.functions
-        }
-        self.pred_vars = {
-            p: dict(snap["pred_vars"].get(p, {}))
-            for p in self.predicates
-        }
-        self._ex_rows = {
-            s: list(snap["ex_rows"].get(s, ())) for s in self.sorts
-        }
-        self._func_done = dict(snap["func_done"])
-        self._sb_done = {
-            s: int(snap["sb_done"].get(s, 0)) for s in self.sorts
-        }
-        self._groups = {}
-        for g in snap["groups"]:
-            group = _ClauseGroup(g["flat"], int(g["serial"]))
-            group.sel = g["sel"]
-            group.stairs = list(g["stairs"])
-            group.last_touch = int(g["last_touch"])
-            for b in g["blocks"]:
-                block = _BlockState(
-                    b["atom"],
-                    b["outer"],
-                    b["t"],
-                    dict(b["t_insts"]),
-                    list(b["stairs"]),
-                )
-                group.blocks.append(block)
-            self._groups[clause_key(group.flat)] = group
-        self._group_serial = itertools.count(int(snap["next_serial"]))
-        self.problems_registered = int(snap["problems_registered"])
-        self.groups_shared = int(snap["groups_shared"])
-        self._problem_facts = {
-            key: (
-                [
-                    (dict(lower), dict(upper))
-                    for lower, upper in cores
-                ],
-                bool(hopeless),
-            )
-            for key, cores, hopeless in snap["problem_facts"]
         }
 
     # -- small helpers -----------------------------------------------------
@@ -1796,7 +1642,7 @@ class _SweepState:
         self.stats = stats
         self.deadline = deadline
         self.start = time.monotonic()
-        # a pooled or restored engine's sorts are value-equal copies of
+        # a pooled or unpickled engine's sorts are value-equal copies of
         # the finder's, in the same order; size dicts key the engine's
         self._iter = size_vectors(
             engine.sorts, options.max_total_size, min_total

@@ -20,33 +20,36 @@ everything stays valid for every future problem.
 
 Reset conditions (bounding a long campaign's memory):
 
-* an engine that has hosted ``max_problems_per_engine`` contexts is
+* an engine that has hosted :data:`MAX_PROBLEMS_PER_ENGINE` contexts is
   *recycled* — the pool builds a fresh engine for the fingerprint while
   finders still holding the old one keep working standalone;
-* when more than ``max_engines`` fingerprints are live, the least
+* when more than :data:`MAX_ENGINES` fingerprints are live, the least
   recently used engine is evicted outright;
 * finished problems should be :meth:`released <EnginePool.release>`:
   their clause groups lose a reference, and groups nothing references
   for ``GC_WINDOW`` further registrations are retired (selector pinned
   false, clauses dropped by a level-0 simplify).
 
-Warm persistence (the snapshot layer)
--------------------------------------
+Warm persistence
+----------------
 
-Engines are serializable (:meth:`_IncrementalEngine.snapshot`), and the
-pool exploits that one way: ``cache_dir`` turns on a **disk-backed warm
-cache**.  Recycled and evicted engines are persisted (pickled, written
-atomically) keyed by their engine key, a :meth:`_slot_for` miss tries
-the cache before building cold, and :meth:`flush_cache` persists every
-live engine — so a second campaign over the same benchmark family
-starts from the first one's encodings, learned clauses and refutation
-bounds.  It is the only way engine state crosses a process boundary:
-supervised workers read and write the same cache.
+An engine pickles as it is (see the :mod:`repro.mace.finder`
+docstring), and the pool exploits that one way: ``cache_dir`` turns on
+a **disk-backed warm cache**.  A cache file, one per slot key, holds
+the pickled pair of the engine's
+:meth:`~repro.mace.finder._IncrementalEngine.header` and the engine,
+written atomically.  Recycled and evicted engines are persisted, a
+:meth:`_slot_for` miss tries the cache before building cold, and
+:meth:`flush_cache` persists every live engine, so a second campaign
+over the same benchmark family starts from the first one's encodings,
+learned clauses and refutation bounds.  It is the only way engine state
+crosses a process boundary: supervised workers read and write the same
+cache.
 
-Every load validates through :func:`~repro.mace.finder.check_engine`;
-*any* failure — corrupt file, stale version, foreign engine key —
-counts as ``snapshot_rejected`` and falls back to a cold engine, never
-an error.
+Every load runs :func:`~repro.mace.finder.check_engine` on the stored
+header, the rule engine injection uses; *any* failure — corrupt file,
+another layout version, foreign engine key or signature — counts as
+``snapshot_rejected`` and falls back to a cold engine, never an error.
 """
 
 from __future__ import annotations
@@ -71,6 +74,12 @@ from repro.mace.finder import (
     engine_fingerprint,
 )
 
+#: live engines (one per slot key) beyond which the least recently
+#: used one is evicted
+MAX_ENGINES = 8
+#: problems an engine hosts before the pool recycles it
+MAX_PROBLEMS_PER_ENGINE = 64
+
 
 def signature_fingerprint(system: CHCSystem) -> tuple:
     """A canonical, hashable fingerprint of a system's signature.
@@ -84,8 +93,8 @@ def signature_fingerprint(system: CHCSystem) -> tuple:
     those stay per-problem behind activation selectors.
 
     Delegates to :func:`repro.mace.finder.engine_fingerprint`, so the
-    fingerprint inside an engine snapshot is byte-for-byte the one the
-    pool keys that engine under.
+    fingerprint in a pooled engine's header is byte-for-byte the one
+    the pool keys that engine under.
     """
     return engine_fingerprint(
         system.adts.sorts,
@@ -109,12 +118,12 @@ class PoolStats:
     pool exists to create — and ``cross_problem_clauses`` sums the
     clauses those problems found already encoded on arrival.  The
     lifecycle block (``engine_recycles`` / ``engines_evicted`` /
-    ``released``) tracks the memory bounds.  The snapshot block:
+    ``released``) tracks the memory bounds.  The warm-cache block:
     ``snapshot_saves`` engines persisted to the warm cache,
     ``snapshot_hits`` engines started warm from it, ``snapshot_misses``
-    cache lookups that found no usable file, ``snapshot_rejected``
-    snapshots refused for any reason (corrupt, wrong version, foreign
-    engine key) — rejections always fall back cold.
+    cache lookups that found no file, ``snapshot_rejected`` files
+    refused for any reason (corrupt, another layout version, foreign
+    engine key or signature) — rejections always fall back cold.
 
     ``engines_live`` is a gauge, refreshed by :meth:`EnginePool.as_dict`;
     everything else is a monotone counter.  :meth:`as_dict` is the one
@@ -163,15 +172,7 @@ class EnginePool:
     processes and campaigns (see the module docstring).
     """
 
-    def __init__(
-        self,
-        *,
-        max_engines: Optional[int] = 8,
-        max_problems_per_engine: Optional[int] = 64,
-        cache_dir: Optional[Union[str, Path]] = None,
-    ):
-        self.max_engines = max_engines
-        self.max_problems_per_engine = max_problems_per_engine
+    def __init__(self, *, cache_dir: Optional[Union[str, Path]] = None):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.stats = PoolStats()
         self._engines: "OrderedDict[tuple, _PooledEngine]" = OrderedDict()
@@ -196,7 +197,7 @@ class EnginePool:
             return False
         try:
             payload = pickle.dumps(
-                engine.snapshot(), protocol=pickle.HIGHEST_PROTOCOL
+                (engine.header(), engine), protocol=pickle.HIGHEST_PROTOCOL
             )
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
@@ -219,12 +220,12 @@ class EnginePool:
         self.stats.snapshot_saves += 1
         return True
 
-    def _read_cache(
+    def _load(
         self, key: tuple, options: FinderOptions
-    ) -> Optional[dict]:
-        """``key``'s cached snapshot, vetted by
-        :func:`~repro.mace.finder.check_engine`; ``None`` on a miss or a
-        rejected file."""
+    ) -> Optional[_IncrementalEngine]:
+        """``key``'s engine from the warm cache, vetted by
+        :func:`~repro.mace.finder.check_engine` on its stored header;
+        ``None`` on a miss or a rejected file."""
         path = self._cache_path(key)
         if path is None:
             return None
@@ -234,24 +235,10 @@ class EnginePool:
             self.stats.snapshot_misses += 1
             return None
         try:
-            snap = pickle.loads(data)
-            check_engine(snap, options, key[1])
+            header, engine = pickle.loads(data)
+            check_engine(header, options, key[1])
         except Exception:
-            # corrupt, stale-version or foreign: fall back cold
-            self.stats.snapshot_rejected += 1
-            return None
-        return snap
-
-    def _load(
-        self, key: tuple, options: FinderOptions
-    ) -> Optional[_IncrementalEngine]:
-        """Try to restore ``key``'s engine from the warm cache."""
-        snap = self._read_cache(key, options)
-        if snap is None:
-            return None
-        try:
-            engine = _IncrementalEngine.restore(snap, options, key[1])
-        except Exception:
+            # corrupt, another layout version or foreign: fall back cold
             self.stats.snapshot_rejected += 1
             return None
         self.stats.snapshot_hits += 1
@@ -269,10 +256,7 @@ class EnginePool:
 
     # -- engine lookup -----------------------------------------------------
     def _evict_over_limit(self) -> None:
-        while (
-            self.max_engines is not None
-            and len(self._engines) > self.max_engines
-        ):
+        while len(self._engines) > MAX_ENGINES:
             key, slot = self._engines.popitem(last=False)
             self._persist(key, slot.engine)
             self.stats.engines_evicted += 1
@@ -283,16 +267,16 @@ class EnginePool:
         key = _slot_key(system, options)
         from_cache_ok = True
         slot = self._engines.get(key)
-        if slot is not None and (
-            self.max_problems_per_engine is not None
-            and slot.problems_hosted >= self.max_problems_per_engine
+        if (
+            slot is not None
+            and slot.problems_hosted >= MAX_PROBLEMS_PER_ENGINE
         ):
             # recycle: bound the clause database a very long campaign
             # accumulates; finders still holding the old engine keep
             # working standalone.  The retiring engine goes to the warm
             # cache for *future processes*, but this process must build
-            # the replacement cold — reloading the snapshot we just
-            # wrote would undo the recycle's memory bound
+            # the replacement cold — reloading the engine we just wrote
+            # would undo the recycle's memory bound
             self._persist(key, slot.engine)
             del self._engines[key]
             slot = None

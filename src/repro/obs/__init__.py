@@ -21,7 +21,7 @@ incremental finder → engine pool → supervised exec → harness):
   pstats dump (the CLI's ``--profile DIR``).
 
 Schemas (span records, heartbeat events, metrics snapshots) are
-versioned like the engine snapshot schemas; see ``docs/OBSERVABILITY.md``
+versioned like the warm cache's engine headers; see ``docs/OBSERVABILITY.md``
 for the field reference and a how-to for viewing traces.
 """
 

@@ -13,7 +13,6 @@ from repro.sat.cnf import (
     to_dimacs,
 )
 from repro.sat.solver import (
-    SNAPSHOT_VERSION,
     CDCLSolver,
     SatError,
     SatStats,
@@ -28,7 +27,6 @@ __all__ = [
     "exactly_one",
     "from_dimacs",
     "implies",
-    "SNAPSHOT_VERSION",
     "solve_cnf",
     "to_dimacs",
 ]

@@ -81,22 +81,6 @@ class SelectorPool:
         self._solver.add_clause([-lit])
         return True
 
-    def export_state(self) -> list[tuple[Hashable, int]]:
-        """The live key→literal table as picklable pairs (for engine
-        snapshots).  Keys are tuples over names/ints/sorts — all
-        value-comparable across processes.  Retired keys are absent by
-        construction (``retire`` pops them)."""
-        return list(self._by_key.items())
-
-    def import_state(
-        self, items: Iterable[tuple[Hashable, int]]
-    ) -> None:
-        """Adopt an exported table wholesale (restore path).  The
-        literals must already exist in the attached solver — the engine
-        restores its solver snapshot first, which recreates every
-        variable."""
-        self._by_key = {key: int(lit) for key, lit in items}
-
 
 def at_most_one(literals: Sequence[int]) -> Iterator[list[int]]:
     """Pairwise at-most-one encoding.

@@ -33,17 +33,12 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 UNASSIGNED = 0
 TRUE_VAL = 1
 FALSE_VAL = -1
-
-#: schema version of :meth:`CDCLSolver.snapshot`; bumped whenever the
-#: serialized layout changes incompatibly.  :meth:`CDCLSolver.restore`
-#: rejects any other version instead of guessing.
-SNAPSHOT_VERSION = 3
 
 
 class SatError(ValueError):
@@ -113,8 +108,9 @@ class CDCLSolver:
     * :meth:`fixed` reports a literal's value entailed by the database
       alone (level 0), ``None`` when it is not fixed there;
     * :meth:`simplify` and :meth:`reduce_learned` keep the database
-      lean, and :meth:`snapshot` / :meth:`restore` round-trip its whole
-      warm state;
+      lean;
+    * a pickled copy, taken between ``solve`` calls, continues exactly
+      like the original (see :meth:`__getstate__`);
     * ``stats`` is the :class:`SatStats` block; ``clauses_added`` and
       ``solve_calls`` are exact, since the engine's reuse accounting is
       built on them.
@@ -991,116 +987,38 @@ class CDCLSolver:
             if self._assign[v] != UNASSIGNED
         }
 
-    # -- snapshot / restore -------------------------------------------------
-    def snapshot(self) -> dict:
-        """The solver's complete warm state as a plain-data dict.
+    # -- pickling -----------------------------------------------------------
+    def __getstate__(self) -> dict:
+        """The solver's state for pickling, taken at level 0.
 
-        Captures everything :meth:`restore` needs to rebuild an
-        equivalent solver in another process: the clause database
-        (original and learned, with per-clause LBD and activity), VSIDS
-        activities and saved phases, the level-0 fixed literals, pending
-        units, and the cumulative :class:`SatStats`.  Backtracks to
-        level 0 first, so the trail holds only permanent facts — units
-        are never stored in ``self.clauses``, so they must be captured
-        explicitly here.  The result contains only ints / floats /
-        bools / lists / dicts (JSON- and pickle-friendly) plus a
-        ``version`` field checked on restore.
+        Backtracks first, so the trail holds only permanent facts (which
+        ends any model the last answer left).  Learned-clause LBD and
+        activity are keyed by ``id(clause)``, which no copy keeps, so
+        they travel as lists in ``learned_clauses`` order; the phase
+        timers stay behind.  Everything else pickles as it is: pickle
+        keeps the references the watch lists, the trail's reasons and
+        the clause lists share, so an unpickled solver is an exact copy
+        that continues every search as the original would.
         """
         self._backtrack(0)
-        return {
-            "schema": "cdcl",
-            "version": SNAPSHOT_VERSION,
-            "num_vars": self.num_vars,
-            "ok": self._ok,
-            "clauses": [list(c) for c in self.clauses],
-            "learned": [
-                [
-                    list(c),
-                    self._lbd.get(id(c)),
-                    self._cla_act.get(id(c), 0.0),
-                ]
-                for c in self.learned_clauses
-            ],
-            # level-0 trail = facts entailed by the database alone
-            "fixed": list(self._trail),
-            "pending_units": list(self._pending_units),
-            "activity": list(self._activity[1:]),
-            "phase": list(self._phase[1:]),
-            "var_inc": self._var_inc,
-            "cla_inc": self._cla_inc,
-            "stats": asdict(self.stats),
-        }
+        self._model_ready = False
+        state = self.__dict__.copy()
+        state["_lbd"] = [self._lbd.get(id(c)) for c in self.learned_clauses]
+        state["_cla_act"] = [
+            self._cla_act.get(id(c)) for c in self.learned_clauses
+        ]
+        state["_phase_times"] = None
+        return state
 
-    @classmethod
-    def restore(cls, snap: dict) -> "CDCLSolver":
-        """Rebuild a solver from :meth:`snapshot` output.
-
-        Clause lists are adopted verbatim with their first two literals
-        watched: at the quiescent level-0 state a snapshot captures,
-        every clause either has both watches non-false or is satisfied
-        by its other watch, so re-enqueueing the same level-0 facts and
-        propagating re-establishes the two-watched-literal invariant.
-        Clauses are appended directly (not via :meth:`add_clause`) and
-        the stats block is restored wholesale, so ``clauses_added`` /
-        ``learned_count`` accounting survives the round trip exactly.
-        Raises :class:`SatError` on a wrong schema or version.
-        """
-        if not isinstance(snap, dict) or snap.get("schema") != "cdcl":
-            raise SatError("not a CDCL solver snapshot")
-        if snap.get("version") != SNAPSHOT_VERSION:
-            raise SatError(
-                f"unsupported solver snapshot version "
-                f"{snap.get('version')!r} (expected {SNAPSHOT_VERSION})"
-            )
-        solver = cls()
-        solver.new_vars(int(snap["num_vars"]))
-        if len(snap["activity"]) != solver.num_vars:
-            raise SatError("snapshot activity table length mismatch")
-        fixed: list[int] = [int(l) for l in snap["fixed"]]
-        for lits in snap["clauses"]:
-            clause = [int(l) for l in lits]
-            if len(clause) >= 2:
-                solver.clauses.append(clause)
-                solver._watch(clause)
-            elif clause:  # defensive: stored units become fixed facts
-                fixed.append(clause[0])
-        for lits, lbd, act in snap["learned"]:
-            clause = [int(l) for l in lits]
-            if len(clause) >= 2:
-                solver.learned_clauses.append(clause)
-                solver._watch(clause)
-                if lbd is not None:
-                    solver._lbd[id(clause)] = int(lbd)
-                solver._cla_act[id(clause)] = float(act)
-            elif clause:
-                fixed.append(clause[0])
-        for v in range(1, solver.num_vars + 1):
-            solver._activity[v] = float(snap["activity"][v - 1])
-            solver._phase[v] = bool(snap["phase"][v - 1])
-        # every variable is already on the heap from new_vars; rebuild
-        # the order bottom-up now that the activities are in place (tie
-        # layouts may differ from the live heap — restored searches may
-        # take different but equally correct paths)
-        for i in range(len(solver._heap) // 2 - 1, -1, -1):
-            solver._heap_down(i)
-        ok = bool(snap["ok"])
-        if ok:
-            for lit in fixed:
-                if not solver._enqueue(lit, None):
-                    ok = False
-                    break
-            if ok and solver._propagate() is not None:
-                ok = False
-        solver._ok = ok
-        solver._pending_units.extend(
-            int(l) for l in snap["pending_units"]
-        )
-        solver._var_inc = float(snap["var_inc"])
-        solver._cla_inc = float(snap["cla_inc"])
-        # restored wholesale so cumulative accounting is exact (the
-        # replay above must not inflate clauses_added/propagations)
-        solver.stats = SatStats(**snap["stats"])
-        return solver
+    def __setstate__(self, state: dict) -> None:
+        learned = state["learned_clauses"]
+        for name in ("_lbd", "_cla_act"):
+            state[name] = {
+                id(c): value
+                for c, value in zip(learned, state[name])
+                if value is not None
+            }
+        self.__dict__.update(state)
 
 
 def solve_cnf(

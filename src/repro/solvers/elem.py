@@ -29,7 +29,6 @@ from repro.chc.semantics import eval_constraint
 from repro.core.result import SolveResult, sat, unknown
 from repro.logic.adt import ADTSystem
 from repro.logic.formulas import TRUE, Eq, atoms as formula_atoms
-from repro.logic.formulas import substitute_formula
 from repro.logic.sorts import PredSymbol, Sort
 from repro.logic.terms import Term, is_ground, subterms, substitute
 from repro.solvers.synth import (
@@ -250,7 +249,7 @@ def ground_instances(
                 return None
             env = dict(zip(free, combo))
             if cl.constraint != TRUE and not eval_constraint(
-                substitute_formula(cl.constraint, env), adts
+                cl.constraint, adts, env
             ):
                 continue
             body = tuple(

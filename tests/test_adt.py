@@ -21,6 +21,7 @@ from repro.logic.adt import (
 )
 from repro.logic.sorts import FuncSymbol, Sort
 from repro.logic.terms import App, height, is_ground, size
+from repro.theory.linsets import is_expanding_sort
 
 
 class TestDeclarations:
@@ -144,9 +145,9 @@ class TestCounting:
 
     def test_expanding_examples_from_paper(self):
         # Example 7: Nat is not expanding, List is; Tree is too
-        assert not nat_system().is_expanding_sort(NAT)
-        assert natlist_system().is_expanding_sort(NATLIST)
-        assert tree_system().is_expanding_sort(TREE)
+        assert not is_expanding_sort(nat_system(), NAT)
+        assert is_expanding_sort(natlist_system(), NATLIST)
+        assert is_expanding_sort(tree_system(), TREE)
 
 
 class TestGroundOps:

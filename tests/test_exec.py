@@ -25,6 +25,7 @@ from repro.exec import (
     load_journal,
 )
 from repro.exec.faults import FaultSpec
+from repro.exec import supervisor
 from repro.exec.journal import JournalError
 from repro.exec.supervisor import _graceful_signals
 from repro.harness.runner import run_campaign, run_problem, task_id_for
@@ -35,6 +36,12 @@ from repro.problems import (
     incdec_system,
     odd_unsat_system,
 )
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Retries wait 10 ms instead of 50 ms."""
+    monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.01)
 
 
 def tiny_suite() -> Suite:
@@ -254,23 +261,21 @@ class TestSupervisedInprocess:
         # each solve persisted its engine through a private pool
         assert list(cache.glob("*.engine"))
 
-    def test_flaky_retried_with_backoff(self):
+    def test_flaky_retried_with_backoff(self, fast_backoff):
         plan = ReproFaultPlan.parse("flaky@0x1")
         campaign = run_campaign(
             [tiny_suite()], solvers=["ringen"], timeout=5.0,
-            policy=ExecPolicy(fault_plan=plan, backoff_base=0.01),
+            policy=ExecPolicy(fault_plan=plan),
         )
         record = campaign.record("even", "ringen")
         assert record.status is Status.SAT and record.attempts == 2
         assert campaign.exec_stats["retries"] == 1
 
-    def test_flaky_exhausts_retry_budget(self):
+    def test_flaky_exhausts_retry_budget(self, fast_backoff):
         plan = ReproFaultPlan.parse("flaky@0x5")
         campaign = run_campaign(
             [tiny_suite()], solvers=["ringen"], timeout=5.0,
-            policy=ExecPolicy(
-                fault_plan=plan, max_retries=1, backoff_base=0.01
-            ),
+            policy=ExecPolicy(fault_plan=plan, max_retries=1),
         )
         record = campaign.record("even", "ringen")
         assert record.errored and record.error_kind == "crash"
@@ -286,11 +291,11 @@ class TestSupervisedInprocess:
         assert campaign.record("incdec", "ringen").error_kind == "oom"
         assert campaign.record("broken", "ringen").status is Status.UNSAT
 
-    def test_backoff_is_deterministic_and_growing(self):
-        policy = ExecPolicy(backoff_base=0.1, backoff_factor=2.0)
-        second = policy.backoff("t", 2)
-        third = policy.backoff("t", 3)
-        assert second == policy.backoff("t", 2)  # deterministic
+    def test_backoff_is_deterministic_and_growing(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.1)
+        second = supervisor.backoff("t", 2)
+        third = supervisor.backoff("t", 3)
+        assert second == supervisor.backoff("t", 2)  # deterministic
         assert 0.1 <= second <= 0.1 * 1.25
         assert third > second  # exponential growth dominates jitter
 
@@ -327,13 +332,10 @@ class TestSupervisedInprocess:
 
 
 class TestIsolated:
-    def test_acceptance_fault_campaign(self):
+    def test_acceptance_fault_campaign(self, fast_backoff):
         """ISSUE acceptance: crash + hang + OOM + flaky in 10 problems."""
         plan = ReproFaultPlan.parse("crash@1,hang@3,oom@5,flaky@7x1")
-        policy = ExecPolicy(
-            isolate=True, fault_plan=plan, mem_limit_mb=512,
-            backoff_base=0.01,
-        )
+        policy = ExecPolicy(isolate=True, fault_plan=plan, mem_limit_mb=512)
         campaign = run_campaign(
             [fault10_suite()], solvers=["ringen"], timeout=1.0,
             policy=policy,
@@ -382,7 +384,7 @@ class TestIsolated:
         plan = ReproFaultPlan.parse("hang@0")
         timeout = 0.2
         policy = ExecPolicy(isolate=True, fault_plan=plan)
-        hard = policy.hard_timeout(timeout)
+        hard = supervisor.hard_timeout(timeout)
         start = time.monotonic()
         campaign = run_campaign(
             [tiny_suite()], solvers=["ringen"], timeout=timeout,
@@ -542,6 +544,7 @@ class TestResumeAndInterrupt:
             assert entries[task_id]["status"] == record.status.value
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestBatchReschedule:
     """A worker death mid-batch in an isolated, engine-sharing campaign.
 
@@ -555,9 +558,7 @@ class TestBatchReschedule:
             [fault10_suite()], solvers=["ringen"], timeout=5.0,
             share_engines=True,
             policy=ExecPolicy(
-                isolate=True,
-                fault_plan=ReproFaultPlan.parse(plan),
-                backoff_base=0.01,
+                isolate=True, fault_plan=ReproFaultPlan.parse(plan)
             ),
             **kwargs,
         )

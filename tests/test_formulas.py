@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.chc.semantics import eval_constraint
+from repro.chc.semantics import SemanticsError, eval_constraint
 from repro.logic.adt import NAT, S, Z, nat, nat_system
 from repro.logic.formulas import (
     And,
@@ -155,3 +155,72 @@ def test_double_negation_evaluates_identically(formula):
     assert eval_constraint(Not(Not(formula)), ADTS) == eval_constraint(
         formula, ADTS
     )
+
+
+# ----------------------------------------------------------------------
+# evaluation through a substitution, against the substituted formula
+# ----------------------------------------------------------------------
+VARS = (X, Y, Var("w", NAT))
+
+
+def open_terms():
+    """Nat terms over ``VARS``, ground or not."""
+    leaves = st.one_of(
+        st.integers(min_value=0, max_value=2).map(nat), st.sampled_from(VARS)
+    )
+    return st.recursive(leaves, lambda t: t.map(s), max_leaves=3)
+
+
+def open_formulas():
+    """Nat constraints over ``VARS``: equalities and testers under
+    negation, conjunction and disjunction."""
+    terms = open_terms()
+    leaves = st.one_of(
+        st.builds(Eq, terms, terms),
+        st.builds(Tester, st.sampled_from((Z, S)), terms),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.builds(Not, children),
+            st.builds(lambda a, b: And((a, b)), children, children),
+            st.builds(lambda a, b: Or((a, b)), children, children),
+        ),
+        max_leaves=8,
+    )
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except SemanticsError:
+        return SemanticsError
+
+
+@given(
+    open_formulas(),
+    st.dictionaries(
+        st.sampled_from(VARS),
+        st.one_of(
+            st.integers(min_value=0, max_value=3).map(nat), open_terms()
+        ),
+    ),
+)
+def test_eval_through_substitution_matches_substituted_formula(
+    formula, subst
+):
+    assert _outcome(lambda: eval_constraint(formula, ADTS, subst)) == (
+        _outcome(
+            lambda: eval_constraint(substitute_formula(formula, subst), ADTS)
+        )
+    )
+
+
+def test_eval_through_substitution_rejects_unbound_variables():
+    assert eval_constraint(Eq(X, s(Y)), ADTS, {X: s(z()), Y: z()})
+    assert not eval_constraint(Tester(S, X), ADTS, {X: z()})
+    for subst in ({Y: z()}, {X: Y}, {X: s(Y)}):
+        with pytest.raises(SemanticsError):
+            eval_constraint(Eq(X, z()), ADTS, subst)
+    with pytest.raises(SemanticsError):
+        eval_constraint(Tester(S, s(X)), ADTS, {Y: z()})

@@ -612,7 +612,8 @@ def _pooled_with_retirement():
 def test_canonical_assignment_satisfies_the_database(case):
     """The invariant the engine's missing reset rests on: no clause
     database it builds — fresh, pooled with group retirement, or
-    restored from a snapshot — can derive a level-0 contradiction."""
+    unpickled from the warm cache — can derive a level-0
+    contradiction."""
     if case in PINNED_STREAMS:
         factory, max_total, _ = PINNED_STREAMS[case]
         finder = ModelFinder(
@@ -628,7 +629,7 @@ def test_canonical_assignment_satisfies_the_database(case):
         assert retired and engine.solver.learned_clauses
         if case == "restored":
             options = FinderOptions(max_total_size=4)
-            restored = _IncrementalEngine.restore(engine.snapshot(), options)
+            restored = pickle.loads(pickle.dumps(engine))
             assert not _canonical_violations(restored)
             prepared = preprocess(nat_mod_system(3, 2, 3))
             ModelFinder(prepared, options, engine=restored).search()
@@ -821,8 +822,7 @@ class TestStaircase:
         engine, ctx = _engine_for(system)
         for sizes in vectors[:k]:
             _attempt(engine, ctx, sizes)
-        snap = pickle.loads(pickle.dumps(engine.snapshot()))
-        restored = _IncrementalEngine.restore(snap, _EXACT)
+        restored = pickle.loads(pickle.dumps(engine))
         ctx = restored.register(ctx.flat_clauses)
         for sizes, (answer, _) in zip(vectors[:k], straight):
             assert _attempt(restored, ctx, sizes) == (answer, 0)

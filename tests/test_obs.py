@@ -13,6 +13,7 @@ import pytest
 from repro.benchgen.suite import Suite
 from repro.chc.transform import preprocess
 from repro.exec import ExecPolicy, ReproFaultPlan, ResultsJournal, load_journal
+from repro.exec import supervisor
 from repro.harness import campaign_report
 from repro.harness.runner import run_campaign, task_id_for
 from repro.mace.finder import _SweepState, find_model
@@ -483,18 +484,17 @@ def _even_campaign_counts(n, *, plan=None, isolate=True):
     for i in range(n):
         suite.add(f"e{i}", "parity", even_system, "sat")
     obs_runtime.configure(metrics=True)
-    run_campaign(
-        [suite],
-        solvers=["ringen"],
-        timeout=1.0,
-        share_engines=True,
-        policy=ExecPolicy(
-            isolate=isolate,
-            fault_plan=plan,
-            hard_timeout_factor=1.0,
-            hard_timeout_grace=0.5,
-        ),
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        # the hung task is killed 1.5 s in rather than 2.5 s
+        patch.setattr(supervisor, "HARD_TIMEOUT_FACTOR", 1.0)
+        patch.setattr(supervisor, "HARD_TIMEOUT_GRACE", 0.5)
+        run_campaign(
+            [suite],
+            solvers=["ringen"],
+            timeout=1.0,
+            share_engines=True,
+            policy=ExecPolicy(isolate=isolate, fault_plan=plan),
+        )
     counters = obs_runtime.METRICS.snapshot()["counters"]
     obs_runtime.reset()
     return {
@@ -657,10 +657,12 @@ class TestTracedFaultCampaign:
 
 
 class TestLiveProgress:
-    def test_isolated_hang_produces_heartbeat_renders(self):
+    def test_isolated_hang_produces_heartbeat_renders(self, monkeypatch):
         """A hung isolated task emits heartbeats over the verdict pipe,
         and the supervisor renders them — exactly the situation live
         progress exists for (no verdicts to print, work in flight)."""
+        monkeypatch.setattr(supervisor, "HARD_TIMEOUT_FACTOR", 1.0)
+        monkeypatch.setattr(supervisor, "HARD_TIMEOUT_GRACE", 0.2)
         lines = []
         plan = ReproFaultPlan.parse("hang@0")
         campaign = run_campaign(
@@ -672,9 +674,6 @@ class TestLiveProgress:
                 isolate=True,
                 fault_plan=plan,
                 heartbeat_interval=0.02,
-                progress_throttle=0.0,
-                hard_timeout_factor=1.0,
-                hard_timeout_grace=0.2,
             ),
         )
         assert campaign.exec_stats["heartbeats_received"] >= 1

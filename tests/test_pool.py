@@ -1,5 +1,7 @@
 """Campaign batch mode: the engine pool and cross-problem sharing."""
 
+import pickle
+
 import pytest
 
 from repro import solve
@@ -7,16 +9,22 @@ from repro.benchgen.builders import nat_mod_system, nat_two_residues_system
 from repro.chc.transform import preprocess
 from repro.harness import batch_order, run_campaign
 from repro.benchgen.suite import Suite
-from repro.mace import EnginePool, find_model, signature_fingerprint
+from repro.mace import (
+    ENGINE_SNAPSHOT_VERSION,
+    EnginePool,
+    EngineSnapshotError,
+    find_model,
+    signature_fingerprint,
+)
+from repro.mace import pool as pool_module
 from repro.mace.finder import (
     FinderError,
     FinderOptions,
     ModelFinder,
-    _IncrementalEngine,
+    check_engine,
     clause_key,
 )
 from repro.problems import even_system, odd_unsat_system
-from repro.sat.solver import SNAPSHOT_VERSION
 from repro.stlc import stlc_problems
 
 
@@ -125,8 +133,9 @@ class TestEnginePool:
         with pytest.raises(FinderError):
             finder.search()
 
-    def test_engine_recycled_after_problem_cap(self):
-        pool = EnginePool(max_problems_per_engine=2)
+    def test_engine_recycled_after_problem_cap(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_PROBLEMS_PER_ENGINE", 2)
+        pool = EnginePool()
         systems = [
             preprocess(nat_mod_system(2, 0, 1)),
             preprocess(nat_mod_system(3, 0, 1)),
@@ -142,8 +151,9 @@ class TestEnginePool:
         assert engines[2] is not engines[0]
         assert pool.stats.engine_recycles == 1
 
-    def test_lru_eviction_bounds_engine_count(self):
-        pool = EnginePool(max_engines=1)
+    def test_lru_eviction_bounds_engine_count(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_ENGINES", 1)
+        pool = EnginePool()
         pool.engine_for(preprocess(nat_mod_system(2, 0, 1)))
         pool.engine_for(preprocess(even_system()))
         assert len(pool) == 1
@@ -237,7 +247,7 @@ class TestHarnessCampaign:
 
 
 class TestEngineSnapshot:
-    """Engine serialization and the disk warm cache."""
+    """Engine pickling and the disk warm cache."""
 
     def _warm_pool(self, cache_dir=None):
         pool = EnginePool(cache_dir=cache_dir)
@@ -247,11 +257,14 @@ class TestEngineSnapshot:
             pool.release(finder)
         return pool
 
+    def _header(self):
+        engine = EnginePool().engine_for(preprocess(nat_mod_system(2, 0, 1)))
+        return engine.header()
+
     def test_engine_round_trip_preserves_verdicts(self):
         pool = self._warm_pool()
         engine = next(iter(pool._engines.values())).engine
-        snap = engine.snapshot()
-        restored = _IncrementalEngine.restore(snap, FinderOptions())
+        restored = pickle.loads(pickle.dumps(engine))
         prepared = preprocess(nat_mod_system(4, 1, 2))
         cold = find_model(prepared)
         warm = ModelFinder(prepared, engine=restored).search()
@@ -259,52 +272,34 @@ class TestEngineSnapshot:
         assert warm.model.satisfies(prepared)
 
     def test_snapshot_rejects_foreign_schema(self):
-        from repro.mace import EngineSnapshotError
-
         with pytest.raises(EngineSnapshotError):
-            _IncrementalEngine.restore(
-                {"schema": "cdcl", "version": 1}, FinderOptions()
-            )
+            check_engine({"schema": "cdcl", "version": 1}, FinderOptions())
 
     def test_snapshot_rejects_wrong_version(self):
-        from repro.mace import ENGINE_SNAPSHOT_VERSION, EngineSnapshotError
-
-        pool = self._warm_pool()
-        snap = next(iter(pool._engines.values())).engine.snapshot()
-        snap["version"] = ENGINE_SNAPSHOT_VERSION + 1
-        with pytest.raises(EngineSnapshotError):
-            _IncrementalEngine.restore(snap, FinderOptions())
+        header = self._header()
+        header["version"] = ENGINE_SNAPSHOT_VERSION + 1
+        with pytest.raises(EngineSnapshotError, match="version"):
+            check_engine(header, FinderOptions())
 
     @pytest.mark.parametrize(
-        "spoil",
+        "options, fingerprint",
         [
             pytest.param(
-                lambda snap: snap["solver"].update(
-                    version=SNAPSHOT_VERSION + 1
-                ),
-                id="solver-version",
+                FinderOptions(symmetry_breaking=False), None, id="engine-key"
             ),
             pytest.param(
-                lambda snap: snap["solver"]["stats"].update(bogus=0),
-                id="solver-stats-field",
-            ),
-            pytest.param(
-                lambda snap: snap["solver"].pop("activity"),
-                id="solver-missing-key",
-            ),
-            pytest.param(
-                lambda snap: snap.pop("groups"), id="engine-missing-key"
+                FinderOptions(),
+                signature_fingerprint(preprocess(even_system())),
+                id="fingerprint",
             ),
         ],
     )
-    def test_snapshot_rejects_unusable_contents(self, spoil):
-        from repro.mace import EngineSnapshotError
-
-        pool = self._warm_pool()
-        snap = next(iter(pool._engines.values())).engine.snapshot()
-        spoil(snap)
+    def test_header_rejects_another_engine(self, options, fingerprint):
+        header = self._header()
+        # the engine's own options and signature pass
+        check_engine(header, FinderOptions(), header["fingerprint"])
         with pytest.raises(EngineSnapshotError):
-            _IncrementalEngine.restore(snap, FinderOptions())
+            check_engine(header, options, fingerprint)
 
     def test_disk_cache_round_trip(self, tmp_path):
         cache = tmp_path / "engines"
@@ -351,29 +346,29 @@ class TestEngineSnapshot:
         assert pool.stats.engines_created == 1  # cold start worked
 
     def test_wrong_version_cache_falls_back_cold(self, tmp_path):
-        import pickle
+        def bump_version(entry):
+            header, engine = pickle.loads(entry.read_bytes())
+            header["version"] += 1
+            entry.write_bytes(pickle.dumps((header, engine)))
 
-        def bump_engine(snap):
-            snap["version"] += 1
+        def foreign_engine_key(entry):
+            header, engine = pickle.loads(entry.read_bytes())
+            header["engine_key"] = (not header["engine_key"][0],)
+            entry.write_bytes(pickle.dumps((header, engine)))
 
-        def solver_v2(snap):
-            # a warm cache written by a build whose solver blocks were
-            # at version 2, before SatStats changed layout
-            snap["solver"]["version"] = 2
+        def engine_v4(entry):
+            # a warm cache written by a build whose engines were stored
+            # as version-4 plain-data dicts
+            header, _ = pickle.loads(entry.read_bytes())
+            entry.write_bytes(
+                pickle.dumps({**header, "version": 4, "solver": {}})
+            )
 
-        def engine_v3(snap):
-            # a warm cache written by a build whose engine snapshots
-            # were at version 3, which still carried the counters
-            # folded across engine resets and the engine's ok flag
-            snap.update(version=3, folded=[0, 0, 0], ok=True)
-
-        for spoil in (bump_engine, solver_v2, engine_v3):
+        for spoil in (bump_version, foreign_engine_key, engine_v4):
             cache = tmp_path / spoil.__name__
             self._warm_pool(cache_dir=cache).flush_cache()
             for entry in cache.iterdir():
-                snap = pickle.loads(entry.read_bytes())
-                spoil(snap)
-                entry.write_bytes(pickle.dumps(snap))
+                spoil(entry)
             # _warm_pool asserts both problems are still solved
             pool = self._warm_pool(cache_dir=cache)
             assert pool.stats.snapshot_rejected >= 1, spoil.__name__
@@ -381,12 +376,10 @@ class TestEngineSnapshot:
             assert pool.stats.engines_created == 1, spoil.__name__
 
     def test_wrong_fingerprint_cache_falls_back_cold(self, tmp_path):
-        import os
-
         cache = tmp_path / "engines"
         self._warm_pool(cache_dir=cache).flush_cache()
         # a cache entry for signature A renamed to signature B's slot:
-        # the snapshot's own fingerprint must reject it
+        # the fingerprint in its stored header must reject it
         other = EnginePool(cache_dir=cache)
         prepared = preprocess(even_system())
         other.engine_for(prepared)

@@ -118,6 +118,61 @@ class TestTimeoutEnforcement:
         search_counterexample(prepared, max_height=6, timeout=1)
         assert time.monotonic() - start < 10
 
+    def test_cex_reads_the_clock_while_pruning_joins(self):
+        """The loop over a body's joined substitutions spent no steps on
+        those the head-height cut pruned, so it never read the clock: a
+        fixpoint could run for seconds past its deadline there."""
+        from repro.chc.clauses import BodyAtom, Clause
+        from repro.chc.semantics import _body_matches, _StepBudget
+        from repro.logic.adt import TREE, NODE, tree_system
+        from repro.logic.formulas import TRUE
+        from repro.logic.sorts import PredSymbol
+        from repro.logic.terms import App, Var
+
+        adts = tree_system()
+        p, r = PredSymbol("P", (TREE,)), PredSymbol("R", (TREE,))
+        x = Var("x", TREE)
+        # every join is pruned at height 2: the head is 2 above x
+        head = BodyAtom(r, (App(NODE, (App(NODE, (x, x)), x)),))
+        clause = Clause(TRUE, (BodyAtom(p, (x,)),), head)
+        facts = {p: {(t,) for t in adts.terms_up_to_height(TREE, 5)}}
+        assert len(facts[p]) > 256
+        # past its deadline, and a step count whose spending in the join
+        # reaches no clock read of its own
+        budget = _StepBudget(time.monotonic() - 1, 4096 + 4095)
+        matches = list(_body_matches(clause, facts, adts, 2, budget, head))
+        assert matches == []
+        assert budget.exhausted
+
+    def test_cex_deadline_holds_under_hash_seed_0(self):
+        """Under PYTHONHASHSEED=0 this search's deadline fell inside that
+        loop, which ran 10.75 s at a 4 s timeout."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import time\n"
+            "from repro.benchgen.tip import mirror_system\n"
+            "from repro.chc.transform import normalize, remove_selectors\n"
+            "from repro.core.cex import search_counterexample\n"
+            "system = normalize(remove_selectors(mirror_system(2)))\n"
+            "start = time.monotonic()\n"
+            "search_counterexample(system, max_height=5, "
+            "max_facts=150_000, timeout=4)\n"
+            "print(time.monotonic() - start)\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert float(out.stdout) < 5.5
+
 
 class TestZigzagSemantics:
     """The first zigzag builder was accidentally unsatisfiable (its query

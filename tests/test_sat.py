@@ -1,6 +1,8 @@
 """Tests for the CDCL SAT solver, cross-checked against brute force."""
 
 import itertools
+import pickle
+import random
 import time
 
 import pytest
@@ -15,7 +17,6 @@ from repro.sat.cnf import (
     to_dimacs,
 )
 from repro.sat.solver import (
-    SNAPSHOT_VERSION,
     CDCLSolver,
     SatError,
     brute_force_sat,
@@ -838,13 +839,17 @@ def test_guided_sweep_skips_on_multi_sort_problems():
 
 
 # ----------------------------------------------------------------------
-# snapshot / restore: a restored solver must be semantically
-# indistinguishable from the original on any continuation
+# pickling: an unpickled solver is an exact copy, which continues every
+# search exactly as the original does
 # ----------------------------------------------------------------------
+def _copy(solver: CDCLSolver) -> CDCLSolver:
+    return pickle.loads(pickle.dumps(solver, pickle.HIGHEST_PROTOCOL))
+
+
 @st.composite
 def random_incremental_history(draw):
-    """A CNF split into a prefix (solved before the snapshot) and a
-    suffix (added after), plus assumptions to probe both solvers with."""
+    """A CNF split into a prefix (solved before the copy) and a suffix
+    (added after), plus assumptions to probe both solvers with."""
     clauses, num_vars = draw(random_cnf())
     split = draw(st.integers(min_value=0, max_value=len(clauses)))
     assumptions = draw(
@@ -870,7 +875,7 @@ class TestSnapshotRestore:
             ok = original.add_clause(clause) and ok
         if ok:
             original.solve()  # accumulate learned clauses / phases
-        restored = CDCLSolver.restore(original.snapshot())
+        restored = _copy(original)
         # every level-0 fact survives the round trip
         if original._ok:
             for var in range(1, num_vars + 1):
@@ -891,20 +896,22 @@ class TestSnapshotRestore:
             )
             is not None
         )
-        # after the continuation the two may hold different level-0
-        # facts (restored heap ties can steer the search to learn
-        # another unit), but each one must be entailed by the clauses
+        # the copy is exact: the continuation did the same work, left
+        # the same trail and learned the same clauses
+        assert restored.stats == original.stats
+        assert restored._trail == original._trail
+        assert restored.learned_clauses == original.learned_clauses
+        # and every level-0 fact it holds is entailed by the clauses
         # (meaningless once the database is contradictory)
-        if original._ok and restored._ok:
-            for solver in (original, restored):
-                for var in range(1, num_vars + 1):
-                    value = solver.fixed(var)
-                    if value is not None:
-                        negated = [-var] if value else [var]
-                        assert (
-                            brute_force_sat(clauses + [negated], num_vars)
-                            is None
-                        )
+        if restored._ok:
+            for var in range(1, num_vars + 1):
+                value = restored.fixed(var)
+                if value is not None:
+                    negated = [-var] if value else [var]
+                    assert (
+                        brute_force_sat(clauses + [negated], num_vars)
+                        is None
+                    )
 
     @given(random_cnf())
     @settings(max_examples=60, deadline=None)
@@ -916,31 +923,54 @@ class TestSnapshotRestore:
             ok = original.add_clause(clause) and ok
         if ok:
             original.solve()
-        restored = CDCLSolver.restore(original.snapshot())
+        restored = _copy(original)
         assert restored.num_vars == original.num_vars
         assert restored.stats.clauses_added == original.stats.clauses_added
         assert restored.learned_count() == original.learned_count()
         assert restored.clauses == original.clauses
         assert restored.learned_clauses == original.learned_clauses
 
-    def test_wrong_version_rejected(self):
-        solver = CDCLSolver(2)
-        solver.add_clause([1, 2])
-        snap = solver.snapshot()
-        snap["version"] = SNAPSHOT_VERSION + 1
-        with pytest.raises(SatError, match="version"):
-            CDCLSolver.restore(snap)
+        def metadata(solver):
+            return [
+                (solver._lbd.get(id(c)), solver._cla_act.get(id(c)))
+                for c in solver.learned_clauses
+            ]
 
-    def test_wrong_schema_rejected(self):
-        with pytest.raises(SatError):
-            CDCLSolver.restore({"schema": "engine", "version": 1})
+        # LBD and activity are keyed by clause identity, which the copy
+        # must re-key rather than lose
+        assert metadata(restored) == metadata(original)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_copy_continues_exactly(self, seed):
+        """A copy taken mid-search, where LBD updates and activity bumps
+        steer what comes next, continues exactly like the original."""
+        rng = random.Random(seed)
+        num_vars = 60
+        clauses = [
+            [rng.choice((1, -1)) * v for v in rng.sample(range(1, 61), 3)]
+            for _ in range(258)
+        ]
+        original = CDCLSolver(num_vars)
+        for clause in clauses[:200]:
+            original.add_clause(clause)
+        original.solve(max_conflicts=300)
+        restored = _copy(original)
+        verdicts = []
+        for solver in (original, restored):
+            for clause in clauses[200:]:
+                solver.add_clause(clause)
+            verdicts.append(solver.solve(max_conflicts=3000))
+        assert verdicts[0] == verdicts[1]
+        assert restored.stats == original.stats
+        assert restored._trail == original._trail
+        assert restored.learned_clauses == original.learned_clauses
 
     def test_restored_solver_remains_incremental(self):
         solver = CDCLSolver(3)
         solver.add_clause([1, 2])
         solver.add_clause([-1, 3])
         assert solver.solve()
-        restored = CDCLSolver.restore(solver.snapshot())
+        restored = _copy(solver)
         assert restored.solve([-2])  # forces 1, then 3
         assert restored.add_clause([-3])
         assert not restored.solve([-2])
@@ -955,11 +985,11 @@ class TestSnapshotRestore:
         for clause in clauses:
             ok = original.add_clause(clause) and ok
         if not ok:
-            return  # nothing to snapshot meaningfully
+            return  # nothing to copy meaningfully
         original.solve()
         if not original._ok:
             return
-        restored = CDCLSolver.restore(original.snapshot())
+        restored = _copy(original)
         if restored.solve(assumptions) is not False:
             return
         core = restored.core()
