@@ -7,9 +7,17 @@ CHC satisfiability is defined over expansions of the Herbrand structure
 * a bounded least-fixpoint engine (a datalog-with-terms saturation up to a
   term-height budget) — the denotational semantics restricted to small
   terms, used by the counterexample search, by baseline solvers and by the
-  independent verifier of regular models,
+  independent verifier of regular models.  It builds only heads that fit
+  the bound: a clause variable the body does not bind is drawn from the
+  terms that fit at its deepest place in the head (a prefix of the full
+  pool, so the instances, their order and every derivation are those of
+  the full product with the overflowing heads dropped), and the bound
+  excluding any instance marks the result unsaturated,
 * a bounded universal checker: does a candidate interpretation satisfy
   every clause for all instantiations with terms up to a height bound?
+  The variables a top-level equality of a clause's constraint defines
+  are computed, not enumerated; the checked instances stay the product
+  of the variables' pools restricted to those the constraint accepts.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from repro.logic.terms import (
     is_ground,
     matches,
     substitute,
+    variables,
 )
 
 GroundAtom = tuple[PredSymbol, tuple[Term, ...]]
@@ -186,9 +195,14 @@ def bounded_least_fixpoint(
     counterexample proving the CHC system unsatisfiable (derivations are
     sound regardless of the bound; the bound only limits completeness).
 
-    Resource guards: a wall-clock ``deadline``, a fact cap and a step cap
-    (substitution candidates examined) bound the saturation; hitting any of
-    them marks the result unsaturated.
+    Every clause instance :func:`_body_matches` yields has a ground head
+    within the bound (its bound variables pass :func:`_head_can_fit`, its
+    free ones come from head-height pools), so each one is a fact.  The
+    result is unsaturated when the bound excluded an instance
+    (``_StepBudget.pruned``), when a clause with a universal block was
+    skipped, or when a resource guard was hit: a wall-clock
+    ``deadline``, a fact cap or a step cap (substitution candidates
+    examined).
     """
     adts = system.adts
     budget = _StepBudget(deadline, max_steps)
@@ -228,11 +242,6 @@ def bounded_least_fixpoint(
                 if budget.exhausted:
                     return FixpointResult(facts, None, False, rounds)
                 args = tuple(substitute(t, subst) for t in head.args)
-                if any(not is_ground(a) for a in args):
-                    continue
-                if any(height(a) > max_height for a in args):
-                    saturated = False
-                    continue
                 premises = tuple(
                     proofs[
                         (
@@ -288,9 +297,10 @@ def check_query_clauses(
 class _StepBudget:
     """Shared wall-clock + step budget for one saturation run.
 
-    ``pruned`` records that some completion family was skipped by the
-    head-height cut — the saturation is then incomplete at this bound
-    even if no in-bound fact was missed directly.
+    ``pruned`` records that the head-height bound excluded some clause
+    instance — a joined substitution the head cannot fit, or the
+    completions a cut pool leaves out — so the saturation is incomplete
+    at this bound even if no in-bound fact was missed directly.
     """
 
     __slots__ = ("deadline", "remaining", "exhausted", "pruned")
@@ -324,21 +334,18 @@ class _StepBudget:
 def _head_can_fit(
     head: Optional[BodyAtom],
     subst: dict[Var, Term],
-    free: list[Var],
-    adts: ADTSystem,
+    min_heights: dict[Var, int],
     max_height: int,
 ) -> bool:
     """Lower-bound the head's height under ``subst``; prune impossibilities.
 
-    Any completion of the unbound variables only raises term heights, so
-    if the head already exceeds the bound with unbound variables at their
-    minimum height, the whole completion family is skipped — this is what
-    keeps the ``diseq`` generator rules (whose heads wrap fresh variables
-    in constructors) from exploding the saturation.
+    Any completion of the unbound variables (``min_heights`` maps each to
+    the least height of its sort) only raises term heights, so if the
+    head already exceeds the bound with unbound variables at their
+    minimum height, the whole completion family is skipped.
     """
     if head is None:
         return True
-    min_heights = {v: adts.min_height(v.sort) for v in free}
 
     def lower(t: Term) -> int:
         if isinstance(t, Var):
@@ -362,7 +369,15 @@ def _body_matches(
     head: Optional[BodyAtom] = None,
 ) -> Iterator[dict[Var, Term]]:
     """All substitutions making every body atom a derived fact and the
-    constraint true, with leftover variables enumerated up to the bound.
+    constraint true, with leftover variables enumerated up to the bound
+    and, given a ``head``, only those whose head fits the bound.
+
+    The join binds every variable of the plain body atoms, so each joined
+    substitution leaves the same variables free; their pools are drawn
+    once per call (:func:`_completion_pools`).  A joined substitution
+    whose head cannot fit even at the free variables' least heights is
+    skipped (:func:`_head_can_fit`); any other, completed from the
+    pools, gives an in-bound head.  Both cuts set ``budget.pruned``.
 
     Universal-block body atoms (``forall``-in-body, Fig. 2) are checked by
     enumerating their bound variables over the bounded universe; they never
@@ -389,18 +404,25 @@ def _body_matches(
         substs = new_substs
         if not substs:
             return
-    clause_vars = sorted(cl.free_vars(), key=lambda v: v.name)
+    free = [
+        v
+        for v in sorted(cl.free_vars(), key=lambda v: v.name)
+        if v not in substs[0]
+    ]
+    min_heights = {v: adts.min_height(v.sort) for v in free}
+    pools, cut = _completion_pools(free, head, adts, max_height)
     for i, subst in enumerate(substs):
         # this loop spends no steps on substitutions the head-height cut
         # prunes, so it reads the clock itself
         if budget is not None and i % 256 == 255 and budget.expired():
             return
-        free = [v for v in clause_vars if v not in subst]
-        if not _head_can_fit(head, subst, free, adts, max_height):
+        if not _head_can_fit(head, subst, min_heights, max_height):
             if budget is not None:
                 budget.pruned = True
             continue
-        for full in _enumerate_completions(free, subst, adts, max_height):
+        if cut and budget is not None:
+            budget.pruned = True
+        for full in _enumerate_completions(free, subst, pools):
             if budget is not None and not budget.spend():
                 return
             if cl.constraint != TRUE and not eval_constraint(
@@ -430,16 +452,53 @@ def _match_tuple(
     return subst
 
 
+def _completion_pools(
+    free: list[Var],
+    head: Optional[BodyAtom],
+    adts: ADTSystem,
+    max_height: int,
+) -> tuple[list[list[Term]], bool]:
+    """The terms each free variable is drawn from, and whether a pool
+    was cut while every pool is non-empty (some completion of the full
+    pools then has a head above the bound).
+
+    A variable whose deepest occurrence in the head is at depth ``d``
+    (an argument itself is at depth 0) fits only with a value of height
+    at most ``max_height - d``; the other variables get every term up to
+    the bound.  Each pool is a height-ordered prefix of the full one, so
+    the product yields exactly the full product's in-bound completions,
+    in the same order.
+    """
+    depth: dict[Var, int] = {}
+    stack = [(arg, 0) for arg in head.args] if head is not None else []
+    while stack:
+        t, d = stack.pop()
+        if isinstance(t, Var):
+            depth[t] = max(depth.get(t, 0), d)
+        else:
+            stack.extend((a, d + 1) for a in t.args)
+    pools = []
+    cut = False
+    for v in free:
+        fits = max_height - depth.get(v, 0)
+        pools.append(adts.terms_up_to_height(v.sort, fits))
+        cut = cut or any(
+            adts.terms_of_height(v.sort, h)
+            for h in range(fits + 1, max_height + 1)
+        )
+    return pools, cut and all(pools)
+
+
 def _enumerate_completions(
     free: list[Var],
     subst: dict[Var, Term],
-    adts: ADTSystem,
-    max_height: int,
+    pools: list[list[Term]],
 ) -> Iterator[dict[Var, Term]]:
+    """``subst`` extended by every combination of the ``free``
+    variables' pools, in product order."""
     if not free:
         yield subst
         return
-    pools = [adts.terms_up_to_height(v.sort, max_height) for v in free]
     for combo in itertools.product(*pools):
         full = dict(subst)
         full.update(zip(free, combo))
@@ -502,32 +561,107 @@ def check_model_bounded(
 ) -> Optional[ClauseViolation]:
     """Bounded validity check of ``interpretation`` against every clause.
 
-    Enumerates instantiations of clause variables with ground terms up to
-    ``max_height`` and reports the first violated instance, or ``None``
-    if all checked instances hold.  This is the independent verifier used
-    to cross-check regular models produced by the pipeline (sound up to the
-    bound; the exact check happens on the finite-model side).
+    Visits the instantiations of each clause's variables with ground
+    terms up to ``max_height`` under which its constraint holds
+    (:func:`_bounded_instances`) and reports the first violated instance,
+    or ``None`` if all checked instances hold.  This is the independent
+    verifier used to cross-check regular models produced by the pipeline
+    (sound up to the bound; the exact check happens on the finite-model
+    side).
 
     When the full product of pools would exceed
     ``max_instances_per_clause`` (many-variable clauses such as the STLC
     VC), every pool is truncated to its smallest-height prefix so the
     product fits — coverage shrinks but stays biased to small terms, where
-    violations of Theorem 5 would surface first.
+    violations of Theorem 5 would surface first.  Variables a top-level
+    equality of the constraint defines are computed rather than
+    enumerated, which changes only the order of the checked instances,
+    not their set.
     """
     adts = system.adts
     if universal_height is None:
         universal_height = max_height
     for cl in system.clauses:
-        free = sorted(cl.free_vars(), key=lambda v: v.name)
-        pools = [adts.terms_up_to_height(v.sort, max_height) for v in free]
-        pools = _shrink_pools(pools, max_instances_per_clause)
-        for combo in itertools.product(*pools):
-            assignment = dict(zip(free, combo))
+        for assignment in _bounded_instances(
+            cl, adts, max_height, max_instances_per_clause
+        ):
             if not _clause_instance_holds(
                 cl, assignment, interpretation, adts, universal_height
             ):
                 return ClauseViolation(cl, assignment)
     return None
+
+
+def _bounded_instances(
+    cl: Clause, adts: ADTSystem, max_height: int, max_instances: int
+) -> Iterator[dict[Var, Term]]:
+    """The assignments of ``cl``'s variables over their pools of terms
+    up to ``max_height``, shrunk to ``max_instances``
+    (:func:`_shrink_pools`), under which ``cl``'s constraint holds.
+
+    A top-level equality ``x = t`` of the constraint (either way round)
+    defines ``x`` when ``t`` is no variable and mentions neither ``x``
+    nor another defined variable (:func:`_definitions`).  Only the other
+    variables are enumerated, in pool-product order; each defined one is
+    computed by substitution, and the assignment is skipped unless the
+    value lies in that variable's pool — so the instances the equality
+    rejects are never built.
+    """
+    free = sorted(cl.free_vars(), key=lambda v: v.name)
+    pools = _shrink_pools(
+        [adts.terms_up_to_height(v.sort, max_height) for v in free],
+        max_instances,
+    )
+    defined = _definitions(cl.constraint)
+    members = {v: set(p) for v, p in zip(free, pools) if v in defined}
+    names = [v for v in free if v not in defined]
+    rest = [p for v, p in zip(free, pools) if v not in defined]
+    constrained = cl.constraint != TRUE
+    for combo in itertools.product(*rest):
+        assignment = dict(zip(names, combo))
+        for v, t in defined.items():
+            value = substitute(t, assignment)
+            if value not in members[v]:
+                break
+            assignment[v] = value
+        else:
+            if not constrained or eval_constraint(
+                cl.constraint, adts, assignment
+            ):
+                yield assignment
+
+
+def _definitions(constraint: Formula) -> dict[Var, Term]:
+    """Each variable a top-level equality of ``constraint`` defines,
+    with its defining term; no defining term mentions a defined
+    variable."""
+    defined: dict[Var, Term] = {}
+    mentioned: set[Var] = set()
+    for f in _conjuncts(constraint):
+        if not isinstance(f, Eq):
+            continue
+        for x, t in ((f.lhs, f.rhs), (f.rhs, f.lhs)):
+            if (
+                isinstance(x, Var)
+                and x not in defined
+                and x not in mentioned
+                and not isinstance(t, Var)
+            ):
+                used = variables(t)
+                if x not in used and not used & defined.keys():
+                    defined[x] = t
+                    mentioned |= used
+                    break
+    return defined
+
+
+def _conjuncts(formula: Formula) -> Iterator[Formula]:
+    """The operands of ``formula``'s top-level conjunction, flattened."""
+    if isinstance(formula, And):
+        for f in formula.operands:
+            yield from _conjuncts(f)
+    else:
+        yield formula
 
 
 def _shrink_pools(
@@ -558,10 +692,8 @@ def _clause_instance_holds(
     adts: ADTSystem,
     universal_height: int,
 ) -> bool:
-    if cl.constraint != TRUE and not eval_constraint(
-        cl.constraint, adts, assignment
-    ):
-        return True
+    """Whether the instance of ``cl`` under ``assignment``, one its
+    constraint holds in, holds under ``interpretation``."""
     for atom in cl.body:
         if atom.universal_vars:
             pools = [

@@ -4,8 +4,8 @@ The end-to-end pipeline of Figure 1:
 
 1. preprocess the system (selectors/testers out, equalities unified away,
    disequalities replaced by ``diseq`` atoms with their Horn rules),
-2. run a quick bounded counterexample search — a derivation of ⊥ proves
-   UNSAT outright,
+2. run a quick bounded counterexample search — a derivation of ⊥ that
+   :func:`~repro.core.certify.replay` re-checks proves UNSAT outright,
 3. hand the constraint-free clauses to the finite model finder: one
    size sweep over one incremental engine, the campaign pool's shared
    engine when a pool or warm cache is configured; a finite model yields
@@ -28,9 +28,10 @@ from typing import Optional
 
 from repro.chc.clauses import CHCSystem
 from repro.chc.transform import preprocess
+from repro.core.certify import certified
 from repro.core.cex import search_counterexample
 from repro.core.regular_model import RegularModel
-from repro.core.result import SolveResult, Status, sat, unknown, unsat
+from repro.core.result import SolveResult, Status, sat, unknown
 from repro.mace.finder import FinderOptions, FinderStats, ModelFinder
 from repro.mace.pool import EnginePool
 from repro.obs import runtime as obs_runtime
@@ -134,9 +135,10 @@ class RInGen:
                 timeout=cex_budget,
             )
             if cex.found:
-                result = unsat(self.name, cex.refutation)
+                result = certified(self.name, prepared, cex.refutation)
+                if result.is_unsat:
+                    result.details["cex_height"] = cex.max_height_tried
                 result.elapsed = time.monotonic() - start
-                result.details["cex_height"] = cex.max_height_tried
                 return result
 
         # Phase 2: finite model search.  The SAT encoding quantifies

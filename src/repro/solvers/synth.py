@@ -25,8 +25,9 @@ from typing import Callable, Hashable, Iterable, Optional, TypeVar
 from repro.chc.clauses import CHCSystem
 from repro.chc.semantics import bounded_least_fixpoint
 from repro.chc.transform import normalize, remove_selectors
+from repro.core.certify import certified
 from repro.core.cex import search_counterexample
-from repro.core.result import SolveResult, unsat
+from repro.core.result import SolveResult
 from repro.logic.sorts import PredSymbol
 
 #: height of the bounded least fixpoint the positive examples come from
@@ -82,17 +83,21 @@ class Baseline:
 
     def refute_first(self, system: CHCSystem) -> Optional[SolveResult]:
         """The bounded counterexample search on the normalized,
-        selector-free system: the ``unsat`` result, or ``None``."""
+        selector-free system: the :func:`~repro.core.certify.certified`
+        answer to a refutation, or ``None``."""
         budget = self.timeout
         if self.cex_share is not None:
             budget = share(self.timeout, self.cex_share)
+        normalized = normalize(remove_selectors(system))
         cex = search_counterexample(
-            normalize(remove_selectors(system)),
+            normalized,
             max_height=self.cex_height,
             max_facts=self.cex_facts,
             timeout=budget,
         )
-        return unsat(self.name, cex.refutation) if cex.found else None
+        if not cex.found:
+            return None
+        return certified(self.name, normalized, cex.refutation)
 
     def answer(
         self, system: CHCSystem, deadline: Optional[float]

@@ -144,5 +144,100 @@ class TestCexSearch:
 
         prepared = preprocess(mirror_system(3))
         start = time.monotonic()
-        search_counterexample(prepared, max_height=5, timeout=0.5)
+        out = search_counterexample(prepared, max_height=6, timeout=0.5)
         assert time.monotonic() - start < 5.0
+        # the deadline cut the search inside height 5 (heights 2-5 take
+        # about 5 s and height 6 about 35 s more)
+        assert not out.found and out.max_height_tried < 6
+
+    def test_diseq_rules_saturate_within_their_step_budget(self):
+        """Each free variable of a clause instance is drawn only from
+        the terms that fit under the height bound at its place in the
+        head: the diseq rules of ``tip-mirror-g6`` saturate height 4 in
+        about 26,000 steps, where building every candidate head took
+        about 125,000 and ran out at 624 of the 676 facts."""
+        from repro.benchgen import tip_suite
+        from repro.chc.semantics import bounded_least_fixpoint
+
+        problem = next(
+            p for p in tip_suite().problems if p.name == "tip-mirror-g6"
+        )
+        result = bounded_least_fixpoint(
+            preprocess(problem.build()), max_height=4, max_steps=30_000
+        )
+        assert result.fact_count() == 676
+
+
+def _cex_sample():
+    """The 60 De Angelis-style problems, every ninth TIP problem, the 17
+    TIP ``broken`` problems the search refutes, ``diseq-unsat`` and the
+    four wide-clauses conjectures of the benchmark: 130 problems."""
+    from repro.benchgen import adtbench_suites, tip_suite
+
+    tip = tip_suite().problems
+    chosen = [p for suite in adtbench_suites() for p in suite.problems]
+    chosen += tip[::9]
+    names = (
+        [f"tip-broken-mod2-d1-v{i}" for i in range(6)]
+        + [f"tip-broken-mod3-d1-v{i}" for i in range(8)]
+        + [f"tip-broken-list-{k}" for k in (1, 2, 3)]
+        + ["tip-mirror-g6", "tip-rev-g6", "tip-add-fun-g6", "tip-dbl-fun-g6"]
+    )
+    chosen += [p for p in tip if p.name in names]
+    unique = {}
+    for p in chosen:
+        unique.setdefault(p.name, p)
+    return list(unique.values())
+
+
+_MOD2 = "54f51f64ad23ac68c012627176a415d5235f1754cfc655358980970ea67db5ee"
+_MOD3 = "7dc25bd2553cebadf7aa4163f7adb80c8ec2ea62317132c52be2e976a98b3952"
+#: RInGen's cex search on :func:`_cex_sample`: each refuted problem with
+#: the height that refuted it and the sha256 of the refutation's text;
+#: every other problem is unrefuted after trying height 4
+CEX_PINS = {
+    "diseq-unsat": (
+        2, "1524bd9f19b6a0af2a378d1ae569315b0c46b3658c7c142336eb98a708511572"
+    ),
+    **{f"tip-broken-mod2-d1-v{i}": (3, _MOD2) for i in range(6)},
+    **{f"tip-broken-mod3-d1-v{i}": (4, _MOD3) for i in range(8)},
+    "tip-broken-list-1": (
+        2, "030997525914147cc13487d50285b7e6cb2fd19873ac257d90742de7380a3be2"
+    ),
+    "tip-broken-list-2": (
+        3, "d55205c81199161f547568e743771c196327b6cb4f62dbf71db3335c7959c79b"
+    ),
+    "tip-broken-list-3": (
+        4, "96c45cf8a519e9ecf527d36e24d5974089cc765e07e8b37010c8052ac3e0acbc"
+    ),
+}
+
+
+def test_cex_outcomes_are_pinned():
+    """RInGen's cex search finds the same refutations at the same
+    heights on the sample, and each one replays."""
+    import hashlib
+
+    from repro.core.certify import replay
+    from repro.core.ringen import CEX_MAX_FACTS, CEX_START_HEIGHT
+
+    sample = _cex_sample()
+    assert len(sample) == 130
+    refuted = {}
+    for problem in sample:
+        prepared = preprocess(problem.build())
+        out = search_counterexample(
+            prepared,
+            start_height=CEX_START_HEIGHT,
+            max_height=RInGenConfig().cex_max_height,
+            max_facts=CEX_MAX_FACTS,
+        )
+        if not out.found:
+            assert out.max_height_tried == 4, problem.name
+            continue
+        assert replay(prepared, out.refutation) is None, problem.name
+        text = out.refutation.format().encode()
+        refuted[problem.name] = (
+            out.max_height_tried, hashlib.sha256(text).hexdigest()
+        )
+    assert refuted == CEX_PINS

@@ -115,8 +115,11 @@ class TestTimeoutEnforcement:
 
         prepared = preprocess(mirror_system(4))
         start = time.monotonic()
-        search_counterexample(prepared, max_height=6, timeout=1)
+        out = search_counterexample(prepared, max_height=6, timeout=1)
         assert time.monotonic() - start < 10
+        # the deadline cut the search inside height 5 (heights 2-5 take
+        # about 5 s and height 6 about 35 s more)
+        assert not out.found and out.max_height_tried < 6
 
     def test_cex_reads_the_clock_while_pruning_joins(self):
         """The loop over a body's joined substitutions spent no steps on
@@ -146,7 +149,9 @@ class TestTimeoutEnforcement:
 
     def test_cex_deadline_holds_under_hash_seed_0(self):
         """Under PYTHONHASHSEED=0 this search's deadline fell inside that
-        loop, which ran 10.75 s at a 4 s timeout."""
+        loop, which ran 10.75 s at a 4 s timeout (to height 5).  Height 5
+        alone takes 4-9 s and height 6 about 10 s more, so a 2 s deadline
+        falls inside height 5 and height 6 is never tried."""
         import os
         import subprocess
         import sys
@@ -158,9 +163,10 @@ class TestTimeoutEnforcement:
             "from repro.core.cex import search_counterexample\n"
             "system = normalize(remove_selectors(mirror_system(2)))\n"
             "start = time.monotonic()\n"
-            "search_counterexample(system, max_height=5, "
-            "max_facts=150_000, timeout=4)\n"
-            "print(time.monotonic() - start)\n"
+            "out = search_counterexample(system, max_height=6, "
+            "max_facts=150_000, timeout=2)\n"
+            "print(time.monotonic() - start, out.found, "
+            "out.max_height_tried)\n"
         )
         env = dict(os.environ, PYTHONHASHSEED="0")
         out = subprocess.run(
@@ -171,7 +177,10 @@ class TestTimeoutEnforcement:
             check=True,
             timeout=120,
         )
-        assert float(out.stdout) < 5.5
+        wall, found, tried = out.stdout.split()
+        assert float(wall) < 3.5
+        # the deadline cut the search inside height 5
+        assert found == "False" and int(tried) < 6
 
 
 class TestZigzagSemantics:

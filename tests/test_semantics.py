@@ -146,3 +146,99 @@ class TestCheckModelBounded:
         violation = check_model_bounded(system, interp, max_height=4)
         assert violation is not None
         assert not violation.clause.is_query
+
+
+def _reference_instances(cl, adts, max_height, max_instances):
+    """Every assignment of the clause's variables over their shrunk
+    pools under which its constraint holds, by brute force."""
+    import itertools
+
+    from repro.chc.semantics import _shrink_pools
+
+    free = sorted(cl.free_vars(), key=lambda v: v.name)
+    pools = _shrink_pools(
+        [adts.terms_up_to_height(v.sort, max_height) for v in free],
+        max_instances,
+    )
+    out = set()
+    for combo in itertools.product(*pools):
+        assignment = dict(zip(free, combo))
+        if eval_constraint(cl.constraint, adts, assignment):
+            out.add(frozenset(assignment.items()))
+    return out
+
+
+def _checked_systems():
+    from repro.problems import diag_system
+    from repro.stlc import stlc_problems
+
+    systems = [p.system() for p in stlc_problems()]
+    return systems + [even_system(), incdec_system(), diag_system()]
+
+
+class TestBoundedInstances:
+    """The bounded check computes the variables a top-level equality of
+    the constraint defines instead of enumerating them; the instances it
+    visits must be exactly the constrained product of the pools."""
+
+    @pytest.mark.parametrize("max_height", [2, 3])
+    def test_instances_equal_the_constrained_product(self, max_height):
+        from repro.chc.semantics import _bounded_instances
+
+        seen = set()
+        checked = 0
+        for system in _checked_systems():
+            for cl in system.clauses:
+                # the 23 STLC systems share all clauses but the query
+                if str(cl) in seen:
+                    continue
+                seen.add(str(cl))
+                got = [
+                    frozenset(a.items())
+                    for a in _bounded_instances(
+                        cl, system.adts, max_height, 200_000
+                    )
+                ]
+                assert len(got) == len(set(got))
+                assert set(got) == _reference_instances(
+                    cl, system.adts, max_height, 200_000
+                ), str(cl)
+                checked += 1
+        assert checked == 4 + 23 + 3 + 5 + 5
+
+    def test_equalities_define_variables(self):
+        from repro.chc.semantics import _definitions
+        from repro.stlc import stlc_problems
+
+        system = stlc_problems()[0].system()
+        skip = next(c for c in system.clauses if c.name == "tc-var-skip")
+        defined = _definitions(skip.constraint)
+        assert sorted(v.name for v in defined) == ["G", "e"]
+        # x = S(x) mentions x itself, and y = S(x) would define a
+        # variable the definition x = S(y) mentions
+        y = Var("y", NAT)
+        assert _definitions(Eq(X, s(X))) == {}
+        assert _definitions(conj(Eq(s(y), X), Eq(y, s(X)))) == {X: s(y)}
+
+    def test_planted_tc_var_skip_violation_is_reported(self):
+        """An interpretation wrong on one instance of ``tc-var-skip``
+        alone, two of whose variables equalities define, is caught."""
+        from repro.stlc.adts import cons_env, empty, evar, prim_p, vx, vy
+        from repro.stlc.vc import TYPECHECK, typecheck_vc
+
+        system = typecheck_vc()
+        # the query's universal block is checked exactly, not here
+        definite = CHCSystem(system.adts, dict(system.predicates))
+        definite.extend(c for c in system.clauses if not c.is_query)
+        env, expr = cons_env(vy(), prim_p(), empty()), evar(vx())
+        planted = (env, expr, prim_p())
+
+        def interp(pred, args):
+            return not (pred == TYPECHECK and args == planted)
+
+        violation = check_model_bounded(definite, interp)
+        assert violation is not None
+        assert violation.clause.name == "tc-var-skip"
+        values = {v.name: t for v, t in violation.assignment.items()}
+        assert (values["G"], values["e"], values["t"]) == planted
+        assert check_model_bounded(definite, lambda p, a: True) is None
