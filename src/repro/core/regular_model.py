@@ -4,11 +4,14 @@ A regular model (Sec. 3, "Regular Herbrand Models") interprets every
 uninterpreted predicate of the CHC system by the language of a DFTA; all
 the automata share one transition table, so the model is simultaneously a
 finite structure (the one the model finder returned) and a family of
-automata (Theorem 1).  This class keeps both views and provides:
+automata (Theorem 1).  This class keeps both views — the automata are
+the invariant as the paper presents it (``--model`` prints them) — and
+provides:
 
 * Herbrand membership queries (is a ground tuple in the invariant?),
 * exact verification against the preprocessed, constraint-free system
-  (decidable: a finite-model check, Lemma 2),
+  (decidable: a finite-model check over the reachable substructure,
+  Lemma 2),
 * independent bounded verification against the *original* system over the
   Herbrand structure, via :func:`repro.chc.semantics.check_model_bounded`.
 """
@@ -20,20 +23,12 @@ from typing import Optional
 
 from repro.automata.dfta import DFTA
 from repro.automata.from_model import model_to_automata
-from repro.automata.ops import (
-    difference,
-    intersection,
-    language_key,
-    language_universal,
-    memoized,
-)
-from repro.chc.clauses import CHCSystem, Clause
+from repro.chc.clauses import CHCSystem
 from repro.chc.semantics import ClauseViolation, check_model_bounded
 from repro.chc.transform import is_diseq_symbol
 from repro.logic.adt import ADTSystem
-from repro.logic.formulas import TRUE
 from repro.logic.sorts import PredSymbol
-from repro.logic.terms import Term, Var
+from repro.logic.terms import Term
 from repro.mace.model import FiniteModel
 
 
@@ -81,84 +76,16 @@ class RegularModel:
     def verify_exact(self, preprocessed: CHCSystem) -> bool:
         """Decidable inductiveness check on the constraint-free system.
 
-        Clauses whose atoms all range over one shared tuple of distinct
-        variables are decided on the automata view:
-        ``P1(x̄) ∧ ... ∧ Pn(x̄) → Q(x̄)`` holds in the Herbrand
-        interpretation iff ``⋂ L(A_Pi) ⊆ L(A_Q)`` (Theorem 1), checked
-        with the sparse product and the shared memoized emptiness cache.
-
-        The clauses the automata view cannot decide fall back to the
-        finite model, evaluated over its constructor-reachable
-        substructure: quantification over reachable elements is exactly
-        Herbrand quantification, so this check is sound and complete for
-        Herbrand satisfaction of the induced relations — including the
-        quantifier-alternating clauses of the STLC case study.
+        Every clause is evaluated on the finite model over its
+        constructor-reachable substructure: quantification over reachable
+        elements is exactly Herbrand quantification, so the check is
+        sound and complete for Herbrand satisfaction of the induced
+        relations (Lemma 2) — including the quantifier-alternating
+        clauses of the STLC case study.  By Theorem 1 it decides what
+        automata inclusion over :attr:`automata` would, on the same
+        tables.
         """
-        residual: list[Clause] = []
-        for cl in preprocessed.clauses:
-            verdict = self._clause_via_automata(cl)
-            if verdict is False:
-                return False
-            if verdict is None:
-                residual.append(cl)
-        if not residual:
-            return True
-        filtered = CHCSystem(
-            preprocessed.adts, dict(preprocessed.predicates)
-        )
-        filtered.extend(residual)
-        return self.finite_model.satisfies(filtered, herbrand=True)
-
-    def _clause_via_automata(self, cl: Clause) -> Optional[bool]:
-        """Decide one clause via language inclusion, if it has the shape.
-
-        Returns ``None`` when the clause does not fit (nested terms,
-        universal blocks, mismatched or repeated variable tuples) and
-        must be evaluated on the finite model instead.
-        """
-        if cl.constraint != TRUE:
-            return None
-        atoms = list(cl.body) + ([cl.head] if cl.head is not None else [])
-        if not atoms:
-            return False  # ⊥ ← ⊤: no interpretation satisfies it
-        for atom in atoms:
-            if getattr(atom, "universal_vars", ()):
-                return None
-            if not all(isinstance(t, Var) for t in atom.args):
-                return None
-        shared = atoms[0].args
-        if len(set(shared)) != len(shared):
-            return None
-        if any(atom.args != shared for atom in atoms[1:]):
-            return None
-        try:
-            body_autos = [self.automata[a.pred] for a in cl.body]
-            head_auto = (
-                self.automata[cl.head.pred] if cl.head is not None else None
-            )
-        except KeyError:
-            return None
-        if not body_autos:
-            assert head_auto is not None
-            return language_universal(head_auto)
-        # the whole clause verdict is memoized on the operand
-        # fingerprints, so a repeat query (the Herbrand-retry loop,
-        # campaign re-verification) skips the product chain entirely
-        key = (
-            "clause",
-            tuple(language_key(a) for a in body_autos),
-            language_key(head_auto) if head_auto is not None else None,
-        )
-
-        def check() -> bool:
-            inter = body_autos[0]
-            for nxt in body_autos[1:]:
-                inter = intersection(inter, nxt)
-            if head_auto is None:
-                return inter.is_empty()
-            return difference(inter, head_auto).is_empty()
-
-        return memoized(key, check)
+        return self.finite_model.satisfies(preprocessed, herbrand=True)
 
     def verify_bounded(
         self, original: CHCSystem, *, max_height: int = 3
@@ -170,19 +97,12 @@ class RegularModel:
         Theorem 5 and indicates an implementation bug, which is why the
         test suite runs this after every SAT answer.
 
-        Clauses with universal blocks are skipped here: bounded checking of
-        an inner quantifier is not conclusive in either direction, and those
-        clauses are already *exactly* verified by :meth:`verify_exact` over
-        the reachable substructure.
+        :func:`check_model_bounded` skips clauses with universal blocks;
+        those are *exactly* verified by :meth:`verify_exact` over the
+        reachable substructure.
         """
-        filtered = CHCSystem(original.adts, dict(original.predicates))
-        filtered.extend(
-            cl
-            for cl in original.clauses
-            if not any(a.universal_vars for a in cl.body)
-        )
         return check_model_bounded(
-            filtered, self.interpretation, max_height=max_height
+            original, self.interpretation, max_height=max_height
         )
 
     # ------------------------------------------------------------------

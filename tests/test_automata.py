@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.automata.dfta import AutomatonError, DFTA, make_dfta
 from repro.automata.ops import (
-    cached_is_empty,
-    clear_op_caches,
     complement,
     complete,
     dense_complete,
@@ -16,9 +14,7 @@ from repro.automata.ops import (
     difference,
     equivalent,
     intersection,
-    language_key,
     minimize_1d,
-    op_cache_info,
     product,
     subset,
     symmetric_difference,
@@ -414,55 +410,3 @@ class TestCompleteCopyOnMiss:
         a_term = App(a0)
         assert completed.accepts(App(wrap, (a_term,)))
         assert not completed.accepts(App(wrap, (App(a1, (a_term,)),)))
-
-
-class TestEmptinessCache:
-    def test_equivalent_and_subset_share_the_cache(self):
-        clear_op_caches()
-        a = mod_automaton(2, [0])
-        b = even_automaton(NATS)
-        assert equivalent(a, b)
-        first = op_cache_info()
-        assert first["misses"] >= 1
-        assert equivalent(a, b)
-        assert op_cache_info()["hits"] > first["hits"]
-        # subset on the same operands reuses the same cache object
-        before = op_cache_info()
-        assert subset(a, b) and subset(a, b)
-        after = op_cache_info()
-        assert after["hits"] > before["hits"]
-
-    def test_cached_is_empty_matches_is_empty(self):
-        clear_op_caches()
-        empty = make_dfta(
-            NATS,
-            {NAT: 2},
-            {("Z", ()): 0, ("S", (0,)): 0, ("S", (1,)): 1},
-            [(1,)],
-            (NAT,),
-        )
-        assert cached_is_empty(empty) == empty.is_empty() is True
-        assert cached_is_empty(empty)  # served from cache
-        info = op_cache_info()
-        assert info["hits"] >= 1 and info["size"] >= 1
-
-    def test_fingerprint_cache_evicts_dead_automata(self):
-        # regression: dead-weakref entries used to live until the same
-        # id() was reused, leaking across long campaigns
-        import gc
-
-        clear_op_caches()
-        automata = [mod_automaton(k, [0]) for k in range(2, 12)]
-        for a in automata:
-            language_key(a)
-        held = op_cache_info()["fingerprints"]
-        assert held >= len(automata)
-        survivor = automata[0]
-        del automata
-        del a  # the loop variable still pins the last automaton
-        gc.collect()
-        after = op_cache_info()["fingerprints"]
-        assert after <= held - 9, (held, after)
-        # the surviving automaton's fingerprint is still cached and valid
-        assert language_key(survivor) == language_key(survivor)
-        assert op_cache_info()["fingerprints"] >= 1

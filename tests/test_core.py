@@ -3,11 +3,16 @@
 import pytest
 
 from repro import RInGen, RInGenConfig, Status, solve
+from repro.chc.clauses import BodyAtom, CHCSystem, Clause
 from repro.chc.transform import preprocess
 from repro.core.cex import search_counterexample
 from repro.core.regular_model import RegularModel
 from repro.core.result import sat, unknown, unsat
-from repro.logic.adt import nat, nat_value
+from repro.logic.adt import NAT, S, Z, nat, nat_system, nat_value
+from repro.logic.formulas import TRUE
+from repro.logic.sorts import PredSymbol
+from repro.logic.terms import App, Var
+from repro.mace.model import FiniteModel
 from repro.problems import (
     EVEN,
     diag_system,
@@ -82,6 +87,68 @@ class TestRegularModelVerification:
         result = solve(system, timeout=30)
         prepared = preprocess(system)
         assert result.invariant.verify_exact(prepared)
+
+    # a clause per shape, with a model over Nat breaking it and one
+    # keeping it; p and q are relations on the parity model Z ↦ 0,
+    # S: 0 ↦ 1 ↦ 0, whose element 2 (S: 2 ↦ 2) no ground term denotes
+    _P = PredSymbol("p", (NAT,))
+    _Q = PredSymbol("q", (NAT,))
+    _X = Var("x", NAT)
+    _SHAPES = {
+        "shared-tuple": (
+            Clause(TRUE, (BodyAtom(_P, (_X,)),), BodyAtom(_Q, (_X,))),
+            ({(0,)}, set()),
+            ({(0,), (2,)}, {(0,)}),
+        ),
+        "fact": (
+            Clause(TRUE, (), BodyAtom(_P, (_X,))),
+            ({(0,), (2,)}, set()),
+            ({(0,), (1,)}, set()),
+        ),
+        "query": (
+            Clause(TRUE, (BodyAtom(_P, (_X,)),), None),
+            ({(1,)}, set()),
+            ({(2,)}, set()),
+        ),
+        "nested-term": (
+            Clause(
+                TRUE, (BodyAtom(_P, (_X,)),), BodyAtom(_P, (App(S, (_X,)),))
+            ),
+            ({(0,), (2,)}, set()),
+            ({(0,), (1,)}, set()),
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_exact_verification_rejects_a_broken_clause(self, shape):
+        clause, broken, kept = self._SHAPES[shape]
+        adts = nat_system()
+        system = CHCSystem(adts, name=shape)
+        system.add(clause)
+
+        def verdict(relations):
+            p, q = relations
+            model = FiniteModel(
+                {NAT: 3},
+                {Z: {(): 0}, S: {(0,): 1, (1,): 0, (2,): 2}},
+                {self._P: p, self._Q: q},
+            )
+            regular = RegularModel.from_finite_model(
+                adts, model, [self._P, self._Q]
+            )
+            return regular.verify_exact(system)
+
+        assert verdict(broken) is False
+        assert verdict(kept) is True
+
+    @pytest.mark.parametrize(
+        "factory", [even_system, incdec_system, evenleft_system]
+    )
+    def test_exact_verification_accepts_ringen_models(self, factory):
+        system = factory()
+        result = solve(system, timeout=30)
+        assert result.is_sat
+        assert result.invariant.verify_exact(preprocess(system)) is True
 
     def test_bounded_verification_passes(self):
         system = even_system()
