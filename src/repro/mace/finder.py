@@ -218,7 +218,7 @@ class EngineSnapshotError(FinderError):
 #: :class:`~repro.sat.solver.CDCLSolver`, :class:`_ClauseGroup`,
 #: :class:`_BlockState` or :class:`~repro.sat.cnf.SelectorPool` changes,
 #: so a warm cache written by another build starts cold.
-ENGINE_SNAPSHOT_VERSION = 5
+ENGINE_SNAPSHOT_VERSION = 6
 
 #: the learned-clause database an engine carries across vectors is
 #: halved whenever it grows beyond this many clauses

@@ -142,16 +142,27 @@ class FiniteModel:
         over the constructor-reachable substructure, making the check an
         exact test of Herbrand satisfaction of the induced relations.
         """
+        return self._falsify(cl, self._pools(adts, herbrand))
+
+    def _pools(self, adts, herbrand: bool) -> Optional[dict[Sort, set[int]]]:
+        """The quantifier ranges of a check: ``None`` for whole domains,
+        the reachable elements (a fixpoint over every constructor
+        table, so computed once per check) for ``herbrand``."""
+        if not herbrand:
+            return None
+        if adts is None:
+            raise ModelError("herbrand evaluation requires the ADT system")
+        return self.reachable_elements(adts)
+
+    def _falsify(
+        self, cl: Clause, domain_pools: Optional[dict[Sort, set[int]]]
+    ) -> Optional[dict[Var, int]]:
+        """:meth:`eval_clause` over the given quantifier ranges."""
         if cl.constraint != TRUE:
             raise ModelError(
                 "finite models evaluate constraint-free clauses only; "
                 "preprocess the system first"
             )
-        domain_pools: Optional[dict[Sort, set[int]]] = None
-        if herbrand:
-            if adts is None:
-                raise ModelError("herbrand evaluation requires the ADT system")
-            domain_pools = self.reachable_elements(adts)
         free = sorted(cl.free_vars(), key=lambda v: v.name)
         if domain_pools is not None:
             pools = [sorted(domain_pools[v.sort]) for v in free]
@@ -174,17 +185,15 @@ class FiniteModel:
         self, system: CHCSystem, *, herbrand: bool = False
     ) -> bool:
         """Whether every clause of a constraint-free system holds."""
-        return all(
-            self.eval_clause(cl, adts=system.adts, herbrand=herbrand) is None
-            for cl in system.clauses
-        )
+        return self.first_violation(system, herbrand=herbrand) is None
 
     def first_violation(
         self, system: CHCSystem, *, herbrand: bool = False
     ) -> Optional[tuple[Clause, dict[Var, int]]]:
         """The first violated clause with its falsifying assignment."""
+        pools = self._pools(system.adts, herbrand)
         for cl in system.clauses:
-            env = self.eval_clause(cl, adts=system.adts, herbrand=herbrand)
+            env = self._falsify(cl, pools)
             if env is not None:
                 return cl, env
         return None

@@ -5,7 +5,9 @@ set have a model of domain size k?" to propositional satisfiability, in the
 style of MACE/Paradox — the same family of backends the paper runs behind
 RInGen.  This module implements the required SAT engine from scratch:
 
-* two-watched-literal unit propagation,
+* two-watched-literal unit propagation (Chaff: Moskewicz et al., DAC
+  2001) over literal-indexed values and watch lists (MiniSat: Eén &
+  Sörensson, "An Extensible SAT-solver", SAT 2003),
 * first-UIP conflict analysis with clause learning,
 * VSIDS-style activity decision heuristic with phase saving,
 * Luby restarts and learned-clause garbage collection.
@@ -26,7 +28,13 @@ Conflict quality and unsat cores (the model finder's guidance layer):
   and clause-group selectors to prune the size sweep.
 
 Literals are encoded as nonzero integers (DIMACS convention): variable
-``v`` appears as ``+v`` / ``-v``.
+``v`` appears as ``+v`` / ``-v``.  The literal itself indexes values and
+watch lists: ``_val[lit]`` is the value of ``lit`` and ``_watches[lit]``
+the clauses watching it, for ``+v`` and ``-v`` alike.  Both lists are
+laid out as ``[pad, +1..+cap, -cap..-1]``, so a negative literal reaches
+its slot through Python's negative indexing, and the capacity ``cap``
+doubles as variables arrive.  Per-variable data (level, reason, saved
+phase, activity) stays indexed by the variable.
 """
 
 from __future__ import annotations
@@ -125,17 +133,17 @@ class CDCLSolver:
         self.clauses: list[list[int]] = []
         self.learned_clauses: list[list[int]] = []
         self.stats = SatStats()
-        self._assign: list[int] = [UNASSIGNED]
+        # value of each literal, TRUE_VAL / FALSE_VAL / UNASSIGNED, and
+        # the clauses watching it, both indexed by the literal: slot 0 is
+        # padding, +1..+cap follow and -cap..-1 fill the back, where
+        # negative indexing finds them (see _grow).  Assigning a literal
+        # writes both of its slots, so no reader branches on a sign.
+        self._val: list[int] = [UNASSIGNED]
+        self._watches: list[list[list[int]]] = [[]]
         self._level: list[int] = [0]
         self._reason: list[Optional[list[int]]] = [None]
         self._phase: list[bool] = [False]
         self._activity: list[float] = [0.0]
-        # watcher lists in one flat array indexed by literal code
-        # (2*var for the positive literal, 2*var+1 for the negative):
-        # the propagation loop replaces a dict hash per watched literal
-        # with two adds and a list index.  Codes 0 and 1 are padding
-        # for the nonexistent variable 0.
-        self._watches: list[list[list[int]]] = [[], []]
         # VSIDS order heap: binary max-heap on activity with a position
         # index, so decisions cost O(log n) instead of a linear scan
         self._heap: list[int] = []
@@ -182,16 +190,26 @@ class CDCLSolver:
     # -- variable / clause management -------------------------------------
     def new_var(self) -> int:
         self.num_vars += 1
-        self._assign.append(UNASSIGNED)
+        if self.num_vars > len(self._val) >> 1:
+            self._grow()
         self._level.append(0)
         self._reason.append(None)
         self._phase.append(False)
         self._activity.append(0.0)
         self._heap_pos.append(-1)
         self._heap_insert(self.num_vars)
-        self._watches.append([])  # code 2v: the positive literal
-        self._watches.append([])  # code 2v+1: the negative literal
         return self.num_vars
+
+    def _grow(self) -> None:
+        """Double the capacity of the literal-indexed arrays (to 8 at
+        least).  The new slots go in the middle, between ``+cap`` and
+        ``-cap``: every positive literal keeps its index, and every
+        negative one its distance from the end, which is all negative
+        indexing reads."""
+        cap = len(self._val) >> 1
+        extra = 2 * max(cap, 8)
+        self._val[cap + 1 : cap + 1] = [UNASSIGNED] * extra
+        self._watches[cap + 1 : cap + 1] = [[] for _ in range(extra)]
 
     # -- VSIDS order heap --------------------------------------------------
     def _heap_swap(self, i: int, j: int) -> None:
@@ -260,7 +278,7 @@ class CDCLSolver:
         is stale, which is why the pass may run before the backtrack.
         :class:`SatError` is raised before any state changes.
         """
-        assign, level, num_vars = self._assign, self._level, self.num_vars
+        val, level, num_vars = self._val, self._level, self.num_vars
         seen: set[int] = set()
         clause: list[int] = []
         tautology = satisfied = False
@@ -278,9 +296,9 @@ class CDCLSolver:
             if -lit in seen:
                 tautology = True
             seen.add(lit)
-            val = assign[var]
-            if val and level[var] == 0:
-                if (val > 0) == (lit > 0):
+            value = val[lit]
+            if value and level[var] == 0:
+                if value == TRUE_VAL:
                     satisfied = True
                 continue  # true: clause satisfied; false: literal dropped
             clause.append(lit)
@@ -312,9 +330,8 @@ class CDCLSolver:
         return True
 
     def _watch(self, clause: list[int]) -> None:
-        a, b = clause[0], clause[1]
-        self._watches[a + a if a > 0 else 1 - a - a].append(clause)
-        self._watches[b + b if b > 0 else 1 - b - b].append(clause)
+        self._watches[clause[0]].append(clause)
+        self._watches[clause[1]].append(clause)
 
     # -- assignment helpers ------------------------------------------------
     def _var_of(self, lit: int) -> int:
@@ -326,20 +343,14 @@ class CDCLSolver:
             raise SatError(f"unknown variable {var}")
         return var
 
-    def _value(self, lit: int) -> int:
-        val = self._assign[abs(lit)]
-        if val == UNASSIGNED:
-            return UNASSIGNED
-        return val if lit > 0 else -val
-
     def _enqueue(self, lit: int, reason: Optional[list[int]]) -> bool:
-        current = self._value(lit)
-        if current == TRUE_VAL:
-            return True
-        if current == FALSE_VAL:
-            return False
+        val = self._val
+        current = val[lit]
+        if current != UNASSIGNED:
+            return current == TRUE_VAL
+        val[lit] = TRUE_VAL
+        val[-lit] = FALSE_VAL
         var = abs(lit)
-        self._assign[var] = TRUE_VAL if lit > 0 else FALSE_VAL
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._phase[var] = lit > 0
@@ -349,16 +360,29 @@ class CDCLSolver:
     def _propagate(self) -> Optional[list[int]]:
         """Unit propagation; returns a conflicting clause or None.
 
-        The hot loop of the solver: literal values are computed inline
-        on locally aliased arrays rather than through :meth:`_value`,
-        which measurably matters at the model finder's clause volumes.
+        The hot loop of the solver.  Making ``lit`` true falsifies
+        ``-lit``, so the loop visits ``_watches[-lit]`` and, per clause,
+        reads the other watch's value straight from ``_val``: a true one
+        keeps the clause where it is (the common case), otherwise the
+        first non-false literal from position 2 on takes over the watch,
+        and failing that the clause implies its other watch or is the
+        conflict.  A conflict returns at once: the watchers not visited
+        yet stay in the list, behind those already kept.  The decision
+        level is read once per call and ``stats.propagations`` is added
+        once per call.  The loop writes ``TRUE_VAL`` and ``FALSE_VAL``
+        as the literals ``1`` and ``-1``, which load faster than globals.
         """
-        assign = self._assign
+        val = self._val
         watches = self._watches
         trail = self._trail
+        level = self._level
+        reasons = self._reason
+        phase = self._phase
         deadline = self._deadline
+        depth = len(self._trail_lim)
+        start = head = self._queue_head
         since_poll = 0
-        while self._queue_head < len(trail):
+        while head < len(trail):
             # the poll runs BEFORE the literal is popped: an aborted
             # call leaves _queue_head on the unprocessed literal, so the
             # next _propagate resumes exactly there and no watch list is
@@ -370,55 +394,46 @@ class CDCLSolver:
                     since_poll = 0
                     if time.monotonic() > deadline:
                         self._deadline_hit = True
-                        return None
-            lit = trail[self._queue_head]
-            self._queue_head += 1
-            self.stats.propagations += 1
-            falsified = -lit
-            # code of the falsified literal: 2*(-lit) when lit < 0,
-            # 2*lit+1 when lit > 0 — pure integer arithmetic, no abs()
-            fcode = lit + lit + 1 if lit > 0 else -(lit + lit)
-            watchers = watches[fcode]
-            new_watchers: list[list[int]] = []
-            conflict: Optional[list[int]] = None
-            for idx, clause in enumerate(watchers):
-                if conflict is not None:
-                    new_watchers.extend(watchers[idx:])
-                    break
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
-                # clause[1] == falsified now (or clause was restructured)
+                        break
+            falsified = -trail[head]
+            head += 1
+            pending = iter(watches[falsified])
+            watches[falsified] = kept = []
+            keep = kept.append
+            for clause in pending:
                 first = clause[0]
-                val = assign[first] if first > 0 else -assign[-first]
-                if val == TRUE_VAL:
-                    new_watchers.append(clause)
+                if first == falsified:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = falsified
+                value = val[first]
+                if value == 1:
+                    keep(clause)
                     continue
-                moved = False
                 for k in range(2, len(clause)):
                     other = clause[k]
-                    oval = assign[other] if other > 0 else -assign[-other]
-                    if oval != FALSE_VAL:
-                        clause[1], clause[k] = other, clause[1]
-                        watches[
-                            other + other if other > 0 else 1 - other - other
-                        ].append(clause)
-                        moved = True
+                    if val[other] != -1:
+                        clause[1] = other
+                        clause[k] = falsified
+                        watches[other].append(clause)
                         break
-                if moved:
-                    continue
-                new_watchers.append(clause)
-                if val == FALSE_VAL:
-                    conflict = clause
-                else:  # first was unassigned: imply it (inlined _enqueue)
+                else:
+                    keep(clause)
+                    if value:  # the other watch is false too
+                        kept.extend(pending)
+                        self._queue_head = head
+                        self.stats.propagations += head - start
+                        return clause
+                    # the other watch is unassigned: imply it
+                    val[first] = 1
+                    val[-first] = -1
                     var = first if first > 0 else -first
-                    assign[var] = TRUE_VAL if first > 0 else FALSE_VAL
-                    self._level[var] = len(self._trail_lim)
-                    self._reason[var] = clause
-                    self._phase[var] = first > 0
+                    level[var] = depth
+                    reasons[var] = clause
+                    phase[var] = first > 0
                     trail.append(first)
-            watches[fcode] = new_watchers
-            if conflict is not None:
-                return conflict
+        self._queue_head = head
+        self.stats.propagations += head - start
         return None
 
     # -- conflict analysis ---------------------------------------------------
@@ -527,10 +542,12 @@ class CDCLSolver:
         if len(self._trail_lim) <= level:
             return
         limit = self._trail_lim[level]
+        val, reasons = self._val, self._reason
         for lit in reversed(self._trail[limit:]):
+            val[lit] = UNASSIGNED
+            val[-lit] = UNASSIGNED
             var = abs(lit)
-            self._assign[var] = UNASSIGNED
-            self._reason[var] = None
+            reasons[var] = None
             self._heap_insert(var)
         del self._trail[limit:]
         del self._trail_lim[level:]
@@ -539,7 +556,7 @@ class CDCLSolver:
     def _decide(self) -> Optional[int]:
         while self._heap:
             var = self._heap_pop()
-            if self._assign[var] == UNASSIGNED:
+            if self._val[var] == UNASSIGNED:
                 return var if self._phase[var] else -var
         return None
 
@@ -696,7 +713,7 @@ class CDCLSolver:
         # database alone (assumptions are never resolved on), so they
         # become permanent level-0 facts here
         for lit in self._pending_units:
-            if self._value(lit) == FALSE_VAL:
+            if self._val[lit] == FALSE_VAL:
                 self._ok = False
                 return False
             self._enqueue(lit, None)
@@ -714,13 +731,13 @@ class CDCLSolver:
             self._backtrack(0)
             return None
         for lit in assumptions:
-            if self._value(lit) == FALSE_VAL:
+            if self._val[lit] == FALSE_VAL:
                 # the assumption is already refuted by the database plus
                 # the assumptions enqueued so far: it belongs to the
                 # core itself, along with whatever implied its negation
                 self._core = self._analyze_final([lit], include=lit)
                 return False
-            if self._value(lit) == UNASSIGNED:
+            if self._val[lit] == UNASSIGNED:
                 self._trail_lim.append(len(self._trail))
                 self._enqueue(lit, None)
                 if pt is None:
@@ -862,31 +879,29 @@ class CDCLSolver:
                 len(c),
             )
         )
-        kept = glue + rest[:quota]
+        self.learned_clauses = glue + rest[:quota]
         drop = rest[quota:]
-        dropped = set(map(id, drop))
-        self.learned_clauses = kept
-        self._forget_metadata(dropped)
-        watches = self._watches
-        for code in range(2, len(watches)):
-            watchers = watches[code]
-            if watchers:
-                watches[code] = [
-                    c for c in watchers if id(c) not in dropped
-                ]
-        # level-0 reasons are never analyzed; clear stale references so
-        # the dropped clauses can actually be collected
-        for v in range(1, self.num_vars + 1):
-            reason = self._reason[v]
-            if reason is not None and id(reason) in dropped:
-                self._reason[v] = None
+        self._unhook(set(map(id, drop)))
         return len(drop)
 
-    def _forget_metadata(self, dropped: set[int]) -> None:
-        """Drop LBD/activity entries of clauses leaving the database."""
+    def _unhook(self, dropped: set[int]) -> None:
+        """Take the clauses whose ``id()`` is in ``dropped``, already
+        gone from the clause lists, out of the watch lists (keeping
+        every list's order) and forget their LBD and activity.  Called
+        at level 0, where reasons are never analyzed: stale references
+        to the dropped clauses are cleared so they can be collected."""
         for cid in dropped:
             self._lbd.pop(cid, None)
             self._cla_act.pop(cid, None)
+        watches = self._watches
+        for lit, watchers in enumerate(watches):
+            if watchers:
+                watches[lit] = [c for c in watchers if id(c) not in dropped]
+        reasons = self._reason
+        for v in range(1, self.num_vars + 1):
+            reason = reasons[v]
+            if reason is not None and id(reason) in dropped:
+                reasons[v] = None
 
     def simplify(self) -> int:
         """Drop clauses permanently satisfied at level 0.
@@ -907,13 +922,12 @@ class CDCLSolver:
         if conflict is not None:
             self._ok = False
             return 0
-        assign, level = self._assign, self._level
+        val = self._val
 
         def satisfied(clause: list[int]) -> bool:
+            # after the backtrack every assigned literal is a level-0 fact
             for lit in clause:
-                var = lit if lit > 0 else -lit
-                val = assign[var] if lit > 0 else -assign[var]
-                if val == TRUE_VAL and level[var] == 0:
+                if val[lit] == TRUE_VAL:
                     return True
             return False
 
@@ -932,22 +946,8 @@ class CDCLSolver:
             else:
                 kept_learned.append(clause)
         self.learned_clauses = kept_learned
-        if not dropped:
-            return 0
-        self._forget_metadata(dropped)
-        watches = self._watches
-        for code in range(2, len(watches)):
-            watchers = watches[code]
-            if watchers:
-                watches[code] = [
-                    c for c in watchers if id(c) not in dropped
-                ]
-        # level-0 reasons are never analyzed; clear stale references so
-        # the dropped clauses can actually be collected
-        for v in range(1, self.num_vars + 1):
-            reason = self._reason[v]
-            if reason is not None and id(reason) in dropped:
-                self._reason[v] = None
+        if dropped:
+            self._unhook(dropped)
         return len(dropped)
 
     def fixed(self, lit: int) -> Optional[bool]:
@@ -961,9 +961,10 @@ class CDCLSolver:
         :class:`SatError` on literal 0 or an unknown variable.
         """
         var = self._var_of(lit)
-        if self._assign[var] == UNASSIGNED or self._level[var] != 0:
+        value = self._val[lit]
+        if value == UNASSIGNED or self._level[var] != 0:
             return None
-        return self._value(lit) == TRUE_VAL
+        return value == TRUE_VAL
 
     def model(self) -> dict[int, bool]:
         """The satisfying assignment after a successful :meth:`solve`.
@@ -981,10 +982,11 @@ class CDCLSolver:
                 "(the last call timed out, answered unsat, or the "
                 "formula changed since)"
             )
+        val = self._val
         return {
-            v: self._assign[v] == TRUE_VAL
+            v: val[v] == TRUE_VAL
             for v in range(1, self.num_vars + 1)
-            if self._assign[v] != UNASSIGNED
+            if val[v] != UNASSIGNED
         }
 
     # -- pickling -----------------------------------------------------------

@@ -364,7 +364,13 @@ class TestEngineSnapshot:
                 pickle.dumps({**header, "version": 4, "solver": {}})
             )
 
-        for spoil in (bump_version, foreign_engine_key, engine_v4):
+        def engine_v5(entry):
+            # a warm cache written by a build whose solver indexed values
+            # by variable and watches by literal code (version 5)
+            header, engine = pickle.loads(entry.read_bytes())
+            entry.write_bytes(pickle.dumps(({**header, "version": 5}, engine)))
+
+        for spoil in (bump_version, foreign_engine_key, engine_v4, engine_v5):
             cache = tmp_path / spoil.__name__
             self._warm_pool(cache_dir=cache).flush_cache()
             for entry in cache.iterdir():

@@ -1,5 +1,7 @@
 """Tests for the CDCL SAT solver, cross-checked against brute force."""
 
+import dataclasses
+import hashlib
 import itertools
 import pickle
 import random
@@ -996,3 +998,205 @@ class TestSnapshotRestore:
         # a core is a subset of the assumptions that is still unsat
         assert set(core) <= set(assumptions)
         assert restored.solve(core) is False
+
+
+# ----------------------------------------------------------------------
+# the search itself, pinned: a seeded incremental drive digests every
+# answer, core, model and counter, the trail and every clause's literal
+# order.  How the solver lays out its arrays may change; this may not.
+# ----------------------------------------------------------------------
+def _random_clauses(rng, first_var, last_var, count, width):
+    variables = range(first_var, last_var + 1)
+    return [
+        [rng.choice((1, -1)) * v for v in rng.sample(variables, width)]
+        for _ in range(count)
+    ]
+
+
+def search_digest(seed, num_vars, ratio, width):
+    """Drive a solver through a seeded incremental history and digest
+    everything its search produced.
+
+    The history adds half the clauses, then solves under random
+    assumptions with the rest added in between; one ``reduce_learned``;
+    new variables with clauses over old and new ones; two level-0 units
+    and one ``simplify``; then a pickle round trip, and the copy carries
+    on.
+    """
+    rng = random.Random(seed)
+    count = round(ratio * num_vars)
+    clauses = _random_clauses(rng, 1, num_vars, count, width)
+    solver = CDCLSolver(num_vars)
+    digest = hashlib.sha256()
+
+    def record(*items):
+        digest.update(repr(items).encode())
+
+    def add(batch):
+        record("add", [solver.add_clause(c) for c in batch])
+
+    def solve(count, budget):
+        variables = rng.sample(range(1, solver.num_vars + 1), count)
+        assumptions = [rng.choice((1, -1)) * v for v in variables]
+        answer = solver.solve(assumptions, max_conflicts=budget)
+        record("solve", assumptions, answer)
+        if answer is True:
+            record(sorted(solver.model().items()))
+        elif answer is False:
+            record(solver.core())
+        record(
+            dataclasses.astuple(solver.stats),
+            solver._trail,
+            solver.clauses,
+            solver.learned_clauses,
+        )
+
+    half = len(clauses) // 2
+    add(clauses[:half])
+    solve(0, 400)
+    step = max((len(clauses) - half) // 3, 1)
+    for start in range(half, len(clauses), step):
+        solve(3, 150)
+        add(clauses[start : start + step])
+    solve(2, 400)
+    record("reduce", solver.reduce_learned(solver.learned_count() // 2))
+    solve(3, 200)
+    old = solver.num_vars
+    new = solver.new_vars(old // 2 + 3)
+    mixed = [
+        [
+            rng.choice((1, -1)) * v
+            for v in rng.sample(range(1, old + 1), width - 1)
+        ]
+        + [rng.choice((1, -1)) * rng.choice(new)]
+        for _ in range(2 * len(new))
+    ]
+    add(mixed + _random_clauses(rng, old + 1, new[-1], len(new), 3))
+    solve(4, 200)
+    add([[new[0]], [-new[1]]])
+    record("simplify", solver.simplify())
+    solve(3, 200)
+    solver = pickle.loads(pickle.dumps(solver, pickle.HIGHEST_PROTOCOL))
+    add(_random_clauses(rng, 1, solver.num_vars, len(new), width))
+    solve(3, 300)
+    solve(0, 600)
+    return digest.hexdigest()[:16]
+
+
+#: case -> (seed, variables, clauses per variable, clause width, digest)
+PINNED_SEARCHES = {
+    "3sat-a": (1, 150, 4.26, 3, "0f17ebbea9bf74bc"),
+    "3sat-b": (2, 150, 4.26, 3, "0b8b8f8060c6478f"),
+    "3sat-over": (3, 120, 4.6, 3, "7cb11857532cf217"),
+    "long-clauses": (4, 24, 40.0, 6, "0c026567e1c53423"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
+def test_search_is_pinned(name):
+    """The CDCL search does exactly the pinned work: the same answers,
+    cores, models, counters, trail, learned clauses and literal order in
+    every clause, through assumptions, clauses and variables added
+    between calls, ``reduce_learned``, ``simplify`` and a pickle copy."""
+    seed, num_vars, ratio, width, expected = PINNED_SEARCHES[name]
+    assert search_digest(seed, num_vars, ratio, width) == expected
+
+
+# ----------------------------------------------------------------------
+# the literal-indexed layout's edge: variables that arrive past the
+# arrays' capacity after clauses, learned clauses and level-0 facts
+# ----------------------------------------------------------------------
+def _capacity(solver):
+    return len(solver._val) >> 1
+
+
+def _before_growth(solver):
+    """PHP(4, 3) behind selector 13, a unit on variable 14 and a solve
+    under the selector: clauses, learned clauses and a level-0 fact."""
+    clauses, _ = pigeonhole_clauses(3)
+    for clause in clauses:
+        solver.add_clause([-13] + clause)
+    solver.add_clause([14])
+    assert solver.solve([13]) is False
+
+
+def _grow_and_solve(solver, seed):
+    """Add variables in three batches, each with clauses over old and
+    new ones and a solve under random assumptions.  Returns, per batch,
+    its clauses, the assumptions and the answer with its model or
+    core."""
+    rng = random.Random(seed)
+    history = []
+    for count in (3, 9, 20):
+        new = solver.new_vars(count)
+        batch = []
+        for _ in range(3 * count):
+            lits = [rng.choice(new)] + rng.sample(range(1, new[0]), 2)
+            batch.append([rng.choice((1, -1)) * v for v in lits])
+        for clause in batch:
+            solver.add_clause(clause)
+        variables = rng.sample(range(1, solver.num_vars + 1), 4)
+        assumptions = [rng.choice((1, -1)) * v for v in variables]
+        answer = solver.solve(assumptions)
+        if answer is True:
+            found = solver.model()
+        else:
+            found = solver.core() if answer is False else None
+        history.append((batch, assumptions, answer, found))
+    return history
+
+
+class TestLiteralLayout:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_growth_past_capacity_changes_nothing(self, seed):
+        """A solver whose arrays grow past their capacity mid-life gives
+        the answers, cores and models of one with room for every
+        variable from the start, by the same search; and its answers are
+        those of a solver that had every variable from the start."""
+        grown, roomy = CDCLSolver(14), CDCLSolver(14)
+        while _capacity(roomy) < 64:
+            roomy._grow()
+        for solver in (grown, roomy):
+            _before_growth(solver)
+        assert grown.learned_count() > 0 and grown.fixed(14) is True
+        capacity = _capacity(grown)
+        history = _grow_and_solve(grown, seed)
+        assert _capacity(grown) > capacity
+        assert _grow_and_solve(roomy, seed) == history
+        assert _capacity(roomy) == 64
+        assert grown.stats == roomy.stats
+        assert grown._trail == roomy._trail
+        assert grown.clauses == roomy.clauses
+        assert grown.learned_clauses == roomy.learned_clauses
+        # the same clauses and assumptions, on a solver that had every
+        # variable at once: the same answers, and the grown solver's
+        # models and cores hold there
+        clauses, _ = pigeonhole_clauses(3)
+        database = [[-13] + c for c in clauses] + [[14]]
+        full = CDCLSolver(grown.num_vars)
+        for clause in database:
+            full.add_clause(clause)
+        for batch, assumptions, answer, found in history:
+            database += batch
+            for clause in batch:
+                full.add_clause(clause)
+            assert full.solve(assumptions) is answer
+            if answer is True:
+                units = [[a] for a in assumptions]
+                assert check_model(database + units, found)
+            elif answer is False:
+                assert set(found) <= set(assumptions)
+                assert full.solve(found) is False
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_copy_before_growth_continues_exactly(self, seed):
+        """A pickle taken before the arrays grow continues, through the
+        growth, exactly like the original."""
+        original = CDCLSolver(14)
+        _before_growth(original)
+        restored = _copy(original)
+        history = _grow_and_solve(original, seed)
+        assert _grow_and_solve(restored, seed) == history
+        assert restored.stats == original.stats
+        assert restored._trail == original._trail
+        assert restored.learned_clauses == original.learned_clauses
