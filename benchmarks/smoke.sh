@@ -14,13 +14,9 @@
 #   * a warm-cache second campaign diverges from the cold first run, or
 #   * the warm run is not at least 10% faster than the cold run.
 #
-# Gate 7 (PR 9): observability overhead + fidelity; emits
-# bench-artifacts/BENCH_obs.json and fails if
-#   * verdicts change with tracing/metrics enabled,
-#   * the produced trace is malformed (duplicate span ids, dangling
-#     parents, missing hierarchy levels, broken Chrome export), or
-#   * the obs-off path is more than 5% slower than baseline (the
-#     instrumentation guards must be free when disabled).
+# Gate 7 (observability overhead + fidelity) is retired: its verdict
+# and trace checks are tests/test_obs.py::TestDifferential, and
+# perfbench's untraced passes run the obs-off path on every change.
 #
 # The artifacts directory is gitignored, so a run leaves the tracked
 # tree as it was.
@@ -83,36 +79,4 @@ print(f"warm cache: cold {wc['cold_time']:.3f}s -> warm "
       f"{wc['warm_time']:.3f}s "
       f"({wc['warm_pool']['snapshot_hits']} snapshot hits)")
 print("OK: pickled-engine parity + warm-cache speedup")
-EOF
-
-python benchmarks/bench_obs.py
-
-python - <<'EOF'
-import json
-import sys
-
-with open("bench-artifacts/BENCH_obs.json") as handle:
-    report = json.load(handle)
-totals = report["totals"]
-
-if not totals["verdict_parity"]:
-    sys.exit("FAIL: verdicts changed with observability enabled")
-if not totals["trace_valid"]:
-    sys.exit(f"FAIL: malformed trace: {totals['trace_problems']}")
-if totals["trace_spans"] <= 0:
-    sys.exit("FAIL: enabled run produced an empty trace")
-if not (totals["metrics_have_phases"] and totals["metrics_have_sat"]):
-    sys.exit("FAIL: metrics snapshot is missing phase.* or sat.* counters")
-
-base, off = totals["baseline_time"], totals["disabled_time"]
-on = totals["enabled_time"]
-print(f"baseline: {base:.3f}s  obs-off: {off:.3f}s  obs-on: {on:.3f}s  "
-      f"({totals['trace_spans']} spans, "
-      f"{totals['chrome_events']} chrome events)")
-# 50ms absolute slack: the quick suite finishes in tens of ms, where
-# scheduler noise alone can exceed a bare 5% ratio
-if off > 1.05 * base + 0.05:
-    sys.exit(f"FAIL: obs-off path {off:.3f}s is >5% slower than "
-             f"baseline {base:.3f}s — disabled guards are not free")
-print("OK: observability free when off, verdicts unchanged when on")
 EOF

@@ -18,8 +18,6 @@ from repro.automata.nfta import (
 from repro.automata.ops import (
     complement,
     complete,
-    dense_complete,
-    dense_product,
     difference,
     equivalent,
     intersection,
@@ -43,8 +41,6 @@ __all__ = [
     "automata_to_model",
     "complement",
     "complete",
-    "dense_complete",
-    "dense_product",
     "difference",
     "equivalent",
     "herbrand_relation_member",

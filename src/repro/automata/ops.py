@@ -6,13 +6,10 @@ what make the Reg representation class effective — e.g. checking that a
 regular invariant candidate is inductive reduces to emptiness of boolean
 combinations.  We implement:
 
-* completion (adding sink states copy-on-miss: only sorts that actually
-  need one, only functions with missing rules are swept),
+* completion (one sink state per sort, every missing rule routed to it),
 * complement (complete + invert finals),
-* products (intersection / union / difference on same-signature automata),
-  built sparsely: a worklist explores only the *reachable* state pairs
-  instead of the full cartesian state space (``dense_product`` keeps the
-  textbook construction as the reference the tests compare against),
+* products (intersection / union / difference on same-signature automata)
+  over the full cartesian state space of the two completions,
 * trimming (reachable-state pruning with renumbering),
 * minimization for 1-automata (Myhill–Nerode style refinement),
 * language equivalence / inclusion via product emptiness.
@@ -21,7 +18,6 @@ combinations.  We implement:
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import Callable
 
 from repro.automata.dfta import DFTA, AutomatonError, State, make_dfta
@@ -29,86 +25,25 @@ from repro.logic.sorts import Sort
 
 
 def complete(automaton: DFTA) -> DFTA:
-    """Route all missing rules to sink states, copy-on-miss.
+    """Route all missing rules to sink states: one sink per sort.
 
+    The textbook construction.  Every sort of the signature gains a
+    sink state (a sort the automaton has no state for gets the sink as
+    its only one), and every left-hand side without a rule — those with
+    a sink argument included — leads to the sink of its result sort.
     The accepted language is unchanged (a sink never joins a final
     tuple), but every run becomes defined, enabling complementation.
-    Unlike the textbook construction (:func:`dense_complete`), sinks are
-    only added to sorts that transitively need one, and only functions
-    with missing rules are swept — an almost-complete automaton pays for
-    its few missing rules, not for its full transition space.
-    """
-    counts = Counter(name for name, _ in automaton.transitions)
-    functions = automaton.adts.signature.functions.values()
-
-    def expected(func) -> int:
-        n = 1
-        for s in func.arg_sorts:
-            n *= automaton.states.get(s, 0)
-        return n
-
-    missing = [f for f in functions if counts[f.name] != expected(f)]
-    if not missing:
-        return automaton
-    # sorts needing a sink: result sorts of incomplete functions, closed
-    # under "a sink argument creates new left-hand sides"
-    need = {f.result_sort for f in missing}
-    changed = True
-    while changed:
-        changed = False
-        for f in functions:
-            if f.result_sort not in need and any(
-                s in need for s in f.arg_sorts
-            ):
-                need.add(f.result_sort)
-                changed = True
-    states = {
-        sort: n + (1 if sort in need else 0)
-        for sort, n in automaton.states.items()
-    }
-    for sort in need:
-        states.setdefault(sort, 1)
-    sinks = {sort: automaton.states.get(sort, 0) for sort in need}
-    transitions = dict(automaton.transitions)
-    for func in functions:
-        if func not in missing and not any(
-            s in need for s in func.arg_sorts
-        ):
-            continue  # already total and no new sink arguments: copy as-is
-        pools = [range(states.get(s, 0)) for s in func.arg_sorts]
-        sink = sinks[func.result_sort]
-        for args in itertools.product(*pools):
-            transitions.setdefault((func.name, args), sink)
-    return make_dfta(
-        automaton.adts,
-        states,
-        transitions,
-        automaton.finals,
-        automaton.final_sorts,
-    )
-
-
-def dense_complete(automaton: DFTA) -> DFTA:
-    """Textbook completion: one sink per sort, full transition sweep.
-
-    Kept as the reference implementation the property tests compare the
-    copy-on-miss :func:`complete` against.
     """
     if automaton.is_complete():
         return automaton
-    states = {sort: n + 1 for sort, n in automaton.states.items()}
-    sinks = {sort: automaton.states[sort] for sort in automaton.states}
-    transitions: dict[tuple[str, tuple[State, ...]], State] = {}
+    sinks = {s: automaton.states.get(s, 0) for s in automaton.adts.sorts}
+    states = {s: sink + 1 for s, sink in sinks.items()}
+    transitions = dict(automaton.transitions)
     for func in automaton.adts.signature.functions.values():
-        pools = [range(states.get(s, 0)) for s in func.arg_sorts]
+        pools = [range(states[s]) for s in func.arg_sorts]
+        sink = sinks[func.result_sort]
         for args in itertools.product(*pools):
-            existing = automaton.transitions.get((func.name, args))
-            if existing is not None and all(
-                a != sinks[s] for a, s in zip(args, func.arg_sorts)
-            ):
-                transitions[(func.name, args)] = existing
-            else:
-                transitions[(func.name, args)] = sinks[func.result_sort]
+            transitions.setdefault((func.name, args), sink)
     return make_dfta(
         automaton.adts,
         states,
@@ -136,13 +71,6 @@ def complement(automaton: DFTA) -> DFTA:
     )
 
 
-def _check_product_operands(left: DFTA, right: DFTA) -> None:
-    if left.adts is not right.adts and left.adts.sorts != right.adts.sorts:
-        raise AutomatonError("product of automata over different ADT systems")
-    if left.final_sorts != right.final_sorts:
-        raise AutomatonError("product of automata of different dimensions")
-
-
 def product(
     left: DFTA,
     right: DFTA,
@@ -151,152 +79,44 @@ def product(
     """Product automaton whose finals are chosen by ``combine``.
 
     Both automata must share the ADT system, dimension and final sorts.
-    The construction is on-the-fly: a worklist grows the set of
-    *reachable* state pairs bottom-up (semi-naive — each round only
-    expands left-hand sides touching a frontier pair), so the result has
-    one state per reachable pair instead of the full ``|A| x |B|``
-    cartesian space that :func:`dense_product` enumerates.  Completion
-    of the operands is virtual: a missing rule reads as a transition
-    into that sort's sink, and sink rules are never materialized.
+    The textbook construction: both operands are completed, and the
+    pair ``(qa, qb)`` of a sort's states becomes the product state
+    ``qa * |B_sort| + qb``, over the full cartesian state space.
     """
-    _check_product_operands(left, right)
-    a, b = left, right
-    all_sorts = set(a.states) | set(b.states)
-    sink_a = {s: a.states.get(s, 0) for s in all_sorts}
-    sink_b = {s: b.states.get(s, 0) for s in all_sorts}
+    if left.adts is not right.adts and left.adts.sorts != right.adts.sorts:
+        raise AutomatonError("product of automata over different ADT systems")
+    if left.final_sorts != right.final_sorts:
+        raise AutomatonError("product of automata of different dimensions")
+    a, b = complete(left), complete(right)
+    states = {s: a.states[s] * b.states[s] for s in a.adts.sorts}
 
-    order: dict[Sort, list[tuple[State, State]]] = {
-        s: [] for s in all_sorts
-    }
-    index: dict[Sort, dict[tuple[State, State], State]] = {
-        s: {} for s in all_sorts
-    }
-
-    def register(sort: Sort, pair: tuple[State, State]) -> State:
-        table = index[sort]
-        pid = table.get(pair)
-        if pid is None:
-            pid = len(table)
-            table[pair] = pid
-            order[sort].append(pair)
-        return pid
-
-    def step(func, pairs: tuple[tuple[State, State], ...]) -> State:
-        a_args = tuple(p[0] for p in pairs)
-        b_args = tuple(p[1] for p in pairs)
-        ra = a.transitions.get((func.name, a_args))
-        if ra is None:
-            ra = sink_a[func.result_sort]
-        rb = b.transitions.get((func.name, b_args))
-        if rb is None:
-            rb = sink_b[func.result_sort]
-        return register(func.result_sort, (ra, rb))
-
-    transitions: dict[tuple[str, tuple[State, ...]], State] = {}
-    functions = list(a.adts.signature.functions.values())
-    frontier_start = {s: 0 for s in all_sorts}
-    for func in functions:
-        if func.arity == 0:
-            transitions[(func.name, ())] = step(func, ())
-    while True:
-        starts = dict(frontier_start)
-        ends = {s: len(order[s]) for s in all_sorts}
-        if all(starts[s] == ends[s] for s in all_sorts):
-            break
-        for func in functions:
-            if func.arity == 0:
-                continue
-            for pivot in range(func.arity):
-                # pivot = first argument drawn from the current frontier
-                pools: list[list[tuple[State, State]]] = []
-                for j, sort in enumerate(func.arg_sorts):
-                    if j < pivot:
-                        pools.append(order[sort][: starts[sort]])
-                    elif j == pivot:
-                        pools.append(
-                            order[sort][starts[sort] : ends[sort]]
-                        )
-                    else:
-                        pools.append(order[sort][: ends[sort]])
-                for pairs in itertools.product(*pools):
-                    encoded = tuple(
-                        index[s][p]
-                        for s, p in zip(func.arg_sorts, pairs)
-                    )
-                    transitions[(func.name, encoded)] = step(func, pairs)
-        frontier_start = ends
-
-    finals: set[tuple[State, ...]] = set()
-    for pairs in itertools.product(
-        *[order[s] for s in a.final_sorts]
-    ):
-        a_tuple = tuple(p[0] for p in pairs)
-        b_tuple = tuple(p[1] for p in pairs)
-        if combine(a_tuple in a.finals, b_tuple in b.finals):
-            finals.add(
-                tuple(
-                    index[s][p]
-                    for s, p in zip(a.final_sorts, pairs)
-                )
-            )
-    states = {s: max(len(order[s]), 1) for s in all_sorts}
-    return make_dfta(a.adts, states, transitions, finals, a.final_sorts)
-
-
-def dense_product(
-    left: DFTA,
-    right: DFTA,
-    combine: Callable[[bool, bool], bool],
-) -> DFTA:
-    """Reference product over the full cartesian state space.
-
-    Materializes both completions and every state pair; kept for the
-    property tests that pin :func:`product` to the textbook semantics.
-    """
-    _check_product_operands(left, right)
-    a, b = dense_complete(left), dense_complete(right)
-    states: dict[Sort, int] = {}
-    for sort in a.states:
-        states[sort] = a.states[sort] * b.states.get(sort, 0)
+    def pairs(sort: Sort) -> list[tuple[State, State]]:
+        return list(
+            itertools.product(range(a.states[sort]), range(b.states[sort]))
+        )
 
     def encode(sort: Sort, qa: State, qb: State) -> State:
         return qa * b.states[sort] + qb
 
     transitions: dict[tuple[str, tuple[State, ...]], State] = {}
     for func in a.adts.signature.functions.values():
-        arg_pools = [
-            itertools.product(range(a.states[s]), range(b.states[s]))
-            for s in func.arg_sorts
-        ]
-        for pairs in itertools.product(*[list(p) for p in arg_pools]):
-            a_args = tuple(p[0] for p in pairs)
-            b_args = tuple(p[1] for p in pairs)
-            ra = a.transitions.get((func.name, a_args))
-            rb = b.transitions.get((func.name, b_args))
-            if ra is None or rb is None:
-                continue  # cannot happen on completed automata
-            encoded_args = tuple(
-                encode(s, qa, qb)
-                for s, (qa, qb) in zip(func.arg_sorts, pairs)
+        for args in itertools.product(*map(pairs, func.arg_sorts)):
+            ra = a.transitions[(func.name, tuple(p[0] for p in args))]
+            rb = b.transitions[(func.name, tuple(p[1] for p in args))]
+            encoded = tuple(
+                encode(s, *p) for s, p in zip(func.arg_sorts, args)
             )
-            transitions[(func.name, encoded_args)] = encode(
+            transitions[(func.name, encoded)] = encode(
                 func.result_sort, ra, rb
             )
-    finals: set[tuple[State, ...]] = set()
-    pools = [
-        itertools.product(range(a.states[s]), range(b.states[s]))
-        for s in a.final_sorts
+    finals = [
+        tuple(encode(s, *p) for s, p in zip(a.final_sorts, combo))
+        for combo in itertools.product(*map(pairs, a.final_sorts))
+        if combine(
+            tuple(p[0] for p in combo) in a.finals,
+            tuple(p[1] for p in combo) in b.finals,
+        )
     ]
-    for pairs in itertools.product(*[list(p) for p in pools]):
-        a_tuple = tuple(p[0] for p in pairs)
-        b_tuple = tuple(p[1] for p in pairs)
-        if combine(a_tuple in a.finals, b_tuple in b.finals):
-            finals.add(
-                tuple(
-                    encode(s, qa, qb)
-                    for s, (qa, qb) in zip(a.final_sorts, pairs)
-                )
-            )
     return make_dfta(a.adts, states, transitions, finals, a.final_sorts)
 
 
@@ -383,7 +203,9 @@ def minimize_1d(automaton: DFTA) -> DFTA:
     """
     if automaton.dimension != 1:
         raise AutomatonError("minimize_1d requires a 1-automaton")
-    auto = complete(trim(automaton))
+    # trimmed after completion: a sort with no missing rule still
+    # gains a sink, which no term may reach
+    auto = trim(complete(automaton))
     target_sort = auto.final_sorts[0]
     final_states = {q for (q,) in auto.finals}
 

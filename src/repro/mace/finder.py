@@ -149,15 +149,18 @@ The sweep
 ---------
 
 :meth:`ModelFinder.search` is the one size sweep: one loop, in this
-process, over the finder's own (possibly pooled) engine.  Its
-:class:`_SweepState` walks the frontier in order of total size, skips
-every vector a refutation core of the problem already covers, and
-solves the others one at a time (:meth:`_SweepState.solve`).  Each
-vector's outcome is folded, with its own :class:`FinderStats` and
-``SatStats`` deltas, by :meth:`_SweepState.consume`, and every sweep
-ends in :meth:`_SweepState.finish`: at the first model, at a
+process, over the finder's own (possibly pooled) engine.  It walks the
+frontier in order of total size, skips every vector a refutation core
+of the problem already covers (:func:`_covered`), and solves the others
+one at a time through :meth:`_IncrementalEngine.try_vector`, which
+counts each vector's outcome into the sweep's one
+:class:`FinderStats`.  The sweep ends at the first model, at a
 size-independent refutation, at the deadline or at the end of the
-frontier.
+frontier.  Only ``try_vector`` touches the engine's one solver during
+the sweep, so the sweep's solver work — its ``clauses_encoded``,
+``learned_total`` and ``learned_glue``, and the ``sat.*`` counters it
+publishes with metrics on — is one difference of the solver's
+``SatStats`` between the start and the end of the sweep.
 
 Configuration
 -------------
@@ -197,7 +200,7 @@ from repro.logic.terms import Term, Var
 from repro.mace.model import FiniteModel, validate_model
 from repro.obs import runtime as obs_runtime
 from repro.sat.cnf import SelectorPool
-from repro.sat.solver import CDCLSolver, SatStats
+from repro.sat.solver import CDCLSolver
 
 
 class FinderError(ValueError):
@@ -414,8 +417,9 @@ class FinderStats:
     and ``learned_kept`` the learned clauses still alive (carried across
     attempts) when it ended; ``learned_glue`` is the subset of
     ``learned_total`` with LBD ≤ 2 (kept unconditionally by the LBD
-    retention policy).  The engine keeps one solver for life, so each
-    of these is a plain difference of that solver's ``SatStats``.
+    retention policy).  The engine keeps one solver for life, so
+    ``clauses_encoded``, ``learned_total`` and ``learned_glue`` are one
+    difference of that solver's ``SatStats`` across the search.
 
     The sweep-verdict counters partition the candidate vectors:
     ``vectors_refuted`` were proven unsat by the solver,
@@ -461,9 +465,8 @@ class FinderStats:
     def merge(self, part: "FinderStats") -> None:
         """Fold another search's statistics into this one.
 
-        The single merge rule shared by the per-solve accumulator in
-        :mod:`repro.core.ringen` (searches resumed after a failed
-        Herbrand check) and the sweep folding each vector's statistics:
+        :mod:`repro.core.ringen` folds the searches it resumes after a
+        failed Herbrand check into one per-solve total with it:
         additive counters add, high-water marks (``sat_vars``,
         ``sat_clauses``, ``learned_kept``, ``cross_problem_clauses``)
         take the max, sticky flags or together, and ``model_size`` keeps
@@ -1413,7 +1416,9 @@ class _IncrementalEngine:
         has no model) from budget/deadline exhaustion (indeterminate) is
         what lets :meth:`ModelFinder.search` report an honest
         ``complete`` verdict; refutations additionally carry their unsat
-        core into ``ctx.refuted_cores``.
+        core into ``ctx.refuted_cores``.  The vector's counts (refuted
+        or exhausted, cores, reused clauses, the solver's size) land in
+        ``stats``, the sweep's one :class:`FinderStats`.
 
         With observability on (:mod:`repro.obs.runtime`) each attempt
         runs inside a ``vector`` span with the solver's phase timers
@@ -1617,152 +1622,25 @@ def _signature(system: CHCSystem) -> tuple[list, list, list]:
     )
 
 
-class _SweepState:
-    """One size sweep of one problem context over one engine.
+def _covered(
+    sizes: dict[Sort, int],
+    cores: Sequence[tuple[dict[Sort, int], dict[Sort, int]]],
+) -> bool:
+    """Whether a known refutation core covers the vector ``sizes``.
 
-    Owns the frontier, pruned by the context's refutation cores, and the
-    verdict under construction.  :meth:`solve` is the per-vector body,
-    :meth:`consume` the one point where every vector's outcome is folded
-    in with its own :class:`FinderStats` and (metrics on) ``SatStats``
-    deltas, and :meth:`finish` the one way a sweep ends.
+    The known cores are a context's refutation cores: those it
+    inherited (an earlier search, the problem-facts memo) and each one
+    the engine appends as it refutes a vector.  A core with lower
+    bounds L and upper bounds U covers every vector meeting all of
+    them: the existence prefix chains make that vector's assumptions
+    entail the core's, so it is unsat without touching the solver (see
+    the module docstring).
     """
-
-    def __init__(
-        self,
-        engine: _IncrementalEngine,
-        ctx: _ProblemContext,
-        options: FinderOptions,
-        min_total: int,
-        stats: FinderStats,
-        deadline: Optional[float],
-    ):
-        self.engine = engine
-        self.ctx = ctx
-        self.options = options
-        self.stats = stats
-        self.deadline = deadline
-        self.start = time.monotonic()
-        # a pooled or unpickled engine's sorts are value-equal copies of
-        # the finder's, in the same order; size dicts key the engine's
-        self._iter = size_vectors(
-            engine.sorts, options.max_total_size, min_total
-        )
-        self.exhausted_frontier = False
-        self.winner: Optional[FiniteModel] = None
-        self.complete = True
-        #: SatStats deltas summed over every vector (metrics on only)
-        self.sat: Optional[dict] = (
-            dict.fromkeys((f.name for f in dataclasses.fields(SatStats)), 0)
-            if obs_runtime.METRICS is not None
-            else None
-        )
-
-    def expired(self) -> bool:
-        """True once the search deadline has passed, which cuts the
-        sweep short: its verdict is no longer definitive."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.stats.deadline_hit = True
-            self.complete = False
-            return True
-        return False
-
-    def next_vector(self) -> Optional[dict[Sort, int]]:
-        """The next frontier vector no known core covers; ``None`` once
-        the frontier is exhausted.
-
-        The known cores are the context's refutation cores: those it
-        inherited (an earlier search, the problem-facts memo) and each
-        one the engine appends as it refutes a vector.  A core with
-        lower bounds L and upper bounds U covers every vector meeting
-        all of them: the existence prefix chains make that vector's
-        assumptions entail the core's, so it is unsat without touching
-        the solver (see the module docstring).
-        """
-        for sizes in self._iter:
-            if not any(
-                all(sizes[s] >= k for s, k in lower.items())
-                and all(sizes[s] <= k for s, k in upper.items())
-                for lower, upper in self.ctx.refuted_cores
-            ):
-                return sizes
-            self.stats.vectors_skipped += 1
-        self.exhausted_frontier = True
-        return None
-
-    def solve(
-        self, sizes: dict[Sort, int]
-    ) -> tuple[_VectorOutcome, FinderStats, Optional[dict]]:
-        """Solve one vector: its outcome, its own statistics and, with
-        metrics on, its ``SatStats`` deltas."""
-        part = FinderStats(attempts=1)
-        counters = self.engine.solver.stats
-        base_added = counters.clauses_added
-        base_learned = counters.learned
-        base_glue = counters.glue_learned
-        sat_before = (
-            dataclasses.asdict(counters) if self.sat is not None else None
-        )
-        outcome = self.engine.try_vector(
-            self.ctx, sizes, part, self.options, deadline=self.deadline
-        )
-        part.clauses_encoded = counters.clauses_added - base_added
-        part.learned_total = counters.learned - base_learned
-        part.learned_glue = counters.glue_learned - base_glue
-        sat = None
-        if sat_before is not None:
-            sat = {
-                key: value - sat_before[key]
-                for key, value in dataclasses.asdict(counters).items()
-            }
-        return outcome, part, sat
-
-    def consume(
-        self,
-        outcome: _VectorOutcome,
-        part: FinderStats,
-        sat: Optional[dict],
-    ) -> None:
-        """Fold one vector's result into the sweep; its statistics land
-        in the sweep's stats at once (the object live progress
-        watches)."""
-        self.stats.merge(part)
-        if sat:
-            for key, value in sat.items():
-                self.sat[key] += value
-        if outcome.model is not None:
-            self.winner = outcome.model
-        elif not outcome.refuted:
-            # budget/deadline exhaustion is not a refutation
-            self.complete = False
-
-    def finish(self) -> FinderResult:
-        """Settle the sweep's statistics, metrics and verdict.
-
-        ``complete`` is ``True`` only when the verdict is definitive: a
-        model was found, a size-independent refutation came in, or the
-        whole frontier was refuted (directly or by a covering core)
-        with no vector exhausted and no deadline cut.
-        """
-        stats = self.stats
-        model = self.winner
-        stats.elapsed = time.monotonic() - self.start
-        stats.learned_kept = self.engine.solver.learned_count()
-        stats.hopeless = self.ctx.hopeless
-        if model is not None:
-            stats.model_size = model.size()
-        metrics = obs_runtime.METRICS
-        if metrics is not None and self.sat is not None:
-            metrics.publish("sat", self.sat)
-        complete = (
-            model is not None
-            or stats.hopeless
-            or (
-                self.complete
-                and self.exhausted_frontier
-                and not stats.deadline_hit
-            )
-        )
-        return FinderResult(model, stats, complete=complete)
+    return any(
+        all(sizes[s] >= k for s, k in lower.items())
+        and all(sizes[s] <= k for s, k in upper.items())
+        for lower, upper in cores
+    )
 
 
 class ModelFinder:
@@ -1839,8 +1717,9 @@ class ModelFinder:
             self._engine = _IncrementalEngine(
                 self.sorts, self.functions, self.predicates, options
             )
+        engine = self._engine
         if self._ctx is None:
-            self._ctx = self._engine.register(self.flat_clauses)
+            self._ctx = engine.register(self.flat_clauses)
         ctx = self._ctx
         stats = FinderStats(
             engine_shared=self._shared_engine,
@@ -1848,23 +1727,68 @@ class ModelFinder:
                 ctx.joined_at_clauses if self._shared_engine else 0
             ),
         )
-        state = _SweepState(
-            self._engine, ctx, options, min_total_size, stats, deadline
-        )
+        counters = engine.solver.stats
+        before = dataclasses.asdict(counters)
+        start = time.monotonic()
         # live-progress registration is one weakref assignment each,
         # cheap enough to do even with all collectors off
         obs_runtime.watch_finder_stats(stats)
-        obs_runtime.watch_solver_stats(self._engine.solver.stats)
+        obs_runtime.watch_solver_stats(counters)
+        # a pooled or unpickled engine's sorts are value-equal copies of
+        # the finder's, in the same order; size dicts key the engine's
+        frontier = size_vectors(
+            engine.sorts, options.max_total_size, min_total_size
+        )
+        model: Optional[FiniteModel] = None
+        swept = False
         # a context already known to be hopeless returns before any
         # attempt: no model exists at any size
-        while not ctx.hopeless and not state.expired():
-            sizes = state.next_vector()
-            if sizes is None:
+        while not ctx.hopeless:
+            if deadline is not None and time.monotonic() > deadline:
+                stats.deadline_hit = True
                 break
-            state.consume(*state.solve(sizes))
-            if state.winner is not None:
+            for sizes in frontier:
+                if not _covered(sizes, ctx.refuted_cores):
+                    break
+                stats.vectors_skipped += 1
+            else:
+                swept = True
                 break
-        return state.finish()
+            stats.attempts += 1
+            model = engine.try_vector(
+                ctx, sizes, stats, options, deadline=deadline
+            ).model
+            if model is not None:
+                break
+        # only try_vector touches the engine's one solver during the
+        # sweep, so the difference of its counters is the sweep's work
+        sat = {
+            key: value - before[key]
+            for key, value in dataclasses.asdict(counters).items()
+        }
+        stats.clauses_encoded = sat["clauses_added"]
+        stats.learned_total = sat["learned"]
+        stats.learned_glue = sat["glue_learned"]
+        stats.learned_kept = engine.solver.learned_count()
+        stats.elapsed = time.monotonic() - start
+        stats.hopeless = ctx.hopeless
+        if model is not None:
+            stats.model_size = model.size()
+        if obs_runtime.METRICS is not None:
+            obs_runtime.METRICS.publish("sat", sat)
+        # definitive only with a model, a size-independent refutation,
+        # or a whole frontier refuted with no vector exhausted and no
+        # deadline cut
+        complete = (
+            model is not None
+            or ctx.hopeless
+            or (
+                swept
+                and not stats.vectors_exhausted
+                and not stats.deadline_hit
+            )
+        )
+        return FinderResult(model, stats, complete=complete)
 
 
 def find_model(

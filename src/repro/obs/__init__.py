@@ -15,8 +15,7 @@ incremental finder → engine pool → supervised exec → harness):
 * :mod:`repro.obs.runtime` — the process-global switchboard all
   instrumentation points check.  Everything is a no-op (one attribute
   load and branch) until :func:`repro.obs.runtime.configure` turns a
-  collector on; ``benchmarks/bench_obs.py`` gates the disabled overhead
-  at ≤5%.
+  collector on; perfbench's untraced passes time that disabled path.
 * :mod:`repro.obs.profiler` — optional per-task cProfile capture with a
   pstats dump (the CLI's ``--profile DIR``).
 

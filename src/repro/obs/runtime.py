@@ -4,8 +4,8 @@ Instrumentation points throughout the pipeline check two module
 attributes — :data:`TRACER` and :data:`METRICS` — and do nothing when
 both are ``None`` (the default).  That makes the disabled path one
 attribute load and branch per *call site* (never per propagated
-literal; the solver's phase timers guard on a cached local), which
-``benchmarks/bench_obs.py`` gates at ≤5% campaign overhead.
+literal; the solver's phase timers guard on a cached local), the path
+perfbench's untraced passes time.
 
 The module also keeps the **live in-flight state** heartbeats sample:
 the current task id and weak references to the stats objects the

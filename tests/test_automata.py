@@ -9,8 +9,6 @@ from repro.automata.dfta import AutomatonError, DFTA, make_dfta
 from repro.automata.ops import (
     complement,
     complete,
-    dense_complete,
-    dense_product,
     difference,
     equivalent,
     intersection,
@@ -25,10 +23,12 @@ from repro.logic.adt import (
     ADT,
     ADTSystem,
     NAT,
+    NATLIST,
     TREE,
     nat,
     nat_system,
     nat_value,
+    natlist_system,
     tree_system,
 )
 from repro.logic.sorts import FuncSymbol, Sort
@@ -251,6 +251,25 @@ class TestNormalization:
         assert minimal.states[NAT] == 2
         assert equivalent(minimal, even_automaton(NATS))
 
+    def test_minimize_keeps_no_unreachable_sink(self):
+        # lists of length at most one: completing adds a NatList sink,
+        # and a Nat sink no term reaches, which the result must not keep
+        auto = make_dfta(
+            natlist_system(),
+            {NAT: 1, NATLIST: 2},
+            {
+                ("Z", ()): 0,
+                ("S", (0,)): 0,
+                ("nil", ()): 0,
+                ("cons", (0, 0)): 1,
+            },
+            [(0,), (1,)],
+            (NATLIST,),
+        )
+        minimal = minimize_1d(auto)
+        assert minimal.states == {NAT: 1, NATLIST: 3}
+        assert equivalent(minimal, auto)
+
     def test_minimize_preserves_language(self):
         auto = mod_automaton(6, [0, 3])
         minimal = minimize_1d(auto)
@@ -296,7 +315,8 @@ def test_minimize_is_idempotent(pa):
 
 
 # ----------------------------------------------------------------------
-# property tests: sparse constructions agree with the dense references
+# property tests: constructions on random partial automata respect
+# membership
 # ----------------------------------------------------------------------
 def random_nat_automaton(data, label: str) -> DFTA:
     """A random (possibly partial) 1-automaton over the Nat signature."""
@@ -330,44 +350,28 @@ COMBINES = {
 
 @given(st.data())
 @settings(max_examples=120, deadline=None)
-def test_sparse_product_agrees_with_dense(data):
+def test_product_respects_membership(data):
     a = random_nat_automaton(data, "a")
     b = random_nat_automaton(data, "b")
-    name = data.draw(st.sampled_from(sorted(COMBINES)), label="combine")
-    combine = COMBINES[name]
-    sparse = product(a, b, combine)
-    dense = dense_product(a, b, combine)
-    for n in range(9):
-        assert sparse.accepts(nat(n)) == dense.accepts(nat(n))
-    # sparse keeps only reachable pairs: never more states than dense
-    assert sparse.states[NAT] <= max(dense.states[NAT], 1)
+    for combine in COMBINES.values():
+        combined = product(a, b, combine)
+        for n in range(9):
+            t = nat(n)
+            assert combined.accepts(t) == combine(a.accepts(t), b.accepts(t))
 
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
-def test_sparse_complement_agrees_with_dense(data):
+def test_complement_respects_membership(data):
     auto = random_nat_automaton(data, "a")
     comp = complement(auto)
-    densely = dense_complete(auto)
-    dense_comp = make_dfta(
-        densely.adts,
-        densely.states,
-        densely.transitions,
-        [
-            (q,)
-            for q in range(densely.states[NAT])
-            if (q,) not in densely.finals
-        ],
-        densely.final_sorts,
-    )
     for n in range(9):
         assert comp.accepts(nat(n)) == (not auto.accepts(nat(n)))
-        assert comp.accepts(nat(n)) == dense_comp.accepts(nat(n))
 
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
-def test_copy_on_miss_complete_agrees_with_dense(data):
+def test_complete_respects_membership(data):
     auto = random_nat_automaton(data, "a")
     completed = complete(auto)
     assert completed.is_complete()
@@ -375,14 +379,13 @@ def test_copy_on_miss_complete_agrees_with_dense(data):
         assert completed.accepts(nat(n)) == auto.accepts(nat(n))
 
 
-class TestCompleteCopyOnMiss:
+class TestComplete:
     def test_complete_automaton_returned_unchanged(self):
         auto = even_automaton(NATS)
         assert complete(auto) is auto
 
-    def test_only_needed_sorts_gain_sinks(self):
-        # two sorts, complete A-part: completing the B rules must not
-        # add a sink to (or sweep) the untouched A sort
+    def test_two_sort_completion_keeps_language(self):
+        # two sorts, complete A-part, one B rule missing
         sa, sb = Sort("A"), Sort("B")
         a0 = FuncSymbol("a0", (), sa)
         a1 = FuncSymbol("a1", (sa,), sa)
@@ -398,15 +401,35 @@ class TestCompleteCopyOnMiss:
                 ("a1", (1,)): 0,
                 ("b0", ()): 0,
                 ("wrap", (0,)): 0,
-                # ("wrap", (1,)) missing: only B needs a sink
+                # ("wrap", (1,)) missing
             },
             [(0,)],
             (sb,),
         )
         completed = complete(partial)
         assert completed.is_complete()
-        assert completed.states[sb] == 2  # sink added
-        assert completed.states[sa] == 2  # untouched
         a_term = App(a0)
         assert completed.accepts(App(wrap, (a_term,)))
         assert not completed.accepts(App(wrap, (App(a1, (a_term,)),)))
+
+    def test_sort_without_states_gains_a_sink(self):
+        # a Nat 1-automaton over the NatList signature names no NatList
+        # state; completing it must still give NatList a sink
+        auto = make_dfta(
+            natlist_system(),
+            {NAT: 2},
+            {("Z", ()): 0, ("S", (0,)): 1, ("S", (1,)): 0},
+            [(0,)],
+            (NAT,),
+        )
+        completed = complete(auto)
+        assert completed.is_complete()
+        assert completed.states[NATLIST] == 1
+        comp = complement(auto)
+        both = intersection(auto, auto)
+        for n in range(8):
+            t = nat(n)
+            assert auto.accepts(t) == (n % 2 == 0)
+            assert completed.accepts(t) == auto.accepts(t)
+            assert comp.accepts(t) == (not auto.accepts(t))
+            assert both.accepts(t) == auto.accepts(t)

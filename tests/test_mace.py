@@ -1,6 +1,7 @@
 """Tests for the finite model finder and finite structures (Sec. 4.1/4.2)."""
 
 import collections
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -34,6 +35,7 @@ from repro.mace.finder import (
 )
 from repro.mace.model import FiniteModel, ModelError, validate_model
 from repro.mace.pool import EnginePool
+from repro.obs import runtime as obs_runtime
 from repro.problems import (
     diseq_zz_system,
     even_system,
@@ -42,6 +44,7 @@ from repro.problems import (
     odd_unsat_system,
     z_neq_sz_system,
 )
+from repro.sat.solver import SatStats
 
 NATS = nat_system()
 EVEN = PredSymbol("even", (NAT,))
@@ -552,6 +555,60 @@ def test_sweep_is_pinned(name):
         for r in results
     ]
     assert rows == PINNED_SWEEPS[name]
+
+
+def _accounted_search(finder, **kwargs):
+    """One metrics-on ``search``, checked against its solver: the
+    ``sat.*`` counters it publishes, and its solver-side FinderStats
+    fields, are the difference of the engine solver's SatStats across
+    the call."""
+    engine = finder._engine
+    before = dataclasses.asdict(
+        engine.solver.stats if engine is not None else SatStats()
+    )
+    published = dict(obs_runtime.METRICS.snapshot()["counters"])
+    result = finder.search(**kwargs)
+    after = dataclasses.asdict(finder._engine.solver.stats)
+    delta = {key: after[key] - before[key] for key in after}
+    counters = obs_runtime.METRICS.snapshot()["counters"]
+    assert {
+        key: counters.get(f"sat.{key}", 0) - published.get(f"sat.{key}", 0)
+        for key in delta
+    } == delta
+    stats = result.stats
+    assert (
+        stats.clauses_encoded,
+        stats.learned_total,
+        stats.learned_glue,
+        stats.attempts,
+    ) == (
+        delta["clauses_added"],
+        delta["learned"],
+        delta["glue_learned"],
+        delta["solve_calls"],
+    )
+    return result
+
+
+def test_sweep_accounting_is_one_solver_difference():
+    """Two problems back to back on one pooled engine, then a search
+    resumed with ``min_total_size`` (the Herbrand retry's path)."""
+    obs_runtime.configure(metrics=True)
+    try:
+        pool = EnginePool()
+        options = FinderOptions(max_total_size=6)
+        for name in ("peirce", "peirce-swap"):
+            finder = pool.finder(preprocess(_stlc_system(name)), options)
+            assert _accounted_search(finder).stats.learned_total > 0
+            pool.release(finder)
+        finder = ModelFinder(preprocess(incdec_system()))
+        first = _accounted_search(finder)
+        resumed = _accounted_search(
+            finder, min_total_size=first.model.size() + 1
+        )
+        assert resumed.found and resumed.stats.attempts > 0
+    finally:
+        obs_runtime.reset()
 
 
 def _canonical_violations(engine):

@@ -1,8 +1,8 @@
 """Tests for the observability layer: tracer, metrics, event bus,
 live progress, profiling hook, and — most importantly — the
 differential guarantee that turning observability on changes nothing
-about verdicts (``benchmarks/bench_obs.py`` gates the same property
-with an overhead budget on top).
+about verdicts, with a well-formed trace (``TestDifferential``).
+perfbench's untraced passes time the path with observability off.
 """
 
 import json
@@ -16,7 +16,7 @@ from repro.exec import ExecPolicy, ReproFaultPlan, ResultsJournal, load_journal
 from repro.exec import supervisor
 from repro.harness import campaign_report
 from repro.harness.runner import run_campaign, task_id_for
-from repro.mace.finder import _SweepState, find_model
+from repro.mace.finder import _IncrementalEngine, find_model
 from repro.obs import (
     EventBus,
     HeartbeatRenderer,
@@ -269,8 +269,8 @@ class TestRuntime:
 
 
 class TestSweepTelemetry:
-    """The sweep's one fold point publishes each vector's work to the
-    metrics and to live progress as it is folded in."""
+    """The sweep publishes its work to the metrics, and each vector's
+    counts reach live progress as the vector is tried."""
 
     def test_sweep_publishes_sat_counters(self):
         obs_runtime.configure(metrics=True)
@@ -280,15 +280,16 @@ class TestSweepTelemetry:
         assert counters.get("sat.conflicts", 0) > 0
 
     def test_live_progress_counts_each_folded_result(self, monkeypatch):
-        # the k-th vector folded shows at least k vectors
+        # the k-th vector tried shows at least k vectors
         samples = []
-        consume = _SweepState.consume
+        try_vector = _IncrementalEngine.try_vector
 
-        def sampled(state, *result):
-            consume(state, *result)
+        def sampled(engine, *args, **kwargs):
+            outcome = try_vector(engine, *args, **kwargs)
             samples.append(obs_runtime.live_sample()["vectors"])
+            return outcome
 
-        monkeypatch.setattr(_SweepState, "consume", sampled)
+        monkeypatch.setattr(_IncrementalEngine, "try_vector", sampled)
         find_model(preprocess(diag_system()), max_total_size=5)
         assert samples
         for k, vectors in enumerate(samples, 1):
@@ -447,13 +448,16 @@ class TestDifferential:
         assert comparable(observed) == comparable(baseline)
         records = load_trace(trace)
         names = {r["name"] for r in records}
-        assert {"campaign", "task", "solve", "vector"} <= names
+        # the hierarchy's spine, and the propagate aggregate every
+        # solve call records
+        assert {"campaign", "task", "solve", "vector", "propagate"} <= names
         ids = [r["id"] for r in records]
         assert len(set(ids)) == len(ids)
         known = set(ids)
         assert all(
             r["parent"] is None or r["parent"] in known for r in records
         )
+        assert len(to_chrome(records)["traceEvents"]) == len(records)
         with open(metrics) as handle:
             snap = json.load(handle)
         assert snap["histograms"]["task.elapsed"]["count"] == 3
