@@ -15,17 +15,8 @@ UNSAT problems the cex phase answers quickly; ablating it to model-search
 only leaves the problem undecided (there is no finite model to find).
 """
 
-import itertools
-
-import pytest
-
 from repro.chc.clauses import CHCSystem, Clause
-from repro.chc.transform import (
-    encode_diseq,
-    normalize,
-    preprocess,
-    remove_selectors,
-)
+from repro.chc.transform import encode_diseq, normalize, preprocess
 from repro.core.ringen import RInGen, RInGenConfig
 from repro.mace.finder import find_model
 from repro.problems import (

@@ -10,8 +10,6 @@ We regenerate the data from the De Angelis campaign and check that
 diagonal dominance; the raw points go to benchmarks/output/.
 """
 
-import pytest
-
 from repro.harness import (
     figure4_data,
     figure5_data,

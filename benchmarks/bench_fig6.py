@@ -7,8 +7,6 @@ statistic from RInGen's SAT answers over the De Angelis campaign and
 check the shape: all sizes small, mass at the minimum sizes.
 """
 
-import pytest
-
 from repro.harness import figure6_data, format_histogram
 
 from conftest import write_artifact

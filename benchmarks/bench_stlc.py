@@ -12,10 +12,6 @@ model finder solves the classical-non-tautology fraction; the Elem and
 SizeElem baselines solve none.
 """
 
-import os
-
-import pytest
-
 from repro import solve
 from repro.chc.transform import preprocess
 from repro.mace.finder import find_model

@@ -8,13 +8,14 @@ Paper's shape (300 s timeout, the authors' testbed):
                       UNSAT: RInGen 21 ~ Spacer 22 > CVC4-Ind 13 > Eldarica 12
     CVC4-Ind:         0 SAT everywhere
 
-What must hold here (scaled-down timeouts; see EXPERIMENTS.md for the
-measured numbers): RInGen dominates PositiveEq by a wide margin; the Diseq
-subset collapses everyone's SAT counts; the single Diseq UNSAT is found;
-on TIP the ordering problems make the SizeElem baseline the SAT leader
-while the structural-parity problems are RInGen-only.
+What must hold here (scaled-down timeouts): RInGen dominates PositiveEq
+by a wide margin; the Diseq subset collapses everyone's SAT counts; the
+single Diseq UNSAT is found; on TIP the ordering problems make the
+SizeElem baseline the SAT leader while the structural-parity problems
+are RInGen-only.
 
-The rendered table is written to benchmarks/output/table1*.txt.
+The rendered table, with the measured numbers, is written to
+benchmarks/output/table1*.txt.
 
 At the quick scale (2 s per run) two columns vary between runs of the
 same code: Eldarica (SizeElem) Diseq SAT (4 then 6 in two runs) and TIP
@@ -26,12 +27,9 @@ column only through ``sat["eldarica"] >= sat["spacer"]`` and a unique
 Eldarica solve, which held in every such run.
 """
 
-import pytest
-
 from repro.core.result import Status
 from repro.harness import format_table1, table1
 from repro.harness.runner import run_problem
-from repro.problems import even_system
 
 from conftest import write_artifact
 

@@ -8,13 +8,6 @@ from repro.automata.from_model import (
     model_to_automaton,
     shared_transitions,
 )
-from repro.automata.nfta import (
-    NFTA,
-    determinize,
-    from_dfta,
-    union_dfta,
-    union_nfta,
-)
 from repro.automata.ops import (
     complement,
     complete,
@@ -32,11 +25,6 @@ from repro.automata.ops import (
 __all__ = [
     "AutomatonError",
     "DFTA",
-    "NFTA",
-    "determinize",
-    "from_dfta",
-    "union_dfta",
-    "union_nfta",
     "State",
     "automata_to_model",
     "complement",

@@ -69,7 +69,10 @@ the run falls back to a cold start:
 A journal whose header records another solver configuration (its
 fingerprint, e.g. from a build whose ``RInGenConfig`` differs) is
 refused with exit code 2 before any problem runs, whether the campaign
-resumes it or only appends to it.  A resumed journal may point at a
+resumes it or only appends to it.  So is a ``REPRO_FAULT_PLAN`` that
+does not parse, or one holding ``flaky`` or ``hang`` without
+``--isolate`` (both fault kinds need a worker subprocess; see
+:mod:`repro.exec.faults`).  A resumed journal may point at a
 different (or no) warm cache: the fingerprint deliberately excludes it.
 
 Observability (``solve`` and ``campaign``): ``--trace FILE`` records a
@@ -355,7 +358,7 @@ def _snapshot_note(stats: dict) -> str:
 def _run_campaign(args) -> int:
     """Build one task per readable file (grouped by signature when
     engines are shared) and run them through :func:`execute_tasks`."""
-    from repro.exec import ExecPolicy, TaskSpec, execute_tasks
+    from repro.exec import ExecPolicy, FaultPlanError, TaskSpec, execute_tasks
     from repro.exec.journal import JournalError
     from repro.harness.runner import signature_groups
     from repro.obs.events import (
@@ -424,7 +427,7 @@ def _run_campaign(args) -> int:
             resume=bool(args.resume),
             bus=bus,
         )
-    except JournalError as error:
+    except (JournalError, FaultPlanError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     for task in tasks:

@@ -8,7 +8,6 @@ from repro.exec.faults import (
     FaultSpec,
     InjectedCrash,
     ReproFaultPlan,
-    TransientWorkerFault,
 )
 from repro.exec.journal import ResultsJournal, load_journal
 from repro.exec.supervisor import (
@@ -30,7 +29,6 @@ __all__ = [
     "ReproFaultPlan",
     "ResultsJournal",
     "TaskSpec",
-    "TransientWorkerFault",
     "execute_tasks",
     "load_journal",
 ]

@@ -1,26 +1,33 @@
 """Deterministic fault injection for the supervised execution layer.
 
 Every failure path of :mod:`repro.exec.supervisor` — worker crashes,
-hangs killed by the hard watchdog, OOMs under the RSS cap, and
-flaky-then-succeed transients retried with backoff — must be exercised
-in tests and CI, not discovered in week-long campaigns.  A
+hangs killed by the hard watchdog, OOMs under the address-space cap,
+and flaky-then-succeed worker deaths retried with backoff — must be
+exercised in tests and CI, not discovered in week-long campaigns.  A
 :class:`ReproFaultPlan` is a small, fully deterministic description of
 which task should fail and how:
 
     crash@2            raise inside task index 2 (structured error:crash)
     hang@tree/size     spin forever in any task whose id contains the key
-                       (isolated mode: the watchdog kills it)
-    oom@7              allocate until MemoryError (error:oom)
+                       (the watchdog kills it: error:timeout_hard)
+    oom@7              trip the memory cap, or raise MemoryError
+                       without one (error:oom)
     flaky@3x2          die without a result on the first 2 attempts of
                        task 3, then succeed (exercises retry + backoff)
+    interrupt@4        stop the campaign before task 4, as SIGINT would
 
 Plans are comma-separated specs, constructed programmatically or read
 from the ``REPRO_FAULT_PLAN`` environment variable, and are threaded
 verbatim into worker subprocesses so the *worker* side of each failure
-fires in the worker, exactly where a real fault would.  A spec keys on
-the task's campaign index when the key is an integer, and on a task-id
-substring otherwise; firing is a pure function of (task, attempt), so a
-resumed or retried campaign replays identically.
+fires in the worker, exactly where a real fault would.  ``flaky`` models
+a worker that dies and ``hang`` one the watchdog must kill, so both need
+``isolate=True``: in-process no worker dies and no watchdog runs, and
+:func:`~repro.exec.supervisor.execute_tasks` refuses a plan holding
+either with :class:`FaultPlanError` before any task runs.  ``crash``,
+``oom`` and ``interrupt`` fire in both modes.  A spec keys on the task's
+campaign index when the key is an integer, and on a task-id substring
+otherwise; firing is a pure function of (task, attempt), so a resumed
+or retried campaign replays identically.
 """
 
 from __future__ import annotations
@@ -37,22 +44,17 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 FLAKY_EXIT_CODE = 86
 
 KINDS = ("crash", "hang", "oom", "flaky", "interrupt")
+#: the kinds only a worker subprocess can model (see the module docstring)
+WORKER_ONLY_KINDS = ("flaky", "hang")
 
 
 class FaultPlanError(ValueError):
-    """Raised on a malformed fault-plan spec string."""
+    """Raised on a malformed fault-plan spec string, or on a worker-only
+    fault (:data:`WORKER_ONLY_KINDS`) in an in-process campaign."""
 
 
 class InjectedCrash(RuntimeError):
     """A deterministic solver crash injected by a fault plan."""
-
-
-class TransientWorkerFault(RuntimeError):
-    """A retryable fault (in-process stand-in for a dying worker)."""
-
-
-class CooperativeHang(RuntimeError):
-    """In-process hang surrogate: the cooperative deadline expired."""
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,15 @@ class ReproFaultPlan:
         index: int,
         attempt: int,
         *,
-        isolated: bool,
-        timeout: Optional[float] = None,
         mem_limit_mb: Optional[int] = None,
     ) -> None:
         """Inject the matching fault, if any, for this (task, attempt).
 
+        ``crash`` raises :class:`InjectedCrash`.  ``oom`` trips the
+        ``mem_limit_mb`` cap when handed one (a worker's) and raises
+        MemoryError either way.  ``flaky`` kills the process without a
+        result on its first ``times`` attempts, and ``hang`` spins until
+        the watchdog kills it, so both fire only in workers.
         ``interrupt`` specs are supervisor-level (they simulate SIGINT
         between tasks) and never fire here.
         """
@@ -160,32 +165,19 @@ class ReproFaultPlan:
                 f"injected crash in {task_id} (attempt {attempt})"
             )
         if spec.kind == "oom":
-            if isolated and mem_limit_mb is not None:
+            if mem_limit_mb is not None:
                 _trip_memory_cap(mem_limit_mb)
             raise MemoryError(f"injected oom in {task_id}")
         if spec.kind == "flaky":
             if attempt <= spec.times:
-                if isolated:
-                    # die without writing a result: the supervisor sees a
-                    # result-less worker death, exactly like a real
-                    # transient kill, and retries with backoff
-                    os._exit(FLAKY_EXIT_CODE)
-                raise TransientWorkerFault(
-                    f"injected transient fault in {task_id} "
-                    f"(attempt {attempt} of {spec.times} failing)"
-                )
+                # die without writing a result: the supervisor sees a
+                # result-less worker death, exactly like a real
+                # transient kill, and retries with backoff
+                os._exit(FLAKY_EXIT_CODE)
             return
         if spec.kind == "hang":
-            if isolated:
-                while True:  # only the out-of-process watchdog ends this
-                    time.sleep(0.05)
-            # in-process there is no watchdog; model the adversarial
-            # long-running task by sleeping out the cooperative budget,
-            # then reporting that the deadline expired
-            time.sleep(timeout if timeout is not None else 0.1)
-            raise CooperativeHang(
-                f"injected hang in {task_id}: cooperative deadline expired"
-            )
+            while True:  # only the out-of-process watchdog ends this
+                time.sleep(0.05)
 
 
 def _trip_memory_cap(mem_limit_mb: int) -> None:

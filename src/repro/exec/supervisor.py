@@ -10,10 +10,10 @@ pool, ``pool_stats``, the ``campaign`` span and the one metrics
 publication), and it turns individual-task failure into structured
 per-task verdicts:
 
-* by default tasks run **in-process**, one after another, each through
-  :func:`repro.exec.worker.run_task`: exceptions become ``error:crash``
-  / ``error:oom`` verdicts and the solver's cooperative deadline is the
-  only timeout;
+* by default tasks run **in-process**, one after another, each once
+  through :func:`repro.exec.worker.run_task`: exceptions become
+  ``error:crash`` / ``error:oom`` verdicts and the solver's cooperative
+  deadline is the only timeout;
 * ``isolate=True`` runs each task in a **worker subprocess** with a
   hard out-of-process **wall-clock watchdog** (``timeout * factor +
   grace``) and an optional address-space cap, so hangs become
@@ -58,11 +58,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from repro.exec import worker as worker_mod
-from repro.exec.faults import (
-    CooperativeHang,
-    ReproFaultPlan,
-    TransientWorkerFault,
-)
+from repro.exec.faults import WORKER_ONLY_KINDS, FaultPlanError, ReproFaultPlan
 from repro.exec.journal import (
     ResultsJournal,
     check_meta,
@@ -125,10 +121,12 @@ class ExecPolicy:
     """Execution-layer knobs, independent of any solver configuration.
 
     ``isolate`` runs each task in a worker under the watchdog (see
-    :func:`hard_timeout`).  ``max_retries`` bounds retries of
-    *transient* failures (a worker that died without writing a result),
-    each after a :func:`backoff`; deterministic faults — a structured
-    crash, a hard timeout, an OOM — are never retried.
+    :func:`hard_timeout`), capped at ``mem_limit_mb`` of address space.
+    ``max_retries`` bounds retries of *transient* failures (a worker
+    that died without writing a result), each after a :func:`backoff`;
+    deterministic faults — a structured crash, a hard timeout, an OOM —
+    are never retried.  The cap and the retries apply to workers only:
+    an in-process task runs once, uncapped.
 
     The observability block: ``heartbeat_interval`` > 0 makes workers
     (and an in-process sampling thread) emit periodic live-progress
@@ -257,7 +255,9 @@ def execute_tasks(
     A non-empty journal's header must match this campaign's solver
     configuration (:func:`~repro.exec.journal.check_meta`), on resume
     and append alike, or :class:`~repro.exec.journal.JournalError` is
-    raised before any task runs.
+    raised before any task runs.  An in-process campaign raises
+    :class:`~repro.exec.faults.FaultPlanError` on a fault plan holding a
+    worker-only kind (``flaky``, ``hang``), before the journal is opened.
 
     It assembles the campaign for every front-end.  In-process, with
     ``policy.share_engines`` or a caller's ``engine_pool``, all tasks
@@ -275,6 +275,14 @@ def execute_tasks(
     """
     policy = policy or ExecPolicy()
     plan = policy.plan()
+    if not policy.isolate:
+        for spec in plan.specs:
+            if spec.kind in WORKER_ONLY_KINDS:
+                raise FaultPlanError(
+                    f"fault {ReproFaultPlan((spec,)).encode()} needs an "
+                    "isolated campaign (isolate=True, or --isolate): "
+                    "in-process no worker dies and no watchdog runs"
+                )
     stats = ExecStats(tasks_total=len(tasks), isolate=policy.isolate)
     bus = bus if bus is not None else EventBus()
     if progress is not None:
@@ -427,21 +435,6 @@ def _finish(
         )
 
 
-def _cooperative_timeout_record(elapsed: float) -> dict:
-    """The in-process analogue of a hang: the cooperative budget ran out."""
-    return {
-        "status": "unknown",
-        "elapsed": elapsed,
-        "correct": True,
-        "model_size": None,
-        "reason": "unknown: wall-clock timeout (cooperative)",
-        "error_kind": None,
-        "traceback": "",
-        "transient": False,
-        "details": {"verdict_kind": "budget", "timeout_hit": True},
-    }
-
-
 @contextlib.contextmanager
 def _graceful_signals():
     """Convert SIGTERM into :class:`CampaignInterrupted` (main thread).
@@ -478,6 +471,12 @@ def _execute_inprocess(
     bus: Optional[EventBus],
     engine_pool,
 ) -> None:
+    """Run each task once, at attempt 1, in this process.
+
+    Nothing here can die without a result and no watchdog runs, so
+    nothing is retried (worker deaths and hangs are the isolated
+    path's), and no address-space cap is handed to the task.
+    """
     monitor: Optional[ProgressMonitor] = None
     if bus is not None and policy.heartbeat_interval > 0:
         monitor = ProgressMonitor(bus, interval=policy.heartbeat_interval)
@@ -493,35 +492,15 @@ def _execute_inprocess(
     try:
         for task in pending:
             _check_injected_interrupt(task, plan, 1)
-            attempt = 1
-            while True:
-                start = time.monotonic()
-                try:
-                    record = worker_mod.run_task(
-                        task,
-                        attempt,
-                        plan,
-                        isolated=False,
-                        engine_pool=engine_pool,
-                        solver_opts=policy.solver_opts,
-                        mem_limit_mb=policy.mem_limit_mb,
-                        profile_dir=policy.profile_dir,
-                    )
-                except TransientWorkerFault as error:
-                    if attempt <= policy.max_retries:
-                        stats.retries += 1
-                        attempt += 1
-                        time.sleep(backoff(task.task_id, attempt))
-                        continue
-                    record = worker_mod.crash_record(
-                        error, time.monotonic() - start, transient=True
-                    )
-                except CooperativeHang:
-                    record = _cooperative_timeout_record(
-                        time.monotonic() - start
-                    )
-                break
-            _finish(task, record, attempt, stats, results, journal, bus)
+            record = worker_mod.run_task(
+                task,
+                1,
+                plan,
+                engine_pool=engine_pool,
+                solver_opts=policy.solver_opts,
+                profile_dir=policy.profile_dir,
+            )
+            _finish(task, record, 1, stats, results, journal, bus)
     finally:
         if monitor is not None:
             monitor.stop()

@@ -8,7 +8,10 @@ fire the fault plan, build the system, build the solver (by its name in
 solver exception becomes ``error:crash`` with its type and traceback,
 and a MemoryError (e.g. under the worker's address-space cap) becomes
 ``error:oom``; isolated and in-process campaigns therefore produce
-identical verdicts by construction.
+identical verdicts by construction.  In-process each task runs once:
+nothing there can die without a result, so only a worker's death is
+retried, and only a worker is handed the address-space cap that an
+injected ``oom`` trips.
 
 A worker (:func:`worker_entry`) receives one batch of tasks (usually a
 single task; with campaign engine-sharing on, a whole
@@ -32,11 +35,7 @@ import time
 import traceback
 from typing import Any, Optional
 
-from repro.exec.faults import (
-    CooperativeHang,
-    ReproFaultPlan,
-    TransientWorkerFault,
-)
+from repro.exec.faults import ReproFaultPlan
 from repro.obs import runtime as obs_runtime
 from repro.obs.events import EventBus, ProgressMonitor
 from repro.obs.profiler import maybe_profile, profile_path
@@ -69,9 +68,7 @@ def jsonable(value: Any, depth: int = 6) -> Any:
     return str(value)
 
 
-def crash_record(
-    error: BaseException, elapsed: float, *, transient: bool = False
-) -> dict:
+def crash_record(error: BaseException, elapsed: float) -> dict:
     """Structured ``error:crash`` verdict for an in-task exception."""
     kind = "oom" if isinstance(error, MemoryError) else "crash"
     return {
@@ -82,7 +79,7 @@ def crash_record(
         "reason": f"error:{kind}: {type(error).__name__}: {error}",
         "error_kind": kind,
         "traceback": traceback.format_exc(limit=20),
-        "transient": transient,
+        "transient": False,
         "details": {"exception_type": type(error).__name__},
     }
 
@@ -92,7 +89,6 @@ def run_task(
     attempt: int,
     plan: ReproFaultPlan,
     *,
-    isolated: bool,
     engine_pool=None,
     solver_opts: Optional[dict] = None,
     mem_limit_mb: Optional[int] = None,
@@ -104,10 +100,9 @@ def run_task(
     ``elapsed`` covers building the system, constructing the solver and
     solving.  ``solver_opts`` are RInGen options (the baselines have
     none).  A solver crash yields ``error:crash`` and a MemoryError
-    ``error:oom``, each with the exception type and traceback.  Only the
-    in-process fault surrogates (:class:`TransientWorkerFault`,
-    :class:`CooperativeHang`) and interrupts escape; the in-process
-    loop handles them.
+    ``error:oom``, each with the exception type and traceback; only
+    interrupts escape.  ``mem_limit_mb`` is the worker's address-space
+    cap, which an injected ``oom`` trips; the campaign process has none.
     """
     obs_runtime.task_started(task.task_id)
     tracer = obs_runtime.TRACER
@@ -124,12 +119,7 @@ def run_task(
             # fired after task_started so an injected hang still shows
             # up in heartbeats (that is what live progress is for)
             plan.fire(
-                task.task_id,
-                task.index,
-                attempt,
-                isolated=isolated,
-                timeout=task.timeout,
-                mem_limit_mb=mem_limit_mb,
+                task.task_id, task.index, attempt, mem_limit_mb=mem_limit_mb
             )
             system = task.build_system()
             solver = make_solver(
@@ -156,8 +146,6 @@ def run_task(
             "transient": False,
             "details": jsonable(dict(result.details)),
         }
-    except (TransientWorkerFault, CooperativeHang):
-        raise
     except MemoryError as error:
         # free the hoard before building the response under a tight cap
         gc.collect()
@@ -275,7 +263,6 @@ def worker_entry(conn, payload: dict) -> None:
                 task,
                 attempt,
                 plan,
-                isolated=True,
                 engine_pool=pool,
                 solver_opts=solver_opts,
                 mem_limit_mb=payload.get("mem_limit_mb"),

@@ -2,7 +2,8 @@
 
 Combines a campaign's Table 1 counts, scatter summaries and the model-size
 histogram into a single markdown document — the artifact a downstream
-user regenerates to compare their run against EXPERIMENTS.md.
+user regenerates to compare their run against the paper's Table 1 and
+figures.
 """
 
 from __future__ import annotations

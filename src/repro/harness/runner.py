@@ -254,7 +254,6 @@ def run_campaign(
     solvers: Optional[Sequence[str]] = None,
     timeout: float = 1.0,
     progress: Optional[Callable[[str], None]] = None,
-    problem_filter: Optional[Callable[[Problem], bool]] = None,
     share_engines: bool = False,
     engine_pool: Optional[EnginePool] = None,
     journal_path: Optional[str] = None,
@@ -308,11 +307,7 @@ def run_campaign(
     )
     tasks: list[TaskSpec] = []
     for suite in suites:
-        problems = [
-            p
-            for p in suite
-            if problem_filter is None or problem_filter(p)
-        ]
+        problems = list(suite)
         groups = (
             signature_groups(problems, Problem.build)
             if shared

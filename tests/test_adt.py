@@ -1,7 +1,5 @@
 """Tests for ADT systems: Herbrand enumeration, counting, expanding sorts."""
 
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 

@@ -3,14 +3,12 @@
 import pytest
 
 from repro.automata.from_model import automata_to_model
-from repro.automata.ops import complete, intersection, union
+from repro.automata.ops import complete
 from repro.chc.transform import preprocess
 from repro.logic.adt import nat, nat_system, tree_system
 from repro.problems import (
-    DEC,
     EVEN,
     EVENLEFT,
-    INC,
     even_system,
     evenleft_system,
     incdec_system,
@@ -23,7 +21,6 @@ from repro.theory.atlas import (
     even_automaton,
     even_member,
     evenleft_automaton,
-    evenleft_member,
     figure3_rows,
     format_figure3,
     gt_member,

@@ -1,7 +1,5 @@
 """Tests for tree automata: runs, paper examples, boolean operations."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +22,6 @@ from repro.logic.adt import (
     ADTSystem,
     NAT,
     NATLIST,
-    TREE,
     nat,
     nat_system,
     nat_value,
@@ -37,7 +34,6 @@ from repro.theory.atlas import (
     even_automaton,
     even_member,
     evenleft_automaton,
-    evenleft_member,
     incdec_automata,
 )
 from repro.problems import leaf, node
@@ -204,6 +200,10 @@ class TestBooleanOps:
         either = union(evens, mult3)
         for n in range(15):
             assert either.accepts(nat(n)) == (n % 2 == 0 or n % 3 == 0)
+        # over trees: EvenLeft with itself, and with its complement
+        el = evenleft_automaton(TREES)
+        assert equivalent(union(el, el), el)
+        assert complement(union(el, complement(el))).is_empty()
 
     def test_difference(self):
         evens = mod_automaton(2, [0])

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.chc.clauses import BodyAtom, CHCError, CHCSystem, Clause, clause
+from repro.chc.clauses import BodyAtom, CHCError, CHCSystem, Clause
 from repro.chc.parser import ParseError, parse_chc, parse_sexprs, tokenize
-from repro.chc.printer import print_clause, print_system
+from repro.chc.printer import print_system
 from repro.logic.adt import NAT, nat_system
-from repro.logic.formulas import Eq, TRUE, conj
+from repro.logic.formulas import Eq, TRUE
 from repro.logic.sorts import PredSymbol, Sort
-from repro.logic.terms import App, Var
+from repro.logic.terms import Var
 from repro.problems import (
     diag_system,
     even_system,

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro import RInGen, RInGenConfig, Status, solve
+from repro import RInGen, RInGenConfig, solve
 from repro.chc.clauses import BodyAtom, CHCSystem, Clause
 from repro.chc.transform import preprocess
 from repro.core.cex import search_counterexample
 from repro.core.regular_model import RegularModel
 from repro.core.result import sat, unknown, unsat
-from repro.logic.adt import NAT, S, Z, nat, nat_system, nat_value
+from repro.logic.adt import NAT, S, Z, nat, nat_system
 from repro.logic.formulas import TRUE
 from repro.logic.sorts import PredSymbol
 from repro.logic.terms import App, Var

@@ -7,7 +7,6 @@ calling ``main``) to keep failures debuggable.
 
 import importlib.util
 import pathlib
-import sys
 
 import pytest
 

@@ -24,6 +24,7 @@ from repro.exec import (
     ResultsJournal,
     load_journal,
 )
+from repro.exec import faults
 from repro.exec.faults import FaultSpec
 from repro.exec import supervisor
 from repro.exec.journal import JournalError
@@ -125,16 +126,24 @@ class TestFaultPlan:
 
     def test_crash_fires_only_on_match(self):
         plan = ReproFaultPlan.parse("crash@1")
-        plan.fire("t0", 0, 1, isolated=False)  # no match: no raise
+        plan.fire("t0", 0, 1)  # no match: no raise
         with pytest.raises(Exception, match="injected crash"):
-            plan.fire("t1", 1, 1, isolated=False)
+            plan.fire("t1", 1, 1)
 
-    def test_flaky_succeeds_after_n_attempts(self):
+    def test_flaky_succeeds_after_n_attempts(self, monkeypatch):
+        class Exited(Exception):
+            pass
+
+        def fake_exit(code):
+            raise Exited(code)
+
+        monkeypatch.setattr(faults.os, "_exit", fake_exit)
         plan = ReproFaultPlan.parse("flaky@0x2")
         for attempt in (1, 2):
-            with pytest.raises(Exception, match="transient"):
-                plan.fire("t0", 0, attempt, isolated=False)
-        plan.fire("t0", 0, 3, isolated=False)  # succeeds
+            with pytest.raises(Exited) as exited:
+                plan.fire("t0", 0, attempt)
+            assert exited.value.args == (faults.FLAKY_EXIT_CODE,)
+        plan.fire("t0", 0, 3)  # succeeds
 
 
 class TestJournal:
@@ -261,25 +270,22 @@ class TestSupervisedInprocess:
         # each solve persisted its engine through a private pool
         assert list(cache.glob("*.engine"))
 
-    def test_flaky_retried_with_backoff(self, fast_backoff):
-        plan = ReproFaultPlan.parse("flaky@0x1")
-        campaign = run_campaign(
-            [tiny_suite()], solvers=["ringen"], timeout=5.0,
-            policy=ExecPolicy(fault_plan=plan),
-        )
-        record = campaign.record("even", "ringen")
-        assert record.status is Status.SAT and record.attempts == 2
-        assert campaign.exec_stats["retries"] == 1
-
     def test_flaky_exhausts_retry_budget(self, fast_backoff):
+        # a worker that dies on every attempt: one retry, then scored
         plan = ReproFaultPlan.parse("flaky@0x5")
         campaign = run_campaign(
             [tiny_suite()], solvers=["ringen"], timeout=5.0,
-            policy=ExecPolicy(fault_plan=plan, max_retries=1),
+            policy=ExecPolicy(isolate=True, fault_plan=plan, max_retries=1),
         )
         record = campaign.record("even", "ringen")
         assert record.errored and record.error_kind == "crash"
+        assert record.reason == (
+            "error:crash: worker died without a result "
+            f"(exit code {faults.FLAKY_EXIT_CODE}) after 2 attempts"
+        )
+        assert record.attempts == 2
         assert campaign.exec_stats["retries"] == 1
+        assert campaign.record("incdec", "ringen").solved
 
     def test_crash_and_oom_become_structured_verdicts(self):
         plan = ReproFaultPlan.parse("crash@0,oom@1")
@@ -290,6 +296,32 @@ class TestSupervisedInprocess:
         assert campaign.record("even", "ringen").error_kind == "crash"
         assert campaign.record("incdec", "ringen").error_kind == "oom"
         assert campaign.record("broken", "ringen").status is Status.UNSAT
+
+    @pytest.mark.parametrize("spec", ["flaky@0x1", "hang@1"])
+    def test_worker_only_faults_are_refused(self, tmp_path, monkeypatch, spec):
+        """In-process no worker dies and no watchdog runs, so a plan
+        holding ``flaky`` or ``hang`` is refused before the journal is
+        opened or any task runs; ``crash`` and ``oom`` still fire here
+        (``test_crash_and_oom_become_structured_verdicts``)."""
+        journal = tmp_path / "run.jsonl"
+        ran = []
+        monkeypatch.setattr(
+            supervisor.worker_mod, "run_task",
+            lambda *args, **kwargs: ran.append(args),
+        )
+
+        def refused(policy):
+            with pytest.raises(FaultPlanError, match="isolated campaign"):
+                run_campaign(
+                    [tiny_suite()], solvers=["ringen"], timeout=5.0,
+                    policy=policy, journal_path=str(journal),
+                )
+
+        refused(ExecPolicy(fault_plan=ReproFaultPlan.parse(f"crash@0,{spec}")))
+        monkeypatch.setenv("REPRO_FAULT_PLAN", spec)
+        refused(ExecPolicy())
+        assert ran == []
+        assert not journal.exists()
 
     def test_backoff_is_deterministic_and_growing(self, monkeypatch):
         monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.1)
@@ -315,20 +347,6 @@ class TestSupervisedInprocess:
         # the cooperative deadline is checked between solver steps, so
         # some overshoot is inherent — but it must stay bounded
         assert elapsed < timeout + 2.0
-
-    def test_injected_hang_reports_cooperative_timeout(self):
-        plan = ReproFaultPlan.parse("hang@0")
-        start = time.monotonic()
-        campaign = run_campaign(
-            [tiny_suite()], solvers=["ringen"], timeout=0.2,
-            policy=ExecPolicy(fault_plan=plan),
-        )
-        elapsed = time.monotonic() - start
-        record = campaign.record("even", "ringen")
-        assert record.status is Status.UNKNOWN and not record.errored
-        assert record.details.get("timeout_hit") is True
-        assert "wall-clock timeout (cooperative)" in record.reason
-        assert elapsed < 0.2 + 2.0
 
 
 class TestIsolated:

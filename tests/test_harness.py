@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.benchgen.suite import Problem, Suite
+from repro.benchgen.suite import Suite
 from repro.core.result import Status
 from repro.harness import (
-    Campaign,
-    RunRecord,
     SOLVER_ORDER,
     figure4_data,
     figure5_data,

@@ -12,7 +12,12 @@ from repro.chc.printer import print_system
 from repro.chc.transform import preprocess
 from repro.cli import main as cli_main
 from repro.logic.adt import nat
-from repro.problems import even_system, incdec_system, odd_unsat_system
+from repro.problems import (
+    diag_system,
+    even_system,
+    incdec_system,
+    odd_unsat_system,
+)
 
 
 EVEN_SMT = """
@@ -250,15 +255,31 @@ class TestCampaignCli:
         assert lines[0].endswith("[crash]")
         assert lines[1].startswith(f"{odd}: unsat (")
 
-    def test_progress_lines_go_to_stderr(self, files, capsys, monkeypatch):
-        # the first task hangs in-process past one heartbeat interval
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "hang@0")
-        code = cli_main(["campaign", "--progress", "--timeout", "2", *files])
+    def test_progress_lines_go_to_stderr(self, tmp_path, capsys):
+        # diag's sweep outlasts its 2 s budget, so at least one heartbeat
+        # interval passes while it solves
+        diag = tmp_path / "diag.smt2"
+        diag.write_text(print_system(diag_system()))
+        argv = ["campaign", "--progress", "--timeout", "2", str(diag)]
+        code = cli_main(argv)
         captured = capsys.readouterr()
         assert code == 1
         assert "[progress]" in captured.err
         assert "[progress]" not in captured.out
-        assert captured.out.startswith(f"{files[0]}: unknown (")
+        assert captured.out.startswith(f"{diag}: unknown (")
+
+    @pytest.mark.parametrize("plan", ["bogus@1", "hang@0"])
+    def test_bad_fault_plan_is_a_usage_error(
+        self, files, capsys, monkeypatch, plan
+    ):
+        # a plan that does not parse, and one only workers can run
+        # (flaky and hang need --isolate): exit 2 before any task runs
+        monkeypatch.setenv("REPRO_FAULT_PLAN", plan)
+        code = cli_main(["campaign", "--timeout", "30", *files])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestSatisfiabilityPreservation:

@@ -18,9 +18,9 @@ from repro.automata.from_model import (
 from repro.benchgen.builders import nat_mod_system
 from repro.chc.clauses import BodyAtom, CHCSystem, Clause
 from repro.chc.transform import preprocess
-from repro.logic.adt import NAT, S, Z, nat, nat_system, nat_value
+from repro.logic.adt import NAT, S, Z, nat, nat_system
 from repro.logic.formulas import TRUE
-from repro.logic.sorts import FuncSymbol, PredSymbol, Sort
+from repro.logic.sorts import PredSymbol, Sort
 from repro.logic.terms import App, Var
 from repro.mace.finder import (
     FinderOptions,

@@ -1,20 +1,12 @@
-"""Tests for NFTA determinization and the Nat Elem-definability decision."""
+"""Tests for the Nat Elem-definability decision
+(:mod:`repro.theory.definability`): which regular Nat languages a
+first-order formula over the constructors can define (Prop. 1)."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.dfta import AutomatonError, make_dfta
-from repro.automata.nfta import (
-    NFTA,
-    determinize,
-    from_dfta,
-    union_dfta,
-    union_nfta,
-)
-from repro.automata.ops import equivalent, union
-from repro.logic.adt import NAT, TREE, nat, nat_system, tree_system
-from repro.problems import leaf, node
-from repro.theory.atlas import even_automaton, evenleft_automaton
+from repro.automata.dfta import make_dfta
+from repro.logic.adt import NAT, nat, nat_system
+from repro.theory.atlas import even_automaton
 from repro.theory.definability import (
     elem_defining_formula,
     is_cofinite_language,
@@ -24,7 +16,6 @@ from repro.theory.definability import (
 )
 
 NATS = nat_system()
-TREES = tree_system()
 
 
 def mod_automaton(m, residues):
@@ -48,76 +39,6 @@ def upto_automaton(k):
         [(i,) for i in range(k)],
         (NAT,),
     )
-
-
-class TestNfta:
-    def test_from_dfta_preserves_language(self):
-        auto = even_automaton(NATS)
-        nfta = from_dfta(auto)
-        assert nfta.is_deterministic()
-        for n in range(8):
-            assert nfta.accepts(nat(n)) == auto.accepts(nat(n))
-
-    def test_nondeterministic_acceptance(self):
-        # guess at Z: either parity track; accept if *some* run lands final
-        nfta = NFTA(
-            NATS,
-            {NAT: 2},
-            {
-                ("Z", ()): frozenset({0, 1}),
-                ("S", (0,)): frozenset({1}),
-                ("S", (1,)): frozenset({0}),
-            },
-            frozenset({0}),
-            NAT,
-        )
-        # with both start states available every numeral is accepted
-        for n in range(6):
-            assert nfta.accepts(nat(n))
-        assert not nfta.is_deterministic()
-
-    def test_bad_transition_rejected(self):
-        with pytest.raises(AutomatonError):
-            NFTA(
-                NATS, {NAT: 1}, {("Z", ()): frozenset({3})},
-                frozenset({0}), NAT,
-            )
-
-    def test_union_nfta_language(self):
-        evens = mod_automaton(2, [0])
-        mult3 = mod_automaton(3, [0])
-        u = union_nfta(evens, mult3)
-        for n in range(12):
-            assert u.accepts(nat(n)) == (n % 2 == 0 or n % 3 == 0)
-
-
-class TestDeterminize:
-    def test_determinize_union_matches_product_union(self):
-        evens = mod_automaton(2, [0])
-        mult3 = mod_automaton(3, [0])
-        via_subset = union_dfta(evens, mult3)
-        via_product = union(evens, mult3)
-        assert equivalent(via_subset, via_product)
-
-    def test_determinize_preserves_membership(self):
-        evens = mod_automaton(2, [0])
-        mult5 = mod_automaton(5, [0, 2])
-        d = union_dfta(evens, mult5)
-        for n in range(20):
-            expected = n % 2 == 0 or n % 5 in (0, 2)
-            assert d.accepts(nat(n)) == expected
-
-    def test_determinize_deterministic_input_is_equivalent(self):
-        auto = even_automaton(NATS)
-        again = determinize(from_dfta(auto))
-        assert equivalent(auto, again)
-
-    def test_tree_union(self):
-        el = evenleft_automaton(TREES)
-        # union with itself: same language
-        d = union_dfta(el, el)
-        for t in (leaf(), node(leaf(), leaf()), node(node(leaf(), leaf()), leaf())):
-            assert d.accepts(t) == el.accepts(t)
 
 
 class TestDefinability:

@@ -13,7 +13,6 @@ from repro.logic.adt import (
     natlist_system,
     tree_system,
 )
-from repro.logic.terms import App, height
 from repro.problems import leaf, node
 from repro.theory.paths import (
     EMPTY_PATH,

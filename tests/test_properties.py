@@ -12,10 +12,8 @@ These are the whole-pipeline properties DESIGN.md commits to:
   system in the repo (Lemma 3 across signatures).
 """
 
-import itertools
-
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.automata.dfta import make_dfta
 from repro.automata.from_model import model_to_automaton
@@ -26,7 +24,7 @@ from repro.automata.ops import (
     intersection,
     union,
 )
-from repro.chc.clauses import BodyAtom, CHCSystem, Clause
+from repro.chc.clauses import CHCSystem
 from repro.chc.parser import parse_chc
 from repro.chc.printer import print_system
 from repro.chc.semantics import bounded_least_fixpoint
@@ -43,11 +41,10 @@ from repro.logic.adt import (
     natlist_system,
     tree_system,
 )
-from repro.logic.formulas import Eq, TRUE, conj
 from repro.logic.sorts import PredSymbol, Sort
-from repro.logic.terms import App, Var
+from repro.logic.terms import App
 from repro.mace.model import FiniteModel
-from repro.problems import s, z
+from repro.problems import s
 
 NATS = nat_system()
 LISTS = natlist_system()

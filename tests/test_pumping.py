@@ -1,8 +1,6 @@
 """Tests for the pumping machinery: Lemma 8's construction and the
 mechanical replays of Prop. 1 and Prop. 2."""
 
-import pytest
-
 from repro.logic.adt import NAT, TREE, nat, nat_system, tree_system
 from repro.problems import leaf, node
 from repro.solvers.elem import atom_space, candidate_formulas
@@ -14,7 +12,7 @@ from repro.theory.normal_form import (
     PathEqAtom,
     PathTesterAtom,
 )
-from repro.theory.paths import EMPTY_PATH, Path, Step, apply_path, leaves
+from repro.theory.paths import EMPTY_PATH, Path, Step, leaves
 from repro.theory.pumping import (
     PathCongruence,
     cube_satisfied_by,

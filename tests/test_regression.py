@@ -13,7 +13,7 @@ from repro import solve
 from repro.chc.semantics import bounded_least_fixpoint
 from repro.chc.transform import preprocess
 from repro.core.cex import search_counterexample
-from repro.logic.adt import NAT, nat, natlist, natlist_system, nat_system
+from repro.logic.adt import NAT, nat, nat_system
 from repro.problems import even_system
 
 

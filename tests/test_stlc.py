@@ -1,23 +1,15 @@
 """Tests for the STLC case study (Sec. 5 + Appendix A)."""
 
-import itertools
-
-import pytest
-
 from repro.chc.transform import preprocess
-from repro.logic.terms import App
 from repro.stlc import (
-    TYPECHECK,
     abs_,
     app_,
     arrow,
-    cons_env,
     empty,
     env_of,
     evar,
     find_inhabitant,
     goal_identity,
-    goal_not_classical,
     goal_peirce,
     in_invariant,
     in_invariant_under,

@@ -16,15 +16,8 @@ from repro.chc.transform import (
     remove_selectors,
     selector_func,
 )
-from repro.logic.adt import (
-    CONS,
-    NAT,
-    NATLIST,
-    nat,
-    nat_system,
-    natlist_system,
-)
-from repro.logic.formulas import Eq, Not, TRUE, Tester, conj, diseq as diseq_f
+from repro.logic.adt import CONS, NAT, NATLIST, nat_system, natlist_system
+from repro.logic.formulas import Eq, Not, TRUE, Tester, diseq as diseq_f
 from repro.logic.sorts import PredSymbol
 from repro.logic.terms import App, Var
 from repro.problems import even_system, incdec_system, s, z
