@@ -53,7 +53,9 @@ every verdict so an interrupted campaign resumes where it stopped:
         --max-retries 3 *.smt2
 
 ``--mem-limit`` takes MiB > 0 and ``--max-retries`` a count >= 0;
-anything else is a usage error (exit code 2).
+anything else is a usage error (exit code 2).  Both act on worker
+subprocesses only, so each requires ``--isolate``: without it the
+campaign exits 2 before any file is solved.
 
 Warm cache (``--warm-cache DIR``, solve and campaign): persists each
 engine's serialized state (clauses, learned clauses, heuristic scores,
@@ -254,7 +256,8 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="retries (with exponential backoff) for transient worker "
-        "deaths (default 2; deterministic crashes are never retried)",
+        "deaths (default 2; deterministic crashes are never retried; "
+        "requires --isolate)",
     )
     parser.add_argument(
         "--mem-limit",
@@ -262,7 +265,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MB",
         help="per-worker address-space cap in MiB; allocation beyond it "
-        "becomes a structured error:oom verdict (isolated mode)",
+        "becomes a structured error:oom verdict (requires --isolate)",
     )
     parser.add_argument(
         "--warm-cache",
@@ -330,6 +333,14 @@ def campaign_main(argv: Sequence[str]) -> int:
             file=sys.stderr,
         )
         return 2
+    for flag, value in (
+        ("--mem-limit", args.mem_limit),
+        ("--max-retries", args.max_retries),
+    ):
+        if value is not None and not args.isolate:
+            # both limits act on worker subprocesses only
+            print(f"error: {flag} requires --isolate", file=sys.stderr)
+            return 2
     _configure_obs(args)
     try:
         return _run_campaign(args)

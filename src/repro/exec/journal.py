@@ -12,6 +12,9 @@ timeout, solver list, creation time); every other line is a ``record``
 entry keyed by ``task`` id.  Loading tolerates a truncated final line
 (the torn write of the fatal moment) but warns about — and skips —
 any other malformed line rather than silently dropping verdicts.
+Reopening a journal whose last line is torn ends that line first, so
+the next record starts a line of its own instead of merging into the
+fragment.
 """
 
 from __future__ import annotations
@@ -86,6 +89,14 @@ class ResultsJournal:
             }
             header.update(meta or {})
             self._write(header)
+        else:
+            with open(path, "rb") as tail:
+                tail.seek(-1, os.SEEK_END)
+                torn = tail.read(1) != b"\n"
+            if torn:
+                # a kill mid-write left the last line unterminated; the
+                # next record appended to it would be lost with it
+                self._append("\n")
 
     def record(self, entry: dict) -> None:
         """Append one finished task's verdict and force it to disk.
@@ -101,8 +112,11 @@ class ResultsJournal:
         self._write(payload)
 
     def _write(self, payload: dict) -> None:
+        self._append(json.dumps(payload, sort_keys=True) + "\n")
+
+    def _append(self, text: str) -> None:
         assert self._handle is not None
-        self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
+        self._handle.write(text)
         self._handle.flush()
         os.fsync(self._handle.fileno())
 

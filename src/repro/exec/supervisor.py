@@ -27,7 +27,8 @@ per-task verdicts:
   campaign re-executes only the remainder;
 * SIGINT/SIGTERM trigger a **graceful shutdown**: the in-flight worker
   is killed, the journal is flushed, and the partial results are
-  returned (the harness renders them as a partial report).
+  returned, marked ``ExecStats.interrupted`` (the harness's
+  ``Campaign.interrupted``).
 
 With campaign engine-sharing on, consecutive tasks with the same
 signature ``group_key`` ride one worker, which hosts a private

@@ -9,7 +9,6 @@ from repro.harness.runner import (
     run_campaign,
     run_problem,
 )
-from repro.harness.report import campaign_report, markdown_table
 from repro.harness.tables import (
     Table1Row,
     figure4_data,
@@ -24,8 +23,6 @@ from repro.harness.tables import (
 __all__ = [
     "Campaign",
     "batch_order",
-    "campaign_report",
-    "markdown_table",
     "RunRecord",
     "SOLVER_ORDER",
     "Table1Row",

@@ -27,7 +27,6 @@ from repro.exec.supervisor import (
     execute_tasks,
 )
 from repro.mace.pool import EnginePool, signature_fingerprint
-from repro.obs import runtime as obs_runtime
 from repro.solvers import make_solver  # importable from here too
 
 logger = logging.getLogger(__name__)
@@ -48,14 +47,13 @@ class RunRecord:
     model_size: Optional[int] = None
     reason: str = ""
     # solver-reported extras (e.g. the model finder's incremental-engine
-    # statistics under "finder"), surfaced by the report generator
+    # statistics under "finder")
     details: dict = field(default_factory=dict)
     # execution-layer outcome: None for an honest solver verdict;
     # "crash" / "timeout_hard" / "oom" when the task failed and the
     # supervisor turned the failure into a structured verdict.  These
     # records stay UNKNOWN for scoring (they are non-answers, not wrong
-    # answers) but the report surfaces them in a dedicated errors
-    # section instead of folding them into the unknowns.
+    # answers); ``errored`` tells them apart from honest unknowns.
     error_kind: Optional[str] = None
     attempts: int = 1
     traceback: str = ""
@@ -83,9 +81,6 @@ class Campaign:
     # SIGINT/SIGTERM — in which case the records are the partial prefix
     exec_stats: Optional[dict] = None
     interrupted: bool = False
-    # observability: the merged metrics snapshot of the run (see
-    # repro.obs.metrics) when metrics collection was on, else None
-    obs: Optional[dict] = None
 
     def add(self, record: RunRecord) -> None:
         self.records.append(record)
@@ -287,9 +282,10 @@ def run_campaign(
     (``Campaign.interrupted``).  In isolated + shared mode each
     signature-compatible batch rides one worker with a private engine
     pool, and ``Campaign.pool_stats`` sums the workers' counters (a
-    caller's ``engine_pool`` goes unused).  With metrics on,
-    ``Campaign.obs`` is the registry's snapshot after the campaign was
-    published.  The caller's ``policy`` is never modified.
+    caller's ``engine_pool`` goes unused).  With metrics on, the
+    campaign's metrics are in :data:`repro.obs.runtime.METRICS`, which
+    ``execute_tasks`` publishes once.  The caller's ``policy`` is never
+    modified.
     """
     solvers = list(solvers or SOLVER_ORDER)
     policy = policy or ExecPolicy()
@@ -348,8 +344,6 @@ def run_campaign(
         rec = records.get(task.task_id)
         if rec is not None:  # None: interrupted before this task ran
             campaign.add(_record_from_exec(task, rec))
-    if obs_runtime.METRICS is not None:
-        campaign.obs = obs_runtime.METRICS.snapshot()
     return campaign
 
 

@@ -89,9 +89,11 @@ Campaign mode (sharing one engine across problems)
 Benchmark campaigns solve hundreds of systems that overwhelmingly share
 their ADT signature, so the engine hosts *multiple problems* at once.
 Every clause is encoded as a selector-guarded **clause group**
-(:class:`_ClauseGroup`): the ground instances carry a ``¬sel`` guard
-(selector allocated from the shared :class:`~repro.sat.cnf.SelectorPool`
-by canonical clause structure, :func:`clause_key`), and a problem — a
+(:class:`_ClauseGroup`, one per canonical clause structure,
+:func:`clause_key`): the ground instances carry a ``¬sel`` guard, its
+selector a fresh solver variable the group allocates on first use and
+owns for life (in the Eén–Sörensson style: nothing is ever retracted,
+so learned clauses mentioning it stay valid), and a problem — a
 :class:`_ProblemContext` — is activated for one ``try_vector`` call by
 assuming exactly the selectors of the groups it references.  Groups are
 engine-wide: two problems containing the same clause (up to variable
@@ -106,16 +108,17 @@ VSIDS activity and saved phases.
 Lifecycle: a released problem decrements its groups' refcounts; a group
 nothing references survives ``GC_WINDOW`` further registrations (so
 back-to-back problems from one family keep their rules warm) and is
-then retired — its selector pinned false via
-:meth:`~repro.sat.cnf.SelectorPool.retire`, which permanently satisfies
-its clauses, and a level-0 ``simplify`` physically drops them from the
-watch lists.  If unit propagation ever
-fixes a group selector false at level 0, the database alone entails
-that clause is unsatisfiable under every assumption set, i.e. at every
-size vector: every problem containing it is ``hopeless`` and its sweep
-stops early.  :class:`EnginePool` in :mod:`repro.mace.pool` keys
-engines by a canonical signature fingerprint and hands out
-:class:`ModelFinder` instances riding a shared engine.
+then retired — its selector pinned false by a unit clause, which
+permanently satisfies its clauses, and a level-0 ``simplify``
+physically drops them from the watch lists.  A problem that later
+contains the same clause again gets a new group with a new selector.
+If unit propagation ever fixes a group selector false at level 0, the
+database alone entails that clause is unsatisfiable under every
+assumption set, i.e. at every size vector: every problem containing it
+is ``hopeless`` and its sweep stops early.  :class:`EnginePool` in
+:mod:`repro.mace.pool` keys engines by a canonical signature
+fingerprint and hands out :class:`ModelFinder` instances riding a
+shared engine.
 
 Unsat-core–guided sweep and verdict completeness
 ------------------------------------------------
@@ -199,7 +202,6 @@ from repro.logic.sorts import FuncSymbol, PredSymbol, Sort
 from repro.logic.terms import Term, Var
 from repro.mace.model import FiniteModel, validate_model
 from repro.obs import runtime as obs_runtime
-from repro.sat.cnf import SelectorPool
 from repro.sat.solver import CDCLSolver
 
 
@@ -218,10 +220,10 @@ class EngineSnapshotError(FinderError):
 #: version of the pickled engine layout, stored in every
 #: :meth:`_IncrementalEngine.header`; :func:`check_engine` rejects any
 #: other.  Bump it whenever an attribute of :class:`_IncrementalEngine`,
-#: :class:`~repro.sat.solver.CDCLSolver`, :class:`_ClauseGroup`,
-#: :class:`_BlockState` or :class:`~repro.sat.cnf.SelectorPool` changes,
-#: so a warm cache written by another build starts cold.
-ENGINE_SNAPSHOT_VERSION = 6
+#: :class:`~repro.sat.solver.CDCLSolver`, :class:`_ClauseGroup` or
+#: :class:`_BlockState` changes, so a warm cache written by another
+#: build starts cold.
+ENGINE_SNAPSHOT_VERSION = 7
 
 #: the learned-clause database an engine carries across vectors is
 #: halved whenever it grows beyond this many clauses
@@ -865,7 +867,6 @@ class _IncrementalEngine:
             for s in self.sorts
         }
         self.solver = CDCLSolver()
-        self.selectors = SelectorPool(self.solver)
         self.cur: dict[Sort, int] = {s: 0 for s in self.sorts}
         # nested variable tables: one symbol hash to reach a table keyed
         # by cheap int tuples (the encode loops are hash-bound otherwise)
@@ -989,7 +990,7 @@ class _IncrementalEngine:
                 continue
             del self._groups[key]
             if group.sel is not None:
-                self.selectors.retire(("clause", group.serial))
+                self._add([-group.sel])
                 retired = True
         if retired:
             # retired selectors satisfy their groups' clauses at level 0;
@@ -1034,14 +1035,14 @@ class _IncrementalEngine:
     def _sel(self, group: _ClauseGroup) -> int:
         """The group's activation selector, allocated on first use."""
         if group.sel is None:
-            group.sel = self.selectors.selector(("clause", group.serial))
+            group.sel = self.solver.new_var()
         return group.sel
 
     def _ex(self, sort: Sort, v: int) -> int:
         """Existence selector ``ex[sort, v]`` with its chain clause."""
         row = self._ex_rows[sort]
         while len(row) <= v:
-            lit = self.selectors.selector(("ex", sort, len(row)))
+            lit = self.solver.new_var()
             if not row:
                 self._add([lit])  # every sort is inhabited
             else:

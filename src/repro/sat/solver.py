@@ -99,9 +99,8 @@ class CDCLSolver:
     Learned clauses are garbage-collected by LBD tier with unconditional
     glue retention (Glucose-style; see :meth:`reduce_learned`).
 
-    The model finder (:mod:`repro.mace.finder`), the engine pool
-    (:mod:`repro.mace.pool`) and :class:`~repro.sat.cnf.SelectorPool`
-    rely on this incremental contract:
+    The model finder (:mod:`repro.mace.finder`) and the engine pool
+    (:mod:`repro.mace.pool`) rely on this incremental contract:
 
     * variables and clauses may be added between ``solve`` calls;
     * ``solve(assumptions, max_conflicts=..., deadline=...)`` returns

@@ -134,24 +134,3 @@ class TestProblemMetadata:
         assert len(suite.sat_problems()) == 2
         assert len(suite.unsat_problems()) == 1
         assert set(suite.by_family()) == {"parity", "offset", "broken"}
-
-
-class TestReport:
-    def test_campaign_report_renders(self, campaign):
-        from repro.harness import campaign_report
-
-        text = campaign_report(campaign, {"Tiny": 3}, title="Tiny report")
-        assert "# Tiny report" in text
-        assert "Table 1" in text
-        assert "| Tiny |" in text
-        assert "Figure 6" in text
-        assert "Tiny/even" in text
-
-    def test_markdown_table_shape(self):
-        from repro.harness import markdown_table
-
-        text = markdown_table(["a", "b"], [[1, 2], [3, 4]])
-        lines = text.splitlines()
-        assert lines[0] == "| a | b |"
-        assert lines[1] == "|---|---|"
-        assert len(lines) == 4

@@ -225,6 +225,21 @@ class TestCampaignCli:
             cli_main(["campaign", "--isolate", flag, value, *files])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--mem-limit", "1"), ("--max-retries", "0")]
+    )
+    def test_isolated_only_flags_need_isolate(
+        self, files, capsys, flag, value
+    ):
+        # both limits act on worker subprocesses only: without --isolate
+        # they would be accepted and ignored
+        code = cli_main(["campaign", flag, value, *files])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "requires --isolate" in captured.err
+
     def test_parse_error_counts_as_failure(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.smt2"
         bad.write_text("(this is not smtlib")

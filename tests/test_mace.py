@@ -663,6 +663,36 @@ def _pooled_with_retirement():
     return engine, retired
 
 
+def test_reregistered_problem_gets_fresh_selectors():
+    """A problem whose groups were retired registers again on new
+    selectors: the retired ones stay pinned false, the new ones are
+    free, and the search finds the model a fresh engine finds."""
+    pool = EnginePool()
+    options = FinderOptions(max_total_size=4)
+    problem = preprocess(nat_mod_system(*_RETIREMENT_SEQUENCE[0]))
+    finder = pool.finder(problem, options)
+    finder.search()
+    engine = finder._engine
+    before = {g.sel for g in finder._ctx.groups}
+    pool.release(finder)
+    for m, r, c in _RETIREMENT_SEQUENCE[1:]:
+        finder = pool.finder(preprocess(nat_mod_system(m, r, c)), options)
+        finder.search()
+        assert finder._engine is engine
+        pool.release(finder)
+    retired = {s for s in before if engine.solver.fixed(s) is False}
+    assert retired
+    finder = pool.finder(problem, options)
+    again = finder.search()
+    after = {g.sel for g in finder._ctx.groups}
+    assert None not in after and not after & retired
+    assert all(engine.solver.fixed(s) is None for s in after)
+    assert all(engine.solver.fixed(s) is False for s in retired)
+    fresh = ModelFinder(problem, options).search()
+    assert fresh.found and again.found
+    assert again.model.size() == fresh.model.size()
+
+
 @pytest.mark.parametrize(
     "case", sorted(PINNED_STREAMS) + ["pooled-retired", "restored"]
 )

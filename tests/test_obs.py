@@ -14,7 +14,6 @@ from repro.benchgen.suite import Suite
 from repro.chc.transform import preprocess
 from repro.exec import ExecPolicy, ReproFaultPlan, ResultsJournal, load_journal
 from repro.exec import supervisor
-from repro.harness import campaign_report
 from repro.harness.runner import run_campaign, task_id_for
 from repro.mace.finder import _IncrementalEngine, find_model
 from repro.obs import (
@@ -465,20 +464,6 @@ class TestDifferential:
         assert snap["counters"]["task.status.unsat"] == 1
         assert any(k.startswith("sat.") for k in snap["counters"])
         assert any(k.startswith("phase.") for k in snap["counters"])
-
-    def test_campaign_obs_snapshot_feeds_report(self):
-        obs_runtime.configure(metrics=True)
-        campaign = self.run_tiny(isolate=False)
-        obs_runtime.reset()
-        assert campaign.obs is not None
-        text = campaign_report(campaign, {"Tiny": 3})
-        assert "## Timing breakdown — solver phases" in text
-        assert "## Timing breakdown — task wall clock" in text
-
-    def test_report_without_obs_has_no_timing_section(self):
-        campaign = self.run_tiny(isolate=False)
-        assert campaign.obs is None
-        assert "Timing breakdown" not in campaign_report(campaign, {"Tiny": 3})
 
 
 def _even_campaign_counts(n, *, plan=None, isolate=True):

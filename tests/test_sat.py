@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import itertools
 import pickle
 import random
 import time
@@ -10,14 +9,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sat.cnf import (
-    SelectorPool,
-    at_most_one,
-    exactly_one,
-    from_dimacs,
-    implies,
-    to_dimacs,
-)
 from repro.sat.solver import (
     CDCLSolver,
     SatError,
@@ -43,7 +34,7 @@ class TestBasics:
         assert solve_cnf([[1], [-1]], 1) is None
 
     def test_simple_implication_chain(self):
-        clauses = [[1], implies([1], 2), implies([2], 3)]
+        clauses = [[1], [-1, 2], [-2, 3]]
         model = solve_cnf(clauses, 3)
         assert model == {1: True, 2: True, 3: True}
 
@@ -575,79 +566,6 @@ class TestSolveCnfIndeterminate:
     def test_unsat_still_returns_none(self):
         assert solve_cnf([[1], [-1]], 1) is None
         assert solve_cnf([[1], [-1]], 1, max_conflicts=10_000) is None
-
-
-class TestSelectorPool:
-    def test_selectors_are_stable_per_key(self):
-        solver = CDCLSolver()
-        pool = SelectorPool(solver)
-        s1 = pool.selector(("group", 1))
-        assert pool.selector(("group", 1)) == s1
-        assert pool.selector(("group", 2)) != s1
-        assert ("group", 1) in pool and len(pool) == 2
-        assert pool.peek(("group", 3)) is None
-
-    def test_guarded_group_activation(self):
-        solver = CDCLSolver(2)
-        pool = SelectorPool(solver)
-        solver.add_clause(pool.guard([1], "g1"))
-        solver.add_clause(pool.guard([-1], "g2"))
-        on_g1 = pool.assumptions(on=["g1"], off=["g2"])
-        assert solver.solve(on_g1) is True and solver.model()[1] is True
-        on_g2 = pool.assumptions(on=["g2"], off=["g1"])
-        assert solver.solve(on_g2) is True and solver.model()[1] is False
-        both = pool.assumptions(on=["g1", "g2"])
-        assert solver.solve(both) is False
-
-    def test_retire_permanently_deactivates_group(self):
-        solver = CDCLSolver(1)
-        pool = SelectorPool(solver)
-        solver.add_clause(pool.guard([1], "a"))
-        solver.add_clause(pool.guard([-1], "b"))
-        assert solver.solve(pool.assumptions(on=["a", "b"])) is False
-        old = pool.selector("a")
-        assert pool.retire("a") is True
-        assert pool.retire("a") is False  # already gone
-        # the retired selector is pinned false: its group can never
-        # constrain again, even if something still assumes it
-        assert solver.fixed(old) is False
-        assert solver.solve(pool.assumptions(on=["b"])) is True
-        assert solver.model()[1] is False
-        # the key recycles to a fresh literal with a fresh group
-        assert pool.selector("a") != old
-        solver.add_clause(pool.guard([1], "a"))
-        assert solver.solve(pool.assumptions(on=["a", "b"])) is False
-
-
-class TestEncodings:
-    def test_at_most_one_semantics(self):
-        clauses = list(at_most_one([1, 2, 3]))
-        for bits in itertools.product([False, True], repeat=3):
-            model = {i + 1: bits[i] for i in range(3)}
-            expected = sum(bits) <= 1
-            assert check_model(clauses, model) == expected
-
-    def test_exactly_one_semantics(self):
-        clauses = list(exactly_one([1, 2, 3]))
-        for bits in itertools.product([False, True], repeat=3):
-            model = {i + 1: bits[i] for i in range(3)}
-            expected = sum(bits) == 1
-            assert check_model(clauses, model) == expected
-
-    def test_exactly_one_empty_rejected(self):
-        with pytest.raises(SatError):
-            list(exactly_one([]))
-
-    def test_dimacs_roundtrip(self):
-        clauses = [[1, -2], [2, 3], [-1]]
-        text = to_dimacs(clauses, 3)
-        parsed, nvars = from_dimacs(text)
-        assert parsed == clauses
-        assert nvars == 3
-
-    def test_dimacs_malformed_problem_line(self):
-        with pytest.raises(SatError):
-            from_dimacs("p wrong 1 2")
 
 
 # ----------------------------------------------------------------------
