@@ -11,7 +11,9 @@ Format: the first line is a ``meta`` record (schema version, per-run
 timeout, solver list, creation time); every other line is a ``record``
 entry keyed by ``task`` id.  Loading tolerates a truncated final line
 (the torn write of the fatal moment) but warns about — and skips —
-any other malformed line rather than silently dropping verdicts.
+any other malformed line rather than silently dropping verdicts.  A
+journal whose header write was torn has no ``meta`` record, and
+loading refuses it: no configuration vouches for its verdicts.
 Reopening a journal whose last line is torn ends that line first, so
 the next record starts a line of its own instead of merging into the
 fragment.
@@ -35,7 +37,8 @@ JOURNAL_VERSION = 1
 
 class JournalError(ValueError):
     """Raised when a journal cannot be used: a record without a task
-    id, or a campaign configured unlike the journal it opens."""
+    id, a journal without a header, or a campaign configured unlike the
+    journal it opens."""
 
 
 #: RInGenConfig fields the fingerprint ignores: the warm cache and the
@@ -139,6 +142,10 @@ def load_journal(path: str) -> tuple[dict, dict[str, dict]]:
     once before an interrupt was fully processed — keeps its freshest
     verdict).  A truncated final line is expected after a hard kill and
     is dropped silently; malformed lines elsewhere are skipped loudly.
+    A missing or empty file is an empty journal (``meta == {}``); a file
+    that holds any line but no meta record — its header write was torn,
+    or it is no journal at all — raises :class:`JournalError`, since no
+    configuration vouches for its verdicts.
     """
     meta: dict = {}
     entries: dict[str, dict] = {}
@@ -172,6 +179,12 @@ def load_journal(path: str) -> tuple[dict, dict[str, dict]]:
             logger.warning(
                 "journal %s: skipping unrecognized line %d", path, lineno
             )
+    if lines and not meta:
+        raise JournalError(
+            f"journal {path} has no header (a torn header write?), so "
+            f"the configuration of its verdicts is unknown; use a fresh "
+            f"journal"
+        )
     return meta, entries
 
 
@@ -192,7 +205,9 @@ def check_meta(
     changes what the verdicts mean, so when the journal recorded a
     fingerprint and it disagrees, the campaign is refused with a
     :class:`JournalError` naming both sides before any task runs.
-    Journals written before the fingerprint existed lack it and pass.
+    Journals written before the fingerprint existed lack it and pass,
+    and so does the empty meta of a missing or empty journal
+    (:func:`load_journal` refuses a non-empty one without a header).
     """
     if not meta:
         return

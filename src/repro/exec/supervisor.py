@@ -253,10 +253,11 @@ def execute_tasks(
     verdicts replayed from the journal on resume.  On SIGINT/SIGTERM
     the partial records collected so far are returned with
     ``stats.interrupted`` set — the journal already holds all of them.
-    A non-empty journal's header must match this campaign's solver
-    configuration (:func:`~repro.exec.journal.check_meta`), on resume
-    and append alike, or :class:`~repro.exec.journal.JournalError` is
-    raised before any task runs.  An in-process campaign raises
+    A non-empty journal must have a header
+    (:func:`~repro.exec.journal.load_journal`) matching this campaign's
+    solver configuration (:func:`~repro.exec.journal.check_meta`), on
+    resume and append alike, or :class:`~repro.exec.journal.JournalError`
+    is raised before any task runs.  An in-process campaign raises
     :class:`~repro.exec.faults.FaultPlanError` on a fault plan holding a
     worker-only kind (``flaky``, ``hang``), before the journal is opened.
 

@@ -48,12 +48,12 @@ guarded so that they are vacuous outside the vectors they describe:
 * *symmetry breaking*: the least-constant cuts are unit clauses valid at
   every size and are emitted once per new element.
 
-What each clause group and each universal block has ground is a
-*staircase*: the maximal boxes of the size vectors it was grown to.  A
-vector grounds only the part of its own box that no stair covers
-(:func:`_box_minus`), so no instance is emitted that lies in no vector
-tried — on a multi-sort sweep the per-sort hull of the vectors tried is
-much larger than any one of them (total size 14 against 7 on the STLC
+What each eagerly ground clause group and each universal block has
+ground is a *staircase*: the maximal boxes of the size vectors it was
+grown to.  A vector grounds only the part of its own box that no stair
+covers (:func:`_box_minus`), so no instance is emitted that lies in no
+vector tried — on a multi-sort sweep the per-sort hull of the vectors
+tried is much larger than any one of them (total size 14 against 7 on the STLC
 sweep).  Cells, existence chains and symmetry cuts are shared by every
 problem on the engine and grow to that hull.  Since every emitted
 clause is valid at every vector, the order of the vectors tried never
@@ -82,6 +82,51 @@ of the vector's assumptions.  Both are checked where they would surface
 — :meth:`_IncrementalEngine._add` and
 :meth:`_IncrementalEngine._record_core` raise :class:`FinderError` —
 so a broken encoder fails loudly instead of turning into a verdict.
+
+On-demand grounding
+-------------------
+
+Eager grounding emits one instance per tuple of a clause's box, the
+product of the sizes of *all* its flat variables — the results of its
+flattened definitions included — so a clause with ``k`` flat variables
+costs ``n^k`` instances at size ``n`` however few of them are free.  At
+a vector where a clause group's box exceeds :data:`ON_DEMAND_BOX` and
+the group has no universal block, the group is ground on demand, in
+the style of model-based instantiation (Ge & de Moura, CAV 2009;
+Reynolds et al., CADE 2013): :meth:`_IncrementalEngine.ensure` only
+allocates its selector, and :meth:`_IncrementalEngine.try_vector`
+loops — solve; decode the candidate model; for each on-demand group,
+enumerate its free (non-defined) variables over the vector's box,
+read every flattened definition's result off the model's function
+tables, and add every instance the model violates
+(:meth:`_IncrementalEngine._refine`); solve again.  One conflict
+budget and the deadline span every round of a vector.  The groups
+that carry a universal block stay eager.
+
+Why this is sound and exact:
+
+* every on-demand instance is one the eager encoder would emit for the
+  same combo — one per-combo emitter writes both, ``-sel`` and ``-ex``
+  guards and literal order included — so the canonical-assignment
+  argument above holds unchanged, and a refutation over a subset of
+  the eager instances refutes the eager encoding too: refutations and
+  their unsat cores stand, and pooled problems share on-demand
+  instances like any others;
+* a model is returned only after a scan of every on-demand group over
+  the vector's whole box finds no violated instance.  An instance whose
+  definition cells disagree with the model holds through a false cell,
+  so the scanned instances are the only ones the model could violate:
+  it satisfies the eager encoding, and is exact at its vector.
+
+The constant's window, measured on perfbench's workloads: no box of
+stlc-refute exceeds 4,096 or one of cdcl-sweep 16,807 (7^5), while the
+wide-clauses groups reach 32,768 (2^15) and 65,536, so any value from
+16,807 to 32,767 leaves those two exactly as eager as before and grounds
+the wide groups on demand; on table1-campaign it grounds one group on
+demand, the ground fact ``Q(Z, S^7(Z))`` (8 defined variables, no free
+one) at Nat size 4, and every other box there is at most 15,625.  Lower
+values cost more: at 1,024 or 4,096 cdcl-sweep takes twice as long, one
+solve per refinement round.
 
 Campaign mode (sharing one engine across problems)
 --------------------------------------------------
@@ -191,6 +236,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from operator import getitem, itemgetter, le, lt
@@ -221,13 +267,19 @@ class EngineSnapshotError(FinderError):
 #: :meth:`_IncrementalEngine.header`; :func:`check_engine` rejects any
 #: other.  Bump it whenever an attribute of :class:`_IncrementalEngine`,
 #: :class:`~repro.sat.solver.CDCLSolver`, :class:`_ClauseGroup` or
-#: :class:`_BlockState` changes, so a warm cache written by another
-#: build starts cold.
-ENGINE_SNAPSHOT_VERSION = 7
+#: :class:`_BlockState` changes, or what one holds (8: a group's ground
+#: instances are no longer exactly its staircase's boxes), so a warm
+#: cache written by another build starts cold.
+ENGINE_SNAPSHOT_VERSION = 8
 
 #: the learned-clause database an engine carries across vectors is
 #: halved whenever it grows beyond this many clauses
 MAX_LEARNED_CLAUSES = 20_000
+
+#: a clause group without universal blocks whose box at a vector (the
+#: product of its flat variables' sizes) exceeds this many tuples is
+#: ground on demand there (see "On-demand grounding" above)
+ON_DEMAND_BOX = 20_000
 
 
 @dataclass(frozen=True)
@@ -459,6 +511,10 @@ class FinderStats:
     # engine when this finder attached (cross-problem reuse)
     engine_shared: bool = False
     cross_problem_clauses: int = 0
+    # on-demand grounding: the extra solves vectors made after a scan
+    # found violated instances, and the instances those scans added
+    on_demand_rounds: int = 0
+    on_demand_instances: int = 0
 
     def as_dict(self) -> dict:
         """Plain-dict view for result details / JSON artifacts."""
@@ -495,6 +551,8 @@ class FinderStats:
         self.cross_problem_clauses = max(
             self.cross_problem_clauses, part.cross_problem_clauses
         )
+        self.on_demand_rounds += part.on_demand_rounds
+        self.on_demand_instances += part.on_demand_instances
 
 
 @dataclass
@@ -811,9 +869,11 @@ class _IncrementalEngine:
       those definitions.  So emitting any set of instances is sound — no
       model of any vector is lost;
     * a vector's answer is exact once its own box lies inside the
-      staircase of each of the problem's groups, and of each universal
-      block whose instance lies in the vector; :meth:`ensure` grows
-      exactly those before every solve;
+      staircase of each of the problem's eager groups, and of each
+      universal block whose instance lies in the vector — :meth:`ensure`
+      grows exactly those before every solve — and once a scan of each
+      group on demand there finds no instance the model violates (see
+      "On-demand grounding" in the module docstring);
     * a block row emitted at universal sizes ``K`` applies exactly to
       the vectors whose universal sizes are at most ``K`` (its frontier
       literals ``ex[s, K_s]`` are false exactly there), and there the
@@ -1062,27 +1122,35 @@ class _IncrementalEngine:
     # -- growth ------------------------------------------------------------
     def ensure(
         self, ctx: _ProblemContext, sizes: dict[Sort, int]
-    ) -> Optional[bool]:
-        """Grow the encoding so ``ctx`` is exact at the vector ``sizes``.
+    ) -> Optional[list[_ClauseGroup]]:
+        """Grow the encoding so ``ctx`` is exact at the vector ``sizes``
+        up to its on-demand groups.
 
         Signature-level state (existence chains, cells, symmetry cuts)
         grows to the per-sort hull of every vector tried, shared by
-        every context.  Each of the context's clause groups, and each of
-        its universal blocks inside the vector, grounds only the part of
-        the vector's own box its staircase does not cover yet — a group
-        shared with other problems may cover it already, in which case
-        its ground instances are simply reused.  Returns ``True`` once
-        the encoding is exact at ``sizes``, ``None`` when the deadline
-        expired mid-encoding (the encoding stays consistent
-        — already-emitted clauses are valid — but the staircases are not
-        advanced).
+        every context.  Each of the context's eager clause groups, and
+        each of its universal blocks inside the vector, grounds only the
+        part of the vector's own box its staircase does not cover yet —
+        a group shared with other problems may cover it already, in
+        which case its ground instances are simply reused.  A group on
+        demand at ``sizes`` (:meth:`_on_demand`) only gets its selector;
+        :meth:`_refine` adds its instances as candidate models violate
+        them.  Returns the on-demand groups (an empty list: the encoding
+        is exact at ``sizes``), or ``None`` when the deadline expired
+        mid-encoding (the encoding stays consistent — already-emitted
+        clauses are valid — but the staircases are not advanced).
         """
+        return self._timed_encode(self._ensure, ctx, sizes)
+
+    def _timed_encode(self, encode, *args):
+        """``encode(*args)``, counted as one ``encode`` aggregate and in
+        ``phase.encode_*`` while observability is on."""
         tracer, metrics = obs_runtime.TRACER, obs_runtime.METRICS
         if tracer is None and metrics is None:
-            return self._ensure(ctx, sizes)
+            return encode(*args)
         t0 = time.monotonic()
         try:
-            return self._ensure(ctx, sizes)
+            return encode(*args)
         finally:
             dt = time.monotonic() - t0
             if tracer is not None:
@@ -1093,7 +1161,7 @@ class _IncrementalEngine:
 
     def _ensure(
         self, ctx: _ProblemContext, sizes: dict[Sort, int]
-    ) -> Optional[bool]:
+    ) -> Optional[list[_ClauseGroup]]:
         new = {s: max(self.cur[s], sizes[s]) for s in self.sorts}
         if new != self.cur:
             for s in self.sorts:
@@ -1102,6 +1170,7 @@ class _IncrementalEngine:
                 return None
             self._encode_symmetry(new)
             self.cur = new
+        on_demand: list[_ClauseGroup] = []
         for group in self._resolve_groups(ctx):
             if group.blocks:
                 # a block whose instance lies outside the vector is
@@ -1113,9 +1182,12 @@ class _IncrementalEngine:
                         and self._grow_block(group, block, sizes) is None
                     ):
                         return None
-            if self._encode_group(group, sizes) is None:
+            if self._on_demand(group, sizes):
+                self._sel(group)
+                on_demand.append(group)
+            elif self._encode_group(group, sizes) is None:
                 return None
-        return True
+        return on_demand
 
     def _encode_cells(self, new: dict[Sort, int]) -> Optional[bool]:
         for func in self.functions:
@@ -1194,11 +1266,38 @@ class _IncrementalEngine:
     def _encode_group(
         self, group: _ClauseGroup, sizes: dict[Sort, int]
     ) -> Optional[bool]:
-        flat = group.flat
-        var_sizes = tuple(sizes[v.sort] for v in flat.vars)
+        """Ground the group's instances in the vector's box that its
+        staircase does not cover yet (eager grounding)."""
+        var_sizes = tuple(sizes[v.sort] for v in group.flat.vars)
         stairs = group.stairs
         if _inside(var_sizes, stairs):
             return True
+        emit = self._emitter(group, sizes)
+        # blocks created past this point belong to instances whose
+        # group has not committed yet (``stairs``); on a deadline abort
+        # they are dropped so a resumed sweep does not keep growing
+        # orphans for combos it will re-emit
+        blocks_committed = len(group.blocks)
+        for combo in _box_minus(var_sizes, stairs):
+            if not self._tick() or emit(combo) is None:
+                del group.blocks[blocks_committed:]
+                return None
+        group.stairs = _add_stair(stairs, var_sizes)
+        return True
+
+    def _emitter(self, group: _ClauseGroup, sizes: dict[Sort, int]):
+        """The one per-combo emitter of the group's ground instances.
+
+        ``emit(combo)`` adds the instance whose values over the group's
+        ``flat.vars`` positions are ``combo`` (each inside the vector
+        ``sizes``), growing its universal blocks first; it returns
+        ``None`` when the deadline cut a block's growth.  Eager grounding
+        feeds it :func:`_box_minus`, on-demand grounding the violation
+        scan of :meth:`_refine`, so both emit the same clause, guards and
+        literal order included, for the same combo.
+        """
+        flat = group.flat
+        var_sizes = tuple(sizes[v.sort] for v in flat.vars)
         sel = self._sel(group)
         # precomputed layout: every table key is read out of the combo
         # tuple by a positional picker, so the grounding loop builds no
@@ -1233,15 +1332,8 @@ class _IncrementalEngine:
                 _picker([index[v] for v in flat.head.vars]),
             )
         new_var = self.solver.new_var
-        # blocks created past this point belong to instances whose
-        # group has not committed yet (``stairs``); on a deadline abort
-        # they are dropped so a resumed sweep does not keep growing
-        # orphans for combos it will re-emit
-        blocks_committed = len(group.blocks)
-        for combo in _box_minus(var_sizes, stairs):
-            if not self._tick():
-                del group.blocks[blocks_committed:]
-                return None
+
+        def emit(combo: tuple[int, ...]) -> Optional[bool]:
             # the activation guard: the group's ground instances are
             # vacuous unless its selector is assumed — a problem is
             # activated as the set of its groups' selectors, which is
@@ -1260,7 +1352,6 @@ class _IncrementalEngine:
                 block = _BlockState(atom, combo, new_var())
                 group.blocks.append(block)
                 if self._grow_block(group, block, sizes) is None:
-                    del group.blocks[blocks_committed:]
                     return None
                 literals.append(-block.t)
             for table, pick in atoms:
@@ -1279,8 +1370,82 @@ class _IncrementalEngine:
                     table[args] = var
                 literals.append(var)
             self._add(literals)
-        group.stairs = _add_stair(stairs, var_sizes)
-        return True
+            return True
+
+        return emit
+
+    # -- on-demand grounding -----------------------------------------------
+    @staticmethod
+    def _on_demand(group: _ClauseGroup, sizes: dict[Sort, int]) -> bool:
+        """Whether the group is ground on demand at the vector ``sizes``:
+        its box there exceeds :data:`ON_DEMAND_BOX`, its staircase does
+        not cover that box, and it has no universal block."""
+        var_sizes = tuple(sizes[v.sort] for v in group.flat.vars)
+        return (
+            math.prod(var_sizes) > ON_DEMAND_BOX
+            and not _inside(var_sizes, group.stairs)
+            and not any(atom.universal_vars for atom in group.flat.body)
+        )
+
+    def _refine(
+        self,
+        groups: Sequence[_ClauseGroup],
+        sizes: dict[Sort, int],
+        model: FiniteModel,
+        stats: FinderStats,
+    ) -> Optional[bool]:
+        """Add every instance of the on-demand ``groups`` that ``model``
+        violates, counting each in ``stats.on_demand_instances``;
+        whether it added any, ``None`` at the deadline.
+
+        The violation scan: per group, enumerate its free variables over
+        the vector's box, read every flattened definition's result off
+        the model's function tables, and hand each combo whose body
+        holds and head fails to the group's :meth:`_emitter`.
+        """
+        added = False
+        for group in groups:
+            flat = group.flat
+            index = {v: i for i, v in enumerate(flat.vars)}
+            defined = {result for _, _, result in flat.defs}
+            free = [i for i, v in enumerate(flat.vars) if v not in defined]
+            ranges = [range(sizes[flat.vars[i].sort]) for i in free]
+            # flattening lists a definition after those of its arguments
+            defs = [
+                (
+                    model.functions[func],
+                    _picker([index[a] for a in arg_vars]),
+                    index[result],
+                )
+                for func, arg_vars, result in flat.defs
+            ]
+            body = [
+                (
+                    model.predicates[atom.pred],
+                    _picker([index[v] for v in atom.vars]),
+                )
+                for atom in flat.body
+            ]
+            head_rel = head_pick = None
+            if flat.head is not None:
+                head_rel = model.predicates[flat.head.pred]
+                head_pick = _picker([index[v] for v in flat.head.vars])
+            emit = self._emitter(group, sizes)
+            row = [0] * len(flat.vars)
+            for values in itertools.product(*ranges):
+                if not self._tick():
+                    return None
+                for i, value in zip(free, values):
+                    row[i] = value
+                for table, pick_args, result in defs:
+                    row[result] = table[pick_args(row)]
+                if all(pick(row) in rel for rel, pick in body) and (
+                    head_rel is None or head_pick(row) not in head_rel
+                ):
+                    emit(tuple(row))
+                    stats.on_demand_instances += 1
+                    added = True
+        return added
 
     # -- universal blocks --------------------------------------------------
     def _grow_block(
@@ -1481,7 +1646,8 @@ class _IncrementalEngine:
         # same counter family as clauses_encoded (accepted add_clause
         # calls incl. units), so the reuse ratio compares like with like
         pre_added = self.solver.stats.clauses_added
-        if self.ensure(ctx, sizes) is None:
+        on_demand = self.ensure(ctx, sizes)
+        if on_demand is None:
             stats.vectors_exhausted += 1
             stats.deadline_hit = True
             return _VectorOutcome()  # deadline hit mid-encoding
@@ -1506,19 +1672,43 @@ class _IncrementalEngine:
             hi = -self._ex(s, k)
             assumptions.append(hi)
             meaning[hi] = ("hi", s, k)
-        outcome = self.solver.solve(
-            assumptions,
-            max_conflicts=options.max_conflicts_per_size,
-            deadline=deadline,
-        )
-        stats.sat_vars = max(stats.sat_vars, self.solver.num_vars)
-        stats.sat_clauses = max(
-            stats.sat_clauses, self.solver.clause_count()
-        )
-        if outcome is True:
-            return _VectorOutcome(
-                model=self._decode(sizes, self.solver.model())
+        # one conflict budget spans every refinement round of the
+        # vector: ``cap`` is the solver's count at which it runs out
+        cap = options.max_conflicts_per_size
+        if cap is not None:
+            cap += self.solver.stats.conflicts
+        while True:
+            outcome = self.solver.solve(
+                assumptions,
+                max_conflicts=(
+                    None if cap is None else cap - self.solver.stats.conflicts
+                ),
+                deadline=deadline,
             )
+            stats.sat_vars = max(stats.sat_vars, self.solver.num_vars)
+            stats.sat_clauses = max(
+                stats.sat_clauses, self.solver.clause_count()
+            )
+            if outcome is not True:
+                break
+            model = self._decode(sizes, self.solver.model())
+            if not on_demand:
+                return _VectorOutcome(model=model)
+            # timed as encoding, like ensure
+            added = self._timed_encode(
+                self._refine, on_demand, sizes, model, stats
+            )
+            if added is False:
+                # the scan covered every on-demand group's whole box:
+                # the model is exact at this vector
+                return _VectorOutcome(model=model)
+            if added is None or (
+                deadline is not None and time.monotonic() > deadline
+            ):
+                stats.vectors_exhausted += 1
+                stats.deadline_hit = True
+                return _VectorOutcome()  # deadline hit while refining
+            stats.on_demand_rounds += 1
         if outcome is None:
             # conflict budget or deadline exhausted: indeterminate, NOT
             # a refutation — the sweep's verdict must not claim it

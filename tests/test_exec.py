@@ -690,6 +690,29 @@ class TestJournalConfigGuard:
         )
         assert len(journal.read_text().splitlines()) == 2 * len(lines) - 1
 
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_headerless_journal_refused(self, tmp_path, monkeypatch, resume):
+        # a kill during the header write leaves a journal with no meta
+        # record for good; a reopen under fingerprint aaaa appends to it,
+        # and a campaign under bbbb must not splice its verdicts in
+        journal = tmp_path / "torn-header.jsonl"
+        journal.write_text('{"kind": "meta", "version": 1, "config_finger')
+        with ResultsJournal(
+            str(journal), meta={"config_fingerprint": "aaaa"}
+        ) as handle:
+            handle.record({"task": "a", "status": "sat"})
+        lines = journal.read_text().splitlines()
+        monkeypatch.setattr(
+            supervisor, "config_fingerprint", lambda opts: "bbbb"
+        )
+        with pytest.raises(JournalError, match="no header"):
+            run_campaign(
+                [tiny_suite()], solvers=["ringen"], timeout=5.0,
+                journal_path=str(journal), resume=resume,
+                policy=ExecPolicy(),
+            )
+        assert journal.read_text().splitlines() == lines
+
     def test_cache_dir_never_affects_the_fingerprint(self, tmp_path):
         journal = str(tmp_path / "cache.jsonl")
         run_campaign(

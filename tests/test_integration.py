@@ -207,6 +207,20 @@ class TestCampaignCli:
         _, entries = load_journal(journal)
         assert {t: e["status"] for t, e in entries.items()} == recorded
 
+    @pytest.mark.parametrize("flag", ["--journal", "--resume"])
+    def test_headerless_journal_is_a_usage_error(
+        self, files, tmp_path, capsys, flag
+    ):
+        # a journal whose header write was torn: refused, exit 2, and
+        # no verdict line, before any file runs
+        journal = tmp_path / "torn-header.jsonl"
+        journal.write_text('{"kind": "meta", "version": 1, "config_finger')
+        code = cli_main(["campaign", flag, str(journal), *files])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: journal ")
+
     @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
     def test_bad_timeout_exit_code(self, files, timeout):
         # the isolated supervisor cannot poll for a NaN timeout

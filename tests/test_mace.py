@@ -6,6 +6,7 @@ import functools
 import hashlib
 import itertools
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -400,7 +401,7 @@ PINNED_STREAMS = {
     ),
     "tip-mirror-g6": (
         lambda: _tip_system("tip-mirror-g6"), 2,
-        "4ada63aca5aa78f5f7f73b4a3d8ffec7a9aaace51dcc31e931624a22371c47a4",
+        "7e9c457b7a8d5046a8e9eb432f6b7ba546610f677feca399bf80afa749c6d1dc",
     ),
     "tip-rev-g6": (
         lambda: _tip_system("tip-rev-g6"), 2,
@@ -502,7 +503,7 @@ PINNED_SWEEPS = {
         (False, True, None, 10, 10, 5, 0, 10, 2691, 13519, 258, 0)
     ],
     "tip-mirror-g6": [
-        (False, True, None, 2, 2, 0, 0, 2, 65783, 11, 2, 0)
+        (False, True, None, 2, 2, 0, 0, 2, 258, 11, 3, 0)
     ],
     "tip-rev-g6": [(False, True, None, 1, 1, 0, 0, 1, 18, 0, 0, 0)],
     "pooled-stlc": [
@@ -580,7 +581,7 @@ def _accounted_search(finder, **kwargs):
         stats.clauses_encoded,
         stats.learned_total,
         stats.learned_glue,
-        stats.attempts,
+        stats.attempts + stats.on_demand_rounds,
     ) == (
         delta["clauses_added"],
         delta["learned"],
@@ -592,7 +593,9 @@ def _accounted_search(finder, **kwargs):
 
 def test_sweep_accounting_is_one_solver_difference():
     """Two problems back to back on one pooled engine, then a search
-    resumed with ``min_total_size`` (the Herbrand retry's path)."""
+    resumed with ``min_total_size`` (the Herbrand retry's path), then a
+    search whose vectors take on-demand rounds: each round is one more
+    solve call."""
     obs_runtime.configure(metrics=True)
     try:
         pool = EnginePool()
@@ -607,6 +610,13 @@ def test_sweep_accounting_is_one_solver_difference():
             finder, min_total_size=first.model.size() + 1
         )
         assert resumed.found and resumed.stats.attempts > 0
+        wide = _accounted_search(
+            ModelFinder(
+                preprocess(_tip_system("tip-mirror-g6")),
+                FinderOptions(max_total_size=2),
+            )
+        )
+        assert wide.stats.on_demand_rounds > 0
     finally:
         obs_runtime.reset()
 
@@ -706,8 +716,13 @@ def test_canonical_assignment_satisfies_the_database(case):
         finder = ModelFinder(
             preprocess(factory()), FinderOptions(max_total_size=max_total)
         )
-        finder.search()
+        result = finder.search()
         assert not _canonical_violations(finder._engine)
+        # the case whose wide group is ground on demand at the default
+        # ON_DEMAND_BOX: its database holds on-demand instances
+        assert (result.stats.on_demand_instances > 0) == (
+            case == "tip-mirror-g6"
+        )
     else:
         engine, retired = _pooled_with_retirement()
         assert not _canonical_violations(engine)
@@ -915,6 +930,72 @@ class TestStaircase:
             assert _attempt(restored, ctx, sizes) == (answer, 0)
         for sizes, expected in zip(vectors[k:], straight[k:]):
             assert _attempt(restored, ctx, sizes) == expected
+
+
+def test_pooled_nat_mod_probe_grounds_wide_queries_on_demand():
+    """The pooled sequence that once grew the encoder without bound:
+    ``nat_mod_system(m, 0, c)``'s query ``P(x) /\\ P(S^c(x))`` flattens
+    to c + 1 variables, so eager grounding needs 3^15 (about 14.3 M)
+    instances for c = 14 at size 3, where its model is.  It asserts
+    counts, not times; each search's deadline is one only a regression
+    reaches."""
+    pool = EnginePool()
+    options = FinderOptions(max_total_size=4)
+    for c in range(1, 15):
+        m = 2 if c % 2 else 3
+        finder = pool.finder(preprocess(nat_mod_system(m, 0, c)), options)
+        result = finder.search(deadline=time.monotonic() + 5.0)
+        pool.release(finder)
+        assert result.complete and result.found == (c % m != 0), c
+    assert result.model.size() == 3
+    assert result.stats.clauses_encoded < 1_000
+    assert result.stats.on_demand_instances > 0
+
+
+#: the wide-clauses TIP problems: their guards flatten to 15-16
+#: variables, of which only 3-4 are free
+WIDE_TIP = ("tip-mirror-g6", "tip-rev-g6", "tip-add-fun-g6", "tip-dbl-fun-g6")
+
+#: name -> (system factory, max total size) of the eager vs on-demand
+#: differential
+GROUNDING_CASES = {
+    **{name: (factory, 5) for name, factory in SEED_SUITES.items()},
+    **{name: (functools.partial(_tip_system, name), 2) for name in WIDE_TIP},
+    **{
+        f"nat-mod-3-0-{c}": (functools.partial(nat_mod_system, 3, 0, c), 4)
+        for c in range(1, 6)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUNDING_CASES))
+def test_on_demand_grounding_agrees_with_eager(name, monkeypatch):
+    """Every group eager (``ON_DEMAND_BOX`` above every box) and every
+    block-free group on demand (``ON_DEMAND_BOX = 0``) answer each size
+    vector alike, each vector on a fresh engine with no conflict budget
+    (as in ``reference_sweep``, but past the first model); every model
+    satisfies the system."""
+    factory, max_total = GROUNDING_CASES[name]
+    system = preprocess(factory())
+    vectors = list(size_vectors(_engine_for(system)[0].sorts, max_total))
+    sweeps = {}
+    for box in (float("inf"), 0):
+        monkeypatch.setattr("repro.mace.finder.ON_DEMAND_BOX", box)
+        answers, instances = [], 0
+        for sizes in vectors:
+            engine, ctx = _engine_for(system)
+            stats = FinderStats()
+            outcome = engine.try_vector(ctx, sizes, stats, _EXACT)
+            model = outcome.model
+            assert model is not None or outcome.refuted
+            assert model is None or model.satisfies(system)
+            answers.append(None if model is None else model.size())
+            instances += stats.on_demand_instances
+        sweeps[box] = answers, instances
+    assert sweeps[0][0] == sweeps[float("inf")][0]
+    # diseq_zz preprocesses to no clause at all
+    assert sweeps[float("inf")][1] == 0
+    assert (sweeps[0][1] > 0) == bool(system.clauses)
 
 
 class TestVerdictCompleteness:
